@@ -4,9 +4,10 @@ Subcommands: transfer, disks, schur, riccati, type, reflectionless, bp,
 gauge.  Coefficient files are the JSON schemas documented in
 ``coefficients``; outputs are CSV tables (17 significant digits, stable row
 order, a header comment carrying the config hash) or JSON reports.  Exit
-codes: 0 ok, 1 compute budget, 2 parse, 3 validation.  The environment
-variable ARVCANON_THREADS caps worker threads; results are identical for
-every parallelism degree.
+codes: 0 ok, 1 compute budget, 2 parse, 3 validation.  Grids are computed
+by the vectorised propagation kernel in one thread; ``--threads`` and the
+environment variable ARVCANON_THREADS are accepted and validated but change
+nothing.
 """
 
 import argparse
@@ -14,7 +15,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -62,15 +62,13 @@ def parse_zgrid(specstr):
     log grid 'iy:y1:y2:n:log'."""
     parts = specstr.split(":")
     if parts[0] == "iy":
-        if len(parts) != 5 or parts[4] != "log":
-            raise ParseError(f"bad imaginary-axis grid spec {specstr!r}")
         try:
             y1, y2, n = float(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError:
-            raise ParseError(f"bad imaginary-axis grid spec {specstr!r}")
-        if y1 <= 0 or y2 <= y1 or n < 2:
-            raise ParseError(f"bad imaginary-axis grid spec {specstr!r}")
-        return 1j * np.geomspace(y1, y2, n)
+            if len(parts) == 5 and parts[4] == "log" and 0 < y1 < y2 and n >= 2:
+                return 1j * np.geomspace(y1, y2, n)
+        except (ValueError, IndexError):
+            pass
+        raise ParseError(f"bad imaginary-axis grid spec {specstr!r}")
     if len(parts) == 1:
         return np.array([_parse_z(parts[0])])
     if len(parts) == 3:
@@ -85,24 +83,26 @@ def parse_zgrid(specstr):
     raise ParseError(f"bad spectral grid spec {specstr!r}")
 
 
-def parse_lgrid(specstr):
-    """Length grids: single value or 'start:stop:step'."""
-    parts = specstr.split(":")
+def parse_lgrid(specstr, signed=False):
+    """Length grids: single value or 'start:stop:step' (step > 0,
+    stop >= start), nonnegative unless signed."""
     try:
-        if len(parts) == 1:
-            val = float(parts[0])
-            if val < 0:
-                raise ParseError(f"negative length {val}")
-            return np.array([val])
-        if len(parts) == 3:
-            start, stop, step = map(float, parts)
-            if step <= 0 or stop < start or start < 0:
-                raise ParseError(f"bad length grid spec {specstr!r}")
-            n = int(np.floor((stop - start) / step + 1e-9)) + 1
-            return start + step * np.arange(n)
+        vals = [float(v) for v in specstr.split(":")]
     except ValueError:
-        pass
-    raise ParseError(f"bad length grid spec {specstr!r}")
+        raise ParseError(f"bad grid spec {specstr!r}")
+    if len(vals) in (1, 3) and all(np.isfinite(vals)) and (signed or min(vals) >= 0):
+        if len(vals) == 1:
+            return np.array(vals)
+        start, stop, step = vals
+        if step > 0 and stop >= start:
+            return start + step * np.arange(int(np.floor((stop - start) / step + 1e-9)) + 1)
+    raise ParseError(f"bad grid spec {specstr!r}")
+
+
+def parse_xgrid(specstr):
+    """Real-axis grids: parse_lgrid with signed values (write
+    ``--xgrid=-1.5:-0.9:0.1`` so the leading '-' is not read as an option)."""
+    return parse_lgrid(specstr, signed=True)
 
 
 _HASH_EXCLUDED = ("func", "output", "summary", "params_out", "threads")
@@ -116,37 +116,27 @@ def _config_hash(ns):
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
 
 
-def _threads(ns):
-    requested = max(1, int(getattr(ns, "threads", 1)))
-    cap = os.environ.get("ARVCANON_THREADS")
-    if cap is not None:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            raise ParseError(f"ARVCANON_THREADS = {cap!r} is not an integer")
-    return requested
-
-
-def _zmap(ns, zs, worker):
-    """Apply worker(z) over the grid, any parallelism degree, stable order."""
-    n = _threads(ns)
-    if n <= 1 or len(zs) <= 1:
-        return [worker(z) for z in zs]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(worker, zs))
+def _check_threads():
+    """ARVCANON_THREADS must be an integer; like --threads it changes nothing."""
+    cap = os.environ.get("ARVCANON_THREADS", "1")
+    try:
+        int(cap)
+    except ValueError:
+        raise ParseError(f"ARVCANON_THREADS = {cap!r} is not an integer")
 
 
 def _write_table(path, columns, rows, cfg):
-    lines = [f"# arvcanon config={cfg} units={UNITS}"]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    text = "\n".join(lines) + "\n"
+    """Write the CSV line by line, so no copy of the whole text is held."""
+    lines = (",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n"
+             for row in rows)
+    head = f"# arvcanon config={cfg} units={UNITS}\n" + ",".join(columns) + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(head)
+        sys.stdout.writelines(lines)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.write(head)
+            fh.writelines(lines)
 
 
 def _write_json(path, payload):
@@ -183,14 +173,7 @@ def _cmd_transfer(ns):
     system = _load_single(ns)
     zs = parse_zgrid(ns.zgrid)
     ls = parse_lgrid(ns.lgrid)
-
-    def worker(z):
-        if isinstance(system, coeff.ArovParameters):
-            return prop.transfer_prefix(z, system, ls)
-        return np.array([prop.transfer_general(z, system, l) for l in ls])
-
-    blocks = _zmap(ns, zs, worker)
-    values = np.stack(blocks)
+    values = prop.materialize(*prop.transfer_grid(system, zs, ls), "transfer")
     fam = prop.TransferFamily(zs, ls, values, prop.GAUGE_RAW)
     _write_table(ns.output, prop.FAMILY_CSV_COLUMNS, prop.family_csv_rows(fam),
                  _config_hash(ns))
@@ -200,17 +183,10 @@ def _cmd_transfer(ns):
 def _cmd_disks(ns):
     system = _load_single(ns)
     zs = parse_zgrid(ns.zgrid)
-    if np.any(zs.imag <= 0):
-        raise PreconditionError("Weyl disks need Im z > 0 at every grid point")
     ls = parse_lgrid(ns.lgrid)
-
-    def worker(z):
-        return [weyl.weyl_disk_at(system, z, l) for l in ls]
-
-    rows = []
-    for z, disks in zip(zs, _zmap(ns, zs, worker)):
-        for l, d in zip(ls, disks):
-            rows.append((z.real, z.imag, l, d.center.real, d.center.imag, d.radius))
+    centers, radii = weyl.disks_grid(system, zs, ls)
+    rows = ((z.real, z.imag, l, centers[i, k].real, centers[i, k].imag, radii[i, k])
+            for i, z in enumerate(zs) for k, l in enumerate(ls))
     _write_table(ns.output,
                  ("z_re", "z_im", "l", "center_re", "center_im", "radius"),
                  rows, _config_hash(ns))
@@ -224,14 +200,12 @@ def _cmd_schur(ns):
         p_left, p_right = loaded
     else:
         p_left = p_right = loaded
-
-    def worker(z):
-        if ns.side == "minus":
-            return weyl.schur_minus(z, p_left, tol=ns.tol, l_max=ns.lmax)
-        return weyl.schur_plus(z, p_right, tol=ns.tol, l_max=ns.lmax)
-
     rows = []
-    for z, sv in zip(zs, _zmap(ns, zs, worker)):
+    for z in zs:
+        if ns.side == "minus":
+            sv = weyl.schur_minus(z, p_left, tol=ns.tol, l_max=ns.lmax)
+        else:
+            sv = weyl.schur_plus(z, p_right, tol=ns.tol, l_max=ns.lmax)
         rows.append((z.real, z.imag, sv.value.real, sv.value.imag,
                      sv.residual_radius, sv.l_stop))
     _write_table(ns.output,
@@ -285,20 +259,17 @@ def _cmd_type(ns):
 
 def _cmd_reflectionless(ns):
     p_left, p_right = _load_fullline(ns)
-    xs = parse_lgrid(ns.xgrid) if ":" in ns.xgrid else np.array([float(ns.xgrid)])
+    xs = parse_xgrid(ns.xgrid)
     try:
         ladder = tuple(float(e) for e in ns.eps.split(","))
     except ValueError:
         raise ParseError(f"bad eps ladder {ns.eps!r}")
     reports = spec.reflectionless_ladder(p_left, p_right, xs, ladder,
                                          delta=ns.delta, tol=ns.tol)
-    rows = []
-    for rep in reports:
-        for i, x in enumerate(rep.xs):
-            rows.append((x, rep.eps,
-                         rep.s_plus[i].real, rep.s_plus[i].imag,
-                         rep.s_minus[i].real, rep.s_minus[i].imag,
-                         rep.defect[i], float(rep.ac[i]), float(rep.ok[i])))
+    rows = ((x, rep.eps, rep.s_plus[i].real, rep.s_plus[i].imag,
+             rep.s_minus[i].real, rep.s_minus[i].imag,
+             rep.defect[i], float(rep.ac[i]), float(rep.ok[i]))
+            for rep in reports for i, x in enumerate(rep.xs))
     _write_table(ns.output,
                  ("x", "eps", "sp_re", "sp_im", "sm_re", "sm_im",
                   "defect", "ac", "ok"),
@@ -383,73 +354,59 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--input", required=True, help="coefficient JSON file")
-        if output:
-            p.add_argument("--output", default=None, help="output path (default stdout)")
+        p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (capped by ARVCANON_THREADS)")
+                       help="accepted for compatibility; the computation is "
+                            "vectorised and single-threaded")
         p.add_argument("--tol", type=float, default=weyl.SCHUR_TOL,
                        help="disk-shrinkage tolerance for Schur evaluation")
+        return p
 
-    p = sub.add_parser("transfer", help="transfer matrices over a (z, l) grid")
-    common(p)
-    p.add_argument("--zgrid", required=True)
-    p.add_argument("--lgrid", required=True)
-    p.set_defaults(func=_cmd_transfer)
+    for name, func, what in (("transfer", _cmd_transfer, "transfer matrices"),
+                             ("disks", _cmd_disks, "Weyl disks")):
+        p = command(name, func, f"{what} over a (z, l) grid")
+        p.add_argument("--zgrid", required=True)
+        p.add_argument("--lgrid", required=True)
 
-    p = sub.add_parser("disks", help="Weyl disks over a (z, l) grid")
-    common(p)
-    p.add_argument("--zgrid", required=True)
-    p.add_argument("--lgrid", required=True)
-    p.set_defaults(func=_cmd_disks)
-
-    p = sub.add_parser("schur", help="half-line Schur function on a z grid")
-    common(p)
+    p = command("schur", _cmd_schur, "half-line Schur function on a z grid")
     p.add_argument("--zgrid", required=True)
     p.add_argument("--side", choices=("plus", "minus"), default="plus")
     p.add_argument("--lmax", type=float, default=None, help="disk-limit length budget")
-    p.set_defaults(func=_cmd_schur)
 
-    p = sub.add_parser("riccati", help="stripping-flow trajectory")
-    common(p)
+    p = command("riccati", _cmd_riccati, "stripping-flow trajectory")
     p.add_argument("--z", required=True)
     p.add_argument("--s0", default="auto", help="'auto' or a complex token re,im")
     p.add_argument("--lgrid", required=True)
     p.add_argument("--step", type=float, default=ric.DEFAULT_STEP)
-    p.set_defaults(func=_cmd_riccati)
 
-    p = sub.add_parser("type", help="exponential type, both faces")
-    common(p)
+    p = command("type", _cmd_type, "exponential type, both faces")
     p.add_argument("--l", type=float, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_type)
 
-    p = sub.add_parser("reflectionless", help="boundary-value defect on an eps ladder")
-    common(p)
+    p = command("reflectionless", _cmd_reflectionless,
+                "boundary-value defect on an eps ladder")
     p.add_argument("--xgrid", required=True)
     p.add_argument("--eps", default="1e-2,1e-3,1e-4", help="comma-separated ladder")
     p.add_argument("--delta", type=float, default=spec.AC_DELTA)
     p.add_argument("--summary", default=None, help="JSON trend summary path")
-    p.set_defaults(func=_cmd_reflectionless)
 
-    p = sub.add_parser("bp", help="harmonic-measure defect on a length ladder")
-    common(p)
+    p = command("bp", _cmd_bp, "harmonic-measure defect on a length ladder")
     p.add_argument("--e", required=True, help="band intervals 'lo,hi[;lo,hi...]'")
     p.add_argument("--arc", required=True, help="circle arc 't1:t2'")
     p.add_argument("--lladder", default="1,2,4,8")
     p.add_argument("--xstep", type=float, default=0.05)
     p.add_argument("--eps", type=float, default=1e-3)
-    p.set_defaults(func=_cmd_bp)
 
-    p = sub.add_parser("gauge", help="regauge a sampled family")
-    common(p)
+    p = command("gauge", _cmd_gauge, "regauge a sampled family")
     p.add_argument("--to", choices=("arov", "pdb"), required=True)
     p.add_argument("--zgrid", required=True)
     p.add_argument("--lgrid", required=True)
     p.add_argument("--params-out", default=None,
                    help="with --to arov: write recovered parameters JSON here")
-    p.set_defaults(func=_cmd_gauge)
 
     return ap
 
@@ -457,6 +414,7 @@ def build_parser():
 def run(ns):
     """Execute a parsed configuration; returns the exit status."""
     try:
+        _check_threads()
         return ns.func(ns)
     except ParseError as exc:
         _emit_error(exc)

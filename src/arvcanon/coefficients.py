@@ -28,6 +28,7 @@ stored mirrored (position l in the file means -l on the line).
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +83,129 @@ def _as_grid(grid):
     return g
 
 
+class Pieces(NamedTuple):
+    """Gauge-neutral piece stream, the input of ``propagate.scaled_products``.
+
+    ``blocks`` yields (k, d, cuts): the stored interval and mass of each
+    piece, and the piece counts at which the next recorded points are
+    reached.  ``gen`` is (p, alpha, r, gamma) per stored interval, the
+    generator (i z P - Q) j for P = [[p, -conj(alpha)], [-alpha, p]] and
+    Q = [[i r, conj(gamma)], [-gamma, i r]]; disk gauge is (1, a, 0, a).
+    Length i is ``Pat^q[i] @ H[at[i]] @ exp(G_last t[i])``: H are the
+    ``points`` recorded (the first ``start`` at 0), Pat the last H, G_last
+    the last interval's generator; q, t are None without that tail.
+    """
+
+    gen: tuple
+    blocks: object
+    start: int
+    points: int
+    at: np.ndarray
+    q: np.ndarray
+    t: np.ndarray
+
+
+def _sorted_unique(x):
+    """np.unique without its lazily loaded machinery (most of a megabyte)."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
+class _Piecewise:
+    """Grid, tail policy and the piece builder shared by both gauges;
+    subclasses set ``density`` (per-interval mass density) and
+    ``generator_table`` (the (p, alpha, r, gamma) of ``Pieces``)."""
+
+    @property
+    def n_intervals(self):
+        return self.grid.size
+
+    @property
+    def length(self):
+        """Right endpoint of the stored grid."""
+        return float(self.grid[-1])
+
+    @property
+    def knots(self):
+        """All knots including the leading 0."""
+        return np.concatenate(([0.0], self.grid))
+
+    @property
+    def widths(self):
+        return np.diff(self.knots)
+
+    def _cut(self, lo, points):
+        """Stored intervals from lo through the ascending points, all inside
+        [lo, L], cut at every point: (k, d, ends), ends[i] being the number
+        of pieces before points[i]."""
+        grid = self.grid
+        inner = grid[np.searchsorted(grid, lo, side="right"):
+                     np.searchsorted(grid, points[-1])]
+        pts = _sorted_unique(np.concatenate(([lo], inner, points)))
+        k = np.searchsorted(grid, pts[:-1], side="right")
+        return k, np.diff(pts) * self.density[k], np.searchsorted(pts, points)
+
+    def span_arrays(self, l_to, l_from=0.0):
+        """(k, d) of the pieces covering [l_from, l_to]; a periodic tail is
+        unrolled by integer period count, so every span ends."""
+        l_from, l_to = float(l_from), float(l_to)
+        if not 0.0 <= l_from <= l_to < np.inf:
+            raise DomainError(f"bad span [{l_from}, {l_to}]")
+        L = self.length
+        if l_to > L and self.tail == TAIL_FINITE:
+            raise DomainError(f"span reaches l = {l_to} beyond finite tail at {L}")
+        if l_to <= L or self.tail == TAIL_CONSTANT:
+            k, d, _ = self._cut(min(l_from, L), [min(l_to, L)])
+            if l_to <= L:
+                return k, d
+            tail = (l_to - max(l_from, L)) * self.density[-1]
+            return np.append(k, self.n_intervals - 1), np.append(d, tail)
+        (q0, r0), (q1, r1) = divmod(l_from, L), divmod(l_to, L)
+        if q0 == q1:
+            return self._cut(r0, [r1])[:2]
+        parts = ([self._cut(r0, [L])] + [self._cut(0.0, [L])] * int(q1 - q0 - 1)
+                 + [self._cut(0.0, [r1])])
+        return tuple(np.concatenate([part[i] for part in parts]) for i in (0, 1))
+
+    def piece_arrays(self, ls, block):
+        """Pieces for the products from 0 to every length in ls (any order):
+        a constant tail adds one piece of mass t, a periodic tail a power q
+        of the period (integer period index, exact remainder); the grid is
+        cut at every folded length and crossed once, ``block`` intervals at
+        a time."""
+        ls = np.asarray(ls, dtype=float).ravel()
+        if not np.all((ls >= 0.0) & (ls < np.inf)):
+            raise DomainError(f"lengths must be finite and nonnegative, got {ls}")
+        L = self.length
+        h, q, t = np.minimum(ls, L), None, None
+        beyond = ls > L
+        if beyond.any():
+            if self.tail == TAIL_FINITE:
+                raise DomainError(f"l = {ls[beyond][0]} beyond finite tail at {L}")
+            if self.tail == TAIL_CONSTANT:
+                t = np.where(beyond, (ls - L) * self.density[-1], 0.0)
+            else:
+                q, h = np.divmod(ls, L)
+                q = q.astype(np.int64)
+        heads = _sorted_unique(np.concatenate((h, [L] if q is not None else [])))
+        start = int(heads[0] == 0.0)
+        return Pieces(self.generator_table, self._blocks(heads[start:], block),
+                      start, heads.size, np.searchsorted(heads, h), q, t)
+
+    def _blocks(self, heads, block):
+        """(k, d, cuts) blocks from 0 to heads[-1], cut at every head."""
+        knots = self.knots
+        n = int(np.searchsorted(knots, heads[-1])) if heads.size else 0
+        for i in range(0, n, block):
+            lo, hi = knots[i], min(knots[min(i + block, n)], heads[-1])
+            inside = heads[np.searchsorted(heads, lo, side="right"):
+                           np.searchsorted(heads, hi, side="right")]
+            k, d, cuts = self._cut(lo, np.append(inside, hi))
+            yield k, d, cuts[:inside.size]
+
+
 @dataclass(frozen=True)
-class ArovParameters:
+class ArovParameters(_Piecewise):
     """Piecewise-constant disk-gauge parameters (m, a) with a tail policy.
 
     Immutable after construction; safe to share across threads.
@@ -117,30 +239,12 @@ class ArovParameters:
             )
         if self.tail not in _TAILS:
             raise CoefficientError(f"unknown tail policy {self.tail!r}")
-        g.setflags(write=False)
-        m.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", a)
-
-    @property
-    def n_intervals(self):
-        return self.grid.size
-
-    @property
-    def length(self):
-        """Right endpoint of the stored grid."""
-        return float(self.grid[-1])
-
-    @property
-    def knots(self):
-        """All knots including the leading 0."""
-        return np.concatenate(([0.0], self.grid))
-
-    @property
-    def widths(self):
-        return np.diff(self.knots)
+        for name, arr in (("grid", g), ("m", m), ("a", a)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "density", m)
+        object.__setattr__(self, "generator_table", (
+            np.broadcast_to(1.0, g.size), a, np.broadcast_to(0.0, g.size), a))
 
     @property
     def mu_knots(self):
@@ -195,11 +299,6 @@ class ArovParameters:
             return np.inf if self.m[-1] > 0 else mk
         return np.inf if mk > 0 else 0.0
 
-    def coefficient_at(self, l):
-        """Interval coefficient a at position l (right-continuous)."""
-        a, _ = self.piece_at(l)
-        return a
-
     def piece_at(self, l):
         """(a, m) of the interval containing l (right-continuous)."""
         l = float(l)
@@ -221,51 +320,21 @@ class ArovParameters:
     def kappa_integral(self, l):
         """Closed-form integral of 2 a exp(-2 mu) d(mu) over [0, l]; exact for
         the stored piecewise-constant class."""
-        l = float(l)
-        if l < 0.0:
+        if float(l) < 0.0:
             raise DomainError("l must be nonnegative")
-        total = 0j
-        mu_lo = 0.0
-        for a_k, d_k in self.pieces(l):
-            mu_hi = mu_lo + d_k
-            total += a_k * (np.exp(-2.0 * mu_lo) - np.exp(-2.0 * mu_hi))
-            mu_lo = mu_hi
-        return complex(total)
+        k, d = self.span_arrays(l)
+        decay = np.exp(-2.0 * np.concatenate(([0.0], np.cumsum(d))))
+        return complex(np.sum(self.a[k] * -np.diff(decay)))
 
     def pieces(self, l_to, l_from=0.0):
         """Ordered (a, d_mu) pieces covering [l_from, l_to]; tail-aware.
 
-        Zero-mass pieces are skipped.  Raises DomainError past a finite tail.
+        A list view of ``span_arrays`` with zero-mass pieces skipped.
+        Raises DomainError past a finite tail.
         """
-        l_from, l_to = float(l_from), float(l_to)
-        if l_from < 0.0 or l_to < l_from:
-            raise DomainError(f"bad span [{l_from}, {l_to}]")
-        out = []
-        L = self.length
-        knots = self.knots
-        lo = l_from
-        while lo < l_to:
-            if lo >= L:
-                if self.tail == TAIL_FINITE:
-                    raise DomainError(f"span reaches l = {l_to} beyond finite tail at {L}")
-                if self.tail == TAIL_CONSTANT:
-                    d = (l_to - lo) * self.m[-1]
-                    if d > 0:
-                        out.append((complex(self.a[-1]), float(d)))
-                    break
-                # periodic: fold back into the base pattern
-                shift = np.floor(lo / L) * L
-                sub_to = min(l_to - shift, L)
-                out.extend(self.pieces(sub_to, lo - shift))
-                lo = shift + sub_to
-                continue
-            k = int(np.searchsorted(self.grid, lo, side="right"))
-            hi = min(knots[k + 1], l_to)
-            d = (hi - lo) * self.m[k]
-            if d > 0:
-                out.append((complex(self.a[k]), float(d)))
-            lo = hi
-        return out
+        k, d = self.span_arrays(l_to, l_from)
+        live = d > 0
+        return list(zip(self.a[k[live]].tolist(), d[live].tolist()))
 
     def to_dict(self):
         return {
@@ -399,7 +468,7 @@ def reparametrize(p, g_breaks, g_values):
 
 
 @dataclass(frozen=True)
-class GeneralCoefficients:
+class GeneralCoefficients(_Piecewise):
     """Piecewise-constant general-gauge coefficients (n, P, Q)."""
 
     grid: np.ndarray
@@ -419,28 +488,13 @@ class GeneralCoefficients:
             raise CoefficientError("P and Q must be stacks of 2x2 matrices, one per interval")
         if self.tail not in _TAILS:
             raise CoefficientError(f"unknown tail policy {self.tail!r}")
-        for arr in (g, n, P, Q):
+        for name, arr in (("grid", g), ("n", n), ("P", P), ("Q", Q)):
             arr.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Q", Q)
-
-    @property
-    def n_intervals(self):
-        return self.grid.size
-
-    @property
-    def length(self):
-        return float(self.grid[-1])
-
-    @property
-    def knots(self):
-        return np.concatenate(([0.0], self.grid))
-
-    @property
-    def widths(self):
-        return np.diff(self.knots)
+            object.__setattr__(self, name, arr)
+        # trace(j P) = trace(j Q) = 0 leaves P11 = P22 and Q11 = Q22
+        object.__setattr__(self, "density", n)
+        object.__setattr__(self, "generator_table", (
+            P[:, 0, 0].real, -P[:, 1, 0], Q[:, 0, 0].imag, -Q[:, 1, 0]))
 
     def to_dict(self):
         def cplx(mstack):
@@ -513,11 +567,13 @@ def schroedinger_coefficients(q, grid, tail=TAIL_FINITE):
 
 
 def _parse_complex_list(values, key):
+    if isinstance(values, np.ndarray) and values.shape[1:] == (2,):
+        return values[:, 0] + 1j * values[:, 1]
     out = []
     for i, v in enumerate(values):
         if isinstance(v, (int, float)):
             out.append(complex(v))
-        elif isinstance(v, (list, tuple)) and len(v) == 2:
+        elif isinstance(v, (list, tuple, np.ndarray)) and len(v) == 2:
             out.append(complex(float(v[0]), float(v[1])))
         else:
             raise ParseError(f"{key}[{i}]: expected number or [re, im] pair, got {v!r}")
@@ -525,9 +581,15 @@ def _parse_complex_list(values, key):
 
 
 def _parse_matrix_stack(values, key):
+    try:  # uniform [re, im] pairs: one float array
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim == 4 and arr.shape[1:] == (2, 2, 2):
+            return arr[..., 0] + 1j * arr[..., 1]
+    except (TypeError, ValueError):
+        pass
     try:
         arr = np.asarray(
-            [[[complex(float(e[0]), float(e[1])) if isinstance(e, (list, tuple))
+            [[[complex(float(e[0]), float(e[1])) if isinstance(e, (list, tuple, np.ndarray))
                else complex(e) for e in row] for row in m] for m in values],
             dtype=complex,
         )
@@ -550,15 +612,12 @@ def parameters_from_dict(d):
         for key in ("m", "a"):
             if key not in d:
                 raise ParseError(f"missing key {key!r} in disk-gauge coefficient object")
-        try:
-            return ArovParameters(
-                np.asarray(d["grid"], dtype=float),
-                np.asarray(d["m"], dtype=float),
-                _parse_complex_list(d["a"], "a"),
-                tail,
-            )
-        except CoefficientError:
-            raise
+        return ArovParameters(
+            np.asarray(d["grid"], dtype=float),
+            np.asarray(d["m"], dtype=float),
+            _parse_complex_list(d["a"], "a"),
+            tail,
+        )
     if "P" in d or "Q" in d or "n" in d:
         for key in ("n", "P", "Q"):
             if key not in d:
@@ -574,12 +633,60 @@ def parameters_from_dict(d):
     raise ParseError("coefficient object has neither (m, a) nor (n, P, Q) keys")
 
 
+_NUMBER = object()
+
+
+def _compact(node, values, pos):
+    """Put back the numbers of a JSON tree parsed by _load_json, in document
+    order from pos: numeric lists become float arrays, lists of equal-length
+    numeric lists 2-d arrays.  Returns (node, next position)."""
+    if node is _NUMBER:
+        return values[pos], pos + 1
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    if isinstance(node, list) and node:
+        width = len(node[0]) if isinstance(node[0], list) else 0
+        if all(v is _NUMBER for v in node) or width and all(
+                isinstance(v, list) and len(v) == width and
+                all(e is _NUMBER for e in v) for v in node):
+            n = len(node) * max(width, 1)
+            shape = (len(node), width) if width else (n,)
+            return values[pos:pos + n].reshape(shape), pos + n
+    for key, v in list(items):
+        node[key], pos = _compact(v, values, pos)
+    return node, pos
+
+
+def _load_json(fh):
+    """json.load with the numbers in one float buffer, not one Python object
+    each: a large coefficient file parses in a fraction of the memory."""
+    from array import array  # loaded on first use: import arvcanon stays as lean
+    numbers = array("d")
+
+    def number(token):
+        numbers.append(float(token))
+        return _NUMBER
+
+    def members(pairs):
+        if len(dict(pairs)) < len(pairs):  # document order lost: reparse
+            raise KeyError("duplicate key")
+        return dict(pairs)
+
+    try:
+        data = json.load(fh, parse_float=number, parse_int=number,
+                         object_pairs_hook=members)
+    except KeyError:
+        fh.seek(0)
+        return json.load(fh)
+    return _compact(data, np.array(numbers), 0)[0]
+
+
 def load_parameters(path):
     """Parse a coefficient file.  Returns ArovParameters, GeneralCoefficients
     or, for full-line files, a (left, right) tuple."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = _load_json(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:

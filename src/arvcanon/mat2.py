@@ -29,17 +29,10 @@ DET_TOL = 1e-10
 #: default classification band for j-defect eigenvalues, relative to norm(T)^2.
 CLASS_TOL = 1e-10
 
-_I2 = np.eye(2, dtype=complex)
-
 
 def mat2(a11, a12, a21, a22):
     """Assemble a (2, 2) complex array from its entries."""
     return np.array([[a11, a12], [a21, a22]], dtype=complex)
-
-
-def identity():
-    """Fresh 2x2 complex identity."""
-    return _I2.copy()
 
 
 def as_mat2(m, name="matrix"):
@@ -60,14 +53,6 @@ def det2(m):
 def adjugate(m):
     """Adjugate; equals the inverse when det == 1."""
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
-
-
-def inv2(m):
-    """Inverse via the adjugate (exact up to one division)."""
-    d = det2(m)
-    if d == 0:
-        raise InputError("matrix is singular")
-    return adjugate(m) / d
 
 
 def norm2(m):
@@ -209,22 +194,3 @@ def su11_normalizer(t, check=True, det_tol=DET_TOL, class_tol=CLASS_TOL):
         )
     u = np.array([[np.conj(a), -b], [-np.conj(b), a]], dtype=complex)
     return u / np.sqrt(lam2)
-
-
-def is_su11(u, tol=1e-10):
-    """Check membership in SU(1,1): U j U* = j and det U = 1."""
-    u = as_mat2(u, "U")
-    return (
-        norm2(u @ J @ u.conj().T - J) <= tol * max(1.0, norm2(u) ** 2)
-        and abs(det2(u) - 1.0) <= tol
-    )
-
-
-def random_su11(rng, t_max=1.5):
-    """Random SU(1,1) element ``[[p, q], [conj(q), conj(p)]]`` with
-    |p|^2 - |q|^2 = 1; used by tests and the gamma-invariance checks."""
-    t = rng.uniform(0.0, t_max)
-    alpha, beta = rng.uniform(0.0, 2 * np.pi, size=2)
-    p = np.cosh(t) * np.exp(1j * alpha)
-    q = np.sinh(t) * np.exp(1j * beta)
-    return np.array([[p, q], [np.conj(q), np.conj(p)]], dtype=complex)

@@ -15,12 +15,14 @@ disk-gauge generator ``G = (i z A - B) j`` the square of the growth rate is
 Entries grow like exp(Re(x)); for large |z| or long systems the propagators
 are accumulated in scaled form ``exp(c) M`` with a real log-scale ``c`` and a
 max-entry-normalized ``M``, so nothing overflows before 10^308 even at
-y * sigma of several thousand.  ``transfer_scaled`` is the primitive;
-``transfer`` materializes it and refuses to overflow silently.
+y * sigma of several thousand.
 
-Propagation over distinct spectral points is embarrassingly parallel: all
-coefficient data is read-only and every (z, l) output cell is independent;
-only the within-z prefix products are ordered.
+``scaled_products`` is the one propagation kernel: for a vector of spectral
+points and the gauge-neutral piece arrays of either gauge it builds the
+propagators entrywise, takes their ordered product in blocks of ``_BLOCK``
+pieces (a prefix scan per block, carried across blocks) and closes constant
+and periodic tails in O(1) and O(log) products.  Every transfer function
+here is a thin wrapper around it; ``transfer`` refuses to overflow silently.
 """
 
 from dataclasses import dataclass
@@ -28,22 +30,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coefficients as coeff
-from .errors import DomainError, GaugeError, InconsistencyError, InputError
-from .mat2 import (J, JKind, adjugate, det2, identity, j_defect, norm2,
-                   su11_normalizer)
+from .errors import GaugeError, InconsistencyError, InputError
+from .mat2 import J, JKind, adjugate, det2, j_defect, norm2, su11_normalizer
 
 GAUGE_AROV = "arov"
 GAUGE_PDB = "pdb"
 GAUGE_RAW = "raw"
 
-#: |x| below which sinh(x)/x switches to its Taylor polynomial.
-_SINHC_SWITCH = 1e-6
-
-#: |Re x| above which interval propagators are built pre-scaled.
+#: |Re x| below which expm_tracefree_scaled returns an unscaled matrix.
 _SCALE_SWITCH = 30.0
 
-_RENORM_HI = 1e30
-_RENORM_LO = 1e-30
+#: pieces per block of the ordered product.
+_BLOCK = 512
+
+#: (z, piece) cells per scan: spectral points are taken in chunks of
+#: _CELLS // _BLOCK or more, so the working set is bounded for any grid.
+_CELLS = 4096
+
+_LN2 = float(np.log(2.0))
+
+#: the identity as a (4, 1, 1) entry stack
+_EYE = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)[:, None, None]
 
 
 def generator(z, a):
@@ -60,57 +67,19 @@ def general_generator(z, P, Q):
     return (1j * complex(z) * P - Q) @ J
 
 
-def _sinhc(x):
-    """sinh(x)/x, even, with a Taylor branch keeping relative error far below
-    double round-off for |x| < 1e-6."""
-    if abs(x) < _SINHC_SWITCH:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0))
-    return np.sinh(x) / x
+def expm_tracefree_scaled(g, d):
+    """(M, c) with exp(g * d) = exp(c) * M for trace-free 2x2 g, closed form;
+    c = 0 unless |Re x| reaches _SCALE_SWITCH, M of order one past that."""
+    e, c = _expm(g[0, 0], g[0, 1], g[1, 0], float(d))
+    m, c = e.reshape(2, 2), float(c)
+    return (np.exp(c) * m, 0.0) if c < _SCALE_SWITCH else (m, c)
 
 
 def expm_tracefree(g, d):
     """exp(g * d) for trace-free 2x2 g, closed form.  Overflows for
     Re(x) beyond ~700; use expm_tracefree_scaled past that."""
-    rho = np.sqrt(complex(-det2(g)))
-    x = rho * d
-    return np.cosh(x) * identity() + (d * _sinhc(x)) * g
-
-
-def expm_tracefree_scaled(g, d):
-    """(M, c) with exp(g * d) = exp(c) * M, c real, entries of M order one."""
-    rho = np.sqrt(complex(-det2(g)))
-    x = rho * d
-    c = abs(x.real)
-    if c < _SCALE_SWITCH:
-        return expm_tracefree(g, d), 0.0
-    # cosh/sinh with exp(|Re x|) factored out; both remainders are bounded by 1
-    ep = np.exp(x - c)
-    em = np.exp(-x - c)
-    ch = 0.5 * (ep + em)
-    sh = 0.5 * (ep - em)
-    m = ch * identity() + (sh / rho) * g
-    return m, c
-
-
-def _renorm(m, c):
-    s = float(np.max(np.abs(m)))
-    if s > _RENORM_HI or (0.0 < s < _RENORM_LO):
-        return m / s, c + np.log(s)
-    return m, c
-
-
-def _matpow_scaled(m, c, k):
-    """(exp(c) m)^k in scaled form, by binary exponentiation."""
-    r, cr = identity(), 0.0
-    base, cb = m, c
-    while k > 0:
-        if k & 1:
-            r, cr = _renorm(r @ base, cr + cb)
-        k >>= 1
-        if k:
-            base, cb = _renorm(base @ base, 2.0 * cb)
-    return r, cr
+    m, c = expm_tracefree_scaled(g, d)
+    return np.exp(c) * m
 
 
 def propagate_constant(z, a, dmu):
@@ -124,53 +93,124 @@ def propagate_constant(z, a, dmu):
     return expm_tracefree(generator(z, a), dmu)
 
 
-def _scaled_product(pieces_zg):
-    m, c = identity(), 0.0
-    for g, d in pieces_zg:
-        mk, ck = expm_tracefree_scaled(g, d)
-        m, c = _renorm(m @ mk, c + ck)
-    return m, c
+def _mul(x, y):
+    """Entrywise product of 2x2 stacks stored as (4, ...) = (11, 12, 21, 22)."""
+    x11, x12, x21, x22 = x
+    y11, y12, y21, y22 = y
+    return np.stack((x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+                     x21 * y11 + x22 * y21, x21 * y12 + x22 * y22))
+
+
+def _renorm(x, c):
+    """Scale every matrix of the stack by a power of two (exactly) so its
+    largest entry lies in [0.5, 1); the log-scale absorbs the factor."""
+    _, e = np.frexp(np.abs(x).max(axis=0))
+    return x * np.ldexp(1.0, -e), c + _LN2 * e
+
+
+def _expm(g11, g12, g21, d):
+    """exp(G d) = exp(c) E for trace-free G = [[g11, g12], [g21, -g11]],
+    entrywise over broadcast arrays: E as a (4, ...) stack, c real."""
+    rho = np.sqrt(g11 * g11 + g12 * g21)
+    rho = np.where(rho.real < 0.0, -rho, rho)  # cosh and sinh(x)/rho are even
+    x = rho * d
+    # with Re x >= 0: cosh(x) e^-Re(x) = ph (1 + w/2), sinh(x) e^-Re(x) =
+    # -ph w/2, for ph = exp(i Im x) and w = expm1(-2x), exact for small x
+    ph = np.exp(1j * x.imag)
+    w = np.expm1(-2.0 * x)
+    ch = ph * (1.0 + 0.5 * w)
+    nonzero = x != 0.0
+    s = np.where(nonzero, -0.5 * ph * w / np.where(nonzero, rho, 1.0), d)
+    sg = s * g11
+    return _renorm(np.stack((ch + sg, s * g12, s * g21, ch - sg)), x.real)
+
+
+def _propagators(zs, gen, k, d):
+    """Scaled propagators of pieces (k, d) at every z: (4, nz, n), (nz, n)."""
+    p, alpha, r, gamma = (g[k] for g in gen)
+    z = zs[:, None]
+    return _expm(-1j * (z * p - r), -1j * z * np.conj(alpha) - np.conj(gamma),
+                 1j * z * alpha - gamma, d)
+
+
+def _scan(x, c):
+    """Inclusive ordered prefix products along the last axis, in place."""
+    step = 1
+    while step < x.shape[-1]:
+        y, cy = _renorm(_mul(x[..., :-step], x[..., step:]),
+                        c[..., :-step] + c[..., step:])
+        x[..., step:] = y
+        c[..., step:] = cy
+        step *= 2
+    return x, c
+
+
+def scaled_products(zs, pieces):
+    """The propagation kernel: (M, logc) shaped (nz, nl, 2, 2) and (nz, nl),
+    the true value at (zs[i], length j) being exp(logc[i, j]) * M[i, j] with
+    M of order one.  Each block of pieces is scanned for chunks of spectral
+    points and multiplied into their running products, so no stack of more
+    than about _CELLS (z, piece) cells is ever formed."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    nz, done = zs.size, pieces.start
+    heads = np.empty((4, nz, pieces.points), dtype=complex)
+    hc = np.zeros((nz, heads.shape[-1]))
+    heads[:, :, :done] = _EYE
+    run, rc = np.empty((4, nz, 1), dtype=complex), np.zeros((nz, 1))
+    run[:] = _EYE
+    for k, d, cuts in pieces.blocks:
+        step = max(1, _CELLS // max(1, k.size))
+        for z in (slice(lo, lo + step) for lo in range(0, nz, step)):
+            x, c = _scan(*_propagators(zs[z], pieces.gen, k, d))
+            heads[:, z, done:done + cuts.size] = _mul(run[:, z], x[:, :, cuts - 1])
+            hc[z, done:done + cuts.size] = rc[z] + c[:, cuts - 1]
+            run[:, z], rc[z] = _renorm(_mul(run[:, z], x[:, :, -1:]), rc[z] + c[:, -1:])
+        done += cuts.size
+    # one copy into the output layout; m is its (4, nz, nl) entry view
+    out, c = np.take(np.moveaxis(heads, 0, -1), pieces.at, axis=1), hc[:, pieces.at]
+    m = np.moveaxis(out, -1, 0)
+    if pieces.q is not None:
+        # periodic tail: Pat^q @ H(r), the commuting powers Pat^(2^j) of the
+        # set bits of q applied from the left
+        sq, sc = heads[:, :, -1:], hc[:, -1:]
+        for bit in range(int(pieces.q.max()).bit_length()):
+            on = (pieces.q >> bit) % 2 == 1
+            m[:, :, on], c[:, on] = _renorm(_mul(sq, m[:, :, on]), sc + c[:, on])
+            sq, sc = _renorm(_mul(sq, sq), 2.0 * sc)
+    if pieces.t is not None:
+        # constant tail: one more piece, with the last interval's generator
+        tail = pieces.t > 0.0
+        last = np.full(int(tail.sum()), pieces.gen[0].size - 1)
+        e, ec = _propagators(zs, pieces.gen, last, pieces.t[tail])
+        m[:, :, tail], c[:, tail] = _mul(m[:, :, tail], e), c[:, tail] + ec
+    return out.reshape(nz, -1, 2, 2), c
+
+
+def transfer_grid(system, zs, ls):
+    """Scaled transfer matrices (M[nz, nl, 2, 2], logc[nz, nl]) of a disk- or
+    general-gauge system over a spectral grid and lengths in any order:
+    one kernel call."""
+    if not isinstance(system, (coeff.ArovParameters, coeff.GeneralCoefficients)):
+        raise InputError(f"unsupported coefficient object {type(system).__name__}")
+    return scaled_products(zs, system.piece_arrays(ls, _BLOCK))
+
+
+def materialize(m, c, what):
+    """exp(c) * M for a scaled pair or stack, formed in place in M; refuses
+    to overflow."""
+    worst = float(np.max(c, initial=-np.inf))
+    if worst > 700.0:
+        raise InputError(f"{what}: entries reach exp({worst:.1f}); use the scaled interface")
+    m *= np.exp(c)[..., None, None]
+    return m
 
 
 def transfer_scaled(z, p, l):
-    """Scaled transfer matrix of a disk-gauge system: (M, c) with the true
-    value exp(c) * M.  Handles constant and periodic tails in O(log) factor
-    multiplications past the stored grid."""
-    l = float(l)
-    if l < 0.0:
-        raise DomainError("l must be nonnegative")
-    L = p.length
-    head = min(l, L)
-    m, c = _scaled_product((generator(z, a), d) for a, d in p.pieces(head))
-    if l > L:
-        if p.tail == coeff.TAIL_FINITE:
-            raise DomainError(f"l = {l} beyond finite tail at {L}")
-        if p.tail == coeff.TAIL_CONSTANT:
-            dmu = p.m[-1] * (l - L)
-            mk, ck = expm_tracefree_scaled(generator(z, p.a[-1]), dmu)
-            m, c = _renorm(m @ mk, c + ck)
-        else:
-            q, r = divmod(l - L, L)
-            if q > 0:
-                pat, cpat = _scaled_product(
-                    (generator(z, a), d) for a, d in p.pieces(L)
-                )
-                mq, cq = _matpow_scaled(pat, cpat, int(q))
-                m, c = _renorm(m @ mq, c + cq)
-            if r > 0:
-                mr, cr = _scaled_product(
-                    (generator(z, a), d) for a, d in p.pieces(r)
-                )
-                m, c = _renorm(m @ mr, c + cr)
-    return m, c
-
-
-def _materialize(m, c, what):
-    if c > 700.0:
-        raise InputError(
-            f"{what}: entries reach exp({c:.1f}); use the scaled interface"
-        )
-    return np.exp(c) * m
+    """Scaled transfer matrix (M, c) of a coefficient system, true value
+    exp(c) * M; constant and periodic tails are closed in O(1) and O(log)
+    products past the stored grid."""
+    m, c = transfer_grid(p, [z], [l])
+    return m[0, 0], float(c[0, 0])
 
 
 def transfer(z, p, l):
@@ -180,52 +220,25 @@ def transfer(z, p, l):
     piecewise-constant coefficients, including a partial last interval.
     """
     m, c = transfer_scaled(z, p, l)
-    return _materialize(m, c, "transfer")
+    return materialize(m, c, "transfer")
 
 
 def transfer_between(z, p, l_from, l_to):
     """Stripped segment 𝒜(z, l_from)^(-1) 𝒜(z, l_to), computed directly as
     the product over [l_from, l_to] (better conditioned than inverting)."""
-    m, c = _scaled_product(
-        (generator(z, a), d) for a, d in p.pieces(l_to, l_from)
-    )
-    return _materialize(m, c, "transfer_between")
+    k, d = p.span_arrays(l_to, l_from)
+    blocks = ((k[i:i + _BLOCK], d[i:i + _BLOCK],
+               np.array([k.size - i] if i + _BLOCK >= k.size else [], dtype=np.intp))
+              for i in range(0, k.size, _BLOCK))
+    pieces = coeff.Pieces(p.generator_table, blocks, int(k.size == 0), 1,
+                          np.zeros(1, dtype=np.intp), None, None)
+    m, c = scaled_products([z], pieces)
+    return materialize(m[0, 0], c[0, 0], "transfer_between")
 
 
-def transfer_general_scaled(z, c_, t):
-    """Scaled transfer matrix of a general-gauge system."""
-    t = float(t)
-    if t < 0.0:
-        raise DomainError("t must be nonnegative")
-    L = c_.length
-    knots = c_.knots
-    pieces = []
-    for k in range(c_.n_intervals):
-        if knots[k] >= t:
-            break
-        w = min(knots[k + 1], t) - knots[k]
-        d = w * c_.n[k]
-        if d > 0:
-            pieces.append((general_generator(z, c_.P[k], c_.Q[k]), d))
-    m, c = _scaled_product(pieces)
-    if t > L:
-        if c_.tail == coeff.TAIL_FINITE:
-            raise DomainError(f"t = {t} beyond finite tail at {L}")
-        if c_.tail == coeff.TAIL_CONSTANT:
-            d = c_.n[-1] * (t - L)
-            mk, ck = expm_tracefree_scaled(
-                general_generator(z, c_.P[-1], c_.Q[-1]), d
-            )
-            m, c = _renorm(m @ mk, c + ck)
-        else:
-            raise DomainError("periodic tails not supported for general coefficients")
-    return m, c
-
-
-def transfer_general(z, c_, t):
-    """Transfer matrix of a validated general-gauge system at (z, t)."""
-    m, c = transfer_general_scaled(z, c_, t)
-    return _materialize(m, c, "transfer_general")
+#: the general-gauge names of the same wrappers
+transfer_general_scaled = transfer_scaled
+transfer_general = transfer
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +301,8 @@ class TransferFamily:
             for k in range(self.ls.size - 1):
                 stripped = adjugate(self.values[i, k]) @ self.values[i, k + 1]
                 _, cls = j_defect(stripped, class_tol)
-                if complex(z).imag == 0:
-                    good = cls.kind is JKind.UNITARY
-                else:
-                    good = cls.is_contractive
-                if not good:
+                if not (cls.kind is JKind.UNITARY if complex(z).imag == 0
+                        else cls.is_contractive):
                     raise InconsistencyError(
                         f"stripped segment at (z={z}, l={self.ls[k]}->{self.ls[k+1]}) "
                         f"is {cls.kind.value}, family is not j-monotonic"
@@ -310,41 +320,20 @@ class TransferFamily:
 
 
 def transfer_prefix(z, p, ls):
-    """Transfer matrices at an ascending list of lengths, composed
-    incrementally (one pass over the coefficient intervals)."""
-    ls = np.asarray(ls, dtype=float)
-    out = np.empty((ls.size, 2, 2), dtype=complex)
-    m, c = identity(), 0.0
-    prev = 0.0
-    for k, l in enumerate(ls):
-        if l < prev:
-            raise InputError("length grid must be ascending")
-        if l > prev:
-            seg, cs = _scaled_product(
-                (generator(z, a), d) for a, d in p.pieces(l, prev)
-            )
-            m, c = _renorm(m @ seg, c + cs)
-            prev = l
-        out[k] = _materialize(m, c, "transfer_prefix")
-    return out
+    """Transfer matrices at a list of lengths, in one pass over the grid."""
+    m, c = transfer_grid(p, [z], ls)
+    return materialize(m[0], c[0], "transfer_prefix")
 
 
 def transfer_family(system, zs, ls):
     """Build a TransferFamily from disk-gauge or general-gauge coefficients."""
     zs = np.asarray(zs, dtype=complex).ravel()
     ls = np.sort(np.asarray(ls, dtype=float).ravel())
-    values = np.empty((zs.size, ls.size, 2, 2), dtype=complex)
+    values = materialize(*transfer_grid(system, zs, ls), "transfer_family")
     if isinstance(system, coeff.ArovParameters):
-        for i, z in enumerate(zs):
-            values[i] = transfer_prefix(z, p=system, ls=ls)
         tag = GAUGE_AROV
-    elif isinstance(system, coeff.GeneralCoefficients):
-        for i, z in enumerate(zs):
-            for k, l in enumerate(ls):
-                values[i, k] = transfer_general(z, system, l)
-        tag = GAUGE_PDB if np.all(np.abs(system.Q) == 0.0) else GAUGE_RAW
     else:
-        raise InputError(f"unsupported coefficient object {type(system).__name__}")
+        tag = GAUGE_PDB if np.all(np.abs(system.Q) == 0.0) else GAUGE_RAW
     return TransferFamily(zs, ls, values, tag)
 
 
@@ -356,23 +345,19 @@ def to_arov_gauge(f, det_tol=1e-10, class_tol=1e-10):
     us = np.empty((f.ls.size, 2, 2), dtype=complex)
     values = np.empty_like(f.values)
     for k in range(f.ls.size):
-        u = su11_normalizer(f.values[iz, k], det_tol=det_tol, class_tol=class_tol)
-        us[k] = u
-        values[:, k] = f.values[:, k] @ u
+        us[k] = su11_normalizer(f.values[iz, k], det_tol=det_tol, class_tol=class_tol)
+        values[:, k] = f.values[:, k] @ us[k]
     return TransferFamily(f.zs, f.ls, values, GAUGE_AROV), us
 
 
 def to_pdb_gauge(f):
     """Gauge the family so its z = 0 column is the identity."""
-    iz = f.z_index(0j)
     values = np.empty_like(f.values)
-    for k in range(f.ls.size):
-        t0 = f.values[iz, k]
+    for k, t0 in enumerate(f.values[f.z_index(0j)]):
         d = det2(t0)
         if d == 0:
             raise InputError("singular z = 0 value; family is corrupt")
-        v = adjugate(t0) / d
-        values[:, k] = f.values[:, k] @ v
+        values[:, k] = f.values[:, k] @ (adjugate(t0) / d)
     return TransferFamily(f.zs, f.ls, values, GAUGE_PDB)
 
 

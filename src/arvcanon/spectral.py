@@ -13,8 +13,9 @@ output is the trend.  The reflectionless defect |s_plus - conj(s_minus)| and
 a harmonic-measure comparison across a length ladder quantify how far a
 two-sided system is from being reflectionless on its a.c. band.
 
-Grid points are independent work items throughout; the only reductions are
-quadrature sums, which are order-insensitive well below the tolerances used.
+Grid points are independent: each grid is propagated in one call of the
+vectorised kernel, and the only reductions are quadrature sums, which are
+order-insensitive well below the tolerances used.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 from . import coefficients as coeff
 from . import propagate as prop
 from . import weyl
-from .errors import BudgetError, DomainError, InputError
+from .errors import DomainError, InputError
 from .mat2 import J1, norm2
 from .riccati import richardson_extrapolate
 
@@ -41,62 +42,34 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def exponential_type_integral(system, l):
-    """Closed-form exponential type: the sqrt-determinant mass of [0, l].
-
-    Disk gauge: sum of sqrt(1 - |a_k|^2) * (measure of interval).
-    General gauge: sum of sqrt(det P_k) * n_k * (width of interval).
-    Exact for the stored piecewise-constant coefficients.
-    """
+    """Closed-form exponential type: the sum over the pieces of [0, l] of
+    sqrt(det P) times their mass (det P = 1 - |a|^2 in disk gauge); exact
+    for the stored piecewise-constant coefficients under every tail."""
     l = float(l)
     if l < 0.0:
         raise DomainError("l must be nonnegative")
-    if isinstance(system, coeff.ArovParameters):
-        return float(
-            sum(np.sqrt(max(1.0 - abs(a) ** 2, 0.0)) * d for a, d in system.pieces(l))
-        )
-    if isinstance(system, coeff.GeneralCoefficients):
-        total = 0.0
-        knots = system.knots
-        for k in range(system.n_intervals):
-            if knots[k] >= l:
-                break
-            w = min(knots[k + 1], l) - knots[k]
-            det_p = np.linalg.det(system.P[k]).real
-            total += np.sqrt(max(det_p, 0.0)) * system.n[k] * w
-        if l > system.length:
-            if system.tail == coeff.TAIL_FINITE:
-                raise DomainError(f"l = {l} beyond finite tail at {system.length}")
-            if system.tail != coeff.TAIL_CONSTANT:
-                raise DomainError("periodic tails not supported for general coefficients")
-            det_p = np.linalg.det(system.P[-1]).real
-            total += np.sqrt(max(det_p, 0.0)) * system.n[-1] * (l - system.length)
-        return float(total)
-    raise InputError(f"unsupported coefficient object {type(system).__name__}")
-
-
-def _scaled_eval(system, l):
-    if callable(system):
-        return system
-    if isinstance(system, coeff.ArovParameters):
-        return lambda z: prop.transfer_scaled(z, system, l)
-    if isinstance(system, coeff.GeneralCoefficients):
-        return lambda z: prop.transfer_general_scaled(z, system, l)
-    raise InputError(f"unsupported coefficient object {type(system).__name__}")
+    if not isinstance(system, (coeff.ArovParameters, coeff.GeneralCoefficients)):
+        raise InputError(f"unsupported coefficient object {type(system).__name__}")
+    k, d = system.span_arrays(l)
+    p, alpha = system.generator_table[:2]
+    det_p = p[k] ** 2 - np.abs(alpha[k]) ** 2
+    return float(np.sum(np.sqrt(np.maximum(det_p, 0.0)) * d))
 
 
 def exponential_type_numeric(system, l, ys=TYPE_RAY):
     """Measured exponential type: log ||A(iy, l)|| / y on a geometric y-grid,
     Richardson-extrapolated in 1/y.  ``system`` may also be a callable
     z -> (M, logscale) producing scaled transfer matrices, which is how
-    overflow at y * sigma of a few thousand is avoided."""
-    evaluate = _scaled_eval(system, l)
+    overflow at y * sigma of a few thousand is avoided; a coefficient system
+    is propagated at every y in one kernel call."""
     ys = tuple(float(y) for y in ys)
-    ratio = ys[1] / ys[0]
-    samples = []
-    for y in ys:
-        m, c = evaluate(1j * y)
-        samples.append((c + np.log(norm2(m))) / y)
-    estimate, _ = richardson_extrapolate(samples, ratio)
+    if callable(system):
+        scaled = [system(1j * y) for y in ys]
+    else:
+        m, c = prop.transfer_grid(system, 1j * np.array(ys), [l])
+        scaled = zip(m[:, 0], c[:, 0])
+    samples = [(c + np.log(norm2(m))) / y for (m, c), y in zip(scaled, ys)]
+    estimate, _ = richardson_extrapolate(samples, ys[1] / ys[0])
     return float(estimate.real)
 
 
@@ -187,25 +160,19 @@ class ReflectionlessReport:
 def reflectionless_defect(p_left, p_right, xs, eps, delta=AC_DELTA,
                           tol=weyl.SCHUR_TOL):
     """Evaluate both half-line Schur functions just above the real axis and
-    report the reflectionless defect per grid point.  Budget failures are
-    flagged per point, not fatal."""
+    report the reflectionless defect per grid point, every point of each
+    half in one disk-shrinkage call.  Budget failures are flagged per
+    point, not fatal."""
     xs = np.asarray(xs, dtype=float).ravel()
     eps = float(eps)
     if eps <= 0.0:
         raise DomainError("eps must be positive")
-    n = xs.size
-    sp = np.full(n, np.nan + 0j, dtype=complex)
-    sm = np.full(n, np.nan + 0j, dtype=complex)
-    ok = np.zeros(n, dtype=bool)
-    p_reflected = coeff.reflect(p_left)
-    for i, x in enumerate(xs):
-        z = complex(x, eps)
-        try:
-            sp[i] = weyl.schur_plus(z, p_right, tol=tol).value
-            sm[i] = weyl.mobius_factor(z) * weyl.schur_plus(z, p_reflected, tol=tol).value
-            ok[i] = True
-        except BudgetError:
-            continue
+    zs = xs + 1j * eps
+    vp, _, _, ok = weyl.schur_grid(zs, p_right, tol=tol, strict=False)
+    vm, _, _, ok_m = weyl.schur_grid(zs, coeff.reflect(p_left), tol=tol, strict=False)
+    sp = np.where(ok, vp, np.nan)
+    ok &= ok_m
+    sm = np.where(ok, (zs - 1j) / (zs + 1j) * vm, np.nan)
     defect = np.abs(sp - np.conj(sm))
     with np.errstate(invalid="ignore"):
         ac = ok & (np.maximum(np.abs(sp), np.abs(sm)) < 1.0 - delta)
@@ -268,26 +235,25 @@ def bp_defect(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
         grids.append(np.linspace(lo, hi, n))
     all_x = np.concatenate(grids)
 
-    # base boundary values, one disk limit per grid point
-    sp0 = np.empty(all_x.size, dtype=complex)
-    sm0 = np.empty(all_x.size, dtype=complex)
-    p_reflected = coeff.reflect(p_left)
-    for i, x in enumerate(all_x):
-        z = complex(x, eps)
-        sp0[i] = weyl.schur_plus(z, p_right, tol=tol).value
-        sm0[i] = weyl.mobius_factor(z) * weyl.schur_plus(z, p_reflected, tol=tol).value
+    # base boundary values: every grid point in one disk-shrinkage call
+    zs = all_x + 1j * eps
+    sp0, _, _, _ = weyl.schur_grid(zs, p_right, tol=tol)
+    sm0, _, _, _ = weyl.schur_grid(zs, coeff.reflect(p_left), tol=tol)
+    sm0 = (zs - 1j) / (zs + 1j) * sm0
 
     sp_i = weyl.schur_plus(1j, p_right, tol=tol).value
     sm_i = 0j  # v(i) = 0
 
+    # transfer matrices at z = i and at every grid point, all lengths at once
+    m_i, _ = prop.transfer_grid(p_right, [1j], l_values)
+    m_x, _ = prop.transfer_grid(p_right, zs, l_values)
     defects = np.zeros(len(l_values))
     excluded = np.zeros(len(l_values), dtype=int)
     violations = []
     for j, l in enumerate(l_values):
         # interior hypothesis at the probe length
-        m_i, _ = prop.transfer_scaled(1j, p_right, l)
-        for tag, base in (("plus", sp_i), ("minus", sm_i)):
-            mat = m_i if tag == "plus" else J1 @ m_i @ J1
+        for tag, base, mat in (("plus", sp_i, m_i[0, j]),
+                               ("minus", sm_i, J1 @ m_i[0, j] @ J1)):
             val = weyl.schur_stripped(base, mat)
             if abs(val) >= 1.0:
                 violations.append((l, tag, abs(val)))
@@ -295,9 +261,8 @@ def bp_defect(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
         offset = 0
         for grid in grids:
             vals = np.full(grid.size, np.nan)
-            for i, x in enumerate(grid):
-                z = complex(x, eps)
-                m, _ = prop.transfer_scaled(z, p_right, l)
+            for i in range(grid.size):
+                m = m_x[offset + i, j]
                 sp = weyl.schur_stripped(sp0[offset + i], m)
                 sm = weyl.schur_stripped(sm0[offset + i], J1 @ m @ J1)
                 if abs(sp) >= 1.0 or abs(sm) >= 1.0:

@@ -7,8 +7,9 @@ diameter equals 2 / (|T11|^2 - |T12|^2) directly in terms of T.  Along a
 j-monotonic family the disks are nested, and in the limit-point case they
 shrink to the Schur function value s_plus(z).  Disks are stored as
 center/radius (never as quadratic forms) so nesting checks stay O(1).
-Evaluations at distinct spectral points are independent and can run on any
-number of threads; coefficient data is only ever read.
+Disks over a whole (z, l) grid, and Schur values over a whole z grid with
+every doubling length, come from one call of the vectorised propagation
+kernel; no threads are involved.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ import numpy as np
 from . import coefficients as coeff
 from . import propagate as prop
 from .errors import (BudgetError, DegenerateActionError, InconsistencyError,
-                     PreconditionError)
+                     InputError, PreconditionError)
 from .mat2 import DET_TOL, as_mat2, det2, j_defect, mobius_right
 
 LIMIT_POINT = "limit_point"
@@ -38,32 +39,33 @@ class Disk:
     center: complex
     radius: float
 
-    def contains(self, w, slack=0.0):
-        return abs(complex(w) - self.center) <= self.radius + slack
-
     def nested_in(self, other, slack=NESTING_SLACK):
         """Whether self is contained in other, up to slack."""
         return abs(self.center - other.center) <= other.radius - self.radius + slack
 
 
-def _disk_from_scaled(m, logc):
-    """Disk of the true matrix exp(logc) * m with unit determinant.
+def _disk_arrays(m, logc):
+    """Centers and radii of the disks of exp(logc) * m (stacks, det 1).
 
     Scale invariance of the defining quadratic form makes the center
-    computable from m alone; the radius needs the scale and is formed in the
-    log domain so it cleanly underflows to 0 rather than overflowing.
+    computable from m alone; the radius is formed in the log domain so it
+    cleanly underflows to 0 rather than overflowing.
     """
-    a, b = m[0, 0], m[0, 1]
-    lam2 = abs(a) ** 2 - abs(b) ** 2
-    if lam2 <= 0.0:
+    a, b = m[..., 0, 0], m[..., 0, 1]
+    lam2 = np.abs(a) ** 2 - np.abs(b) ** 2
+    if np.any(lam2 <= 0.0):
         raise PreconditionError("matrix is not j-contractive (|T11| <= |T12|)")
-    lam = np.sqrt(lam2)
-    # first column of T U for the normalizer U built from (a, b)
-    h = (m[1, 0] * np.conj(a) - m[1, 1] * np.conj(b)) / lam
-    center = complex(-h / lam)
-    log_r = -2.0 * logc - np.log(lam2)
-    radius = float(np.exp(log_r)) if log_r < 700.0 else np.inf
-    return Disk(center, radius)
+    # -h / lam for the first column h of T U, U the normalizer built from (a, b)
+    center = (m[..., 1, 1] * np.conj(b) - m[..., 1, 0] * np.conj(a)) / lam2
+    log_r = -2.0 * np.asarray(logc) - np.log(lam2)
+    radius = np.where(log_r < 700.0, np.exp(np.minimum(log_r, 700.0)), np.inf)
+    return center, radius
+
+
+def _disk_from_scaled(m, logc):
+    """Disk of the true matrix exp(logc) * m with unit determinant."""
+    center, radius = _disk_arrays(m, logc)
+    return Disk(complex(center), float(radius))
 
 
 def weyl_disk(t, assume_contractive=False, det_tol=DET_TOL, class_tol=1e-10):
@@ -89,21 +91,20 @@ def diameter_direct(t):
     return 2.0 / denom
 
 
+def disks_grid(system, zs, ls):
+    """Weyl-disk centers and radii, each shaped (nz, nl), of a coefficient
+    system over a spectral grid and lengths: one scaled kernel call, so deep
+    and large-|z| disks neither overflow nor lose their center."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    if np.any(zs.imag <= 0.0):
+        raise PreconditionError("Weyl disks need Im z > 0 at every grid point")
+    return _disk_arrays(*prop.transfer_grid(system, zs, ls))
+
+
 def weyl_disk_at(system, z, l):
-    """Weyl disk of a coefficient system at (z, l), via scaled propagation so
-    deep/large-|z| disks neither overflow nor lose their center."""
-    z = complex(z)
-    if z.imag <= 0.0:
-        raise PreconditionError(f"Weyl disks need Im z > 0, got z = {z}")
-    if isinstance(system, coeff.ArovParameters):
-        m, c = prop.transfer_scaled(z, system, l)
-    elif isinstance(system, coeff.GeneralCoefficients):
-        m, c = prop.transfer_general_scaled(z, system, l)
-    else:
-        raise PreconditionError(
-            f"unsupported coefficient object {type(system).__name__}"
-        )
-    return _disk_from_scaled(m, c)
+    """Weyl disk of a coefficient system at (z, l)."""
+    center, radius = disks_grid(system, [z], [l])
+    return Disk(complex(center[0, 0]), float(radius[0, 0]))
 
 
 def classify_limit(p):
@@ -126,55 +127,69 @@ def _unimodular_constant(p):
     """The degenerate single-coefficient case: constant a with |a| = 1 makes
     s_plus identically that constant."""
     a0 = p.a[0]
-    if abs(abs(a0) - 1.0) > 1e-14:
-        return None
-    if not np.all(np.abs(p.a - a0) <= 1e-14):
-        return None
-    if p.tail == coeff.TAIL_FINITE:
+    if (p.tail == coeff.TAIL_FINITE or abs(abs(a0) - 1.0) > 1e-14
+            or np.any(np.abs(p.a - a0) > 1e-14)):
         return None
     return complex(a0)
 
 
-def schur_plus(z, p, tol=SCHUR_TOL, l_max=None):
-    """Half-line Schur function by Weyl-disk shrinkage.
+def schur_grid(zs, p, tol=SCHUR_TOL, l_max=None, strict=True):
+    """Half-line Schur function by Weyl-disk shrinkage at every z of a grid.
 
-    Doubles l from 1, computing the disk of the (scaled) transfer matrix,
-    until the radius drops below tol; monotone nesting is asserted at every
-    step.  Needs the limit-point case and Im z > 0.  On budget exhaustion a
-    BudgetError carries the last disk.
+    The disks at l = 1, 2, 4, ... up to ``l_max`` (default 1e4 / min Im z)
+    come from one kernel call; each point stops at the first radius below
+    tol, nesting asserted up to there.  Returns (value, residual_radius,
+    l_stop, ok); where the budget ran out ok is False and the arrays hold
+    the last disk, or, when strict, a BudgetError carries it.
     """
-    z = complex(z)
-    if z.imag <= 0.0:
-        raise PreconditionError(f"schur_plus needs Im z > 0, got z = {z}")
+    zs = np.asarray(zs, dtype=complex).ravel()
+    if np.any(zs.imag <= 0.0):
+        raise PreconditionError(f"schur_plus needs Im z > 0, got z = {zs[zs.imag <= 0][0]}")
+    if not isinstance(p, coeff.ArovParameters):
+        raise InputError(
+            f"Schur functions need disk-gauge coefficients, got {type(p).__name__}"
+        )
     if classify_limit(p) != LIMIT_POINT:
         raise PreconditionError("schur_plus needs the limit-point case")
     shortcut = _unimodular_constant(p)
     if shortcut is not None:
-        return SchurValue(shortcut, 0.0, 0.0)
+        zero = np.zeros(zs.size)
+        return np.full(zs.size, shortcut), zero, zero, np.ones(zs.size, dtype=bool)
     if l_max is None:
-        l_max = 1e4 / z.imag
-    l = min(1.0, l_max)
-    prev = None
-    while True:
-        m, c = prop.transfer_scaled(z, p, l)
-        disk = _disk_from_scaled(m, c)
-        if prev is not None and not disk.nested_in(prev):
-            raise InconsistencyError(
-                f"Weyl disks failed to nest at l = {l}: "
-                f"|dc| = {abs(disk.center - prev.center):.3e}, "
-                f"r_prev - r = {prev.radius - disk.radius:.3e}"
-            )
-        if disk.radius < tol:
-            return SchurValue(disk.center, disk.radius, l)
-        if l >= l_max:
-            raise BudgetError(
-                f"Weyl disks did not shrink below {tol} by l = {l} "
-                f"(radius {disk.radius:.3e})",
-                last_disk=disk,
-                l_stop=l,
-            )
-        prev = disk
-        l = min(2.0 * l, l_max)
+        l_max = 1e4 / float(np.min(zs.imag, initial=np.inf))
+    ls = [min(1.0, l_max)]
+    while ls[-1] < l_max:
+        ls.append(min(2.0 * ls[-1], l_max))
+    centers, radii = _disk_arrays(*prop.transfer_grid(p, zs, ls))
+    ok = np.any(radii < tol, axis=1)
+    stop = np.where(ok, np.argmax(radii < tol, axis=1), len(ls) - 1)
+    loose = np.abs(np.diff(centers, axis=1)) > \
+        radii[:, :-1] - radii[:, 1:] + NESTING_SLACK
+    loose &= np.arange(1, len(ls)) <= stop[:, None]
+    if loose.any():
+        i, j = np.argwhere(loose)[0]
+        raise InconsistencyError(
+            f"Weyl disks failed to nest at l = {ls[j + 1]}: |dc| = "
+            f"{abs(centers[i, j + 1] - centers[i, j]):.3e}, "
+            f"r_prev - r = {radii[i, j] - radii[i, j + 1]:.3e}")
+    rows = np.arange(zs.size)
+    value, radius = centers[rows, stop], radii[rows, stop]
+    l_stop = np.asarray(ls)[stop]
+    if strict and not ok.all():
+        i = int(np.argmin(ok))
+        raise BudgetError(
+            f"Weyl disks did not shrink below {tol} by l = {l_stop[i]} "
+            f"(radius {radius[i]:.3e})",
+            last_disk=Disk(complex(value[i]), float(radius[i])), l_stop=float(l_stop[i]))
+    return value, radius, l_stop, ok
+
+
+def schur_plus(z, p, tol=SCHUR_TOL, l_max=None):
+    """Half-line Schur function at one point by Weyl-disk shrinkage (see
+    ``schur_grid``); on budget exhaustion a BudgetError carries the last
+    disk."""
+    value, radius, l_stop, _ = schur_grid([z], p, tol=tol, l_max=l_max)
+    return SchurValue(complex(value[0]), float(radius[0]), float(l_stop[0]))
 
 
 def schur_stripped(s, t):

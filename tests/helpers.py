@@ -3,6 +3,7 @@
 import numpy as np
 
 from arvcanon import ArovParameters, TAIL_CONSTANT
+from arvcanon.mat2 import J, as_mat2, det2, norm2
 from arvcanon.propagate import generator, transfer
 
 
@@ -65,3 +66,22 @@ def peano_series(z, pieces, order=45):
         coeffs = new_coeffs
         total = total + value
     return total
+
+
+def is_su11(u, tol=1e-10):
+    """Check membership in SU(1,1): U j U* = j and det U = 1."""
+    u = as_mat2(u, "U")
+    return (
+        norm2(u @ J @ u.conj().T - J) <= tol * max(1.0, norm2(u) ** 2)
+        and abs(det2(u) - 1.0) <= tol
+    )
+
+
+def random_su11(rng, t_max=1.5):
+    """Random SU(1,1) element ``[[p, q], [conj(q), conj(p)]]`` with
+    |p|^2 - |q|^2 = 1; used by the gamma-invariance checks."""
+    t = rng.uniform(0.0, t_max)
+    alpha, beta = rng.uniform(0.0, 2 * np.pi, size=2)
+    p = np.cosh(t) * np.exp(1j * alpha)
+    q = np.sinh(t) * np.exp(1j * beta)
+    return np.array([[p, q], [np.conj(q), np.conj(p)]], dtype=complex)

@@ -11,7 +11,7 @@ import numpy as np
 from arvcanon import (constant_parameters, dirac_coefficients, reflect,
                       reparametrize, schroedinger_coefficients, schur_minus,
                       schur_plus, schur_stripped)
-from arvcanon.mat2 import J, det2, herm_eigs, norm2, random_su11
+from arvcanon.mat2 import J, det2, herm_eigs, norm2
 from arvcanon.propagate import (recover_parameters, to_arov_gauge, to_pdb_gauge,
                                 transfer, transfer_between, transfer_family)
 from arvcanon.riccati import (a_to_c, blaschke_matrix, boundary_limit, c_to_a,
@@ -22,7 +22,7 @@ from arvcanon.spectral import (exponential_type_integral,
                                type_report)
 from arvcanon.weyl import weyl_disk, weyl_disk_at, diameter_direct
 
-from helpers import random_contractive, random_parameters
+from helpers import random_contractive, random_parameters, random_su11
 
 
 def _report(num, desc, ok, detail):

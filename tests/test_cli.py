@@ -206,3 +206,30 @@ def test_gauge_params_out_requires_arov_target(tmp_path, const_half, capsys):
                      "--params-out", str(tmp_path / "rec.json")])
     assert code == 3
     capsys.readouterr()
+
+
+def test_reflectionless_signed_xgrid(tmp_path, full_line):
+    out = tmp_path / "refl.csv"
+    code = cli.main(["reflectionless", "--input", full_line,
+                     "--xgrid=-1.5:-0.9:0.1", "--eps", "1e-2",
+                     "--output", str(out)])
+    assert code == 0
+    header, rows = _read_rows(out)
+    xs = [float(r[header.index("x")]) for r in rows]
+    assert np.allclose(xs, -1.5 + 0.1 * np.arange(7))
+
+
+def test_reflectionless_non_numeric_xgrid_exit_2(full_line, capsys):
+    code = cli.main(["reflectionless", "--input", full_line, "--xgrid", "abc"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+def test_schur_on_general_gauge_file_exit_3(tmp_path, capsys):
+    from arvcanon import dirac_coefficients
+
+    path = tmp_path / "dirac.json"
+    save_parameters(dirac_coefficients(tail="constant"), path)
+    code = cli.main(["schur", "--input", str(path), "--zgrid", "i"])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InputError"

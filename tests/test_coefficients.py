@@ -9,7 +9,7 @@ from arvcanon import (ArovParameters, CoefficientError, DomainError, ParseError,
                       dirac_coefficients, load_parameters, reflect,
                       reparametrize, save_parameters, schroedinger_coefficients,
                       strip_head, validate_general)
-from arvcanon.coefficients import GeneralCoefficients
+from arvcanon.coefficients import GeneralCoefficients, parameters_from_dict
 from arvcanon.mat2 import J, herm_eigs, mat2
 from arvcanon.propagate import transfer
 
@@ -347,3 +347,41 @@ def test_missing_key_is_parse_error(tmp_path):
     path.write_text(json.dumps({"grid": [1.0], "m": [1.0]}))
     with pytest.raises(ParseError, match="'a'"):
         load_parameters(path)
+
+
+def test_pieces_periodic_fold_ends_for_non_binary_periods():
+    # folding by floor(l / L) * L rounded back a period when L is not exact
+    # in binary, so the span never advanced (or raised on a negative span)
+    for L in np.linspace(0.7, 1.3, 61):
+        p = ArovParameters([0.4 * L, L], [1.0, 0.6], [0.3, -0.2j],
+                           tail=TAIL_PERIODIC)
+        pieces = p.pieces(7.3)
+        assert abs(sum(d for _, d in pieces) - p.mu(7.3)) <= 1e-12
+
+
+@pytest.mark.parametrize("text", [
+    '{"grid": [0.5, 1, 2.25], "m": [1, 0.5, 2], "a": [[0.1, 0.2], 0.3, [0, -0.4]],'
+    ' "tail": "periodic"}',
+    '{"grid": [1.5], "m": [2], "a": [0.25]}',
+    '{"grid": [1, 2], "m": [1, 1], "a": [[0.1, 0], [0.2, 0]], "grid": [0.5, 3]}',
+    '{"left": {"grid": [1], "m": [1], "a": [[0.5, 0.1]]}, "right": {"grid": [1, 2],'
+    ' "m": [1, 3], "a": [[0.5, 0], [0, 0.5]], "tail": "finite"}}',
+    '{"grid": [0.4, 1], "n": [1, 2], "tail": "constant",'
+    ' "P": [[[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]], [[1, 0.5], [0.5, 1]]],'
+    ' "Q": [[[[0, 1], 0], [0, [0, 1]]], [[0, 0], [0, 0]]]}',
+])
+def test_load_parameters_matches_plain_json(tmp_path, text):
+    # numbers parsed into one buffer must rebuild exactly what json gives,
+    # mixed number / pair forms and a duplicate key included
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    plain = json.loads(text)
+    want = ((parameters_from_dict(plain["left"]), parameters_from_dict(plain["right"]))
+            if "left" in plain else (parameters_from_dict(plain),))
+    got = load_parameters(str(path))
+    got = got if isinstance(got, tuple) else (got,)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and g.tail == w.tail
+        for name in ("grid", "m", "a", "n", "P", "Q"):
+            if hasattr(w, name):
+                assert np.array_equal(getattr(g, name), getattr(w, name)), name

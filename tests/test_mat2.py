@@ -3,9 +3,9 @@ import pytest
 
 from arvcanon import (DegenerateActionError, InputError, PreconditionError,
                       ProjPoint, j_defect, mat2, mobius_right, su11_normalizer)
-from arvcanon.mat2 import J, JKind, adjugate, det2, herm_eigs, is_su11, norm2, random_su11
+from arvcanon.mat2 import J, JKind, adjugate, det2, herm_eigs, norm2
 
-from helpers import random_contractive
+from helpers import is_su11, random_contractive, random_su11
 
 
 def test_j_defect_identity():

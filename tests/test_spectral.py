@@ -4,14 +4,13 @@ from scipy.integrate import quad
 
 from arvcanon import (DomainError, constant_parameters, dirac_coefficients,
                       schroedinger_coefficients)
-from arvcanon.mat2 import random_su11
 from arvcanon.propagate import transfer_scaled
 from arvcanon.spectral import (bp_defect, exponential_type_integral,
                                exponential_type_numeric, gamma_metric,
                                harmonic_measure, reflectionless_defect,
                                reflectionless_ladder, type_report)
 
-from helpers import random_parameters
+from helpers import random_parameters, random_su11
 
 
 # --- exponential type ---------------------------------------------------------------

@@ -196,21 +196,16 @@ def _cmd_disks(ns):
 def _cmd_schur(ns):
     loaded = coeff.load_parameters(ns.input)
     zs = parse_zgrid(ns.zgrid)
-    if isinstance(loaded, tuple):
-        p_left, p_right = loaded
+    p_left, p_right = loaded if isinstance(loaded, tuple) else (loaded, loaded)
+    if ns.side == "minus":  # v(z) times s_plus of the reflected left half
+        s, radius, l_stop, _ = weyl.schur_grid(zs, coeff.reflect(p_left), ns.tol, ns.lmax)
+        v = weyl.mobius_factor(zs)
+        s, radius = v * s, np.abs(v) * radius
     else:
-        p_left = p_right = loaded
-    rows = []
-    for z in zs:
-        if ns.side == "minus":
-            sv = weyl.schur_minus(z, p_left, tol=ns.tol, l_max=ns.lmax)
-        else:
-            sv = weyl.schur_plus(z, p_right, tol=ns.tol, l_max=ns.lmax)
-        rows.append((z.real, z.imag, sv.value.real, sv.value.imag,
-                     sv.residual_radius, sv.l_stop))
+        s, radius, l_stop, _ = weyl.schur_grid(zs, p_right, ns.tol, ns.lmax)
     _write_table(ns.output,
                  ("z_re", "z_im", "s_re", "s_im", "residual_radius", "l_stop"),
-                 rows, _config_hash(ns))
+                 zip(zs.real, zs.imag, s.real, s.imag, radius, l_stop), _config_hash(ns))
     return EXIT_OK
 
 

@@ -363,6 +363,8 @@ def reflect(p):
     right-half-line system keeps the grid and density and conjugates the
     coefficient.  Involution: reflect(reflect(p)) == p bit for bit.
     """
+    if not isinstance(p, ArovParameters):
+        raise InputError(f"reflection needs disk-gauge coefficients, got {type(p).__name__}")
     return ArovParameters(
         grid=np.array(p.grid, copy=True),
         m=np.array(p.m, copy=True),

@@ -97,7 +97,7 @@ def _mul(x, y):
     """Entrywise product of 2x2 stacks stored as (4, ...) = (11, 12, 21, 22)."""
     x11, x12, x21, x22 = x
     y11, y12, y21, y22 = y
-    return np.stack((x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+    return np.array((x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
                      x21 * y11 + x22 * y21, x21 * y12 + x22 * y22))
 
 
@@ -122,7 +122,7 @@ def _expm(g11, g12, g21, d):
     nonzero = x != 0.0
     s = np.where(nonzero, -0.5 * ph * w / np.where(nonzero, rho, 1.0), d)
     sg = s * g11
-    return _renorm(np.stack((ch + sg, s * g12, s * g21, ch - sg)), x.real)
+    return _renorm(np.array((ch + sg, s * g12, s * g21, ch - sg)), x.real)
 
 
 def _propagators(zs, gen, k, d):
@@ -167,8 +167,8 @@ def scaled_products(zs, pieces):
             run[:, z], rc[z] = _renorm(_mul(run[:, z], x[:, :, -1:]), rc[z] + c[:, -1:])
         done += cuts.size
     # one copy into the output layout; m is its (4, nz, nl) entry view
-    out, c = np.take(np.moveaxis(heads, 0, -1), pieces.at, axis=1), hc[:, pieces.at]
-    m = np.moveaxis(out, -1, 0)
+    out, c = np.take(heads.transpose(1, 2, 0), pieces.at, axis=1), hc[:, pieces.at]
+    m = out.transpose(2, 0, 1)
     if pieces.q is not None:
         # periodic tail: Pat^q @ H(r), the commuting powers Pat^(2^j) of the
         # set bits of q applied from the left

@@ -172,7 +172,7 @@ def reflectionless_defect(p_left, p_right, xs, eps, delta=AC_DELTA,
     vm, _, _, ok_m = weyl.schur_grid(zs, coeff.reflect(p_left), tol=tol, strict=False)
     sp = np.where(ok, vp, np.nan)
     ok &= ok_m
-    sm = np.where(ok, (zs - 1j) / (zs + 1j) * vm, np.nan)
+    sm = np.where(ok, weyl.mobius_factor(zs) * vm, np.nan)
     defect = np.abs(sp - np.conj(sm))
     with np.errstate(invalid="ignore"):
         ac = ok & (np.maximum(np.abs(sp), np.abs(sm)) < 1.0 - delta)
@@ -239,7 +239,7 @@ def bp_defect(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
     zs = all_x + 1j * eps
     sp0, _, _, _ = weyl.schur_grid(zs, p_right, tol=tol)
     sm0, _, _, _ = weyl.schur_grid(zs, coeff.reflect(p_left), tol=tol)
-    sm0 = (zs - 1j) / (zs + 1j) * sm0
+    sm0 = weyl.mobius_factor(zs) * sm0
 
     sp_i = weyl.schur_plus(1j, p_right, tol=tol).value
     sm_i = 0j  # v(i) = 0

@@ -136,8 +136,8 @@ def _unimodular_constant(p):
 def schur_grid(zs, p, tol=SCHUR_TOL, l_max=None, strict=True):
     """Half-line Schur function by Weyl-disk shrinkage at every z of a grid.
 
-    The disks at l = 1, 2, 4, ... up to ``l_max`` (default 1e4 / min Im z)
-    come from one kernel call; each point stops at the first radius below
+    The disks at l = 1, 2, 4, ... up to ``l_max`` (default 1e4 / Im z) come
+    from one kernel call per budget; each point stops at the first radius below
     tol, nesting asserted up to there.  Returns (value, residual_radius,
     l_stop, ok); where the budget ran out ok is False and the arrays hold
     the last disk, or, when strict, a BudgetError carries it.
@@ -155,8 +155,14 @@ def schur_grid(zs, p, tol=SCHUR_TOL, l_max=None, strict=True):
     if shortcut is not None:
         zero = np.zeros(zs.size)
         return np.full(zs.size, shortcut), zero, zero, np.ones(zs.size, dtype=bool)
-    if l_max is None:
-        l_max = 1e4 / float(np.min(zs.imag, initial=np.inf))
+    if l_max is None:  # each point's budget is 1e4 / Im z; equal ones share a call
+        budget = 1e4 / zs.imag
+        out = [np.empty(zs.size, t) for t in (complex, float, float, bool)]
+        for b in dict.fromkeys(budget.tolist()):
+            sel = budget == b
+            for whole, part in zip(out, schur_grid(zs[sel], p, tol, b, strict)):
+                whole[sel] = part
+        return tuple(out)
     ls = [min(1.0, l_max)]
     while ls[-1] < l_max:
         ls.append(min(2.0 * ls[-1], l_max))
@@ -204,8 +210,7 @@ def schur_stripped(s, t):
 
 
 def mobius_factor(z):
-    """The reflection weight v(z) = (z - i) / (z + i)."""
-    z = complex(z)
+    """The reflection weight v(z) = (z - i) / (z + i), of a point or array."""
     return (z - 1j) / (z + 1j)
 
 

@@ -10,7 +10,7 @@ from arvcanon import (ArovParameters, BudgetError, DegenerateActionError,
 from arvcanon.mat2 import adjugate, mat2, mobius_right
 from arvcanon.propagate import transfer, transfer_scaled
 from arvcanon.riccati import riccati_fixed_point
-from arvcanon.weyl import _disk_from_scaled
+from arvcanon.weyl import _disk_from_scaled, schur_grid
 
 from helpers import random_contractive, random_parameters, random_upper_z
 
@@ -241,3 +241,16 @@ def test_scaled_disk_matches_plain_disk():
     scaled = _disk_from_scaled(t / 7.0, np.log(7.0))
     assert abs(plain.center - scaled.center) < 1e-12
     assert abs(plain.radius - scaled.radius) < 1e-12
+
+
+def test_schur_grid_matches_pointwise():
+    # one disk-shrinkage call per length budget (1e4 / Im z), mixed budgets
+    p = ArovParameters([0.4, 1.0, 1.3], [1.0, 0.6, 1.2], [0.3, -0.5j, 0.2 + 0.2j])
+    zs = np.array([0.3 + 0.05j, 1.1 + 0.5j, -0.7 + 0.05j, 0.2 + 1.5j])
+    values, radii, l_stop, ok = schur_grid(zs, p)
+    assert ok.all()
+    for i, z in enumerate(zs):
+        sv = schur_plus(z, p)
+        assert abs(values[i] - sv.value) < 1e-13
+        assert radii[i] == pytest.approx(sv.residual_radius, rel=1e-9)
+        assert l_stop[i] == sv.l_stop

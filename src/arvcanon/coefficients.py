@@ -139,11 +139,12 @@ class _Piecewise:
         [lo, L], cut at every point: (k, d, ends), ends[i] being the number
         of pieces before points[i]."""
         grid = self.grid
-        inner = grid[np.searchsorted(grid, lo, side="right"):
-                     np.searchsorted(grid, points[-1])]
-        pts = _sorted_unique(np.concatenate(([lo], inner, points)))
-        k = np.searchsorted(grid, pts[:-1], side="right")
-        return k, np.diff(pts) * self.density[k], np.searchsorted(pts, points)
+        pts = np.concatenate(([lo], grid[grid.searchsorted(lo, side="right"):
+                                         grid.searchsorted(points[-1])], points))
+        if len(points) > 1:  # one point closes the span: pts is already sorted
+            pts = _sorted_unique(pts)
+        k = grid.searchsorted(pts[:-1], side="right")
+        return k, (pts[1:] - pts[:-1]) * self.density[k], pts.searchsorted(points)
 
     def span_arrays(self, l_to, l_from=0.0):
         """(k, d) of the pieces covering [l_from, l_to]; a periodic tail is

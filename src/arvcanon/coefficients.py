@@ -86,14 +86,13 @@ def _as_grid(grid):
 class Pieces(NamedTuple):
     """Gauge-neutral piece stream, the input of ``propagate.scaled_products``.
 
-    ``blocks`` yields (k, d, cuts): the stored interval and mass of each
-    piece, and the piece counts at which the next recorded points are
-    reached.  ``gen`` is (p, alpha, r, gamma) per stored interval, the
-    generator (i z P - Q) j for P = [[p, -conj(alpha)], [-alpha, p]] and
-    Q = [[i r, conj(gamma)], [-gamma, i r]]; disk gauge is (1, a, 0, a).
-    Length i is ``Pat^q[i] @ H[at[i]] @ exp(G_last t[i])``: H are the
-    ``points`` recorded (the first ``start`` at 0), Pat the last H, G_last
-    the last interval's generator; q, t are None without that tail.
+    ``gen`` is (p, alpha, r, gamma) per stored interval: the generator
+    (i z P - Q) j for P = [[p, -conj(alpha)], [-alpha, p]] and Q = [[i r,
+    conj(gamma)], [-gamma, i r]]; disk gauge is (1, a, 0, a).  ``blocks``
+    yields (k, d, cuts): interval and mass per piece, and the piece counts
+    at which the next of the ``points`` H are recorded (the first ``start``
+    at 0).  Length i is ``H[-1]^q[i] @ H[at[i]] @ exp(G_last t[i])`` with
+    G_last the last interval's generator; q, t are None without that tail.
     """
 
     gen: tuple
@@ -143,7 +142,8 @@ class _Piecewise:
                                          grid.searchsorted(points[-1])], points))
         if len(points) > 1:  # one point closes the span: pts is already sorted
             pts = _sorted_unique(pts)
-        k = grid.searchsorted(pts[:-1], side="right")
+        # lo = L opens a span of no mass: it keeps the last interval
+        k = np.minimum(grid.searchsorted(pts[:-1], side="right"), grid.size - 1)
         return k, (pts[1:] - pts[:-1]) * self.density[k], pts.searchsorted(points)
 
     def span_arrays(self, l_to, l_from=0.0):
@@ -155,12 +155,14 @@ class _Piecewise:
         L = self.length
         if l_to > L and self.tail == TAIL_FINITE:
             raise DomainError(f"span reaches l = {l_to} beyond finite tail at {L}")
-        if l_to <= L or self.tail == TAIL_CONSTANT:
-            k, d, _ = self._cut(min(l_from, L), [min(l_to, L)])
-            if l_to <= L:
-                return k, d
-            tail = (l_to - max(l_from, L)) * self.density[-1]
-            return np.append(k, self.n_intervals - 1), np.append(d, tail)
+        if l_to <= L:
+            return self._cut(l_from, [l_to])[:2]
+        if self.tail == TAIL_CONSTANT:
+            last, tail = self.n_intervals - 1, (l_to - max(l_from, L)) * self.density[-1]
+            if l_from >= L:
+                return np.array([last]), np.array([tail])
+            k, d, _ = self._cut(l_from, [L])
+            return np.append(k, last), np.append(d, tail)
         (q0, r0), (q1, r1) = divmod(l_from, L), divmod(l_to, L)
         if q0 == q1:
             return self._cut(r0, [r1])[:2]
@@ -556,13 +558,9 @@ def schroedinger_coefficients(q, grid, tail=TAIL_FINITE):
     P = [[1,1],[1,1]]/2 and Q = (i/2) [[q-1, q+1], [q+1, q-1]]."""
     grid = _as_grid(grid)
     q = np.broadcast_to(np.asarray(q, dtype=float), grid.shape)
-    n = grid.size
-    P = np.empty((n, 2, 2), dtype=complex)
-    Q = np.empty((n, 2, 2), dtype=complex)
-    P[:] = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
-    for k, qk in enumerate(q):
-        Q[k] = 0.5j * np.array([[qk - 1.0, qk + 1.0], [qk + 1.0, qk - 1.0]])
-    return GeneralCoefficients(grid, np.ones(n), P, Q, tail)
+    P = np.full((grid.size, 2, 2), 0.5 + 0j)
+    Q = 0.5j * np.stack([q - 1.0, q + 1.0, q + 1.0, q - 1.0], -1).reshape(-1, 2, 2)
+    return GeneralCoefficients(grid, np.ones(grid.size), P, Q, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -645,18 +643,16 @@ def _compact(node, values, pos):
     numeric lists 2-d arrays.  Returns (node, next position)."""
     if node is _NUMBER:
         return values[pos], pos + 1
-    items = node.items() if isinstance(node, dict) else enumerate(node) \
-        if isinstance(node, list) else ()
     if isinstance(node, list) and node:
         width = len(node[0]) if isinstance(node[0], list) else 0
         if all(v is _NUMBER for v in node) or width and all(
                 isinstance(v, list) and len(v) == width and
                 all(e is _NUMBER for e in v) for v in node):
             n = len(node) * max(width, 1)
-            shape = (len(node), width) if width else (n,)
-            return values[pos:pos + n].reshape(shape), pos + n
-    for key, v in list(items):
-        node[key], pos = _compact(v, values, pos)
+            return values[pos:pos + n].reshape((len(node), width) if width else n), pos + n
+    for key in node if isinstance(node, dict) else range(len(node)) \
+            if isinstance(node, list) else ():
+        node[key], pos = _compact(node[key], values, pos)
     return node, pos
 
 

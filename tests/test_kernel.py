@@ -186,6 +186,34 @@ def test_kernel_periodic_fold_for_non_binary_periods():
             assert np.max(np.abs(np.exp(c[0, j] - ref_c) * m[0, j] - ref)) < 1e-10
 
 
+@pytest.mark.parametrize("build", (_disk_system, _general_system))
+@pytest.mark.parametrize("tail, spans", [
+    (TAIL_CONSTANT, ((1.0, 1.0), (1.0, 1.7), (1.3, 2.9), (0.5, 1.4))),
+    (TAIL_PERIODIC, ((1.0, 1.0), (1.0, 1.7), (2.3, 2.9), (1.6, 4.2))),
+    (TAIL_FINITE, ((1.0, 1.0), (0.3, 1.0)))])
+def test_stripped_segment_inside_the_tail(build, tail, spans):
+    # spans in units of the stored length L, several starting at or past L
+    system = build(np.random.default_rng(12), 5, tail)
+    z = 0.6 + 0.7j
+    for lo, hi in (system.length * np.array(s) for s in spans):
+        ref_lo, c_lo = _oracle(system, z, lo)
+        ref_hi, c_hi = _oracle(system, z, hi)
+        ref = np.exp(c_hi - c_lo) * np.linalg.solve(ref_lo, ref_hi)
+        got = prop.transfer_between(z, system, lo, hi)
+        assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref)), (lo, hi)
+
+
+@pytest.mark.parametrize("tail", (TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE))
+def test_pieces_of_an_empty_span_at_the_end_of_the_grid(tail):
+    system = _disk_system(np.random.default_rng(13), 4, tail)
+    L = system.length
+    assert system.pieces(L, L) == []
+    if tail != TAIL_FINITE:
+        assert system.pieces(2.5 * L, 2.5 * L) == []
+        assert sum(d for _, d in system.pieces(2.5 * L, 1.5 * L)) == \
+            pytest.approx(system.mu(2.5 * L) - system.mu(1.5 * L), rel=1e-12)
+
+
 def test_kernel_working_memory_is_bounded():
     # blocks of pieces and chunks of spectral points: the peak does not grow
     # with the number of pieces or of spectral points

@@ -31,6 +31,9 @@ SCHUR_TOL = 1e-9
 #: slack allowed when asserting monotone nesting of successive disks.
 NESTING_SLACK = 1e-10
 
+#: stored intervals the first Schur disk-shrinkage pass may cross.
+_REACH = 512
+
 
 @dataclass(frozen=True)
 class Disk:
@@ -136,11 +139,14 @@ def _unimodular_constant(p):
 def schur_grid(zs, p, tol=SCHUR_TOL, l_max=None, strict=True):
     """Half-line Schur function by Weyl-disk shrinkage at every z of a grid.
 
-    The disks at l = 1, 2, 4, ... up to ``l_max`` (default 1e4 / Im z) come
-    from one kernel call per budget; each point stops at the first radius below
-    tol, nesting asserted up to there.  Returns (value, residual_radius,
-    l_stop, ok); where the budget ran out ok is False and the arrays hold
-    the last disk, or, when strict, a BudgetError carries it.
+    The disks at l = 1, 2, 4, ... up to ``l_max`` (default 1e4 / Im z) of
+    the points that share a budget come from one kernel call while the head
+    crossed has at most ``_REACH`` intervals, then from one call per
+    fourfold reach for the points not yet converged; each point stops at
+    the first radius below tol, nesting asserted up to there.  Returns
+    (value, residual_radius, l_stop, ok); where the budget ran out ok is
+    False and the arrays hold the last disk, or, when strict, a BudgetError
+    carries it.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     if np.any(zs.imag <= 0.0):
@@ -155,32 +161,39 @@ def schur_grid(zs, p, tol=SCHUR_TOL, l_max=None, strict=True):
     if shortcut is not None:
         zero = np.zeros(zs.size)
         return np.full(zs.size, shortcut), zero, zero, np.ones(zs.size, dtype=bool)
-    if l_max is None:  # each point's budget is 1e4 / Im z; equal ones share a call
-        budget = 1e4 / zs.imag
-        out = [np.empty(zs.size, t) for t in (complex, float, float, bool)]
-        for b in dict.fromkeys(budget.tolist()):
-            sel = budget == b
-            for whole, part in zip(out, schur_grid(zs[sel], p, tol, b, strict)):
-                whole[sel] = part
-        return tuple(out)
-    ls = [min(1.0, l_max)]
-    while ls[-1] < l_max:
-        ls.append(min(2.0 * ls[-1], l_max))
-    centers, radii = _disk_arrays(*prop.transfer_grid(p, zs, ls))
-    ok = np.any(radii < tol, axis=1)
-    stop = np.where(ok, np.argmax(radii < tol, axis=1), len(ls) - 1)
-    loose = np.abs(np.diff(centers, axis=1)) > \
-        radii[:, :-1] - radii[:, 1:] + NESTING_SLACK
-    loose &= np.arange(1, len(ls)) <= stop[:, None]
-    if loose.any():
-        i, j = np.argwhere(loose)[0]
-        raise InconsistencyError(
-            f"Weyl disks failed to nest at l = {ls[j + 1]}: |dc| = "
-            f"{abs(centers[i, j + 1] - centers[i, j]):.3e}, "
-            f"r_prev - r = {radii[i, j] - radii[i, j + 1]:.3e}")
-    rows = np.arange(zs.size)
-    value, radius = centers[rows, stop], radii[rows, stop]
-    l_stop = np.asarray(ls)[stop]
+    budget = 1e4 / zs.imag if l_max is None else np.full(zs.size, float(l_max))
+    value, radius, l_stop = np.empty(zs.size, complex), np.empty(zs.size), np.empty(zs.size)
+    ok = np.zeros(zs.size, dtype=bool)
+    for b in dict.fromkeys(budget.tolist()):  # points of one budget share calls
+        ls = [min(1.0, b)]
+        while ls[-1] < b:
+            ls.append(min(2.0 * ls[-1], b))
+        ls = np.array(ls)
+        # stored intervals crossed to reach each length: a long head is
+        # crossed about as far as l_stop needs, not to min(L, l_max)
+        crossed = np.searchsorted(p.knots, np.minimum(ls, p.length))
+        todo, upto, reach = np.nonzero(budget == b)[0], 0, _REACH
+        while todo.size:
+            upto = max(upto + 1, int(np.searchsorted(crossed, reach, side="right")))
+            reach *= 4
+            centers, radii = _disk_arrays(*prop.transfer_grid(p, zs[todo], ls[:upto]))
+            hit = radii < tol
+            conv = hit.any(axis=1)
+            stop = np.where(conv, np.argmax(hit, axis=1), upto - 1)
+            loose = np.abs(np.diff(centers, axis=1)) > \
+                radii[:, :-1] - radii[:, 1:] + NESTING_SLACK
+            loose &= np.arange(1, upto) <= stop[:, None]
+            if loose.any():
+                i, j = np.argwhere(loose)[0]
+                raise InconsistencyError(
+                    f"Weyl disks failed to nest at l = {ls[j + 1]}: |dc| = "
+                    f"{abs(centers[i, j + 1] - centers[i, j]):.3e}, "
+                    f"r_prev - r = {radii[i, j] - radii[i, j + 1]:.3e}")
+            done = conv | (upto == ls.size)
+            at, last = todo[done], stop[done]
+            value[at], radius[at] = centers[done, last], radii[done, last]
+            l_stop[at], ok[at] = ls[last], conv[done]
+            todo = todo[~done]
     if strict and not ok.all():
         i = int(np.argmin(ok))
         raise BudgetError(

@@ -243,14 +243,49 @@ def test_scaled_disk_matches_plain_disk():
     assert abs(plain.radius - scaled.radius) < 1e-12
 
 
-def test_schur_grid_matches_pointwise():
-    # one disk-shrinkage call per length budget (1e4 / Im z), mixed budgets
-    p = ArovParameters([0.4, 1.0, 1.3], [1.0, 0.6, 1.2], [0.3, -0.5j, 0.2 + 0.2j])
-    zs = np.array([0.3 + 0.05j, 1.1 + 0.5j, -0.7 + 0.05j, 0.2 + 1.5j])
+def _doubling_oracle(p, z, tol=1e-9):
+    """Disk shrinkage written out: the doubling ladder l = 1, 2, 4, ... of a
+    constant-tail system, each transfer matrix an ordered scipy expm product
+    carried along the head, stopping at the first radius below tol."""
+    from scipy.linalg import expm
+
+    def g(k):  # (i z A - B) j times the density, A, B of the coefficient a
+        a = p.a[k]
+        A = np.array([[1.0, -np.conj(a)], [-a, 1.0]])
+        B = np.array([[0.0, np.conj(a)], [-a, 0.0]])
+        return p.m[k] * (1j * z * A - B) @ np.diag([-1.0, 1.0])
+
+    knots, k, pos = p.knots, 0, 0.0
+    head, head_c, l, prev = np.eye(2, dtype=complex), 0.0, 1.0, None
+    while True:
+        while pos < min(l, p.length):  # carry the head product up to l
+            hi = min(knots[k + 1], l)
+            head = head @ expm(g(k) * (hi - pos))
+            scale = np.max(np.abs(head))
+            head, head_c, pos = head / scale, head_c + np.log(scale), hi
+            k += hi == knots[k + 1]
+        t = head @ expm(g(p.n_intervals - 1) * max(l - p.length, 0.0))
+        disk = _disk_from_scaled(t / np.max(np.abs(t)), head_c + np.log(np.max(np.abs(t))))
+        assert prev is None or disk.nested_in(prev)
+        if disk.radius < tol:
+            return disk, l
+        prev, l = disk, 2.0 * l
+
+
+@pytest.mark.parametrize("n", (3, 1500))
+def test_schur_grid_matches_doubling_oracle(n):
+    # mixed length budgets (1e4 / Im z); with 1500 intervals of the head
+    # some points stop inside it and others reach the tail, across passes
+    rng = np.random.default_rng(49)
+    grid = np.cumsum(rng.uniform(0.02, 0.05, n)) if n > 3 else [0.4, 1.0, 1.3]
+    p = ArovParameters(grid, rng.uniform(0.5, 1.2, n),
+                       0.8 * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n)))
+    zs = np.array([0.3 + 0.05j, 1.1 + 0.5j, -0.7 + 0.05j, 0.2 + 1.5j, 0.4 + 4.0j])
     values, radii, l_stop, ok = schur_grid(zs, p)
     assert ok.all()
     for i, z in enumerate(zs):
-        sv = schur_plus(z, p)
-        assert abs(values[i] - sv.value) < 1e-13
-        assert radii[i] == pytest.approx(sv.residual_radius, rel=1e-9)
-        assert l_stop[i] == sv.l_stop
+        disk, l = _doubling_oracle(p, z)
+        assert l_stop[i] == l
+        assert abs(values[i] - disk.center) < 1e-11
+        assert radii[i] == pytest.approx(disk.radius, rel=1e-6)
+        assert schur_plus(z, p).value == values[i]

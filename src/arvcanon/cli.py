@@ -11,6 +11,7 @@ nothing.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -23,10 +24,9 @@ from . import propagate as prop
 from . import riccati as ric
 from . import spectral as spec
 from . import weyl
-from .errors import (ArvcanonError, BudgetError, CoefficientError,
-                     DegenerateActionError, DomainError, GaugeError,
-                     InconsistencyError, InputError, ParseError,
-                     PreconditionError, StepUnderflowError)
+from .errors import (ArvcanonError, BudgetError, CoefficientError, DomainError,
+                     GaugeError, InconsistencyError, InputError, ParseError,
+                     PreconditionError)
 
 EXIT_OK = 0
 EXIT_BUDGET = 1
@@ -35,7 +35,6 @@ EXIT_VALIDATION = 3
 
 _VALIDATION_ERRORS = (InputError, CoefficientError, PreconditionError,
                       DomainError, GaugeError, InconsistencyError)
-_BUDGET_ERRORS = (BudgetError, StepUnderflowError, DegenerateActionError)
 
 UNITS = "z:spectral(dimensionless) l:system-length"
 
@@ -129,14 +128,10 @@ def _write_table(path, columns, rows, cfg):
     """Write the CSV line by line, so no copy of the whole text is held."""
     lines = (",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n"
              for row in rows)
-    head = f"# arvcanon config={cfg} units={UNITS}\n" + ",".join(columns) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(head)
-        sys.stdout.writelines(lines)
-    else:
-        with open(path, "w") as fh:
-            fh.write(head)
-            fh.writelines(lines)
+    to_stdout = path is None or path == "-"
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(path, "w") as fh:
+        fh.write(f"# arvcanon config={cfg} units={UNITS}\n" + ",".join(columns) + "\n")
+        fh.writelines(lines)
 
 
 def _write_json(path, payload):
@@ -417,10 +412,7 @@ def run(ns):
     except _VALIDATION_ERRORS as exc:
         _emit_error(exc)
         return EXIT_VALIDATION
-    except _BUDGET_ERRORS as exc:
-        _emit_error(exc)
-        return EXIT_BUDGET
-    except ArvcanonError as exc:
+    except ArvcanonError as exc:  # budget errors and the rest
         _emit_error(exc)
         return EXIT_BUDGET
 

@@ -156,8 +156,7 @@ def scaled_products(zs, pieces):
     heads = np.empty((4, nz, pieces.points), dtype=complex)
     hc = np.zeros((nz, heads.shape[-1]))
     heads[:, :, :done] = _EYE
-    run, rc = np.empty((4, nz, 1), dtype=complex), np.zeros((nz, 1))
-    run[:] = _EYE
+    run, rc = np.tile(_EYE, (1, nz, 1)), np.zeros((nz, 1))
     for k, d, cuts in pieces.blocks:
         step = max(1, _CELLS // max(1, k.size))
         for z in (slice(lo, lo + step) for lo in range(0, nz, step)):

@@ -15,7 +15,7 @@ from .coefficients import (ABPair, ArovParameters, GeneralCoefficients,
 from .errors import (ArvcanonError, BudgetError, CoefficientError,
                      DegenerateActionError, DomainError, GaugeError,
                      InconsistencyError, InputError, ParseError,
-                     PreconditionError, StepUnderflowError)
+                     PreconditionError)
 from .mat2 import (J, J1, JClass, JKind, ProjPoint, j_defect, mat2,
                    mobius_right, su11_normalizer)
 from .propagate import (GAUGE_AROV, GAUGE_PDB, GAUGE_RAW, RecoveryResult,
@@ -24,7 +24,7 @@ from .propagate import (GAUGE_AROV, GAUGE_PDB, GAUGE_RAW, RecoveryResult,
                         transfer_family, transfer_general, transfer_scaled)
 from .riccati import (BoundaryLimit, RiccatiState, a_to_c, blaschke_matrix,
                       boundary_limit, c_to_a, integrate_riccati,
-                      riccati_fixed_point, riccati_rhs)
+                      riccati_fixed_point, riccati_rhs, riccati_trajectory)
 from .spectral import (BPReport, ReflectionlessReport, TypeReport, bp_defect,
                        exponential_type_integral, exponential_type_numeric,
                        gamma_metric, harmonic_measure, reflectionless_defect,

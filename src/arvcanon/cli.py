@@ -5,9 +5,9 @@ gauge.  Coefficient files are the JSON schemas documented in
 ``coefficients``; outputs are CSV tables (17 significant digits, stable row
 order, a header comment carrying the config hash) or JSON reports.  Exit
 codes: 0 ok, 1 compute budget, 2 parse, 3 validation.  Grids are computed
-by the vectorised propagation kernel in one thread; ``--threads`` and the
-environment variable ARVCANON_THREADS are accepted and validated but change
-nothing.
+by the vectorised propagation kernel in one thread, and ``riccati`` solves
+the stripping flow exactly; ``--threads``, ARVCANON_THREADS (validated) and
+``riccati --step`` are accepted but change nothing.
 """
 
 import argparse
@@ -104,7 +104,7 @@ def parse_xgrid(specstr):
     return parse_lgrid(specstr, signed=True)
 
 
-_HASH_EXCLUDED = ("func", "output", "summary", "params_out", "threads")
+_HASH_EXCLUDED = ("func", "output", "summary", "params_out", "threads", "step")
 
 
 def _config_hash(ns):
@@ -124,23 +124,23 @@ def _check_threads():
         raise ParseError(f"ARVCANON_THREADS = {cap!r} is not an integer")
 
 
+def _open_output(path):
+    """The output file, or stdout for no path or '-'."""
+    return contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
+
+
 def _write_table(path, columns, rows, cfg):
     """Write the CSV line by line, so no copy of the whole text is held."""
     lines = (",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n"
              for row in rows)
-    to_stdout = path is None or path == "-"
-    with contextlib.nullcontext(sys.stdout) if to_stdout else open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write(f"# arvcanon config={cfg} units={UNITS}\n" + ",".join(columns) + "\n")
         fh.writelines(lines)
 
 
 def _write_json(path, payload):
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with _open_output(path) as fh:
+        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def _load_single(ns):
@@ -154,10 +154,9 @@ def _load_fullline(ns):
     loaded = coeff.load_parameters(ns.input)
     if not isinstance(loaded, tuple):
         raise InputError(f"{ns.input} must be a full-line file with 'left' and 'right' halves")
-    left, right = loaded
-    if not isinstance(left, coeff.ArovParameters) or not isinstance(right, coeff.ArovParameters):
+    if not all(isinstance(half, coeff.ArovParameters) for half in loaded):
         raise InputError("full-line commands need disk-gauge halves")
-    return left, right
+    return loaded
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +205,12 @@ def _cmd_schur(ns):
 
 def _cmd_riccati(ns):
     system = _load_single(ns)
-    if not isinstance(system, coeff.ArovParameters):
-        raise InputError("riccati needs disk-gauge coefficients")
     z = _parse_z(ns.z)
     ls = parse_lgrid(ns.lgrid)
-    if ns.s0 == "auto":
-        s0 = weyl.schur_plus(z, system, tol=ns.tol).value
-    else:
-        s0 = _parse_z(ns.s0)
-    rows = []
-    for l in ls:
-        state = ric.integrate_riccati(z, s0, system, l, step=ns.step)
-        rows.append((z.real, z.imag, l, state.s.real, state.s.imag, state.status))
-        if not state.valid:
-            break
+    s0 = weyl.schur_plus(z, system, tol=ns.tol).value if ns.s0 == "auto" else _parse_z(ns.s0)
+    # an escaped last row keeps its requested l and holds the escape point
+    rows = ((z.real, z.imag, l, state.s.real, state.s.imag, state.status)
+            for l, state in zip(ls, ric.riccati_trajectory(z, s0, system, ls)))
     _write_table(ns.output,
                  ("z_re", "z_im", "l", "s_re", "s_im", "status"),
                  rows, _config_hash(ns))
@@ -335,6 +326,10 @@ def _cmd_gauge(ns):
     return EXIT_OK
 
 
+_ZGRID_HELP = ("point 're,im' or 'i', line 're1,im1:re2,im2:n' or 'iy:y1:y2:n:log'; "
+               "write --zgrid=-2,0.5:2,0.5:3 for a leading '-'")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="arvcanon",
@@ -359,19 +354,21 @@ def build_parser():
     for name, func, what in (("transfer", _cmd_transfer, "transfer matrices"),
                              ("disks", _cmd_disks, "Weyl disks")):
         p = command(name, func, f"{what} over a (z, l) grid")
-        p.add_argument("--zgrid", required=True)
+        p.add_argument("--zgrid", required=True, help=_ZGRID_HELP)
         p.add_argument("--lgrid", required=True)
 
     p = command("schur", _cmd_schur, "half-line Schur function on a z grid")
-    p.add_argument("--zgrid", required=True)
+    p.add_argument("--zgrid", required=True, help=_ZGRID_HELP)
     p.add_argument("--side", choices=("plus", "minus"), default="plus")
     p.add_argument("--lmax", type=float, default=None, help="disk-limit length budget")
 
     p = command("riccati", _cmd_riccati, "stripping-flow trajectory")
-    p.add_argument("--z", required=True)
+    p.add_argument("--z", required=True,
+                   help="spectral point 're,im' or 'i'; write --z=-0.4,0.6 for a leading '-'")
     p.add_argument("--s0", default="auto", help="'auto' or a complex token re,im")
     p.add_argument("--lgrid", required=True)
-    p.add_argument("--step", type=float, default=ric.DEFAULT_STEP)
+    p.add_argument("--step", type=float, default=None,
+                   help="accepted for compatibility; the flow is solved exactly")
 
     p = command("type", _cmd_type, "exponential type, both faces")
     p.add_argument("--l", type=float, required=True)
@@ -393,7 +390,7 @@ def build_parser():
 
     p = command("gauge", _cmd_gauge, "regauge a sampled family")
     p.add_argument("--to", choices=("arov", "pdb"), required=True)
-    p.add_argument("--zgrid", required=True)
+    p.add_argument("--zgrid", required=True, help=_ZGRID_HELP)
     p.add_argument("--lgrid", required=True)
     p.add_argument("--params-out", default=None,
                    help="with --to arov: write recovered parameters JSON here")

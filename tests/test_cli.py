@@ -69,6 +69,13 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert "line" in err["message"]
 
 
+def test_non_numeric_grid_in_file_exit_2(tmp_path, capsys):
+    bad = _write(tmp_path, "bad.json", {"grid": ["abc"], "m": [1], "a": [0.5]})
+    code = cli.main(["type", "--input", bad, "--l", "1"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
 def test_validation_error_exit_3(tmp_path, capsys):
     bad = _write(tmp_path, "neg.json",
                  {"grid": [1.0], "m": [-1.0], "a": [[0.0, 0.0]], "tail": "constant"})
@@ -142,6 +149,29 @@ def test_riccati_trajectory_escape_status(tmp_path):
     assert statuses[0] == "ok"
     assert statuses[-1] == "escaped"
     assert len(rows) < 6  # stops emitting after the escape
+
+
+def test_riccati_step_is_ignored(tmp_path, const_half):
+    outs = [tmp_path / n for n in ("default.csv", "step.csv", "zero.csv")]
+    argv = ["riccati", "--input", const_half, "--z", "0.3,0.5", "--s0", "0.5,0.2",
+            "--lgrid", "0:10:0.25"]
+    for out, extra in zip(outs, ([], ["--step", "0.1"], ["--step", "0"])):
+        assert cli.main(argv + extra + ["--output", str(out)]) == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes()
+    assert outs[2].read_bytes() == outs[0].read_bytes()
+
+
+def test_leading_minus_grids_in_equals_form(tmp_path, const_half):
+    out = tmp_path / "schur.csv"
+    assert cli.main(["schur", "--input", const_half, "--zgrid=-2,0.5:2,0.5:3",
+                     "--output", str(out)]) == 0
+    header, rows = _read_rows(out)
+    assert [float(r[header.index("z_re")]) for r in rows] == [-2.0, 0.0, 2.0]
+    out = tmp_path / "ric.csv"
+    assert cli.main(["riccati", "--input", const_half, "--z=-0.4,0.6",
+                     "--lgrid", "0:1:0.5", "--output", str(out)]) == 0
+    header, rows = _read_rows(out)
+    assert float(rows[0][header.index("z_re")]) == -0.4
 
 
 def test_gauge_to_pdb_normalizes_zero_column(tmp_path, const_half):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arvcanon import (ArovParameters, CoefficientError, DomainError, ParseError,
                       PreconditionError, TAIL_CONSTANT, TAIL_FINITE,
@@ -52,11 +53,14 @@ def test_mu_piecewise_linear_and_tails():
     assert p.mu(1.0) == 2.0
     assert p.mu(2.0) == 2.5
     assert p.mu(4.0) == 2.5 + 0.5 * 2.0
+    assert p.mu(np.array([0.0, 0.5, 1.0, 2.0, 4.0])).tolist() == [0.0, 1.0, 2.0, 2.5, 3.5]
     per = ArovParameters([1.0, 2.0], [2.0, 0.5], [0.0, 0.0], tail=TAIL_PERIODIC)
     assert per.mu(5.0) == 2 * 2.5 + 2.0
+    assert per.mu(np.array([1.0, 2.0, 5.0])).tolist() == [2.0, 2.5, 7.0]
     fin = ArovParameters([1.0, 2.0], [2.0, 0.5], [0.0, 0.0], tail=TAIL_FINITE)
-    with pytest.raises(DomainError):
-        fin.mu(2.1)
+    for l in (2.1, np.array([1.0, 2.1]), np.nan):
+        with pytest.raises(DomainError):
+            fin.mu(l)
 
 
 def test_mu_monotone_on_random_systems():
@@ -147,6 +151,20 @@ def test_reflect_is_involution_bit_for_bit():
     assert np.array_equal(q.a, p.a)
     assert np.array_equal(q.m, p.m)
     assert np.array_equal(q.grid, p.grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.01, 2.0), st.floats(0.0, 3.0),
+                          st.builds(complex, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7))),
+                min_size=1, max_size=8),
+       st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE]))
+def test_property_reflect_is_involution_bit_for_bit(intervals, tail):
+    widths, m, a = (np.array(column) for column in zip(*intervals))
+    p = ArovParameters(np.cumsum(widths), m, a.astype(complex), tail)
+    q = reflect(reflect(p))
+    for name in ("grid", "m", "a"):
+        assert getattr(q, name).tobytes() == getattr(p, name).tobytes()
+    assert q.tail == p.tail
 
 
 def test_reflect_fixes_real_coefficients():
@@ -284,6 +302,16 @@ def test_strip_head_rotates_periodic_pattern():
             )
 
 
+def test_strip_head_below_round_off_of_a_periodic_pattern():
+    # moving a head narrower than the round-off of L to the end of the
+    # pattern left a zero-width interval, which the constructor rejects
+    p = ArovParameters([0.4, 1.0], [1.0, 0.6], [0.3, -0.2j], tail=TAIL_PERIODIC)
+    for l0 in (1e-300, 1e-17):
+        q = strip_head(p, l0)
+        assert np.array_equal(q.grid, p.grid)
+        assert np.array_equal(q.a, p.a)
+
+
 def test_strip_head_composes():
     from arvcanon.propagate import transfer
     p = ArovParameters([0.5, 1.0], [1.0, 0.5], [0.3, -0.2j], tail=TAIL_PERIODIC)
@@ -346,6 +374,22 @@ def test_missing_key_is_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"grid": [1.0], "m": [1.0]}))
     with pytest.raises(ParseError, match="'a'"):
+        load_parameters(path)
+
+
+_IDENTITY = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+_ZERO = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"grid": ["abc"], "m": [1], "a": [0.5]}, "grid"),
+    ({"grid": [1], "m": [1, "abc"], "a": [0.5]}, "m"),
+    ({"grid": [1], "n": [{"x": 1}], "P": [_IDENTITY], "Q": [_ZERO]}, "n"),
+])
+def test_non_numeric_real_field_is_parse_error(tmp_path, payload, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match=key):
         load_parameters(path)
 
 

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from arvcanon import (DomainError, InputError, PreconditionError,
-                      constant_parameters, integrate_riccati,
-                      riccati_fixed_point, riccati_rhs, schur_plus,
-                      schur_stripped)
-from arvcanon.riccati import (STATUS_ESCAPED, STATUS_OK, a_to_c,
+from arvcanon import (DomainError, InputError, PreconditionError, TAIL_CONSTANT,
+                      TAIL_PERIODIC, constant_parameters, integrate_riccati,
+                      riccati_fixed_point, riccati_rhs, riccati_trajectory,
+                      schur_plus, schur_stripped, strip_head)
+from arvcanon.riccati import (ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK, a_to_c,
                               blaschke_matrix, boundary_limit, c_to_a,
                               richardson_extrapolate)
 from arvcanon.propagate import transfer
 
-from helpers import random_parameters
+from helpers import random_parameters, rk4_riccati
 
 
 # --- right-hand side ---------------------------------------------------------------
@@ -94,6 +95,17 @@ def test_escape_time_for_free_coefficient():
         assert abs(state.l - state.mu) < 1e-12  # unit density: l and mu agree
 
 
+def test_escape_point_is_exact_for_free_coefficient():
+    # s(mu) = s0 exp(2 mu) at z = i, a = 0: |s| reaches 1 + ESCAPE_SLACK at
+    # mu = (log(1 + ESCAPE_SLACK) - log|s0|) / 2
+    for s0 in (0.5, 0.3, 0.9, 0.2j):
+        state = integrate_riccati(1j, s0, constant_parameters(0.0), 8.0)
+        target = (np.log1p(ESCAPE_SLACK) - np.log(abs(s0))) / 2.0
+        assert state.status == STATUS_ESCAPED
+        assert abs(state.mu - target) <= 1e-9 * target
+        assert abs(abs(state.s) - (1.0 + ESCAPE_SLACK)) <= 1e-12
+
+
 def test_true_schur_value_is_stationary():
     p = constant_parameters(0.35 - 0.25j)
     z = 0.8 + 1.1j
@@ -103,16 +115,56 @@ def test_true_schur_value_is_stationary():
     assert abs(state.s - s0) < 1e-8
 
 
-def test_trajectory_matches_stripping_on_random_systems():
+def test_trajectory_matches_rk4_on_random_systems():
     rng = np.random.default_rng(52)
     for _ in range(8):
         p = random_parameters(rng, total_mu=float(rng.uniform(2.0, 5.0)))
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.5))
         s0 = schur_plus(z, p, tol=1e-11).value
         state = integrate_riccati(z, s0, p, p.length)
-        ref = schur_stripped(s0, transfer(z, p, p.length))
-        assert state.status == STATUS_OK
-        assert abs(state.s - ref) < 1e-7
+        ref = rk4_riccati(z, s0, p, p.length)
+        assert state.status == ref.status == STATUS_OK
+        assert abs(state.s - ref.s) < 1e-7
+
+
+def test_trajectory_rows_agree_with_single_lengths():
+    p = constant_parameters(0.5)
+    z, s0, ls = 0.3 + 0.5j, 0.5 + 0.2j, np.arange(0.0, 10.0, 0.25)
+    states = riccati_trajectory(z, s0, p, ls)
+    assert [state.status for state in states[:-1]] == [STATUS_OK] * (len(states) - 1)
+    assert states[-1].status == STATUS_ESCAPED
+    assert ls[len(states) - 2] < states[-1].l <= ls[len(states) - 1]
+    for l, state in zip(ls, states):
+        single = integrate_riccati(z, s0, p, l)
+        assert single.status == state.status
+        assert abs(single.s - state.s) <= 1e-12
+        assert abs(single.mu - state.mu) <= 1e-12
+
+
+def test_trajectory_rejects_descending_lengths():
+    with pytest.raises(InputError):
+        riccati_trajectory(1j, 0.0, constant_parameters(0.0), [1.0, 0.5])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC]),
+       st.floats(0.2, 1.5), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_property_flow_semigroup(seed, tail, im_z, mu1, mu2):
+    # the flow over l1 + l2 is the flow over l1 followed by the flow of the
+    # stripped system over l2; the spans are drawn by measure (at most 2 in
+    # all), since s+ is the repelling direction of the flow and round-off in
+    # s0 . T(z, l) grows exponentially with the measure
+    rng = np.random.default_rng(seed)
+    p = random_parameters(rng, n_max=6, tail=tail)
+    z = complex(rng.uniform(-1.0, 1.0), im_z)
+    s0 = schur_plus(z, p).value
+    l1 = p.l_of_mu(mu1)
+    l2 = p.l_of_mu(mu1 + mu2) - l1
+    first, whole = riccati_trajectory(z, s0, p, [l1, l1 + l2])
+    assume(whole.valid)
+    rest = integrate_riccati(z, first.s, strip_head(p, l1), l2)
+    assert rest.valid
+    assert abs(rest.s - whole.s) <= 1e-10
 
 
 def test_rejects_initial_value_outside_disk():

@@ -37,11 +37,13 @@ d = av.weyl_disk_at(finite, 1j, 1.0)
 print(f"limiting disk radius at z = i   : {d.radius:.6e} (= exp(-6.4) = {np.exp(-6.4):.6e})")
 
 print("\n=== the shrink limit is the Schur function ===")
+print("(schur_plus closes the value with the tail's stationarity root)")
 for z in (1j, 2j, 1 + 1j):
+    d = av.weyl_disk_at(p, z, 16.0)
     sv = av.schur_plus(z, p)
     fp = av.riccati_fixed_point(z, 0.5)
-    print(f"z = {z}:  disk limit {sv.value: .8f}  stationarity root {fp: .8f}  "
-          f"residual radius {sv.residual_radius:.1e}")
+    print(f"z = {z}:  disk at l = 16 {d.center: .8f} (radius {d.radius:.1e})  "
+          f"s+ {sv.value: .8f}  stationarity root {fp: .8f}")
 
 print("\nCayley transform to the upper half-plane (Herglotz function):")
 s = av.schur_plus(1j, p).value

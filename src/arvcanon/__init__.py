@@ -12,10 +12,9 @@ from .coefficients import (ABPair, ArovParameters, GeneralCoefficients,
                            reparametrize, save_parameters,
                            schroedinger_coefficients, strip_head,
                            validate_general)
-from .errors import (ArvcanonError, BudgetError, CoefficientError,
-                     DegenerateActionError, DomainError, GaugeError,
-                     InconsistencyError, InputError, ParseError,
-                     PreconditionError)
+from .errors import (ArvcanonError, CoefficientError, DegenerateActionError,
+                     DomainError, GaugeError, InconsistencyError, InputError,
+                     ParseError, PreconditionError)
 from .mat2 import (J, J1, JClass, JKind, ProjPoint, j_defect, mat2,
                    mobius_right, su11_normalizer)
 from .propagate import (GAUGE_AROV, GAUGE_PDB, GAUGE_RAW, RecoveryResult,

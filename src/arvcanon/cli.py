@@ -4,10 +4,11 @@ Subcommands: transfer, disks, schur, riccati, type, reflectionless, bp,
 gauge.  Coefficient files are the JSON schemas documented in
 ``coefficients``; outputs are CSV tables (17 significant digits, stable row
 order, a header comment carrying the config hash) or JSON reports.  Exit
-codes: 0 ok, 1 compute budget, 2 parse, 3 validation.  Grids are computed
-by the vectorised propagation kernel in one thread, and ``riccati`` solves
-the stripping flow exactly; ``--threads``, ARVCANON_THREADS (validated) and
-``riccati --step`` are accepted but change nothing.
+codes: 0 ok, 1 any other library error, 2 parse, 3 validation.  Grids are
+computed by the vectorised propagation kernel in one thread, ``riccati``
+solves the stripping flow exactly and ``schur`` closes every value with the
+tail; ``--threads``, ARVCANON_THREADS (validated), ``riccati --step`` and
+``schur --lmax`` are accepted but change nothing.
 """
 
 import argparse
@@ -24,12 +25,12 @@ from . import propagate as prop
 from . import riccati as ric
 from . import spectral as spec
 from . import weyl
-from .errors import (ArvcanonError, BudgetError, CoefficientError, DomainError,
-                     GaugeError, InconsistencyError, InputError, ParseError,
+from .errors import (ArvcanonError, CoefficientError, DomainError, GaugeError,
+                     InconsistencyError, InputError, ParseError,
                      PreconditionError)
 
 EXIT_OK = 0
-EXIT_BUDGET = 1
+EXIT_COMPUTE = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 
@@ -104,7 +105,8 @@ def parse_xgrid(specstr):
     return parse_lgrid(specstr, signed=True)
 
 
-_HASH_EXCLUDED = ("func", "output", "summary", "params_out", "threads", "step")
+_HASH_EXCLUDED = ("func", "output", "summary", "params_out", "threads", "step",
+                  "lmax")
 
 
 def _config_hash(ns):
@@ -191,12 +193,10 @@ def _cmd_schur(ns):
     loaded = coeff.load_parameters(ns.input)
     zs = parse_zgrid(ns.zgrid)
     p_left, p_right = loaded if isinstance(loaded, tuple) else (loaded, loaded)
-    if ns.side == "minus":  # v(z) times s_plus of the reflected left half
-        s, radius, l_stop, _ = weyl.schur_grid(zs, coeff.reflect(p_left), ns.tol, ns.lmax)
-        v = weyl.mobius_factor(zs)
-        s, radius = v * s, np.abs(v) * radius
+    if ns.side == "minus":
+        s, radius, l_stop = weyl.schur_minus_grid(zs, p_left, ns.tol)
     else:
-        s, radius, l_stop, _ = weyl.schur_grid(zs, p_right, ns.tol, ns.lmax)
+        s, radius, l_stop = weyl.schur_grid(zs, p_right, ns.tol)
     _write_table(ns.output,
                  ("z_re", "z_im", "s_re", "s_im", "residual_radius", "l_stop"),
                  zip(zs.real, zs.imag, s.real, s.imag, radius, l_stop), _config_hash(ns))
@@ -258,8 +258,7 @@ def _cmd_reflectionless(ns):
     if ns.summary:
         max_def = []
         for rep in reports:
-            band = rep.ac & rep.ok
-            max_def.append(float(np.max(rep.defect[band])) if band.any() else None)
+            max_def.append(float(np.max(rep.defect[rep.ac])) if rep.ac.any() else None)
         trend = all(
             a is not None and b is not None and b <= a
             for a, b in zip(max_def, max_def[1:])
@@ -360,7 +359,8 @@ def build_parser():
     p = command("schur", _cmd_schur, "half-line Schur function on a z grid")
     p.add_argument("--zgrid", required=True, help=_ZGRID_HELP)
     p.add_argument("--side", choices=("plus", "minus"), default="plus")
-    p.add_argument("--lmax", type=float, default=None, help="disk-limit length budget")
+    p.add_argument("--lmax", type=float, default=None,
+                   help="accepted for compatibility; the tail closes every value")
 
     p = command("riccati", _cmd_riccati, "stripping-flow trajectory")
     p.add_argument("--z", required=True,
@@ -409,19 +409,13 @@ def run(ns):
     except _VALIDATION_ERRORS as exc:
         _emit_error(exc)
         return EXIT_VALIDATION
-    except ArvcanonError as exc:  # budget errors and the rest
+    except ArvcanonError as exc:
         _emit_error(exc)
-        return EXIT_BUDGET
+        return EXIT_COMPUTE
 
 
 def _emit_error(exc):
     detail = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, BudgetError) and exc.last_disk is not None:
-        detail["last_disk"] = {
-            "center": [exc.last_disk.center.real, exc.last_disk.center.imag],
-            "radius": exc.last_disk.radius,
-            "l": exc.l_stop,
-        }
     sys.stderr.write(json.dumps(detail) + "\n")
 
 

@@ -107,7 +107,9 @@ class Pieces(NamedTuple):
 def _sorted_unique(x):
     """np.unique without its lazily loaded machinery (most of a megabyte)."""
     x = np.sort(x)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 class _Piecewise:
@@ -191,7 +193,7 @@ class _Piecewise:
                 q, h = np.divmod(ls, L)
                 q = q.astype(np.int64)
         heads = _sorted_unique(np.concatenate((h, [L] if q is not None else [])))
-        start = int(heads[0] == 0.0)
+        start = int(heads.size > 0 and heads[0] == 0.0)
         return Pieces(self.generator_table, self._blocks(heads[start:], block),
                       start, heads.size, np.searchsorted(heads, h), q, t)
 

@@ -3,7 +3,7 @@
 Every failure mode raised by the library derives from :class:`ArvcanonError`,
 so callers can distinguish library failures from programming errors.  The CLI
 maps these onto exit codes (see ``cli.py``): parse failures are distinct from
-validation failures, which are distinct from compute-budget exhaustion.
+validation failures, which are distinct from every other library error.
 """
 
 
@@ -41,16 +41,6 @@ class InconsistencyError(ArvcanonError):
 
 class DegenerateActionError(ArvcanonError):
     """A projective (Moebius) action was applied to a vector it annihilates."""
-
-
-class BudgetError(ArvcanonError):
-    """An iterative computation exhausted its budget before reaching the
-    requested tolerance.  Carries the last iterate for diagnostics."""
-
-    def __init__(self, message, last_disk=None, l_stop=None):
-        super().__init__(message)
-        self.last_disk = last_disk
-        self.l_stop = l_stop
 
 
 class ParseError(ArvcanonError):

@@ -40,43 +40,44 @@ def riccati_rhs(s, z, a):
     return np.conj(a) * (iz + 1.0) * s * s - 2.0 * iz * s + a * (iz - 1.0)
 
 
-def riccati_fixed_point(z, a, tol=1e-9):
-    """Root of the stationarity quadratic lying in the closed unit disk.
+def disk_root(qa, qb, qc, tol=1e-9):
+    """Root in the closed unit disk of qa w^2 + qb w + qc = 0, elementwise
+    over complex arrays of one shape.
 
-    The quadratic degenerates to a linear equation when the leading
-    coefficient vanishes (at z = i the root is a itself).  Root selection
-    uses the cancellation-free formulation and prefers the smaller modulus;
-    for Im z > 0 exactly one root lies in the closed disk.
+    The roots are qc / q and q / qa for q = -(qb + sqrt(qb^2 - 4 qa qc)) / 2,
+    the sign of the square root chosen so nothing cancels; a vanishing qa
+    leaves qc / q, the root of the linear equation.  The root of smaller
+    modulus is taken: of a stationarity or monodromy quadratic at Im z > 0
+    exactly one root lies in the closed disk.
     """
-    z, a = complex(z), complex(a)
-    if z.imag <= 0.0:
-        raise PreconditionError(f"fixed point needs Im z > 0, got z = {z}")
+    sq = np.sqrt(qb * qb - 4.0 * qa * qc)
+    sq = np.where((np.conj(qb) * sq).real < 0.0, -sq, sq)
+    q = -0.5 * (qb + sq)
+    small = np.abs(qc) * np.abs(qa) <= np.abs(q) ** 2  # |qc / q| <= |q / qa|
+    num, den = np.where(small, qc, q), np.where(small, q, qa)
+    root = np.divide(num, den, out=np.where(num == 0.0, 0j, complex(np.inf)),
+                     where=den != 0.0)
+    bad = ~(np.abs(root) <= 1.0 + tol)
+    if bad.any():
+        i = np.argmax(bad)
+        raise InconsistencyError(
+            "no root in the closed unit disk of the quadratic with coefficients "
+            f"{qa.flat[i]}, {qb.flat[i]}, {qc.flat[i]}")
+    return root
+
+
+def riccati_fixed_point(z, a, tol=1e-9):
+    """Root of the stationarity quadratic lying in the closed unit disk, at a
+    spectral point or an array of them (``disk_root``; at z = i the leading
+    coefficient vanishes and the root is a itself)."""
+    z, a = np.asarray(z, dtype=complex), complex(a)
+    if np.any(z.imag <= 0.0):
+        raise PreconditionError(f"fixed point needs Im z > 0, got Im z = {z.imag.min()}")
     if abs(a) > 1.0 + coeff.COEFF_TOL:
         raise CoefficientError(f"|a| = {abs(a)} > 1")
     iz = 1j * z
-    qa = np.conj(a) * (iz + 1.0)
-    qb = -2.0 * iz
-    qc = a * (iz - 1.0)
-    scale = max(abs(qa), abs(qb), abs(qc), 1.0)
-    if abs(qa) <= 1e-14 * scale:
-        if qb == 0:
-            raise InconsistencyError("degenerate stationarity equation")
-        return -qc / qb
-    disc = qb * qb - 4.0 * qa * qc
-    sq = np.sqrt(disc)
-    if (np.conj(qb) * sq).real < 0.0:
-        sq = -sq
-    q = -0.5 * (qb + sq)
-    if q == 0:
-        roots = [0j, 0j]
-    else:
-        roots = [q / qa, qc / q]
-    for r in sorted(roots, key=abs):
-        if abs(r) <= 1.0 + tol:
-            return complex(r)
-    raise InconsistencyError(
-        f"no stationarity root in the closed unit disk for z = {z}, a = {a}"
-    )
+    s = disk_root(np.conj(a) * (iz + 1.0), -2.0 * iz, a * (iz - 1.0), tol)
+    return complex(s) if s.ndim == 0 else s
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ log ||A(iy, l)|| / y extrapolated in 1/y.  Agreement of the two is the
 classical type formula and one of the package's acceptance gates.
 
 Boundary values of the half-line Schur functions are approximated at x + i*eps
-on a decreasing eps ladder, never extrapolated to eps = 0: nontangential
-limits exist almost everywhere but without uniform rates, so the honest
-output is the trend.  The reflectionless defect |s_plus - conj(s_minus)| and
-a harmonic-measure comparison across a length ladder quantify how far a
-two-sided system is from being reflectionless on its a.c. band.
+on a decreasing eps ladder (any eps > 0: the tail closes every value), never
+extrapolated to eps = 0: nontangential limits exist almost everywhere but
+without uniform rates, so the honest output is the trend.  The reflectionless
+defect |s_plus - conj(s_minus)| and a harmonic-measure comparison across a
+length ladder quantify how far a two-sided system is from being
+reflectionless on its a.c. band.
 
 Grid points are independent: each grid is propagated in one call of the
 vectorised kernel, and the only reductions are quadrature sums, which are
@@ -144,7 +145,8 @@ class ReflectionlessReport:
 
     defect[i] = |s_plus(x_i + i eps) - conj(s_minus(x_i + i eps))|;
     ac[i] marks the pointwise a.c.-band proxy max(|s+|, |s-|) < 1 - delta;
-    ok[i] is False where a disk-limit budget ran out (values are NaN there).
+    ok[i] is True at every point: every Schur value is closed exactly by the
+    tail, so no point can fail on its own.
     """
 
     xs: np.ndarray
@@ -161,21 +163,17 @@ def reflectionless_defect(p_left, p_right, xs, eps, delta=AC_DELTA,
                           tol=weyl.SCHUR_TOL):
     """Evaluate both half-line Schur functions just above the real axis and
     report the reflectionless defect per grid point, every point of each
-    half in one disk-shrinkage call.  Budget failures are flagged per
-    point, not fatal."""
+    half in one ``weyl`` grid call."""
     xs = np.asarray(xs, dtype=float).ravel()
     eps = float(eps)
     if eps <= 0.0:
         raise DomainError("eps must be positive")
     zs = xs + 1j * eps
-    vp, _, _, ok = weyl.schur_grid(zs, p_right, tol=tol, strict=False)
-    vm, _, _, ok_m = weyl.schur_grid(zs, coeff.reflect(p_left), tol=tol, strict=False)
-    sp = np.where(ok, vp, np.nan)
-    ok &= ok_m
-    sm = np.where(ok, weyl.mobius_factor(zs) * vm, np.nan)
+    sp, _, _ = weyl.schur_grid(zs, p_right, tol)
+    sm, _, _ = weyl.schur_minus_grid(zs, p_left, tol)
     defect = np.abs(sp - np.conj(sm))
-    with np.errstate(invalid="ignore"):
-        ac = ok & (np.maximum(np.abs(sp), np.abs(sm)) < 1.0 - delta)
+    ac = np.maximum(np.abs(sp), np.abs(sm)) < 1.0 - delta
+    ok = np.ones(xs.size, dtype=bool)
     return ReflectionlessReport(xs, eps, sp, sm, defect, ac, ok, delta)
 
 
@@ -235,11 +233,10 @@ def bp_defect(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
         grids.append(np.linspace(lo, hi, n))
     all_x = np.concatenate(grids)
 
-    # base boundary values: every grid point in one disk-shrinkage call
+    # base boundary values: every grid point of each half in one call
     zs = all_x + 1j * eps
-    sp0, _, _, _ = weyl.schur_grid(zs, p_right, tol=tol)
-    sm0, _, _, _ = weyl.schur_grid(zs, coeff.reflect(p_left), tol=tol)
-    sm0 = weyl.mobius_factor(zs) * sm0
+    sp0, _, _ = weyl.schur_grid(zs, p_right, tol)
+    sm0, _, _ = weyl.schur_minus_grid(zs, p_left, tol)
 
     sp_i = weyl.schur_plus(1j, p_right, tol=tol).value
     sm_i = 0j  # v(i) = 0

@@ -7,9 +7,11 @@ diameter equals 2 / (|T11|^2 - |T12|^2) directly in terms of T.  Along a
 j-monotonic family the disks are nested, and in the limit-point case they
 shrink to the Schur function value s_plus(z).  Disks are stored as
 center/radius (never as quadratic forms) so nesting checks stay O(1).
-Disks over a whole (z, l) grid, and Schur values over a whole z grid with
-every doubling length, come from one call of the vectorised propagation
-kernel; no threads are involved.
+Schur values shrink disks along the stored head only: at its end L the
+tail's own Schur value, a fixed point of the stripping flow, pulled back
+through T(z, L) closes every point still open.  Disks over a (z, l) grid
+and Schur values over a z grid come from one call of the vectorised
+propagation kernel (one per pass over a long head); no threads involved.
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,9 @@ import numpy as np
 
 from . import coefficients as coeff
 from . import propagate as prop
-from .errors import (BudgetError, DegenerateActionError, InconsistencyError,
-                     InputError, PreconditionError)
+from . import riccati as ric
+from .errors import (DegenerateActionError, InconsistencyError, InputError,
+                     PreconditionError)
 from .mat2 import DET_TOL, as_mat2, det2, j_defect, mobius_right
 
 LIMIT_POINT = "limit_point"
@@ -119,7 +122,8 @@ def classify_limit(p):
 @dataclass(frozen=True)
 class SchurValue:
     """Schur-function sample with the residual disk radius that certified it
-    and the length at which the iteration stopped."""
+    and the length at which the iteration stopped; a value closed by the tail
+    has residual radius 0 and stops at the head's end L."""
 
     value: complex
     residual_radius: float
@@ -136,17 +140,28 @@ def _unimodular_constant(p):
     return complex(a0)
 
 
-def schur_grid(zs, p, tol=SCHUR_TOL, l_max=None, strict=True):
-    """Half-line Schur function by Weyl-disk shrinkage at every z of a grid.
+def _tail_closure(zs, p, m):
+    """s_plus from the head's transfer matrix T(z, L), scaled to m: the
+    tail's own Schur value (the stationarity root of a constant tail, the
+    in-disk fixed point of a periodic tail's monodromy m) pulled back
+    through adj(m)."""
+    if p.tail == coeff.TAIL_PERIODIC:
+        s = ric.disk_root(m[:, 0, 1], m[:, 1, 1] - m[:, 0, 0], -m[:, 1, 0])
+    else:
+        s = ric.riccati_fixed_point(zs, p.a[-1])
+    return (s * m[:, 1, 1] - m[:, 1, 0]) / (m[:, 0, 0] - s * m[:, 0, 1])
 
-    The disks at l = 1, 2, 4, ... up to ``l_max`` (default 1e4 / Im z) of
-    the points that share a budget come from one kernel call while the head
-    crossed has at most ``_REACH`` intervals, then from one call per
-    fourfold reach for the points not yet converged; each point stops at
-    the first radius below tol, nesting asserted up to there.  Returns
-    (value, residual_radius, l_stop, ok); where the budget ran out ok is
-    False and the arrays hold the last disk, or, when strict, a BudgetError
-    carries it.
+
+def schur_grid(zs, p, tol=SCHUR_TOL):
+    """Half-line Schur function at every z of a grid: Weyl-disk shrinkage
+    along the head, closed exactly by the tail.
+
+    The disks at l = 1, 2, 4, ... < L and at L come from one kernel call
+    while the head crossed has at most ``_REACH`` intervals, then from one
+    call per fourfold reach for the points not yet converged; a point stops
+    at the first radius below tol, nesting asserted up to there.  A point
+    still open at L takes ``_tail_closure`` of T(z, L), with residual
+    radius 0.  Returns (value, residual_radius, l_stop).
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     if np.any(zs.imag <= 0.0):
@@ -160,54 +175,47 @@ def schur_grid(zs, p, tol=SCHUR_TOL, l_max=None, strict=True):
     shortcut = _unimodular_constant(p)
     if shortcut is not None:
         zero = np.zeros(zs.size)
-        return np.full(zs.size, shortcut), zero, zero, np.ones(zs.size, dtype=bool)
-    budget = 1e4 / zs.imag if l_max is None else np.full(zs.size, float(l_max))
+        return np.full(zs.size, shortcut), zero, zero
+    ls = [min(1.0, p.length)]
+    while ls[-1] < p.length:
+        ls.append(min(2.0 * ls[-1], p.length))
+    ls = np.array(ls)
+    # stored intervals crossed to reach each length: a long head is crossed
+    # about as far as l_stop needs
+    crossed = np.searchsorted(p.knots, ls)
     value, radius, l_stop = np.empty(zs.size, complex), np.empty(zs.size), np.empty(zs.size)
-    ok = np.zeros(zs.size, dtype=bool)
-    for b in dict.fromkeys(budget.tolist()):  # points of one budget share calls
-        ls = [min(1.0, b)]
-        while ls[-1] < b:
-            ls.append(min(2.0 * ls[-1], b))
-        ls = np.array(ls)
-        # stored intervals crossed to reach each length: a long head is
-        # crossed about as far as l_stop needs, not to min(L, l_max)
-        crossed = np.searchsorted(p.knots, np.minimum(ls, p.length))
-        todo, upto, reach = np.nonzero(budget == b)[0], 0, _REACH
-        while todo.size:
-            upto = max(upto + 1, int(np.searchsorted(crossed, reach, side="right")))
-            reach *= 4
-            centers, radii = _disk_arrays(*prop.transfer_grid(p, zs[todo], ls[:upto]))
-            hit = radii < tol
-            conv = hit.any(axis=1)
-            stop = np.where(conv, np.argmax(hit, axis=1), upto - 1)
-            loose = np.abs(np.diff(centers, axis=1)) > \
-                radii[:, :-1] - radii[:, 1:] + NESTING_SLACK
-            loose &= np.arange(1, upto) <= stop[:, None]
-            if loose.any():
-                i, j = np.argwhere(loose)[0]
-                raise InconsistencyError(
-                    f"Weyl disks failed to nest at l = {ls[j + 1]}: |dc| = "
-                    f"{abs(centers[i, j + 1] - centers[i, j]):.3e}, "
-                    f"r_prev - r = {radii[i, j] - radii[i, j + 1]:.3e}")
-            done = conv | (upto == ls.size)
-            at, last = todo[done], stop[done]
-            value[at], radius[at] = centers[done, last], radii[done, last]
-            l_stop[at], ok[at] = ls[last], conv[done]
-            todo = todo[~done]
-    if strict and not ok.all():
-        i = int(np.argmin(ok))
-        raise BudgetError(
-            f"Weyl disks did not shrink below {tol} by l = {l_stop[i]} "
-            f"(radius {radius[i]:.3e})",
-            last_disk=Disk(complex(value[i]), float(radius[i])), l_stop=float(l_stop[i]))
-    return value, radius, l_stop, ok
+    todo, upto, reach = np.arange(zs.size), 0, _REACH
+    while todo.size:
+        upto = max(upto + 1, int(np.searchsorted(crossed, reach, side="right")))
+        reach *= 4
+        m, c = prop.transfer_grid(p, zs[todo], ls[:upto])
+        centers, radii = _disk_arrays(m, c)
+        hit = radii < tol
+        if upto == ls.size:
+            hit[:, -1] = True  # the tail closes every point still open
+        conv = hit.any(axis=1)
+        stop = np.where(conv, np.argmax(hit, axis=1), upto - 1)
+        loose = np.abs(np.diff(centers, axis=1)) > \
+            radii[:, :-1] - radii[:, 1:] + NESTING_SLACK
+        loose &= np.arange(1, upto) <= stop[:, None]
+        if loose.any():
+            i, j = np.argwhere(loose)[0]
+            raise InconsistencyError(
+                f"Weyl disks failed to nest at l = {ls[j + 1]}: |dc| = "
+                f"{abs(centers[i, j + 1] - centers[i, j]):.3e}, "
+                f"r_prev - r = {radii[i, j] - radii[i, j + 1]:.3e}")
+        done, at = todo[conv], stop[conv]
+        value[done], radius[done], l_stop[done] = centers[conv, at], radii[conv, at], ls[at]
+        tail = conv & (stop == ls.size - 1)
+        value[todo[tail]] = _tail_closure(zs[todo[tail]], p, m[tail, -1])
+        radius[todo[tail]] = 0.0
+        todo = todo[~conv]
+    return value, radius, l_stop
 
 
-def schur_plus(z, p, tol=SCHUR_TOL, l_max=None):
-    """Half-line Schur function at one point by Weyl-disk shrinkage (see
-    ``schur_grid``); on budget exhaustion a BudgetError carries the last
-    disk."""
-    value, radius, l_stop, _ = schur_grid([z], p, tol=tol, l_max=l_max)
+def schur_plus(z, p, tol=SCHUR_TOL):
+    """Half-line Schur function at one point (see ``schur_grid``)."""
+    value, radius, l_stop = schur_grid([z], p, tol=tol)
     return SchurValue(complex(value[0]), float(radius[0]), float(l_stop[0]))
 
 
@@ -227,12 +235,20 @@ def mobius_factor(z):
     return (z - 1j) / (z + 1j)
 
 
-def schur_minus(z, p_left, tol=SCHUR_TOL, l_max=None):
+def schur_minus_grid(zs, p_left, tol=SCHUR_TOL):
     """Left half-line Schur function s_minus(z) = v(z) * s_plus of the
-    reflected system; vanishes at z = i by construction."""
-    value = schur_plus(z, coeff.reflect(p_left), tol=tol, l_max=l_max)
-    v = mobius_factor(z)
-    return SchurValue(v * value.value, abs(v) * value.residual_radius, value.l_stop)
+    reflected system at every z of a grid; vanishes at z = i by
+    construction.  Returns (value, residual_radius, l_stop)."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    value, radius, l_stop = schur_grid(zs, coeff.reflect(p_left), tol)
+    v = mobius_factor(zs)
+    return v * value, np.abs(v) * radius, l_stop
+
+
+def schur_minus(z, p_left, tol=SCHUR_TOL):
+    """Left half-line Schur function at one point (see ``schur_minus_grid``)."""
+    value, radius, l_stop = schur_minus_grid([z], p_left, tol)
+    return SchurValue(complex(value[0]), float(radius[0]), float(l_stop[0]))
 
 
 def herglotz_from_schur(s):

@@ -1,8 +1,9 @@
 """Shared generators and independent oracles for the test suite."""
 
 import numpy as np
+from scipy.linalg import expm
 
-from arvcanon import ArovParameters, InputError, TAIL_CONSTANT
+from arvcanon import ArovParameters, InputError, TAIL_CONSTANT, TAIL_PERIODIC
 from arvcanon import coefficients as coeff
 from arvcanon.mat2 import J, as_mat2, det2, norm2
 from arvcanon.propagate import generator, transfer
@@ -153,3 +154,47 @@ def rk4_riccati(z, s0, p, l, step=DEFAULT_STEP, escape_slack=ESCAPE_SLACK):
                     s, p.l_of_mu(mu_done), z, mu_done, STATUS_ESCAPED
                 )
     return RiccatiState(s, float(l), z, mu_done, STATUS_OK)
+
+
+# --- disk-shrinkage oracle of the Schur function -----------------------------------
+#
+# The doubling iteration the library ran before it closed Schur values with the
+# tail; kept as the independent reference the closure is checked against.
+
+
+def doubling_oracle(p, z, tol=1e-9):
+    """Weyl-disk shrinkage written out: the doubling ladder l = 1, 2, 4, ...
+    of a constant- or periodic-tail disk-gauge system, each transfer matrix
+    an ordered product of scipy expm propagators carried along the line, and
+    each disk read off the quadratic form |s T11 + T21| <= |s T12 + T22|;
+    nesting is asserted on the way.  Returns (center, radius, l) at the
+    first radius below tol."""
+
+    def g(k):  # (i z A - B) j times the density, A, B of the coefficient a
+        a = p.a[k]
+        A = np.array([[1.0, -np.conj(a)], [-a, 1.0]])
+        B = np.array([[0.0, np.conj(a)], [-a, 0.0]])
+        return p.m[k] * (1j * z * A - B) @ np.diag([-1.0, 1.0])
+
+    knots, n, L = p.knots, p.n_intervals, p.length
+    t, c, pos, k, period = np.eye(2, dtype=complex), 0.0, 0.0, 0, 0
+    l, prev = 1.0, None
+    while True:
+        while pos < l:  # carry the product to l, interval by interval
+            end = period * L + knots[k + 1] if k < n else np.inf
+            hi = min(end, l)
+            t = t @ expm(g(min(k, n - 1)) * (hi - pos))
+            scale = np.max(np.abs(t))
+            t, c, pos = t / scale, c + np.log(scale), hi
+            if hi == end:
+                k += 1
+                if k == n and p.tail == TAIL_PERIODIC:
+                    k, period = 0, period + 1
+        # T = exp(c) t has det 1: radius 1 / (|T11|^2 - |T12|^2)
+        lam2 = abs(t[0, 0]) ** 2 - abs(t[0, 1]) ** 2
+        center = (t[1, 1] * np.conj(t[0, 1]) - t[1, 0] * np.conj(t[0, 0])) / lam2
+        radius = np.exp(-2.0 * c) / lam2
+        assert prev is None or abs(center - prev[0]) <= prev[1] - radius + 1e-10
+        if radius < tol:
+            return complex(center), float(radius), l
+        prev, l = (center, radius), 2.0 * l

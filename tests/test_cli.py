@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from arvcanon import cli, constant_parameters, save_parameters
+from arvcanon import cli, constant_parameters, riccati_fixed_point, save_parameters
 
 
 def _write(tmp_path, name, payload):
@@ -85,13 +85,21 @@ def test_validation_error_exit_3(tmp_path, capsys):
     assert "m[0]" in err["message"]
 
 
-def test_budget_error_exit_1_with_disk_detail(tmp_path, const_half, capsys):
-    code = cli.main(["schur", "--input", const_half, "--zgrid", "0,0.001",
-                     "--tol", "1e-12", "--lmax", "2"])
-    assert code == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "BudgetError"
-    assert err["last_disk"]["l"] == 2
+def test_schur_ignores_lmax_and_closes_with_the_tail(tmp_path, const_half):
+    # the command that once ran out of its length budget: every value is now
+    # the tail's stationarity root pulled back through the head, down to
+    # Im z = 1e-8, and --lmax changes no byte
+    out, plain = tmp_path / "s.csv", tmp_path / "plain.csv"
+    argv = ["schur", "--input", const_half, "--zgrid", "0,0.001:1.2,1e-8:2", "--tol", "1e-12"]
+    assert cli.main(argv + ["--lmax", "2", "--output", str(out)]) == 0
+    assert cli.main(argv + ["--output", str(plain)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    _, rows = _read_rows(out)
+    zs = np.array([complex(float(r[0]), float(r[1])) for r in rows])
+    s = np.array([complex(float(r[2]), float(r[3])) for r in rows])
+    assert zs[-1] == 1.2 + 1e-8j
+    assert np.max(np.abs(s - riccati_fixed_point(zs, 0.5))) < 1e-12
+    assert all(float(r[4]) == 0.0 and float(r[5]) == 1.0 for r in rows)
 
 
 def test_bad_grid_spec_exit_2(const_half, capsys):

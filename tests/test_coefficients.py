@@ -355,6 +355,38 @@ def test_json_round_trip_full_line(tmp_path):
     assert np.allclose(r2.a, right.a)
 
 
+def _random_general(rng, n, tail):
+    # P = [[p, b], [conj b, p]] >= 0 and Q = [[i r, c], [-conj c, i r]]
+    p = rng.uniform(0.5, 1.5, n)
+    b = rng.uniform(0.0, 0.9, n) * p * np.exp(2j * np.pi * rng.uniform(size=n))
+    r, c = rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)
+    P = np.stack([np.stack([p, b], -1), np.stack([np.conj(b), p], -1)], -2)
+    Q = np.stack([np.stack([1j * r, c], -1), np.stack([-np.conj(c), 1j * r], -1)], -2)
+    return GeneralCoefficients(np.cumsum(rng.uniform(0.05, 0.3, n)),
+                               rng.uniform(0.0, 1.5, n), P, Q, tail)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+       st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE]),
+       st.sampled_from(["disk", "general", "full line"]))
+def test_property_json_round_trip_bit_for_bit(tmp_path_factory, seed, n, tail, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "general":
+        systems = (_random_general(rng, n, tail),)
+    else:
+        systems = tuple(random_parameters(rng, n_max=n, tail=tail)
+                        for _ in range(2 if kind == "full line" else 1))
+    path = tmp_path_factory.mktemp("json") / "p.json"
+    save_parameters(systems if kind == "full line" else systems[0], path)
+    loaded = load_parameters(path)
+    for p, q in zip(systems, loaded if kind == "full line" else (loaded,)):
+        assert type(q) is type(p) and q.tail == p.tail
+        for key in ("grid", "m", "a") if kind != "general" else ("grid", "n", "P", "Q"):
+            mine, theirs = getattr(p, key), getattr(q, key)
+            assert theirs.dtype == mine.dtype and theirs.tobytes() == mine.tobytes()
+
+
 def test_malformed_json_reports_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"grid": [1.0],\n "m": [1.0,}\n')

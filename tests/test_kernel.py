@@ -11,6 +11,7 @@ from arvcanon import (ArovParameters, DomainError, GeneralCoefficients,
                       InputError, TAIL_CONSTANT, TAIL_FINITE, TAIL_PERIODIC,
                       schroedinger_coefficients)
 from arvcanon import propagate as prop
+from arvcanon.riccati import riccati_trajectory
 from arvcanon.weyl import disks_grid
 
 SIGNATURE = np.diag([-1.0, 1.0]).astype(complex)
@@ -231,6 +232,16 @@ def test_kernel_working_memory_is_bounded():
 
     assert peak(1) < 2**20
     assert peak(48) < 1.5 * peak(12)
+
+
+@pytest.mark.parametrize("build", (_disk_system, _general_system))
+@pytest.mark.parametrize("tail", (TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE))
+def test_kernel_empty_length_grid(build, tail):
+    system = build(np.random.default_rng(14), 4, tail)
+    m, c = prop.transfer_grid(system, [1j, 0.5 + 0.2j, 2.0], [])
+    assert m.shape == (3, 0, 2, 2) and c.shape == (3, 0)
+    if build is _disk_system:
+        assert riccati_trajectory(1j, 0.3, system, []) == []
 
 
 def test_kernel_rejects_bad_lengths():

@@ -182,12 +182,14 @@ def test_free_full_line_has_zero_defect():
 
 
 def test_constant_full_line_defect_decreases_on_ladder():
+    # the tail closes every value, so the ladder goes on below eps = 1e-4
     p = constant_parameters(0.5)
     xs = np.linspace(0.8, 1.6, 5)
-    reports = reflectionless_ladder(p, p, xs)
+    reports = reflectionless_ladder(p, p, xs, (1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
     maxima = [float(np.max(r.defect)) for r in reports]
-    assert maxima[0] > maxima[1] > maxima[2]
+    assert all(a > b for a, b in zip(maxima, maxima[1:]))
     assert maxima[2] <= 1e-3
+    assert maxima[-1] <= 1e-5
     for r in reports:
         assert np.all(r.ac)
         assert np.all(np.abs(r.s_plus) <= 1.0 + 1e-9)

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from arvcanon import (ArovParameters, BudgetError, DegenerateActionError,
-                      LIMIT_CIRCLE, LIMIT_POINT, PreconditionError,
-                      TAIL_FINITE, classify_limit, constant_parameters,
-                      diameter_direct, herglotz_from_schur, schur_minus,
-                      schur_plus, schur_stripped, strip_head, weyl_disk,
-                      weyl_disk_at)
+from arvcanon import (ArovParameters, DegenerateActionError, LIMIT_CIRCLE,
+                      LIMIT_POINT, PreconditionError, TAIL_CONSTANT,
+                      TAIL_FINITE, TAIL_PERIODIC, classify_limit,
+                      constant_parameters, diameter_direct,
+                      herglotz_from_schur, schur_minus, schur_plus,
+                      schur_stripped, strip_head, weyl_disk, weyl_disk_at)
 from arvcanon.mat2 import adjugate, mat2, mobius_right
 from arvcanon.propagate import transfer, transfer_scaled
 from arvcanon.riccati import riccati_fixed_point
 from arvcanon.weyl import _disk_from_scaled, schur_grid
 
-from helpers import random_contractive, random_parameters, random_upper_z
+from helpers import (doubling_oracle, random_contractive, random_parameters,
+                     random_upper_z)
 
 
 # --- disk geometry ----------------------------------------------------------------
@@ -153,14 +155,6 @@ def test_schur_plus_preconditions():
         schur_plus(1j, constant_parameters(0.3, tail=TAIL_FINITE))
 
 
-def test_schur_plus_budget_error_carries_disk():
-    p = constant_parameters(0.0, m=1.0)
-    with pytest.raises(BudgetError) as info:
-        schur_plus(0.01j, p, tol=1e-12, l_max=2.0)
-    assert info.value.last_disk is not None
-    assert info.value.l_stop == 2.0
-
-
 def test_schur_plus_probe_independence():
     # the projective limit (w, 1) adj(A) is the same for every probe w
     rng = np.random.default_rng(44)
@@ -243,49 +237,69 @@ def test_scaled_disk_matches_plain_disk():
     assert abs(plain.radius - scaled.radius) < 1e-12
 
 
-def _doubling_oracle(p, z, tol=1e-9):
-    """Disk shrinkage written out: the doubling ladder l = 1, 2, 4, ... of a
-    constant-tail system, each transfer matrix an ordered scipy expm product
-    carried along the head, stopping at the first radius below tol."""
-    from scipy.linalg import expm
-
-    def g(k):  # (i z A - B) j times the density, A, B of the coefficient a
-        a = p.a[k]
-        A = np.array([[1.0, -np.conj(a)], [-a, 1.0]])
-        B = np.array([[0.0, np.conj(a)], [-a, 0.0]])
-        return p.m[k] * (1j * z * A - B) @ np.diag([-1.0, 1.0])
-
-    knots, k, pos = p.knots, 0, 0.0
-    head, head_c, l, prev = np.eye(2, dtype=complex), 0.0, 1.0, None
-    while True:
-        while pos < min(l, p.length):  # carry the head product up to l
-            hi = min(knots[k + 1], l)
-            head = head @ expm(g(k) * (hi - pos))
-            scale = np.max(np.abs(head))
-            head, head_c, pos = head / scale, head_c + np.log(scale), hi
-            k += hi == knots[k + 1]
-        t = head @ expm(g(p.n_intervals - 1) * max(l - p.length, 0.0))
-        disk = _disk_from_scaled(t / np.max(np.abs(t)), head_c + np.log(np.max(np.abs(t))))
-        assert prev is None or disk.nested_in(prev)
-        if disk.radius < tol:
-            return disk, l
-        prev, l = disk, 2.0 * l
+def _check_against_doubling_oracle(zs, p):
+    # a point that stops inside the head keeps its disk; one still open at L
+    # is closed by the tail and lies in the oracle's last disk
+    values, radii, l_stop = schur_grid(zs, p)
+    for i, z in enumerate(zs):
+        center, radius, l = doubling_oracle(p, z)
+        if radii[i] > 0.0:
+            assert l_stop[i] == l < p.length
+            assert abs(values[i] - center) < 1e-11
+            assert radii[i] == pytest.approx(radius, rel=1e-6)
+        else:
+            assert l_stop[i] == p.length <= l
+            assert abs(values[i] - center) <= radius + 1e-12
+        assert schur_plus(z, p).value == values[i]
+    return radii
 
 
 @pytest.mark.parametrize("n", (3, 1500))
 def test_schur_grid_matches_doubling_oracle(n):
-    # mixed length budgets (1e4 / Im z); with 1500 intervals of the head
-    # some points stop inside it and others reach the tail, across passes
+    # with 1500 intervals of the head some points stop inside it and others
+    # are closed by the tail, across passes
     rng = np.random.default_rng(49)
     grid = np.cumsum(rng.uniform(0.02, 0.05, n)) if n > 3 else [0.4, 1.0, 1.3]
     p = ArovParameters(grid, rng.uniform(0.5, 1.2, n),
                        0.8 * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n)))
     zs = np.array([0.3 + 0.05j, 1.1 + 0.5j, -0.7 + 0.05j, 0.2 + 1.5j, 0.4 + 4.0j])
-    values, radii, l_stop, ok = schur_grid(zs, p)
-    assert ok.all()
-    for i, z in enumerate(zs):
-        disk, l = _doubling_oracle(p, z)
-        assert l_stop[i] == l
-        assert abs(values[i] - disk.center) < 1e-11
-        assert radii[i] == pytest.approx(disk.radius, rel=1e-6)
-        assert schur_plus(z, p).value == values[i]
+    radii = _check_against_doubling_oracle(zs, p)
+    if n > 3:
+        assert (radii > 0.0).any() and (radii == 0.0).any()
+
+
+def test_schur_grid_periodic_tail_matches_doubling_oracle():
+    rng = np.random.default_rng(50)
+    for n, length in ((3, 1.3), (40, 7.0)):
+        grid = np.cumsum(rng.uniform(0.5, 1.5, n)) * length / n
+        p = ArovParameters(grid, rng.uniform(0.5, 1.2, n),
+                           0.8 * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n)),
+                           TAIL_PERIODIC)
+        _check_against_doubling_oracle(np.array([0.3 + 0.05j, 1.1 + 0.5j, 0.2 + 4.0j]), p)
+
+
+@pytest.mark.parametrize("tail", (TAIL_CONSTANT, TAIL_PERIODIC))
+def test_tail_closure_near_the_axis(tail):
+    # one-interval systems, whose s+ is the stationarity root at every z, down
+    # to Im z = 1e-8; at z = i the periodic monodromy has T12 = 0
+    zs = np.array([1j, 0.5 + 1e-8j, 1.2 + 1e-8j, -0.9 + 1e-6j, 0.1 + 1e-4j, 2.0 + 1e-3j])
+    for a in (0.0, 0.5, 0.3 - 0.6j, 0.95j):
+        values, radii, l_stop = schur_grid(zs, ArovParameters([1.0], [1.0], [a], tail))
+        assert np.all(radii == 0.0) and np.all(l_stop == 1.0)
+        assert np.max(np.abs(values - riccati_fixed_point(zs, a))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC]),
+       st.floats(-1.5, 1.5), st.floats(-8.0, 0.2), st.floats(0.0, 2.0))
+def test_property_stripping_identity(seed, tail, re_z, log_im_z, mu):
+    # s+ of the stripped system is s+ stripped by T(z, l); the stripped
+    # measure stays at most 2, since s+ is the repelling direction of the
+    # flow and round-off in s+ grows with the measure
+    rng = np.random.default_rng(seed)
+    p = random_parameters(rng, n_max=6, tail=tail)
+    z = complex(re_z, 10.0 ** log_im_z)
+    l = p.l_of_mu(mu)
+    s = schur_plus(z, p).value
+    assert abs(schur_plus(z, strip_head(p, l)).value
+               - schur_stripped(s, transfer(z, p, l))) <= 1e-9

@@ -15,8 +15,8 @@ from .coefficients import (ABPair, ArovParameters, GeneralCoefficients,
 from .errors import (ArvcanonError, CoefficientError, DegenerateActionError,
                      DomainError, GaugeError, InconsistencyError, InputError,
                      ParseError, PreconditionError)
-from .mat2 import (J, J1, JClass, JKind, ProjPoint, j_defect, mat2,
-                   mobius_right, su11_normalizer)
+from .mat2 import (J, J1, JClass, JKind, j_defect, mat2, mobius_right,
+                   su11_normalizer)
 from .propagate import (GAUGE_AROV, GAUGE_PDB, GAUGE_RAW, RecoveryResult,
                         TransferFamily, propagate_constant, recover_parameters,
                         to_arov_gauge, to_pdb_gauge, transfer, transfer_between,

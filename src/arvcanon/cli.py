@@ -49,12 +49,13 @@ def _parse_z(tok):
     if tok in ("i", "1i", "j"):
         return 1j
     try:
-        if "," in tok:
-            re_s, im_s = tok.split(",")
-            return complex(float(re_s), float(im_s))
-        return complex(float(tok), 0.0)
+        re_s, im_s = tok.split(",") if "," in tok else (tok, 0.0)
+        z = complex(float(re_s), float(im_s))
     except ValueError:
         raise ParseError(f"cannot parse spectral point {tok!r}")
+    if not np.isfinite(z):
+        raise ParseError(f"spectral point {tok!r} is not finite")
+    return z
 
 
 def parse_zgrid(specstr):
@@ -64,7 +65,7 @@ def parse_zgrid(specstr):
     if parts[0] == "iy":
         try:
             y1, y2, n = float(parts[1]), float(parts[2]), int(parts[3])
-            if len(parts) == 5 and parts[4] == "log" and 0 < y1 < y2 and n >= 2:
+            if len(parts) == 5 and parts[4] == "log" and 0 < y1 < y2 < np.inf and n >= 2:
                 return 1j * np.geomspace(y1, y2, n)
         except (ValueError, IndexError):
             pass

@@ -32,8 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CoefficientError, DomainError, InputError, ParseError, PreconditionError
-from .mat2 import J, herm_eigs, mat2, norm2
+from .errors import (CoefficientError, DomainError, InputError, ParseError,
+                     PreconditionError, _raise_first)
+from .mat2 import J, _h, herm_eigs, mat2, norm2
 
 TAIL_CONSTANT = "constant"
 TAIL_PERIODIC = "periodic"
@@ -529,22 +530,22 @@ def validate_general(c, tol=1e-10):
     bad = np.nonzero(c.n < 0.0)[0]
     if bad.size:
         raise CoefficientError(f"n[{bad[0]}] = {c.n[bad[0]]} is negative")
-    for k in range(c.n_intervals):
-        P, Q = c.P[k], c.Q[k]
-        if not np.all(np.isfinite(P.view(float))) or not np.all(np.isfinite(Q.view(float))):
-            raise CoefficientError(f"non-finite P/Q at interval {k}")
-        scale = max(1.0, norm2(P))
-        if norm2(P - P.conj().T) > tol * scale:
-            raise CoefficientError(f"P[{k}] not Hermitian")
-        lo, _ = herm_eigs(0.5 * (P + P.conj().T))
-        if lo < -tol * scale:
-            raise CoefficientError(f"P[{k}] not positive semidefinite (eig {lo})")
-        if norm2(Q + Q.conj().T) > tol * max(1.0, norm2(Q)):
-            raise CoefficientError(f"Q[{k}] not anti-Hermitian")
-        if abs(np.trace(J @ P)) > tol * scale:
-            raise CoefficientError(f"trace(j P[{k}]) = {np.trace(J @ P)} nonzero")
-        if abs(np.trace(J @ Q)) > tol * max(1.0, norm2(Q)):
-            raise CoefficientError(f"trace(j Q[{k}]) = {np.trace(J @ Q)} nonzero")
+    finite = np.isfinite(c.P).all(axis=(1, 2)) & np.isfinite(c.Q).all(axis=(1, 2))
+    # non-finite intervals fail the first check; zeros keep the others quiet
+    P = np.where(finite[:, None, None], c.P, 0.0)
+    Q = np.where(finite[:, None, None], c.Q, 0.0)
+    scale, qscale = np.maximum(1.0, norm2(P)), np.maximum(1.0, norm2(Q))
+    lo, _ = herm_eigs(0.5 * (P + _h(P)))
+    tr_p = np.trace(J @ P, axis1=1, axis2=2)
+    tr_q = np.trace(J @ Q, axis1=1, axis2=2)
+    _raise_first(
+        CoefficientError,
+        (~finite, lambda k: f"non-finite P/Q at interval {k}"),
+        (norm2(P - _h(P)) > tol * scale, lambda k: f"P[{k}] not Hermitian"),
+        (lo < -tol * scale, lambda k: f"P[{k}] not positive semidefinite (eig {lo[k]})"),
+        (norm2(Q + _h(Q)) > tol * qscale, lambda k: f"Q[{k}] not anti-Hermitian"),
+        (np.abs(tr_p) > tol * scale, lambda k: f"trace(j P[{k}]) = {tr_p[k]} nonzero"),
+        (np.abs(tr_q) > tol * qscale, lambda k: f"trace(j Q[{k}]) = {tr_q[k]} nonzero"))
     return c
 
 

@@ -6,6 +6,8 @@ maps these onto exit codes (see ``cli.py``): parse failures are distinct from
 validation failures, which are distinct from every other library error.
 """
 
+import numpy as np
+
 
 class ArvcanonError(Exception):
     """Base class for all library errors."""
@@ -45,3 +47,15 @@ class DegenerateActionError(ArvcanonError):
 
 class ParseError(ArvcanonError):
     """A file or grid specification could not be parsed."""
+
+
+def _raise_first(error, *checks):
+    """Raise ``error`` at the first element, in C order, that fails one of
+    ``checks``: (mask, message) pairs over one shape, ``message`` a function
+    of the element's index.  The first check failing there gives the
+    message, so a stack is reported as a loop over its elements would."""
+    fails = np.array([mask for mask, _ in checks], dtype=bool)
+    hit = fails.any(axis=0)
+    if hit.any():
+        at = np.unravel_index(np.argmax(hit), hit.shape)
+        raise error(checks[int(np.argmax(fails[(slice(None), *at)]))][1](*at))

@@ -1,13 +1,15 @@
 """Exact 2x2 complex linear algebra and the signature-matrix structure.
 
-Matrices are plain ``(2, 2)`` complex ndarrays throughout the package.  They
-act on row vectors by right multiplication, so the Moebius action of ``M`` on
-a point ``w`` is the ratio of the two entries of ``(w, 1) M``.  This module
-collects the closed-form pieces every other module leans on: determinants and
-adjugates, Hermitian eigenvalues, the j-defect classification, the SU(1,1)
-normalizer that puts a j-contractive matrix into lower-triangular form, and
-the projective Moebius action with an explicit point at infinity.  Everything
-is a pure function of its arguments; there is no shared state of any kind.
+Matrices are complex ndarrays whose last two axes are the 2x2 entries, so
+every helper here takes a single ``(2, 2)`` matrix or a whole ``(..., 2, 2)``
+stack, such as a transfer family over (z, l), and works on it entrywise.
+They act on row vectors by right multiplication, so the Moebius action of
+``M`` on a point ``w`` is the ratio of the two entries of ``(w, 1) M``.  This
+module collects the closed-form pieces every other module leans on:
+determinants and adjugates, Hermitian eigenvalues, the j-defect
+classification, the SU(1,1) normalizer that puts a j-contractive matrix into
+lower-triangular form, and the Moebius action.  Everything is a pure
+function of its arguments; there is no shared state of any kind.
 """
 
 import enum
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateActionError, InputError, PreconditionError
+from .errors import DegenerateActionError, InputError, PreconditionError, _raise_first
 
 #: signature matrix; transfer families are j-contractive in the upper half-plane.
 J = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -31,44 +33,56 @@ CLASS_TOL = 1e-10
 
 
 def mat2(a11, a12, a21, a22):
-    """Assemble a (2, 2) complex array from its entries."""
-    return np.array([[a11, a12], [a21, a22]], dtype=complex)
+    """Assemble a (..., 2, 2) complex stack from broadcast entries."""
+    e = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (a11, a12, a21, a22)))
+    return np.stack(e, axis=-1).reshape(e[0].shape + (2, 2))
 
 
 def as_mat2(m, name="matrix"):
-    """Coerce to a finite (2, 2) complex array; raise InputError otherwise."""
+    """Coerce to a finite (..., 2, 2) complex stack; raise InputError otherwise."""
     a = np.asarray(m, dtype=complex)
-    if a.shape != (2, 2):
+    if a.shape[-2:] != (2, 2):
         raise InputError(f"{name} must be 2x2, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise InputError(f"{name} has non-finite entries")
     return a
 
 
+def _h(m):
+    """Conjugate transpose of every matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def det2(m):
-    """Determinant of a 2x2 array."""
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    """Determinant of a 2x2 stack.  The real products inside each complex
+    product are rounded one by one, as numpy's scalar arithmetic rounds
+    them where its array loops may fuse them into multiply-adds, so a stack
+    gets the same bits as its matrices taken one at a time."""
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    det = np.empty(np.shape(a), dtype=complex)
+    det.real = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+    det.imag = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    return det[()]
 
 
 def adjugate(m):
     """Adjugate; equals the inverse when det == 1."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+    return mat2(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
 
 
 def norm2(m):
     """Operator 2-norm (largest singular value), closed form."""
-    f = float(np.sum(np.abs(m) ** 2))
-    d = abs(det2(m)) ** 2
-    disc = max(f * f - 4.0 * d, 0.0)
-    return float(np.sqrt((f + np.sqrt(disc)) / 2.0))
+    f = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+    d = np.abs(det2(m)) ** 2
+    return np.sqrt((f + np.sqrt(np.maximum(f * f - 4.0 * d, 0.0))) / 2.0)
 
 
 def herm_eigs(h):
-    """Eigenvalues (ascending) of a Hermitian 2x2 array, closed form."""
-    p = h[0, 0].real
-    r = h[1, 1].real
+    """Eigenvalues (ascending) of a Hermitian 2x2 stack, closed form."""
+    p = h[..., 0, 0].real
+    r = h[..., 1, 1].real
     mean = 0.5 * (p + r)
-    disc = float(np.hypot(0.5 * (p - r), abs(h[0, 1])))
+    disc = np.hypot(0.5 * (p - r), np.abs(h[..., 0, 1]))
     return mean - disc, mean + disc
 
 
@@ -81,17 +95,23 @@ class JKind(enum.Enum):
     INDEFINITE = "indefinite"
 
 
+#: JKind by the code j_defect classifies into, its tests taken in this order
+_KINDS = np.array([JKind.UNITARY, JKind.CONTRACTIVE, JKind.EXPANDING,
+                   JKind.INDEFINITE], dtype=object)
+
+
 @dataclass(frozen=True)
 class JClass:
     """Classification of a matrix against the signature form, with the two
-    real eigenvalues of the defect j - T j T* that produced it."""
+    real eigenvalues of the defect j - T j T* that produced it; for a stack,
+    ``kind`` is an array of JKind and the eigenvalues are arrays."""
 
     kind: JKind
     eigenvalues: tuple
 
     @property
     def is_contractive(self):
-        return self.kind in (JKind.CONTRACTIVE, JKind.UNITARY)
+        return np.logical_or(self.kind == JKind.CONTRACTIVE, self.kind == JKind.UNITARY)
 
 
 def j_defect(t, tol=CLASS_TOL):
@@ -102,73 +122,36 @@ def j_defect(t, tol=CLASS_TOL):
     as zero, since round-off in forming the defect scales with norm(T)^2.
     """
     t = as_mat2(t, "T")
-    x = J - t @ J @ t.conj().T
-    x = 0.5 * (x + x.conj().T)
+    x = J - t @ J @ _h(t)
+    x = 0.5 * (x + _h(x))
     lo, hi = herm_eigs(x)
-    band = tol * max(1.0, norm2(t) ** 2)
-    if abs(lo) <= band and abs(hi) <= band:
-        kind = JKind.UNITARY
-    elif lo >= -band:
-        kind = JKind.CONTRACTIVE
-    elif hi <= band:
-        kind = JKind.EXPANDING
-    else:
-        kind = JKind.INDEFINITE
-    return x, JClass(kind, (lo, hi))
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """Point of the projective line: a complex number or the point at
-    infinity, kept explicit so disk-boundary cases stay exact."""
-
-    value: complex = 0j
-    at_infinity: bool = False
-
-    @classmethod
-    def infinity(cls):
-        return cls(0j, True)
-
-    def as_complex(self):
-        if self.at_infinity:
-            raise DegenerateActionError("projective point at infinity")
-        return self.value
-
-    def __eq__(self, other):
-        if isinstance(other, ProjPoint):
-            if self.at_infinity or other.at_infinity:
-                return self.at_infinity == other.at_infinity
-            return self.value == other.value
-        if self.at_infinity:
-            return False
-        return self.value == other
+    band = tol * np.maximum(1.0, norm2(t) ** 2)
+    code = np.select([(np.abs(lo) <= band) & (np.abs(hi) <= band), lo >= -band,
+                      hi <= band], [0, 1, 2], 3)
+    return x, JClass(_KINDS[code], (lo, hi))
 
 
 def mobius_right(w, m):
-    """Image of ``w`` under the right action ``(w, 1) M``, projectively.
+    """Image of ``w`` under the right action ``(w, 1) M``, elementwise over
+    broadcast points and stacks: ``(w m11 + m21) / (w m12 + m22)``.
 
-    Returns the ratio of first to second entry of the image row; the point at
-    infinity when the second entry vanishes.  Raises DegenerateActionError
-    only when the whole image row is zero, which cannot happen for
-    invertible ``m``.
+    Complex infinity where only the denominator vanishes.  Raises
+    DegenerateActionError where the whole image row is zero, which cannot
+    happen for invertible ``m``.
     """
     m = as_mat2(m, "M")
-    if isinstance(w, ProjPoint) and w.at_infinity:
-        row = m[0, :]
-    else:
-        wv = w.value if isinstance(w, ProjPoint) else complex(w)
-        row = wv * m[0, :] + m[1, :]
-    num, den = complex(row[0]), complex(row[1])
-    if num == 0 and den == 0:
+    num = w * m[..., 0, 0] + m[..., 1, 0]
+    den = w * m[..., 0, 1] + m[..., 1, 1]
+    if np.any((num == 0) & (den == 0)):
         raise DegenerateActionError("Moebius action annihilates (w, 1)")
-    if den == 0:
-        return ProjPoint.infinity()
-    return ProjPoint(num / den)
+    inf = np.full(np.shape(num), complex(np.inf))
+    return np.divide(num, den, out=inf, where=den != 0)[()]
 
 
 def su11_normalizer(t, check=True, det_tol=DET_TOL, class_tol=CLASS_TOL):
     """The unique U in SU(1,1) such that ``T U`` is lower triangular with
-    positive diagonal, for j-contractive T with det T = 1.
+    positive diagonal, for j-contractive T with det T = 1; of each matrix
+    of a stack, the first failing one named in the error.
 
     U is built from the first row ``(a, b)`` of T as
     ``(|a|^2 - |b|^2)^(-1/2) [[conj(a), -b], [-conj(b), a]]``; contractivity
@@ -176,21 +159,17 @@ def su11_normalizer(t, check=True, det_tol=DET_TOL, class_tol=CLASS_TOL):
     det and j-class preconditions are skipped; the ``|a| > |b|`` guard stays.
     """
     t = as_mat2(t, "T")
+    a, b = t[..., 0, 0], t[..., 0, 1]
+    lam2 = np.abs(a) ** 2 - np.abs(b) ** 2
+    checks = [(lam2 <= 0.0, lambda *i: "first row not j-timelike (|a| <= |b|): "
+               "matrix is not j-contractive")]
     if check:
-        if abs(det2(t) - 1.0) > det_tol:
-            raise PreconditionError(
-                f"su11_normalizer needs det T = 1, got det = {det2(t)}"
-            )
+        det = det2(t)
         _, cls = j_defect(t, class_tol)
-        if not cls.is_contractive:
-            raise PreconditionError(
-                f"su11_normalizer needs a j-contractive matrix, got {cls.kind.value}"
-            )
-    a, b = t[0, 0], t[0, 1]
-    lam2 = abs(a) ** 2 - abs(b) ** 2
-    if lam2 <= 0.0:
-        raise PreconditionError(
-            "first row not j-timelike (|a| <= |b|): matrix is not j-contractive"
-        )
-    u = np.array([[np.conj(a), -b], [-np.conj(b), a]], dtype=complex)
-    return u / np.sqrt(lam2)
+        checks[:0] = [
+            (np.abs(det - 1.0) > det_tol,
+             lambda *i: f"su11_normalizer needs det T = 1, got det = {det[i]}"),
+            (~cls.is_contractive, lambda *i: "su11_normalizer needs a j-contractive "
+             f"matrix, got {np.asarray(cls.kind)[i].value}")]
+    _raise_first(PreconditionError, *checks)
+    return mat2(np.conj(a), -b, -np.conj(b), a) / np.sqrt(lam2)[..., None, None]

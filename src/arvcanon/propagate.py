@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coefficients as coeff
-from .errors import GaugeError, InconsistencyError, InputError
+from .errors import GaugeError, InconsistencyError, InputError, _raise_first
 from .mat2 import J, JKind, adjugate, det2, j_defect, norm2, su11_normalizer
 
 GAUGE_AROV = "arov"
@@ -276,9 +276,9 @@ class TransferFamily:
         return int(hits[0])
 
     def det_errors(self):
-        d = self.values[..., 0, 0] * self.values[..., 1, 1] - \
-            self.values[..., 0, 1] * self.values[..., 1, 0]
-        return np.abs(d - 1.0)
+        """|det - 1| per value, rounded as for one matrix at a time."""
+        d = det2(self.values) - 1.0
+        return np.hypot(d.real, d.imag)
 
     def validate(self, det_tol=1e-10, class_tol=1e-10):
         """Check the structural invariants; raises on the first violation.
@@ -287,34 +287,29 @@ class TransferFamily:
         stripped segments for Im z > 0 (j-unitary on the real axis), and the
         triangular z = i structure when tagged "arov".
         """
-        if self.ls.size and self.ls[0] == 0.0:
-            for i, z in enumerate(self.zs):
-                if norm2(self.values[i, 0] - np.eye(2)) > det_tol:
-                    raise GaugeError(f"family value at (z={z}, l=0) is not the identity")
-        worst_det = float(np.max(self.det_errors())) if self.values.size else 0.0
+        zs, ls, values = self.zs, self.ls, self.values
+        if ls.size and ls[0] == 0.0:
+            _raise_first(GaugeError, (
+                norm2(values[:, 0] - np.eye(2)) > det_tol,
+                lambda i: f"family value at (z={zs[i]}, l=0) is not the identity"))
+        worst_det = float(np.max(self.det_errors())) if values.size else 0.0
         if worst_det > det_tol:
             raise InconsistencyError(f"max |det - 1| = {worst_det} exceeds {det_tol}")
-        for i, z in enumerate(self.zs):
-            if complex(z).imag < 0:
-                continue
-            for k in range(self.ls.size - 1):
-                stripped = adjugate(self.values[i, k]) @ self.values[i, k + 1]
-                _, cls = j_defect(stripped, class_tol)
-                if not (cls.kind is JKind.UNITARY if complex(z).imag == 0
-                        else cls.is_contractive):
-                    raise InconsistencyError(
-                        f"stripped segment at (z={z}, l={self.ls[k]}->{self.ls[k+1]}) "
-                        f"is {cls.kind.value}, family is not j-monotonic"
-                    )
+        up = zs.imag >= 0
+        _, cls = j_defect(adjugate(values[up, :-1]) @ values[up, 1:], class_tol)
+        real = (zs[up].imag == 0)[:, None]
+        _raise_first(InconsistencyError, (
+            ~np.where(real, cls.kind == JKind.UNITARY, cls.is_contractive),
+            lambda i, k: f"stripped segment at (z={zs[up][i]}, l={ls[k]}->{ls[k + 1]}) "
+                         f"is {cls.kind[i, k].value}, family is not j-monotonic"))
         if self.gauge == GAUGE_AROV:
-            iz = self.z_index(1j)
-            for k, l in enumerate(self.ls):
-                t = self.values[iz, k]
-                scale = max(1.0, norm2(t))
-                if abs(t[0, 1]) > det_tol * scale or t[0, 0].real <= 0 or t[1, 1].real <= 0:
-                    raise GaugeError(
-                        f"value at (z=i, l={l}) violates the claimed triangular structure"
-                    )
+            t = values[self.z_index(1j)]
+            scale = np.maximum(1.0, norm2(t))
+            _raise_first(GaugeError, (
+                (np.abs(t[:, 0, 1]) > det_tol * scale) | (t[:, 0, 0].real <= 0)
+                | (t[:, 1, 1].real <= 0),
+                lambda k: f"value at (z=i, l={ls[k]}) violates the claimed triangular "
+                          "structure"))
         return self
 
 
@@ -340,24 +335,18 @@ def to_arov_gauge(f, det_tol=1e-10, class_tol=1e-10):
     """Gauge the family so its z = i column is lower triangular with positive
     diagonal.  Returns the regauged family and the SU(1,1) factors U(l_k).
     Weyl disks are unaffected."""
-    iz = f.z_index(1j)
-    us = np.empty((f.ls.size, 2, 2), dtype=complex)
-    values = np.empty_like(f.values)
-    for k in range(f.ls.size):
-        us[k] = su11_normalizer(f.values[iz, k], det_tol=det_tol, class_tol=class_tol)
-        values[:, k] = f.values[:, k] @ us[k]
-    return TransferFamily(f.zs, f.ls, values, GAUGE_AROV), us
+    us = su11_normalizer(f.values[f.z_index(1j)], det_tol=det_tol, class_tol=class_tol)
+    return TransferFamily(f.zs, f.ls, f.values @ us, GAUGE_AROV), us
 
 
 def to_pdb_gauge(f):
     """Gauge the family so its z = 0 column is the identity."""
-    values = np.empty_like(f.values)
-    for k, t0 in enumerate(f.values[f.z_index(0j)]):
-        d = det2(t0)
-        if d == 0:
-            raise InputError("singular z = 0 value; family is corrupt")
-        values[:, k] = f.values[:, k] @ (adjugate(t0) / d)
-    return TransferFamily(f.zs, f.ls, values, GAUGE_PDB)
+    t0 = f.values[f.z_index(0j)]
+    d = det2(t0)
+    if np.any(d == 0):
+        raise InputError("singular z = 0 value; family is corrupt")
+    return TransferFamily(f.zs, f.ls, f.values @ (adjugate(t0) / d[:, None, None]),
+                          GAUGE_PDB)
 
 
 @dataclass
@@ -382,35 +371,27 @@ def recover_parameters(f, tol=1e-8, lower_tol=1e-12):
     """
     if f.gauge != GAUGE_AROV:
         raise GaugeError(f"recovery needs an Arov-tagged family, got {f.gauge!r}")
-    if f.ls[0] != 0.0:
+    if f.ls.size == 0 or f.ls[0] != 0.0:
         raise InputError("recovery needs the family to start at l = 0")
-    iz = f.z_index(1j)
-    col = f.values[iz]
-    nl = f.ls.size
-    mu = np.empty(nl)
-    kappa = np.empty(nl, dtype=complex)
-    for k in range(nl):
-        t = col[k]
-        scale = max(1.0, norm2(t))
-        if abs(t[0, 1]) > lower_tol * scale:
-            raise GaugeError(
-                f"value at z=i, l={f.ls[k]} is not lower triangular "
-                f"(|A12| = {abs(t[0, 1])})"
-            )
-        a11 = t[0, 0]
-        if a11.real <= 0.0 or abs(a11.imag) > lower_tol * scale:
-            raise GaugeError(
-                f"value at z=i, l={f.ls[k]} has nonpositive A11 = {a11}"
-            )
-        mu[k] = np.log(a11.real)
-        kappa[k] = -t[1, 0] / a11
+    col = f.values[f.z_index(1j)]
+    scale = np.maximum(1.0, norm2(col))
+    a11 = col[:, 0, 0]
+    _raise_first(
+        GaugeError,
+        (np.abs(col[:, 0, 1]) > lower_tol * scale,
+         lambda k: f"value at z=i, l={f.ls[k]} is not lower triangular "
+                   f"(|A12| = {abs(col[k, 0, 1])})"),
+        ((a11.real <= 0.0) | (np.abs(a11.imag) > lower_tol * scale),
+         lambda k: f"value at z=i, l={f.ls[k]} has nonpositive A11 = {a11[k]}"))
+    mu = np.log(a11.real)
+    kappa = -col[:, 1, 0] / a11
     dmu = np.diff(mu)
     dl = np.diff(f.ls)
     if np.any(dl <= 0.0):
         raise InputError("recovery needs strictly increasing lengths")
     weights = np.exp(-2.0 * mu[:-1]) - np.exp(-2.0 * mu[1:])
     dk = np.diff(kappa)
-    a = np.zeros(nl - 1, dtype=complex)
+    a = np.zeros(f.ls.size - 1, dtype=complex)
     zero = weights <= 0.0
     live = ~zero
     a[live] = dk[live] / weights[live]
@@ -430,16 +411,13 @@ def recover_parameters(f, tol=1e-8, lower_tol=1e-12):
 
 
 def family_csv_rows(f):
-    """Yield CSV rows (z_re, z_im, l, a11_re, a11_im, ..., a22_im, det_err)."""
-    for i, z in enumerate(f.zs):
-        for k, l in enumerate(f.ls):
-            t = f.values[i, k]
-            yield (
-                z.real, z.imag, float(l),
-                t[0, 0].real, t[0, 0].imag, t[0, 1].real, t[0, 1].imag,
-                t[1, 0].real, t[1, 0].imag, t[1, 1].real, t[1, 1].imag,
-                float(abs(det2(t) - 1.0)),
-            )
+    """CSV rows (z_re, z_im, l, a11_re, a11_im, ..., a22_im, det_err), each
+    a list of floats made as it is read."""
+    nz, nl = f.zs.size, f.ls.size
+    entries = np.ascontiguousarray(f.values).reshape(nz * nl, 4).view(float)
+    table = np.column_stack((np.repeat(f.zs.real, nl), np.repeat(f.zs.imag, nl),
+                             np.tile(f.ls, nz), entries, f.det_errors().ravel()))
+    return map(np.ndarray.tolist, table)
 
 
 FAMILY_CSV_COLUMNS = (

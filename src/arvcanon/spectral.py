@@ -27,7 +27,7 @@ from . import coefficients as coeff
 from . import propagate as prop
 from . import weyl
 from .errors import DomainError, InputError
-from .mat2 import J1, norm2
+from .mat2 import mobius_right, norm2
 from .riccati import richardson_extrapolate
 
 #: default y-samples for the numeric growth rate.
@@ -65,12 +65,11 @@ def exponential_type_numeric(system, l, ys=TYPE_RAY):
     is propagated at every y in one kernel call."""
     ys = tuple(float(y) for y in ys)
     if callable(system):
-        scaled = [system(1j * y) for y in ys]
+        m, c = (np.array(v) for v in zip(*(system(1j * y) for y in ys)))
     else:
         m, c = prop.transfer_grid(system, 1j * np.array(ys), [l])
-        scaled = zip(m[:, 0], c[:, 0])
-    samples = [(c + np.log(norm2(m))) / y for (m, c), y in zip(scaled, ys)]
-    estimate, _ = richardson_extrapolate(samples, ys[1] / ys[0])
+        m, c = m[:, 0], c[:, 0]
+    estimate, _ = richardson_extrapolate((c + np.log(norm2(m))) / ys, ys[1] / ys[0])
     return float(estimate.real)
 
 
@@ -96,31 +95,33 @@ def type_report(system, l, ys=TYPE_RAY):
 
 
 def harmonic_measure(w, theta1, theta2):
-    """Harmonic measure, seen from w in the open unit disk, of the arc swept
-    counterclockwise from theta1 to theta2.
+    """Harmonic measure, seen from each w in the open unit disk, of the arc
+    swept counterclockwise from theta1 to theta2.
 
     Closed form: the antiderivative of the Poisson kernel at w is the
     argument of the disk automorphism xi -> (xi - w)/(1 - conj(w) xi), so the
     measure is the swept angle of the image arc over 2 pi.  The full circle
     has measure 1; from w = 0 the measure is arc length over 2 pi.
     """
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise DomainError(f"harmonic measure needs |w| < 1, got |w| = {abs(w)}")
-    sweep = float(theta2) - float(theta1)
+    w = np.asarray(w, dtype=complex)
+    outside = np.abs(w) >= 1.0
+    if outside.any():
+        raise DomainError(f"harmonic measure needs |w| < 1, got |w| = {np.abs(w[outside][0])}")
+    theta1, sweep = float(theta1), float(theta2) - float(theta1)
+    if not np.isfinite(sweep):
+        raise InputError(f"arc ({theta1}, {theta2}) has a non-finite end")
     if sweep >= 2.0 * np.pi:
-        return 1.0
-    if sweep < 0.0:
-        sweep %= 2.0 * np.pi
+        return np.ones(w.shape)[()]
+    sweep %= 2.0 * np.pi
     if sweep == 0.0:
-        return 0.0
+        return np.zeros(w.shape)[()]
 
     def image_angle(theta):
         xi = np.exp(1j * theta)
         return np.angle((xi - w) / (1.0 - np.conj(w) * xi))
 
-    delta = image_angle(theta1 + sweep) - image_angle(float(theta1))
-    return float(delta % (2.0 * np.pi)) / (2.0 * np.pi)
+    delta = image_angle(theta1 + sweep) - image_angle(theta1)
+    return (delta % (2.0 * np.pi)) / (2.0 * np.pi)
 
 
 def gamma_metric(w, z):
@@ -162,33 +163,31 @@ class ReflectionlessReport:
 def reflectionless_defect(p_left, p_right, xs, eps, delta=AC_DELTA,
                           tol=weyl.SCHUR_TOL):
     """Evaluate both half-line Schur functions just above the real axis and
-    report the reflectionless defect per grid point, every point of each
-    half in one ``weyl`` grid call."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    eps = float(eps)
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    zs = xs + 1j * eps
-    sp, _, _ = weyl.schur_grid(zs, p_right, tol)
-    sm, _, _ = weyl.schur_minus_grid(zs, p_left, tol)
-    defect = np.abs(sp - np.conj(sm))
-    ac = np.maximum(np.abs(sp), np.abs(sm)) < 1.0 - delta
-    ok = np.ones(xs.size, dtype=bool)
-    return ReflectionlessReport(xs, eps, sp, sm, defect, ac, ok, delta)
+    report the reflectionless defect per grid point: ``reflectionless_ladder``
+    at one eps."""
+    return reflectionless_ladder(p_left, p_right, xs, (eps,), delta, tol)[0]
 
 
 def reflectionless_ladder(p_left, p_right, xs, eps_ladder=EPS_LADDER,
                           delta=AC_DELTA, tol=weyl.SCHUR_TOL):
-    """Reports for a decreasing eps ladder, exhibiting the eps -> 0 trend.
+    """Reports for a decreasing eps ladder, exhibiting the eps -> 0 trend,
+    every (eps, x) point of each half in one ``weyl`` grid call.
     No extrapolation to eps = 0 is attempted: boundary values exist a.e. but
     their rates are not uniform, so only the trend is reported."""
-    eps_ladder = tuple(float(e) for e in eps_ladder)
-    if any(e2 >= e1 for e1, e2 in zip(eps_ladder, eps_ladder[1:])):
+    eps = np.array([float(e) for e in eps_ladder])
+    if np.any(np.diff(eps) >= 0.0):
         raise InputError("eps ladder must be strictly decreasing")
-    return [
-        reflectionless_defect(p_left, p_right, xs, e, delta=delta, tol=tol)
-        for e in eps_ladder
-    ]
+    if not np.all((eps > 0.0) & np.isfinite(eps)):
+        raise DomainError("eps must be positive and finite")
+    xs = np.asarray(xs, dtype=float).ravel()
+    zs = (xs + 1j * eps[:, None]).ravel()
+    sp = weyl.schur_grid(zs, p_right, tol)[0].reshape(eps.size, xs.size)
+    sm = weyl.schur_minus_grid(zs, p_left, tol)[0].reshape(eps.size, xs.size)
+    defect = np.abs(sp - np.conj(sm))
+    ac = np.maximum(np.abs(sp), np.abs(sm)) < 1.0 - delta
+    ok = np.ones(xs.size, dtype=bool)
+    return [ReflectionlessReport(xs, float(e), *row, ok, delta)
+            for e, *row in zip(eps, sp, sm, defect, ac)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +221,18 @@ def bp_defect(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
     checked at every probe length and violations are reported, not decided.
     """
     t1, t2 = float(arc[0]), float(arc[1])
-    eps = float(eps)
+    eps, x_step = float(eps), float(x_step)
     l_values = tuple(float(l) for l in l_values)
+    if not (0.0 < x_step < np.inf and 0.0 < eps < np.inf):
+        raise InputError(f"x step {x_step} and eps {eps} must be positive and finite")
+    if not e_intervals:
+        raise InputError("no band intervals")
     grids = []
     for lo, hi in e_intervals:
         lo, hi = float(lo), float(hi)
-        if hi <= lo:
+        if not (lo < hi and np.isfinite(hi - lo)):
             raise InputError(f"bad band interval ({lo}, {hi})")
-        n = max(int(np.ceil((hi - lo) / float(x_step))) + 1, 2)
+        n = max(int(np.ceil((hi - lo) / x_step)) + 1, 2)
         grids.append(np.linspace(lo, hi, n))
     all_x = np.concatenate(grids)
 
@@ -237,38 +240,29 @@ def bp_defect(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
     zs = all_x + 1j * eps
     sp0, _, _ = weyl.schur_grid(zs, p_right, tol)
     sm0, _, _ = weyl.schur_minus_grid(zs, p_left, tol)
-
     sp_i = weyl.schur_plus(1j, p_right, tol=tol).value
-    sm_i = 0j  # v(i) = 0
 
-    # transfer matrices at z = i and at every grid point, all lengths at once
+    # transfer matrices at z = i and at every grid point, all lengths at
+    # once; the minus half strips by J1 m J1, m with its entries reversed
     m_i, _ = prop.transfer_grid(p_right, [1j], l_values)
     m_x, _ = prop.transfer_grid(p_right, zs, l_values)
+    # interior hypothesis at each probe length; v(i) = 0 for the minus half
+    hyp = np.abs(np.stack([mobius_right(sp_i, m_i[0]),
+                           mobius_right(0j, m_i[0, :, ::-1, ::-1])], axis=1))
+    j, side = np.nonzero(hyp >= 1.0)
+    violations = tuple(zip(np.take(l_values, j).tolist(),
+                           np.take(("plus", "minus"), side).tolist(), hyp[j, side].tolist()))
+
+    sp = mobius_right(sp0[:, None], m_x)
+    sm = mobius_right(sm0[:, None], m_x[..., ::-1, ::-1])
+    keep = (np.abs(sp) < 1.0) & (np.abs(sm) < 1.0)
+    vals = harmonic_measure(np.where(keep, sm, 0.0), -t2, -t1) - \
+        harmonic_measure(np.where(keep, sp, 0.0), t1, t2)
     defects = np.zeros(len(l_values))
-    excluded = np.zeros(len(l_values), dtype=int)
-    violations = []
-    for j, l in enumerate(l_values):
-        # interior hypothesis at the probe length
-        for tag, base, mat in (("plus", sp_i, m_i[0, j]),
-                               ("minus", sm_i, J1 @ m_i[0, j] @ J1)):
-            val = weyl.schur_stripped(base, mat)
-            if abs(val) >= 1.0:
-                violations.append((l, tag, abs(val)))
-        total = 0.0
-        offset = 0
-        for grid in grids:
-            vals = np.full(grid.size, np.nan)
-            for i in range(grid.size):
-                m = m_x[offset + i, j]
-                sp = weyl.schur_stripped(sp0[offset + i], m)
-                sm = weyl.schur_stripped(sm0[offset + i], J1 @ m @ J1)
-                if abs(sp) >= 1.0 or abs(sm) >= 1.0:
-                    excluded[j] += 1
-                    continue
-                vals[i] = harmonic_measure(sm, -t2, -t1) - harmonic_measure(sp, t1, t2)
-            keep = ~np.isnan(vals)
-            if keep.sum() >= 2:
-                total += float(_trapezoid(vals[keep], grid[keep]))
-            offset += grid.size
-        defects[j] = total
-    return BPReport(l_values, defects, all_x.size, excluded, tuple(violations))
+    bounds = np.cumsum([0] + [g.size for g in grids])
+    for j in range(len(l_values)):
+        for grid, lo, hi in zip(grids, bounds, bounds[1:]):
+            k = keep[lo:hi, j]
+            if k.sum() >= 2:
+                defects[j] += float(_trapezoid(vals[lo:hi, j][k], grid[k]))
+    return BPReport(l_values, defects, all_x.size, (~keep).sum(axis=0), violations)

@@ -23,7 +23,7 @@ from . import propagate as prop
 from . import riccati as ric
 from .errors import (DegenerateActionError, InconsistencyError, InputError,
                      PreconditionError)
-from .mat2 import DET_TOL, as_mat2, det2, j_defect, mobius_right
+from .mat2 import DET_TOL, adjugate, as_mat2, det2, j_defect, mobius_right
 
 LIMIT_POINT = "limit_point"
 LIMIT_CIRCLE = "limit_circle"
@@ -149,7 +149,7 @@ def _tail_closure(zs, p, m):
         s = ric.disk_root(m[:, 0, 1], m[:, 1, 1] - m[:, 0, 0], -m[:, 1, 0])
     else:
         s = ric.riccati_fixed_point(zs, p.a[-1])
-    return (s * m[:, 1, 1] - m[:, 1, 0]) / (m[:, 0, 0] - s * m[:, 0, 1])
+    return mobius_right(s, adjugate(m))
 
 
 def schur_grid(zs, p, tol=SCHUR_TOL):
@@ -221,13 +221,13 @@ def schur_plus(z, p, tol=SCHUR_TOL):
 
 def schur_stripped(s, t):
     """Schur value after stripping by the transfer matrix t: the Moebius
-    image of s under the right action of t."""
-    image = mobius_right(complex(s), t)
-    if image.at_infinity:
+    image of s under the right action of t, elementwise over stacks."""
+    image = mobius_right(s, t)
+    if np.any(np.isinf(image)):
         raise DegenerateActionError(
             "stripped Schur value at projective infinity (|s| = 1 boundary collision)"
         )
-    return image.as_complex()
+    return image
 
 
 def mobius_factor(z):

@@ -5,10 +5,13 @@ from scipy.linalg import expm
 
 from arvcanon import ArovParameters, InputError, TAIL_CONSTANT, TAIL_PERIODIC
 from arvcanon import coefficients as coeff
-from arvcanon.mat2 import J, as_mat2, det2, norm2
-from arvcanon.propagate import generator, transfer
+from arvcanon.mat2 import J, J1, as_mat2, det2, norm2
+from arvcanon.propagate import generator, transfer, transfer_grid
 from arvcanon.riccati import (ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK,
                               RiccatiState, riccati_rhs)
+from arvcanon.spectral import harmonic_measure
+from arvcanon.weyl import (SCHUR_TOL, schur_grid, schur_minus_grid, schur_plus,
+                           schur_stripped)
 
 
 def random_parameters(rng, n_max=12, total_mu=2.0, a_cap=0.95,
@@ -198,3 +201,56 @@ def doubling_oracle(p, z, tol=1e-9):
         if radius < tol:
             return complex(center), float(radius), l
         prev, l = (center, radius), 2.0 * l
+
+
+# --- per-point oracle of the harmonic-measure defect -------------------------------
+#
+# The loop the library ran before it stripped whole (x, l) stacks at once; kept as
+# the reference the stack version is checked against.
+
+
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def bp_defect_loop(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
+                   tol=SCHUR_TOL):
+    """``bp_defect`` written point by point: per probe length and sample
+    point, one Moebius stripping per half and two scalar harmonic measures.
+    Returns (defects, n_excluded, hypothesis_violations)."""
+    t1, t2 = float(arc[0]), float(arc[1])
+    l_values = tuple(float(l) for l in l_values)
+    grids = [np.linspace(lo, hi, max(int(np.ceil((hi - lo) / x_step)) + 1, 2))
+             for lo, hi in e_intervals]
+    zs = np.concatenate(grids) + 1j * eps
+    sp0, _, _ = schur_grid(zs, p_right, tol)
+    sm0, _, _ = schur_minus_grid(zs, p_left, tol)
+    sp_i = schur_plus(1j, p_right, tol=tol).value
+    m_i, _ = transfer_grid(p_right, [1j], l_values)
+    m_x, _ = transfer_grid(p_right, zs, l_values)
+    defects = np.zeros(len(l_values))
+    excluded = np.zeros(len(l_values), dtype=int)
+    violations = []
+    for j, l in enumerate(l_values):
+        for tag, base, mat in (("plus", sp_i, m_i[0, j]),
+                               ("minus", 0j, J1 @ m_i[0, j] @ J1)):
+            val = schur_stripped(base, mat)
+            if abs(val) >= 1.0:
+                violations.append((l, tag, abs(val)))
+        total = 0.0
+        offset = 0
+        for grid in grids:
+            vals = np.full(grid.size, np.nan)
+            for i in range(grid.size):
+                m = m_x[offset + i, j]
+                sp = schur_stripped(sp0[offset + i], m)
+                sm = schur_stripped(sm0[offset + i], J1 @ m @ J1)
+                if abs(sp) >= 1.0 or abs(sm) >= 1.0:
+                    excluded[j] += 1
+                    continue
+                vals[i] = harmonic_measure(sm, -t2, -t1) - harmonic_measure(sp, t1, t2)
+            keep = ~np.isnan(vals)
+            if keep.sum() >= 2:
+                total += float(_trapezoid(vals[keep], grid[keep]))
+            offset += grid.size
+        defects[j] = total
+    return defects, excluded, tuple(violations)

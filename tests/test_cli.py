@@ -271,3 +271,25 @@ def test_schur_on_general_gauge_file_exit_3(tmp_path, capsys):
     code = cli.main(["schur", "--input", str(path), "--zgrid", "i"])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("flag, value", [("--xstep", "0"), ("--xstep", "nan"),
+                                         ("--xstep", "-1"), ("--e", "0.8,nan"),
+                                         ("--arc", "0.4:nan"), ("--eps", "nan")])
+def test_bp_bad_numbers_exit_3(tmp_path, full_line, capsys, flag, value):
+    argv = ["bp", "--input", full_line, "--e=0.9,1.4", "--arc=0.4:2.0",
+            "--lladder=1,2", "--xstep=0.25", "--eps=1e-3", "--output", str(tmp_path / "bp.csv")]
+    argv = [f"{flag}={value}" if a.startswith(flag + "=") else a for a in argv]
+    assert cli.main(argv) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("argv", [["transfer", "--zgrid=nan,1", "--lgrid=1"],
+                                  ["disks", "--zgrid=0,nan", "--lgrid=1"],
+                                  ["disks", "--zgrid=iy:1:inf:3:log", "--lgrid=1"],
+                                  ["schur", "--zgrid=0,nan"],
+                                  ["riccati", "--z=0,nan", "--lgrid=1"],
+                                  ["riccati", "--z=0,1", "--s0=inf,0", "--lgrid=1"]])
+def test_non_finite_spectral_points_exit_2(const_half, capsys, argv):
+    assert cli.main(argv + ["--input", const_half]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arvcanon import (DegenerateActionError, InputError, PreconditionError,
-                      ProjPoint, j_defect, mat2, mobius_right, su11_normalizer)
+                      j_defect, mat2, mobius_right, su11_normalizer)
 from arvcanon.mat2 import J, JKind, adjugate, det2, herm_eigs, norm2
 
 from helpers import is_su11, random_contractive, random_su11
@@ -59,13 +60,13 @@ def test_herm_eigs_closed_form():
 
 
 def test_mobius_identity():
-    assert mobius_right(0.3, np.eye(2)).as_complex() == 0.3
+    assert mobius_right(0.3, np.eye(2)) == 0.3
 
 
 def test_mobius_lower_triangular():
     lam, h = 2.0, 0.7 + 0.1j
     m = mat2(lam, 0, h, 1.0 / lam)
-    assert abs(mobius_right(0.0, m).as_complex() - h * lam) < 1e-15
+    assert abs(mobius_right(0.0, m) - h * lam) < 1e-15
 
 
 def test_mobius_composition_is_right_action():
@@ -76,29 +77,17 @@ def test_mobius_composition_is_right_action():
         m2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         lhs = mobius_right(mobius_right(w, m1), m2)
         rhs = mobius_right(w, m1 @ m2)
-        if lhs.at_infinity or rhs.at_infinity:
-            assert lhs.at_infinity == rhs.at_infinity
-        else:
-            assert abs(lhs.as_complex() - rhs.as_complex()) <= 1e-12
+        assert abs(lhs - rhs) <= 1e-12
 
 
 def test_mobius_infinity_handling():
     m = mat2(1, 0, 1, 0)
-    assert mobius_right(0.0, m).at_infinity
-    # from infinity the image is the ratio of the first row
-    m2 = mat2(2, 1, 5, 7)
-    assert mobius_right(ProjPoint.infinity(), m2).as_complex() == 2.0
+    assert np.isinf(mobius_right(0.0, m))
 
 
 def test_mobius_degenerate_row():
     with pytest.raises(DegenerateActionError):
         mobius_right(1.0, mat2(1, 1, -1, -1))
-
-
-def test_mobius_accepts_finite_proj_point():
-    w = ProjPoint(0.25 + 0.5j)
-    m = mat2(2, 0, 1, 0.5)
-    assert mobius_right(w, m) == mobius_right(0.25 + 0.5j, m)
 
 
 def test_su11_normalizer_fixed_example():
@@ -154,3 +143,48 @@ def test_adjugate_is_inverse_for_unimodular():
     rng = np.random.default_rng(4)
     t = random_contractive(rng)
     assert np.allclose(t @ adjugate(t), np.eye(2), atol=1e-12)
+
+
+def test_su11_normalizer_names_the_first_failing_matrix_of_a_stack():
+    # the second matrix fails the j-check, the third the det check
+    stack = np.array([mat2(2, 1, 1, 1), mat2(0, 1, -1, 0), 2.0 * np.eye(2)])
+    with pytest.raises(PreconditionError, match="j-contractive matrix, got"):
+        su11_normalizer(stack)
+
+
+def _close(stack, slices):
+    """Stack result against the slice-by-slice one, to 1e-13 of max(1, |x|)."""
+    slices = np.array(slices)
+    assert np.all(np.abs(stack - slices) <= 1e-13 * np.maximum(1.0, np.abs(slices)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_stack_helpers_equal_themselves_slice_by_slice(seed, n):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    # j-contractive det-1 matrices U1 diag(e^t, e^-t) U2, their expanding
+    # inverses, SU(1,1) elements and an indefinite one: no defect eigenvalue
+    # lies near the edge of the round-off band, so the classes must agree
+    r = rng.uniform(0.1, 2.0, n)
+    d = np.zeros((n, 2, 2), dtype=complex)
+    d[:, 0, 0], d[:, 1, 1] = np.exp(r), np.exp(-r)
+    su = np.array([random_su11(rng) for _ in range(2 * n)])
+    t = su[:n] @ d @ su[n:]
+    mixed = np.concatenate([t, adjugate(t), su, [0.5 * np.eye(2)]])
+    w = 0.9 * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+    for helper in (det2, adjugate, norm2):
+        _close(helper(m), [helper(x) for x in m])
+    h = m + m.conj().swapaxes(1, 2)
+    _close(np.array(herm_eigs(h)).T, [herm_eigs(x) for x in h])
+    _close(su11_normalizer(t), [su11_normalizer(x) for x in t])
+    _close(mobius_right(w, t), [mobius_right(wi, x) for wi, x in zip(w, t)])
+    _close(mobius_right(w[:, None], t[:, None]), [[mobius_right(wi, x)] for wi, x in zip(w, t)])
+
+    defect, cls = j_defect(mixed)
+    pairs = [j_defect(x) for x in mixed]
+    _close(defect, [x for x, _ in pairs])
+    _close(np.array(cls.eigenvalues).T, [c.eigenvalues for _, c in pairs])
+    assert list(cls.kind) == [c.kind for _, c in pairs]
+    assert list(cls.is_contractive) == [c.is_contractive for _, c in pairs]

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from arvcanon import (ArovParameters, DomainError, GaugeError,
-                      InconsistencyError, TAIL_FINITE, constant_parameters,
+                      InconsistencyError, InputError, TAIL_FINITE, constant_parameters,
                       dirac_coefficients, propagate_constant,
                       schroedinger_coefficients)
 from arvcanon.mat2 import J, adjugate, det2, j_defect, norm2
@@ -395,3 +395,9 @@ def test_family_validate_accepts_real_families_and_rejects_forgeries():
     pdb = to_pdb_gauge(fam)
     with pytest.raises(GaugeError):
         TransferFamily(pdb.zs, pdb.ls, pdb.values, GAUGE_AROV).validate()
+
+
+def test_recovery_without_lengths_is_an_input_error():
+    fam = TransferFamily([1j], [], np.empty((1, 0, 2, 2)), GAUGE_AROV)
+    with pytest.raises(InputError):
+        recover_parameters(fam)

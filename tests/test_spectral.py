@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from arvcanon import (DomainError, constant_parameters, dirac_coefficients,
+from arvcanon import (ArovParameters, DomainError, TAIL_PERIODIC,
+                      constant_parameters, dirac_coefficients,
                       schroedinger_coefficients)
 from arvcanon.propagate import transfer_scaled
 from arvcanon.spectral import (bp_defect, exponential_type_integral,
                                exponential_type_numeric, gamma_metric,
                                harmonic_measure, reflectionless_defect,
                                reflectionless_ladder, type_report)
+from arvcanon.weyl import schur_grid, schur_minus_grid
 
-from helpers import random_parameters, random_su11
+from helpers import bp_defect_loop, random_parameters, random_su11
 
 
 # --- exponential type ---------------------------------------------------------------
@@ -245,3 +247,39 @@ def test_bp_defect_mismatched_halves_decays():
     rep = bp_defect(left, right, [(1.5, 2.0)], (0.4, 2.0),
                     (1.0, 2.0, 4.0, 8.0), 0.1, 1e-3)
     assert abs(rep.defects[-1]) < abs(rep.defects[0])
+
+
+def _long_head():
+    rng = np.random.default_rng(3)
+    a = 0.6 * np.exp(2j * np.pi * rng.random(20))
+    return ArovParameters(np.linspace(0.5, 10.0, 20), np.ones(20), a, "constant")
+
+
+@pytest.mark.parametrize("case", ["gap", "loose_tol", "mismatched"])
+def test_bp_defect_matches_the_point_by_point_loop(case):
+    if case == "gap":  # stripped values reach the circle in the gap: exclusions
+        p = constant_parameters(0.9)
+        args, tol = (p, p, [(-0.5, 0.5)], (0.3, 2.5), (0.5, 8.0, 12.0), 0.01, 1e-8), 1e-9
+    elif case == "loose_tol":  # s(i) off by the loose tol leaves the disk: violations
+        p = _long_head()
+        args, tol = (p, p, [(-2.0, -0.2), (0.2, 2.0)], (0.3, 2.5), (0.5, 3.0, 6.0), 0.05,
+                     1e-3), 0.3
+    else:
+        args, tol = (constant_parameters(0.5), constant_parameters(0.8),
+                     [(-3.0, -0.1), (0.1, 3.0)], (0.3, 2.5), (0.5, 2.0, 6.0), 0.05, 1e-5), 1e-9
+    rep = bp_defect(*args, tol=tol)
+    defects, excluded, violations = bp_defect_loop(*args, tol=tol)
+    assert np.max(np.abs(rep.defects - defects)) <= 1e-15
+    assert np.array_equal(rep.n_excluded, excluded)
+    assert rep.hypothesis_violations == violations
+    assert excluded.any() == (case == "gap") and bool(violations) == (case == "loose_tol")
+
+
+def test_reflectionless_ladder_equals_one_grid_call_per_eps():
+    rng = np.random.default_rng(8)
+    left, right = constant_parameters(0.5), random_parameters(rng, tail=TAIL_PERIODIC)
+    xs = np.linspace(0.8, 1.6, 9)
+    for rep in reflectionless_ladder(left, right, xs, (1e-2, 1e-3, 1e-4)):
+        zs = xs + 1j * rep.eps
+        assert np.array_equal(rep.s_plus, schur_grid(zs, right)[0])
+        assert np.array_equal(rep.s_minus, schur_minus_grid(zs, left)[0])

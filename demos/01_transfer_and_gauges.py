@@ -34,12 +34,12 @@ print(f"defect eigenvalues = {np.linalg.eigvalsh(defect)}")
 print("\n=== the two classical general-gauge forms ===")
 dirac = av.dirac_coefficients(length=2.0)
 print("Dirac (P = I, Q = 0) at z = i, t = 1.5:")
-print(av.transfer_general(1j, dirac, 1.5))
+print(av.transfer(1j, dirac, 1.5))
 print("(diagonal exp(+t), exp(-t) -- decoupled)")
 
 sch = av.schroedinger_coefficients([0.0] * 40, np.linspace(0.05, 2.0, 40))
 print("\nSchroedinger form (q = 0) at z = 2j, t = 2:")
-print(av.transfer_general(2j, sch, 2.0))
+print(av.transfer(2j, sch, 2.0))
 
 print("\n=== placing the Schroedinger family in disk gauge ===")
 ls = np.linspace(0.0, 2.0, 41)

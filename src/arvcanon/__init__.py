@@ -18,9 +18,9 @@ from .errors import (ArvcanonError, CoefficientError, DegenerateActionError,
 from .mat2 import (J, J1, JClass, JKind, j_defect, mat2, mobius_right,
                    su11_normalizer)
 from .propagate import (GAUGE_AROV, GAUGE_PDB, GAUGE_RAW, RecoveryResult,
-                        TransferFamily, propagate_constant, recover_parameters,
-                        to_arov_gauge, to_pdb_gauge, transfer, transfer_between,
-                        transfer_family, transfer_general, transfer_scaled)
+                        TransferFamily, recover_parameters, to_arov_gauge,
+                        to_pdb_gauge, transfer, transfer_between,
+                        transfer_family, transfer_scaled)
 from .riccati import (BoundaryLimit, RiccatiState, a_to_c, blaschke_matrix,
                       boundary_limit, c_to_a, integrate_riccati,
                       riccati_fixed_point, riccati_rhs, riccati_trajectory)

@@ -7,15 +7,13 @@ order, a header comment carrying the config hash) or JSON reports.  Exit
 codes: 0 ok, 1 any other library error, 2 parse, 3 validation.  Grids are
 computed by the vectorised propagation kernel in one thread, ``riccati``
 solves the stripping flow exactly and ``schur`` closes every value with the
-tail; ``--threads``, ARVCANON_THREADS (validated), ``riccati --step`` and
-``schur --lmax`` are accepted but change nothing.
+tail; ``--threads`` is accepted but changes nothing.
 """
 
 import argparse
 import contextlib
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -106,8 +104,7 @@ def parse_xgrid(specstr):
     return parse_lgrid(specstr, signed=True)
 
 
-_HASH_EXCLUDED = ("func", "output", "summary", "params_out", "threads", "step",
-                  "lmax")
+_HASH_EXCLUDED = ("func", "output", "summary", "params_out", "threads")
 
 
 def _config_hash(ns):
@@ -116,15 +113,6 @@ def _config_hash(ns):
     payload = {k: repr(v) for k, v in sorted(vars(ns).items())
                if k not in _HASH_EXCLUDED}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
-
-
-def _check_threads():
-    """ARVCANON_THREADS must be an integer; like --threads it changes nothing."""
-    cap = os.environ.get("ARVCANON_THREADS", "1")
-    try:
-        int(cap)
-    except ValueError:
-        raise ParseError(f"ARVCANON_THREADS = {cap!r} is not an integer")
 
 
 def _open_output(path):
@@ -360,16 +348,12 @@ def build_parser():
     p = command("schur", _cmd_schur, "half-line Schur function on a z grid")
     p.add_argument("--zgrid", required=True, help=_ZGRID_HELP)
     p.add_argument("--side", choices=("plus", "minus"), default="plus")
-    p.add_argument("--lmax", type=float, default=None,
-                   help="accepted for compatibility; the tail closes every value")
 
     p = command("riccati", _cmd_riccati, "stripping-flow trajectory")
     p.add_argument("--z", required=True,
                    help="spectral point 're,im' or 'i'; write --z=-0.4,0.6 for a leading '-'")
     p.add_argument("--s0", default="auto", help="'auto' or a complex token re,im")
     p.add_argument("--lgrid", required=True)
-    p.add_argument("--step", type=float, default=None,
-                   help="accepted for compatibility; the flow is solved exactly")
 
     p = command("type", _cmd_type, "exponential type, both faces")
     p.add_argument("--l", type=float, required=True)
@@ -402,7 +386,6 @@ def build_parser():
 def run(ns):
     """Execute a parsed configuration; returns the exit status."""
     try:
-        _check_threads()
         return ns.func(ns)
     except ParseError as exc:
         _emit_error(exc)

@@ -292,7 +292,7 @@ class ArovParameters(_Piecewise):
         if self.tail == TAIL_FINITE or self.total_mass() <= mk[-1]:
             raise DomainError(f"mu = {mu} beyond total mass {mk[-1]}")
         if self.tail == TAIL_CONSTANT:
-            return self.length + (mu - mk[-1]) / self.m[-1]
+            return float(self.length + (mu - mk[-1]) / self.m[-1])
         q, r = divmod(mu - mk[-1], mk[-1]) if mk[-1] > 0 else (0.0, 0.0)
         return float((q + 1) * self.length + self.l_of_mu(r))
 
@@ -331,16 +331,6 @@ class ArovParameters(_Piecewise):
         k, d = self.span_arrays(l)
         decay = np.exp(-2.0 * np.concatenate(([0.0], np.cumsum(d))))
         return complex(np.sum(self.a[k] * -np.diff(decay)))
-
-    def pieces(self, l_to, l_from=0.0):
-        """Ordered (a, d_mu) pieces covering [l_from, l_to]; tail-aware.
-
-        A list view of ``span_arrays`` with zero-mass pieces skipped.
-        Raises DomainError past a finite tail.
-        """
-        k, d = self.span_arrays(l_to, l_from)
-        live = d > 0
-        return list(zip(self.a[k[live]].tolist(), d[live].tolist()))
 
     def to_dict(self):
         return {

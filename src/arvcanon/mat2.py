@@ -148,28 +148,26 @@ def mobius_right(w, m):
     return np.divide(num, den, out=inf, where=den != 0)[()]
 
 
-def su11_normalizer(t, check=True, det_tol=DET_TOL, class_tol=CLASS_TOL):
+def su11_normalizer(t, det_tol=DET_TOL, class_tol=CLASS_TOL):
     """The unique U in SU(1,1) such that ``T U`` is lower triangular with
     positive diagonal, for j-contractive T with det T = 1; of each matrix
     of a stack, the first failing one named in the error.
 
     U is built from the first row ``(a, b)`` of T as
     ``(|a|^2 - |b|^2)^(-1/2) [[conj(a), -b], [-conj(b), a]]``; contractivity
-    guarantees ``|a| > |b|``.  With ``check=False`` the (relatively costly)
-    det and j-class preconditions are skipped; the ``|a| > |b|`` guard stays.
+    guarantees ``|a| > |b|``.
     """
     t = as_mat2(t, "T")
     a, b = t[..., 0, 0], t[..., 0, 1]
     lam2 = np.abs(a) ** 2 - np.abs(b) ** 2
-    checks = [(lam2 <= 0.0, lambda *i: "first row not j-timelike (|a| <= |b|): "
-               "matrix is not j-contractive")]
-    if check:
-        det = det2(t)
-        _, cls = j_defect(t, class_tol)
-        checks[:0] = [
-            (np.abs(det - 1.0) > det_tol,
-             lambda *i: f"su11_normalizer needs det T = 1, got det = {det[i]}"),
-            (~cls.is_contractive, lambda *i: "su11_normalizer needs a j-contractive "
-             f"matrix, got {np.asarray(cls.kind)[i].value}")]
-    _raise_first(PreconditionError, *checks)
+    det = det2(t)
+    _, cls = j_defect(t, class_tol)
+    _raise_first(
+        PreconditionError,
+        (np.abs(det - 1.0) > det_tol,
+         lambda *i: f"su11_normalizer needs det T = 1, got det = {det[i]}"),
+        (~cls.is_contractive, lambda *i: "su11_normalizer needs a j-contractive "
+         f"matrix, got {np.asarray(cls.kind)[i].value}"),
+        (lam2 <= 0.0, lambda *i: "first row not j-timelike (|a| <= |b|): "
+         "matrix is not j-contractive"))
     return mat2(np.conj(a), -b, -np.conj(b), a) / np.sqrt(lam2)[..., None, None]

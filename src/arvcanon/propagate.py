@@ -17,12 +17,14 @@ are accumulated in scaled form ``exp(c) M`` with a real log-scale ``c`` and a
 max-entry-normalized ``M``, so nothing overflows before 10^308 even at
 y * sigma of several thousand.
 
-``scaled_products`` is the one propagation kernel: for a vector of spectral
-points and the gauge-neutral piece arrays of either gauge it builds the
-propagators entrywise, takes their ordered product in blocks of ``_BLOCK``
-pieces (a prefix scan per block, carried across blocks) and closes constant
-and periodic tails in O(1) and O(log) products.  Every transfer function
-here is a thin wrapper around it; ``transfer`` refuses to overflow silently.
+``_expm`` is the one closed form, evaluated entrywise over arrays;
+``_propagators`` applies it to (spectral point, piece) arrays of either
+gauge's generator table.  ``scaled_products`` is the one propagation kernel:
+it takes their ordered product in blocks of ``_BLOCK`` pieces (a prefix scan
+per block, carried across blocks) and closes constant and periodic tails in
+O(1) and O(log) products.  Every transfer function here is a thin wrapper
+around it; ``transfer`` refuses to overflow silently.  The Riccati escape
+search is the one other caller of ``_propagators``.
 """
 
 from dataclasses import dataclass
@@ -31,14 +33,11 @@ import numpy as np
 
 from . import coefficients as coeff
 from .errors import GaugeError, InconsistencyError, InputError, _raise_first
-from .mat2 import J, JKind, adjugate, det2, j_defect, norm2, su11_normalizer
+from .mat2 import JKind, adjugate, det2, j_defect, norm2, su11_normalizer
 
 GAUGE_AROV = "arov"
 GAUGE_PDB = "pdb"
 GAUGE_RAW = "raw"
-
-#: |Re x| below which expm_tracefree_scaled returns an unscaled matrix.
-_SCALE_SWITCH = 30.0
 
 #: pieces per block of the ordered product.
 _BLOCK = 512
@@ -53,46 +52,6 @@ _LN2 = float(np.log(2.0))
 _EYE = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)[:, None, None]
 
 
-def generator(z, a):
-    """Disk-gauge interval generator (i z A - B) j =
-    [[-iz, -conj(a)(iz+1)], [a(iz-1), iz]]; trace free."""
-    iz = 1j * complex(z)
-    ac = np.conj(a)
-    return np.array([[-iz, -ac * (iz + 1.0)], [a * (iz - 1.0), iz]], dtype=complex)
-
-
-def general_generator(z, P, Q):
-    """General-gauge interval generator (i z P - Q) j; trace free because
-    trace(j P) = trace(j Q) = 0."""
-    return (1j * complex(z) * P - Q) @ J
-
-
-def expm_tracefree_scaled(g, d):
-    """(M, c) with exp(g * d) = exp(c) * M for trace-free 2x2 g, closed form;
-    c = 0 unless |Re x| reaches _SCALE_SWITCH, M of order one past that."""
-    e, c = _expm(g[0, 0], g[0, 1], g[1, 0], float(d))
-    m, c = e.reshape(2, 2), float(c)
-    return (np.exp(c) * m, 0.0) if c < _SCALE_SWITCH else (m, c)
-
-
-def expm_tracefree(g, d):
-    """exp(g * d) for trace-free 2x2 g, closed form.  Overflows for
-    Re(x) beyond ~700; use expm_tracefree_scaled past that."""
-    m, c = expm_tracefree_scaled(g, d)
-    return np.exp(c) * m
-
-
-def propagate_constant(z, a, dmu):
-    """Propagator of a constant-coefficient piece of measure mass dmu."""
-    a = complex(a)
-    if abs(a) > 1.0 + coeff.COEFF_TOL:
-        raise InputError(f"|a| = {abs(a)} > 1")
-    dmu = float(dmu)
-    if dmu < 0.0:
-        raise InputError("dmu must be nonnegative")
-    return expm_tracefree(generator(z, a), dmu)
-
-
 def _mul(x, y):
     """Entrywise product of 2x2 stacks stored as (4, ...) = (11, 12, 21, 22)."""
     x11, x12, x21, x22 = x
@@ -102,27 +61,40 @@ def _mul(x, y):
 
 
 def _renorm(x, c):
-    """Scale every matrix of the stack by a power of two (exactly) so its
-    largest entry lies in [0.5, 1); the log-scale absorbs the factor."""
+    """Scale every matrix of a new stack by a power of two (exactly, in
+    place) so its largest entry lies in [0.5, 1); the log-scale absorbs the
+    factor."""
     _, e = np.frexp(np.abs(x).max(axis=0))
-    return x * np.ldexp(1.0, -e), c + _LN2 * e
+    x *= np.ldexp(1.0, -e)
+    return x, c + _LN2 * e
 
 
 def _expm(g11, g12, g21, d):
     """exp(G d) = exp(c) E for trace-free G = [[g11, g12], [g21, -g11]],
     entrywise over broadcast arrays: E as a (4, ...) stack, c real."""
-    rho = np.sqrt(g11 * g11 + g12 * g21)
+    g1221 = g12 * g21
+    rho = np.sqrt(g11 * g11 + g1221)
     rho = np.where(rho.real < 0.0, -rho, rho)  # cosh and sinh(x)/rho are even
     x = rho * d
-    # with Re x >= 0: cosh(x) e^-Re(x) = ph (1 + w/2), sinh(x) e^-Re(x) =
-    # -ph w/2, for ph = exp(i Im x) and w = expm1(-2x), exact for small x
+    # with Re x >= 0 and ph = exp(i Im x): s = sinh(x) e^-Re(x) / rho, from
+    # expm1(-2x) so it is exact for small x, and the diagonal entries are
+    # (cosh(x) +- g11 sinh(x) / rho) e^-Re(x) = ph e^-2x + s (rho +- g11)
     ph = np.exp(1j * x.imag)
-    w = np.expm1(-2.0 * x)
-    ch = ph * (1.0 + 0.5 * w)
     nonzero = x != 0.0
-    s = np.where(nonzero, -0.5 * ph * w / np.where(nonzero, rho, 1.0), d)
-    sg = s * g11
-    return _renorm(np.array((ch + sg, s * g12, s * g21, ch - sg)), x.real)
+    s = np.where(nonzero, -0.5 * ph * np.expm1(-2.0 * x) / np.where(nonzero, rho, 1.0), d)
+    e = np.empty((4,) + s.shape, dtype=complex)
+    np.multiply(s, g12, out=e[1])
+    np.multiply(s, g21, out=e[2])
+    # (rho + g11)(rho - g11) = g12 g21: the larger factor is formed directly,
+    # the other by division, so neither cancels (a sum rho - g11 rounding to
+    # 0 would leave the decaying entry 0 once e^-2x is below round-off)
+    flip = (rho * np.conj(g11)).real < 0.0  # |rho + g11| < |rho - g11|
+    big = np.where(flip, rho - g11, rho + g11)
+    small = np.divide(g1221, big, out=np.zeros_like(big), where=big != 0.0)
+    decay = np.exp(-2.0 * x.real) * np.conj(ph)
+    np.add(decay, s * np.where(flip, small, big), out=e[0])
+    np.add(decay, s * np.where(flip, big, small), out=e[3])
+    return _renorm(e, x.real)
 
 
 def _propagators(zs, gen, k, d):
@@ -235,11 +207,6 @@ def transfer_between(z, p, l_from, l_to):
     return materialize(m[0, 0], c[0, 0], "transfer_between")
 
 
-#: the general-gauge names of the same wrappers
-transfer_general_scaled = transfer_scaled
-transfer_general = transfer
-
-
 # ---------------------------------------------------------------------------
 # Families over (z, l) grids
 
@@ -311,12 +278,6 @@ class TransferFamily:
                 lambda k: f"value at (z=i, l={ls[k]}) violates the claimed triangular "
                           "structure"))
         return self
-
-
-def transfer_prefix(z, p, ls):
-    """Transfer matrices at a list of lengths, in one pass over the grid."""
-    m, c = transfer_grid(p, [z], ls)
-    return materialize(m[0], c[0], "transfer_prefix")
 
 
 def transfer_family(system, zs, ls):

@@ -11,10 +11,12 @@ the forward flow: any other initial value leaves the closed disk after
 finitely much measure, which is what certifies a wrong initial guess and
 makes staying bounded a sharp test.  The flow is solved exactly, with no
 stepping: s(l) is the Moebius image of s(0) under the transfer matrix
-T(z, l).  The nontangential limit of a Schur function at +i*infinity, when
-it exists, determines the coefficient at the origin through a continuous
-bijection of the disk, implemented here as ``a_to_c``/``c_to_a`` together
-with Richardson extrapolation along a ray.
+T(z, l), and the escape point is found on the same closed-form propagators
+(one ordered scan of the bracket's pieces, then rounds of trial masses
+within the escaping piece).  The nontangential limit of a Schur function at
++i*infinity, when it exists, determines the coefficient at the origin
+through a continuous bijection of the disk, implemented here as
+``a_to_c``/``c_to_a`` together with Richardson extrapolation along a ray.
 """
 
 from dataclasses import dataclass
@@ -31,6 +33,10 @@ STATUS_ESCAPED = "escaped"
 
 #: |s| beyond 1 + ESCAPE_SLACK flags an escaped trajectory.
 ESCAPE_SLACK = 1e-6
+
+#: trial masses of one round of the escape bisection, as fractions of the
+#: bracket: each round narrows it 65-fold
+_FRACTIONS = np.arange(1, 65) / 65.0
 
 
 def riccati_rhs(s, z, a):
@@ -102,28 +108,39 @@ def _outside(row):
     return np.abs(row[..., 0]) > (1.0 + ESCAPE_SLACK) * np.abs(row[..., 1])
 
 
+def _pushed(s, e):
+    """Projective rows (u, v) of s mapped through a (4, 1, n) entry stack."""
+    return np.stack((s * e[0, 0] + e[2, 0], s * e[1, 0] + e[3, 0]), axis=-1)
+
+
 def _escape(z, s, p, l_lo, l_hi):
     """Escape point of the flow from s at l_lo, known to lie in (l_lo, l_hi]:
     the first piece whose end is outside the disk (the last one at the
-    latest), bisected on its closed-form propagator down to round-off."""
-    mu = p.mu(l_lo)
-    pieces = p.pieces(l_hi, l_lo)
-    for i, (a, dmu) in enumerate(pieces):
-        g = prop.generator(z, a)
+    latest), read off one scan of the bracket's pieces, then bisected on its
+    closed-form propagator with _FRACTIONS trial masses a round until no
+    trial lies strictly inside the bracket."""
+    zs, gen = np.array([z]), p.generator_table
+    k, d = p.span_arrays(l_hi, l_lo)
+    k, d = k[d > 0.0], d[d > 0.0]
+    ends = _pushed(s, prop._scan(*prop._propagators(zs, gen, k, d))[0])
+    i = int(np.argmax(np.append(_outside(ends[:-1]), True)))
+    if i:
+        s = ends[i - 1, 0] / ends[i - 1, 1]
 
-        def row(t):
-            e, _ = prop.expm_tracefree_scaled(g, t)
-            return s * e[0] + e[1]
+    def rows(t):  # from the start of piece i, through masses t of it
+        return _pushed(s, prop._propagators(zs, gen, k[i:i + 1], t)[0])
 
-        end = row(dmu)
-        if i + 1 < len(pieces) and not _outside(end):
-            s, mu = end[0] / end[1], mu + dmu
-            continue
-        lo, hi = 0.0, dmu
-        while lo < (t := 0.5 * (lo + hi)) < hi:
-            lo, hi = (lo, t) if _outside(row(t)) else (t, hi)
-        u, v = row(hi)
-        return RiccatiState(complex(u / v), p.l_of_mu(mu + hi), z, mu + hi, STATUS_ESCAPED)
+    lo, hi = 0.0, float(d[i])
+    while True:
+        t = lo + (hi - lo) * _FRACTIONS
+        t = np.concatenate(([lo], t[(lo < t) & (t < hi)], [hi]))
+        if t.size == 2:
+            break
+        j = int(np.argmax(np.append(_outside(rows(t[1:-1])), True)))  # first outside
+        lo, hi = float(t[j]), float(t[j + 1])
+    (u, v), = rows(np.array([hi]))
+    mu = p.mu(l_lo) + float(np.sum(d[:i])) + hi
+    return RiccatiState(complex(u / v), p.l_of_mu(mu), z, mu, STATUS_ESCAPED)
 
 
 def riccati_trajectory(z, s0, p, ls):

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 from arvcanon import ArovParameters, InputError, TAIL_CONSTANT, TAIL_PERIODIC
 from arvcanon import coefficients as coeff
 from arvcanon.mat2 import J, J1, as_mat2, det2, norm2
-from arvcanon.propagate import generator, transfer, transfer_grid
+from arvcanon.propagate import transfer, transfer_grid
 from arvcanon.riccati import (ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK,
                               RiccatiState, riccati_rhs)
 from arvcanon.spectral import harmonic_measure
@@ -47,6 +47,25 @@ def random_contractive(rng):
     return transfer(z, p, l)
 
 
+# --- generators written out from the paper's forms ----------------------------------
+
+#: the signature matrix j = diag(-1, 1)
+SIGNATURE = np.diag([-1.0, 1.0])
+
+
+def disk_generator(z, a):
+    """Disk-gauge interval generator (i z A - B) j per unit measure, with
+    A = [[1, -conj(a)], [-a, 1]] and B = [[0, conj(a)], [-a, 0]]."""
+    A = np.array([[1.0, -np.conj(a)], [-a, 1.0]])
+    B = np.array([[0.0, np.conj(a)], [-a, 0.0]])
+    return (1j * z * A - B) @ SIGNATURE
+
+
+def general_generator(z, P, Q):
+    """General-gauge interval generator (i z P - Q) j per unit measure."""
+    return (1j * z * P - Q) @ SIGNATURE
+
+
 def peano_series(z, pieces, order=45):
     """Truncated iterated-integral series for the ordered product of
     constant-generator pieces.
@@ -56,7 +75,7 @@ def peano_series(z, pieces, order=45):
     truncation; no matrix exponential is involved anywhere.  This is the
     independent brute-force oracle for the closed-form propagation path.
     """
-    segs = [(generator(z, a), float(d)) for a, d in pieces]
+    segs = [(disk_generator(z, a), float(d)) for a, d in pieces]
     eye = np.eye(2, dtype=complex)
     zero = np.zeros((2, 2), dtype=complex)
     coeffs = [[eye] for _ in segs]
@@ -136,7 +155,8 @@ def rk4_riccati(z, s0, p, l, step=DEFAULT_STEP, escape_slack=ESCAPE_SLACK):
         raise InputError("step must be positive")
     s = s0
     mu_done = 0.0
-    for a, dmu in p.pieces(float(l)):
+    k, d = p.span_arrays(float(l))
+    for a, dmu in zip(p.a[k].tolist(), d.tolist()):
         remaining = dmu
         while remaining > 0.0:
             h = min(step, remaining)
@@ -173,11 +193,8 @@ def doubling_oracle(p, z, tol=1e-9):
     nesting is asserted on the way.  Returns (center, radius, l) at the
     first radius below tol."""
 
-    def g(k):  # (i z A - B) j times the density, A, B of the coefficient a
-        a = p.a[k]
-        A = np.array([[1.0, -np.conj(a)], [-a, 1.0]])
-        B = np.array([[0.0, np.conj(a)], [-a, 0.0]])
-        return p.m[k] * (1j * z * A - B) @ np.diag([-1.0, 1.0])
+    def g(k):
+        return p.m[k] * disk_generator(z, p.a[k])
 
     knots, n, L = p.knots, p.n_intervals, p.length
     t, c, pos, k, period = np.eye(2, dtype=complex), 0.0, 0.0, 0, 0

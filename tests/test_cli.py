@@ -85,15 +85,13 @@ def test_validation_error_exit_3(tmp_path, capsys):
     assert "m[0]" in err["message"]
 
 
-def test_schur_ignores_lmax_and_closes_with_the_tail(tmp_path, const_half):
+def test_schur_closes_with_the_tail(tmp_path, const_half):
     # the command that once ran out of its length budget: every value is now
     # the tail's stationarity root pulled back through the head, down to
-    # Im z = 1e-8, and --lmax changes no byte
-    out, plain = tmp_path / "s.csv", tmp_path / "plain.csv"
-    argv = ["schur", "--input", const_half, "--zgrid", "0,0.001:1.2,1e-8:2", "--tol", "1e-12"]
-    assert cli.main(argv + ["--lmax", "2", "--output", str(out)]) == 0
-    assert cli.main(argv + ["--output", str(plain)]) == 0
-    assert out.read_bytes() == plain.read_bytes()
+    # Im z = 1e-8
+    out = tmp_path / "s.csv"
+    assert cli.main(["schur", "--input", const_half, "--zgrid", "0,0.001:1.2,1e-8:2",
+                     "--tol", "1e-12", "--output", str(out)]) == 0
     _, rows = _read_rows(out)
     zs = np.array([complex(float(r[0]), float(r[1])) for r in rows])
     s = np.array([complex(float(r[2]), float(r[3])) for r in rows])
@@ -121,17 +119,14 @@ def test_deterministic_output_across_runs_and_threads(tmp_path, const_half, monk
     assert out3.read_bytes() == base
 
 
-def test_thread_env_cap(tmp_path, const_half, monkeypatch):
-    monkeypatch.setenv("ARVCANON_THREADS", "1")
-    out = tmp_path / "capped.csv"
-    code = cli.main(["disks", "--input", const_half, "--zgrid", "i",
-                     "--lgrid", "0:1:0.5", "--threads", "8",
-                     "--output", str(out)])
-    assert code == 0
+def test_thread_env_changes_nothing(tmp_path, const_half, monkeypatch):
+    outs = [tmp_path / n for n in ("plain.csv", "zebra.csv")]
+    argv = ["disks", "--input", const_half, "--zgrid", "i", "--lgrid", "0:1:0.5",
+            "--threads", "8"]
+    assert cli.main(argv + ["--output", str(outs[0])]) == 0
     monkeypatch.setenv("ARVCANON_THREADS", "zebra")
-    code = cli.main(["disks", "--input", const_half, "--zgrid", "i",
-                     "--lgrid", "0:1:0.5", "--threads", "8"])
-    assert code == 2
+    assert cli.main(argv + ["--output", str(outs[1])]) == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes()
 
 
 def test_schur_minus_on_full_line_input(tmp_path, full_line):
@@ -159,14 +154,13 @@ def test_riccati_trajectory_escape_status(tmp_path):
     assert len(rows) < 6  # stops emitting after the escape
 
 
-def test_riccati_step_is_ignored(tmp_path, const_half):
-    outs = [tmp_path / n for n in ("default.csv", "step.csv", "zero.csv")]
-    argv = ["riccati", "--input", const_half, "--z", "0.3,0.5", "--s0", "0.5,0.2",
-            "--lgrid", "0:10:0.25"]
-    for out, extra in zip(outs, ([], ["--step", "0.1"], ["--step", "0"])):
-        assert cli.main(argv + extra + ["--output", str(out)]) == 0
-    assert outs[1].read_bytes() == outs[0].read_bytes()
-    assert outs[2].read_bytes() == outs[0].read_bytes()
+def test_removed_options_are_parse_errors(const_half, capsys):
+    for argv in (["riccati", "--z", "0.3,0.5", "--lgrid", "0:1:0.5", "--step", "0.1"],
+                 ["schur", "--zgrid", "i", "--lmax", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--input", const_half])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_leading_minus_grids_in_equals_form(tmp_path, const_half):

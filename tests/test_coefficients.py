@@ -78,24 +78,37 @@ def test_l_of_mu_inverts_mu():
         assert abs(p.mu(p.l_of_mu(mu)) - mu) < 1e-12
 
 
+@pytest.mark.parametrize("tail", (TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE))
+def test_l_of_mu_returns_a_float(tail):
+    # past the end of a constant tail it once returned np.float64
+    p = ArovParameters([1.0, 2.0], [1.0, 0.5], [0.3, 0.2j], tail)
+    total = p.mu(p.length)
+    beyond = () if tail == TAIL_FINITE else (1.5 * total, 3.2 * total)
+    for mu in (0.0, 0.5 * total, total) + beyond:
+        assert type(p.l_of_mu(mu)) is float
+
+
 def test_pieces_cover_partial_intervals():
     p = ArovParameters([1.0, 2.0], [1.0, 2.0], [0.1, 0.2j])
-    pieces = p.pieces(1.5)
-    assert pieces == [(0.1 + 0j, 1.0), (0.2j, 1.0)]
-    pieces = p.pieces(1.5, 0.5)
-    assert pieces == [(0.1 + 0j, 0.5), (0.2j, 1.0)]
+    k, d = p.span_arrays(1.5)
+    assert k.tolist() == [0, 1] and d.tolist() == [1.0, 1.0]
+    k, d = p.span_arrays(1.5, 0.5)
+    assert k.tolist() == [0, 1] and d.tolist() == [0.5, 1.0]
 
 
 def test_pieces_skip_zero_mass():
+    # a zero-mass interval is a piece of mass 0: it moves nothing
     p = ArovParameters([1.0, 2.0, 3.0], [1.0, 0.0, 1.0], [0.1, 0.5, 0.9])
-    assert [a for a, _ in p.pieces(3.0)] == [0.1 + 0j, 0.9 + 0j]
+    k, d = p.span_arrays(3.0)
+    assert d.tolist() == [1.0, 0.0, 1.0]
+    assert p.a[k[d > 0]].tolist() == [0.1 + 0j, 0.9 + 0j]
 
 
 def test_pieces_fold_periodic_tail():
     p = ArovParameters([1.0], [1.0], [0.3], tail=TAIL_PERIODIC)
-    pieces = p.pieces(2.5)
-    assert len(pieces) == 3
-    assert sum(d for _, d in pieces) == 2.5
+    k, d = p.span_arrays(2.5)
+    assert k.tolist() == [0, 0, 0]
+    assert d.sum() == 2.5
 
 
 # --- ab_from_a ------------------------------------------------------------------
@@ -431,8 +444,8 @@ def test_pieces_periodic_fold_ends_for_non_binary_periods():
     for L in np.linspace(0.7, 1.3, 61):
         p = ArovParameters([0.4 * L, L], [1.0, 0.6], [0.3, -0.2j],
                            tail=TAIL_PERIODIC)
-        pieces = p.pieces(7.3)
-        assert abs(sum(d for _, d in pieces) - p.mu(7.3)) <= 1e-12
+        _, d = p.span_arrays(7.3)
+        assert abs(d.sum() - p.mu(7.3)) <= 1e-12
 
 
 @pytest.mark.parametrize("text", [

@@ -208,10 +208,10 @@ def test_stripped_segment_inside_the_tail(build, tail, spans):
 def test_pieces_of_an_empty_span_at_the_end_of_the_grid(tail):
     system = _disk_system(np.random.default_rng(13), 4, tail)
     L = system.length
-    assert system.pieces(L, L) == []
+    assert not np.any(system.span_arrays(L, L)[1])
     if tail != TAIL_FINITE:
-        assert system.pieces(2.5 * L, 2.5 * L) == []
-        assert sum(d for _, d in system.pieces(2.5 * L, 1.5 * L)) == \
+        assert not np.any(system.span_arrays(2.5 * L, 2.5 * L)[1])
+        assert system.span_arrays(2.5 * L, 1.5 * L)[1].sum() == \
             pytest.approx(system.mu(2.5 * L) - system.mu(1.5 * L), rel=1e-12)
 
 

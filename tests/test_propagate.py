@@ -4,29 +4,26 @@ from scipy.linalg import expm
 
 from arvcanon import (ArovParameters, DomainError, GaugeError,
                       InconsistencyError, InputError, TAIL_FINITE, constant_parameters,
-                      dirac_coefficients, propagate_constant,
-                      schroedinger_coefficients)
+                      dirac_coefficients, schroedinger_coefficients)
 from arvcanon.mat2 import J, adjugate, det2, j_defect, norm2
 from arvcanon.propagate import (GAUGE_AROV, GAUGE_PDB, GAUGE_RAW,
-                                TransferFamily, expm_tracefree_scaled,
-                                generator, recover_parameters, to_arov_gauge,
+                                TransferFamily, recover_parameters, to_arov_gauge,
                                 to_pdb_gauge, transfer, transfer_between,
-                                transfer_family, transfer_general,
-                                transfer_general_scaled, transfer_prefix,
-                                transfer_scaled)
+                                transfer_family, transfer_grid, transfer_scaled)
 
-from helpers import peano_series, random_parameters, random_upper_z
+from helpers import (disk_generator, general_generator, peano_series,
+                     random_parameters, random_upper_z)
 
 
 # --- constant-coefficient propagator ---------------------------------------------
 
 def test_free_coefficient_at_i_is_diagonal():
-    t = propagate_constant(1j, 0.0, 1.0)
+    t = transfer(1j, constant_parameters(0.0), 1.0)
     assert np.allclose(t, np.diag([np.e, 1.0 / np.e]), atol=1e-14)
 
 
 def test_fixed_example_half_coefficient():
-    t = propagate_constant(1j, 0.5, 1.0)
+    t = transfer(1j, constant_parameters(0.5), 1.0)
     expected = np.array([[np.e, 0.0], [-2 * 0.5 * np.sinh(1.0), np.exp(-1.0)]])
     assert np.allclose(t, expected, atol=1e-12)
     # closed-form disk-center integral at z = i: kappa(l) = a (1 - exp(-2l))
@@ -39,7 +36,7 @@ def test_determinant_one_for_random_inputs():
     for _ in range(50):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         a = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
-        t = propagate_constant(z, a, rng.uniform(0, 2))
+        t = transfer(z, constant_parameters(a), rng.uniform(0, 2))
         assert abs(det2(t) - 1.0) < 1e-12
 
 
@@ -50,7 +47,8 @@ def test_matches_scipy_expm():
         a = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
         d = rng.uniform(0, 2)
         assert np.allclose(
-            propagate_constant(z, a, d), expm(generator(z, a) * d), atol=1e-10
+            transfer(z, constant_parameters(a), d), expm(disk_generator(z, a) * d),
+            atol=1e-10
         )
 
 
@@ -58,18 +56,20 @@ def test_small_rate_branch_continuity():
     # rho^2 = a^2 - z^2 (1 - a^2) can vanish; the Taylor branch must join smoothly
     a = 0.5
     z = a / np.sqrt(1 - a * a)  # real z making rho = 0
-    t0 = propagate_constant(z, a, 1.0)
-    t1 = propagate_constant(z + 1e-9, a, 1.0)
+    p = constant_parameters(a)
+    t0 = transfer(z, p, 1.0)
+    t1 = transfer(z + 1e-9, p, 1.0)
     assert np.max(np.abs(t0 - t1)) < 1e-6
     assert abs(det2(t0) - 1.0) < 1e-14
 
 
 def test_scaled_propagator_matches_plain():
-    g = generator(100j, 0.3)
-    m, c = expm_tracefree_scaled(g, 0.05)  # moderate: no scaling kicks in
-    assert c == 0.0
-    m2, c2 = expm_tracefree_scaled(g, 10.0)  # huge: scaled branch
-    assert c2 > 0
+    p = constant_parameters(0.3)
+    m, c = transfer_scaled(100j, p, 0.05)  # moderate: the plain form is finite
+    ref = expm(disk_generator(100j, 0.3) * 0.05)
+    assert np.max(np.abs(np.exp(c) * m - ref)) < 1e-12 * np.max(np.abs(ref))
+    m2, c2 = transfer_scaled(100j, p, 10.0)  # huge: only the scaled form exists
+    assert c2 > 700.0
     assert np.max(np.abs(m2)) < 10.0
 
 
@@ -83,7 +83,7 @@ def test_transfer_at_zero_is_identity():
 def test_single_interval_matches_propagator():
     p = constant_parameters(0.5, m=1.0, length=2.0)
     z = 0.3 + 0.9j
-    assert np.allclose(transfer(z, p, 1.0), propagate_constant(z, 0.5, 1.0), atol=1e-14)
+    assert np.allclose(transfer(z, p, 1.0), expm(disk_generator(z, 0.5)), atol=1e-14)
 
 
 def test_cocycle_split():
@@ -105,7 +105,8 @@ def test_peano_series_oracle():
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.5))
         l = rng.uniform(0.2, 1.0) * p.length
         direct = transfer(z, p, l)
-        series = peano_series(z, p.pieces(l))
+        k, d = p.span_arrays(l)
+        series = peano_series(z, zip(p.a[k], d))
         assert np.max(np.abs(direct - series)) < 1e-8
 
 
@@ -143,6 +144,19 @@ def test_periodic_tail_uses_matrix_power_consistently():
     m2, c2 = transfer_scaled(z, q, 37.25)
     assert np.max(np.abs(np.exp(c1 - c2) * m1 - m2)) < 1e-9 * max(1.0, float(np.max(np.abs(m2))))
 
+
+def test_decaying_entry_at_i_is_exp_minus_mu():
+    # in Arov gauge T(i, l) is lower triangular with T22 = exp(-mu(l)); the
+    # closed form once rounded that entry to 0 on every piece whose
+    # exp(-2 Re x) fell below round-off
+    rng = np.random.default_rng(7)
+    ls = np.array([0.5, 1.0, 3.0, 6.0, 10.0, 20.0])
+    for _ in range(60):
+        p = random_parameters(rng, a_cap=0.95, n_max=4)
+        mu = p.mu(ls)
+        ok = mu < 300.0  # the scaled entry, about exp(-2 mu), is a normal double
+        m, c = transfer_grid(p, [1j], ls[ok])
+        assert np.max(np.abs(m[0, :, 1, 1] * np.exp(c[0] + mu[ok]) - 1.0)) < 1e-12
 
 def test_finite_tail_raises_beyond_end():
     p = constant_parameters(0.4, length=1.0, tail=TAIL_FINITE)
@@ -183,25 +197,24 @@ def test_j_unitary_on_real_axis():
 
 def test_dirac_transfer_at_i():
     c = dirac_coefficients(length=2.0, n_intervals=4)
-    t = transfer_general(1j, c, 1.5)
+    t = transfer(1j, c, 1.5)
     assert np.allclose(t, np.diag([np.exp(1.5), np.exp(-1.5)]), atol=1e-12)
 
 
 def test_pdb_normalization_when_q_zero():
     c = dirac_coefficients(length=1.0)
-    assert np.allclose(transfer_general(0.0, c, 1.0), np.eye(2), atol=1e-14)
+    assert np.allclose(transfer(0.0, c, 1.0), np.eye(2), atol=1e-14)
 
 
 def test_general_real_z_is_j_unitary():
     c = schroedinger_coefficients([0.7, -0.3, 1.1], [0.4, 0.9, 1.5])
-    t = transfer_general(0.8, c, 1.5)
+    t = transfer(0.8, c, 1.5)
     assert norm2(J - t @ J @ t.conj().T) < 1e-12 * max(1.0, norm2(t) ** 2)
 
 
 def test_general_transfer_matches_ode_integration():
     # independent oracle for the multi-interval product order
     from scipy.integrate import solve_ivp
-    from arvcanon.propagate import general_generator
 
     rng = np.random.default_rng(35)
     grid = np.cumsum(rng.uniform(0.2, 0.4, 4))
@@ -220,13 +233,13 @@ def test_general_transfer_matches_ode_integration():
     sol = solve_ivp(rhs, (0.0, t_end), y0, rtol=1e-11, atol=1e-12, max_step=0.05)
     ref = sol.y[:, -1].reshape(2, 2, 2)
     ref = ref[0] + 1j * ref[1]
-    assert np.max(np.abs(transfer_general(z, c, t_end) - ref)) < 1e-7
+    assert np.max(np.abs(transfer(z, c, t_end) - ref)) < 1e-7
 
 
 def test_general_scaled_matches_plain():
     c = schroedinger_coefficients([0.5], [1.0])
-    m, logc = transfer_general_scaled(2j, c, 1.0)
-    assert np.allclose(np.exp(logc) * m, transfer_general(2j, c, 1.0), atol=1e-12)
+    m, logc = transfer_scaled(2j, c, 1.0)
+    assert np.allclose(np.exp(logc) * m, transfer(2j, c, 1.0), atol=1e-12)
 
 
 # --- families and gauges -----------------------------------------------------------
@@ -252,7 +265,8 @@ def test_transfer_prefix_matches_pointwise():
     p = random_parameters(rng)
     ls = np.linspace(0.0, 1.5 * p.length, 9)
     z = 0.4 + 1.2j
-    block = transfer_prefix(z, p, ls)
+    m, c = transfer_grid(p, [z], ls)
+    block = np.exp(c[0])[:, None, None] * m[0]
     for k, l in enumerate(ls):
         assert np.allclose(block[k], transfer(z, p, l), atol=1e-11)
 
@@ -283,7 +297,8 @@ def test_to_arov_gauge_schroedinger_has_unimodular_coefficient():
     assert np.all(rec.params.m > 0)
     # the defining relation regenerates the z = i column exactly at the knots
     iz = arov.z_index(1j)
-    regen = transfer_prefix(1j, rec.params, np.concatenate(([0.0], grid)))
+    m, c = transfer_grid(rec.params, [1j], np.concatenate(([0.0], grid)))
+    regen = np.exp(c[0])[:, None, None] * m[0]
     assert np.max(np.abs(regen - arov.values[iz])) < 1e-10
 
 

@@ -249,6 +249,15 @@ def test_bp_defect_mismatched_halves_decays():
     assert abs(rep.defects[-1]) < abs(rep.defects[0])
 
 
+def test_bp_defect_is_finite_past_a_long_tail_crossing():
+    # T(i, l) of these systems crosses a tail piece so long that its decaying
+    # entry once rounded to 0, and s_+(i) stripped to 0 / 0
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        p = random_parameters(rng, a_cap=0.95, n_max=4)
+        rep = bp_defect(p, p, [(0.8, 1.2)], (0.4, 2.0), (0.5, 1.0, 3.0), 0.1, 1e-3)
+        assert np.all(np.isfinite(rep.defects))
+
 def _long_head():
     rng = np.random.default_rng(3)
     a = 0.6 * np.exp(2j * np.pi * rng.random(20))

@@ -4,7 +4,8 @@ Subcommands: transfer, disks, schur, riccati, type, reflectionless, bp,
 gauge.  Coefficient files are the JSON schemas documented in
 ``coefficients``; outputs are CSV tables (17 significant digits, stable row
 order, a header comment carrying the config hash) or JSON reports.  Exit
-codes: 0 ok, 1 any other library error, 2 parse, 3 validation.  Grids are
+codes: 0 ok, 1 any other library error or a standard output closed by its
+reader (silently), 2 parse, 3 validation.  Grids are
 computed by the vectorised propagation kernel in one thread, ``riccati``
 solves the stripping flow exactly and ``schur`` closes every value with the
 tail; ``--threads`` is accepted but changes nothing.
@@ -14,6 +15,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -395,6 +397,10 @@ def run(ns):
         return EXIT_VALIDATION
     except ArvcanonError as exc:
         _emit_error(exc)
+        return EXIT_COMPUTE
+    except BrokenPipeError:
+        # the reader closed stdout: the final flush goes to devnull, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_COMPUTE
 
 

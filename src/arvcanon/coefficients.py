@@ -28,7 +28,6 @@ stored mirrored (position l in the file means -l on the line).
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -84,27 +83,6 @@ def _as_grid(grid):
     return g
 
 
-class Pieces(NamedTuple):
-    """Gauge-neutral piece stream, the input of ``propagate.scaled_products``.
-
-    ``gen`` is (p, alpha, r, gamma) per stored interval: the generator
-    (i z P - Q) j for P = [[p, -conj(alpha)], [-alpha, p]] and Q = [[i r,
-    conj(gamma)], [-gamma, i r]]; disk gauge is (1, a, 0, a).  ``blocks``
-    yields (k, d, cuts): interval and mass per piece, and the piece counts
-    at which the next of the ``points`` H are recorded (the first ``start``
-    at 0).  Length i is ``H[-1]^q[i] @ H[at[i]] @ exp(G_last t[i])`` with
-    G_last the last interval's generator; q, t are None without that tail.
-    """
-
-    gen: tuple
-    blocks: object
-    start: int
-    points: int
-    at: np.ndarray
-    q: np.ndarray
-    t: np.ndarray
-
-
 def _sorted_unique(x):
     """np.unique without its lazily loaded machinery (most of a megabyte)."""
     x = np.sort(x)
@@ -116,7 +94,9 @@ def _sorted_unique(x):
 class _Piecewise:
     """Grid, tail policy and the piece builder shared by both gauges;
     subclasses set ``density`` (per-interval mass density) and
-    ``generator_table`` (the (p, alpha, r, gamma) of ``Pieces``)."""
+    ``generator_table``: (p, alpha, r, gamma) per stored interval, the
+    generator (i z P - Q) j for P = [[p, -conj(alpha)], [-alpha, p]] and
+    Q = [[i r, conj(gamma)], [-gamma, i r]]; disk gauge is (1, a, 0, a)."""
 
     @property
     def n_intervals(self):
@@ -173,12 +153,14 @@ class _Piecewise:
                  + [self._cut(0.0, [r1])])
         return tuple(np.concatenate([part[i] for part in parts]) for i in (0, 1))
 
-    def piece_arrays(self, ls, block):
-        """Pieces for the products from 0 to every length in ls (any order):
-        a constant tail adds one piece of mass t, a periodic tail a power q
-        of the period (integer period index, exact remainder); the grid is
-        cut at every folded length and crossed once, ``block`` intervals at
-        a time."""
+    def piece_arrays(self, ls):
+        """The folded piece stream from 0 to every length in ls (any order):
+        (k, d, ends, at, q, t).  The grid is cut once at every distinct head
+        (the folded lengths, 0 and, under a periodic tail, L): interval k and
+        mass d per piece, ends[j] pieces before head j.  Length i is
+        H[-1]^q[i] H[at[i]] exp(G_last t[i]), H the products through the
+        heads; q (period index) and t (mass past L) are None without a
+        periodic or constant tail."""
         ls = np.asarray(ls, dtype=float).ravel()
         if not np.all((ls >= 0.0) & (ls < np.inf)):
             raise DomainError(f"lengths must be finite and nonnegative, got {ls}")
@@ -193,21 +175,8 @@ class _Piecewise:
             else:
                 q, h = np.divmod(ls, L)
                 q = q.astype(np.int64)
-        heads = _sorted_unique(np.concatenate((h, [L] if q is not None else [])))
-        start = int(heads.size > 0 and heads[0] == 0.0)
-        return Pieces(self.generator_table, self._blocks(heads[start:], block),
-                      start, heads.size, np.searchsorted(heads, h), q, t)
-
-    def _blocks(self, heads, block):
-        """(k, d, cuts) blocks from 0 to heads[-1], cut at every head."""
-        knots = self.knots
-        n = int(np.searchsorted(knots, heads[-1])) if heads.size else 0
-        for i in range(0, n, block):
-            lo, hi = knots[i], min(knots[min(i + block, n)], heads[-1])
-            inside = heads[np.searchsorted(heads, lo, side="right"):
-                           np.searchsorted(heads, hi, side="right")]
-            k, d, cuts = self._cut(lo, np.append(inside, hi))
-            yield k, d, cuts[:inside.size]
+        heads = _sorted_unique(np.concatenate(([0.0], h, [L] if q is not None else [])))
+        return (*self._cut(0.0, heads), np.searchsorted(heads, h), q, t)
 
 
 @dataclass(frozen=True)

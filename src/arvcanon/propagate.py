@@ -20,11 +20,13 @@ y * sigma of several thousand.
 ``_expm`` is the one closed form, evaluated entrywise over arrays;
 ``_propagators`` applies it to (spectral point, piece) arrays of either
 gauge's generator table.  ``scaled_products`` is the one propagation kernel:
-it takes their ordered product in blocks of ``_BLOCK`` pieces (a prefix scan
-per block, carried across blocks) and closes constant and periodic tails in
-O(1) and O(log) products.  Every transfer function here is a thin wrapper
-around it; ``transfer`` refuses to overflow silently.  The Riccati escape
-search is the one other caller of ``_propagators``.
+the ordered products of a piece stream through given piece counts, in blocks
+of ``_BLOCK`` pieces (a prefix scan per block, carried across blocks); it
+knows no tails.  ``transfer_grid`` feeds it the folded stream of
+``piece_arrays`` and closes constant and periodic tails in O(1) and O(log)
+products.  Every transfer function here is a thin wrapper around the two;
+``transfer`` refuses to overflow silently.  The Riccati escape search is the
+one other caller of ``_propagators``.
 """
 
 from dataclasses import dataclass
@@ -117,53 +119,60 @@ def _scan(x, c):
     return x, c
 
 
-def scaled_products(zs, pieces):
-    """The propagation kernel: (M, logc) shaped (nz, nl, 2, 2) and (nz, nl),
-    the true value at (zs[i], length j) being exp(logc[i, j]) * M[i, j] with
-    M of order one.  Each block of pieces is scanned for chunks of spectral
-    points and multiplied into their running products, so no stack of more
-    than about _CELLS (z, piece) cells is ever formed."""
+def scaled_products(zs, gen, k, d, ends):
+    """The propagation kernel: ordered products of the pieces (k, d) of a
+    generator table at every z, through the first ends[j] pieces (ascending;
+    0 gives the identity): entry stack X (4, nz, ne) and log-scales c
+    (nz, ne), the product being exp(c) X with X of order one.  Blocks of
+    _BLOCK pieces are scanned for chunks of spectral points and carried into
+    running products, so no stack of more than about _CELLS (z, piece) cells
+    is ever formed."""
     zs = np.asarray(zs, dtype=complex).ravel()
-    nz, done = zs.size, pieces.start
-    heads = np.empty((4, nz, pieces.points), dtype=complex)
-    hc = np.zeros((nz, heads.shape[-1]))
-    heads[:, :, :done] = _EYE
+    ends = np.asarray(ends, dtype=np.intp)
+    nz, n = zs.size, int(ends[-1]) if ends.size else 0
+    x, xc = np.tile(_EYE, (1, nz, ends.size)), np.zeros((nz, ends.size))
     run, rc = np.tile(_EYE, (1, nz, 1)), np.zeros((nz, 1))
-    for k, d, cuts in pieces.blocks:
-        step = max(1, _CELLS // max(1, k.size))
-        for z in (slice(lo, lo + step) for lo in range(0, nz, step)):
-            x, c = _scan(*_propagators(zs[z], pieces.gen, k, d))
-            heads[:, z, done:done + cuts.size] = _mul(run[:, z], x[:, :, cuts - 1])
-            hc[z, done:done + cuts.size] = rc[z] + c[:, cuts - 1]
-            run[:, z], rc[z] = _renorm(_mul(run[:, z], x[:, :, -1:]), rc[z] + c[:, -1:])
-        done += cuts.size
-    # one copy into the output layout; m is its (4, nz, nl) entry view
-    out, c = np.take(heads.transpose(1, 2, 0), pieces.at, axis=1), hc[:, pieces.at]
-    m = out.transpose(2, 0, 1)
-    if pieces.q is not None:
-        # periodic tail: Pat^q @ H(r), the commuting powers Pat^(2^j) of the
-        # set bits of q applied from the left
-        sq, sc = heads[:, :, -1:], hc[:, -1:]
-        for bit in range(int(pieces.q.max()).bit_length()):
-            on = (pieces.q >> bit) % 2 == 1
-            m[:, :, on], c[:, on] = _renorm(_mul(sq, m[:, :, on]), sc + c[:, on])
-            sq, sc = _renorm(_mul(sq, sq), 2.0 * sc)
-    if pieces.t is not None:
-        # constant tail: one more piece, with the last interval's generator
-        tail = pieces.t > 0.0
-        last = np.full(int(tail.sum()), pieces.gen[0].size - 1)
-        e, ec = _propagators(zs, pieces.gen, last, pieces.t[tail])
-        m[:, :, tail], c[:, tail] = _mul(m[:, :, tail], e), c[:, tail] + ec
-    return out.reshape(nz, -1, 2, 2), c
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        sel = slice(*np.searchsorted(ends, (lo, hi), side="right"))
+        cuts = ends[sel] - lo
+        step = max(1, _CELLS // (hi - lo))
+        for z in (slice(i, i + step) for i in range(0, nz, step)):
+            y, c = _scan(*_propagators(zs[z], gen, k[lo:hi], d[lo:hi]))
+            x[:, z, sel] = _mul(run[:, z], y[:, :, cuts - 1])
+            xc[z, sel] = rc[z] + c[:, cuts - 1]
+            run[:, z], rc[z] = _renorm(_mul(run[:, z], y[:, :, -1:]), rc[z] + c[:, -1:])
+    return x, xc
 
 
 def transfer_grid(system, zs, ls):
     """Scaled transfer matrices (M[nz, nl, 2, 2], logc[nz, nl]) of a disk- or
-    general-gauge system over a spectral grid and lengths in any order:
-    one kernel call."""
+    general-gauge system over a spectral grid and lengths in any order: one
+    kernel call over the folded piece stream, then the tails."""
     if not isinstance(system, (coeff.ArovParameters, coeff.GeneralCoefficients)):
         raise InputError(f"unsupported coefficient object {type(system).__name__}")
-    return scaled_products(zs, system.piece_arrays(ls, _BLOCK))
+    zs = np.asarray(zs, dtype=complex).ravel()
+    k, d, ends, at, q, t = system.piece_arrays(ls)
+    gen = system.generator_table
+    x, xc = scaled_products(zs, gen, k, d, ends)
+    # one copy into the output layout; m is its (4, nz, nl) entry view
+    out, c = np.take(x.transpose(1, 2, 0), at, axis=1), xc[:, at]
+    m = out.transpose(2, 0, 1)
+    if q is not None:
+        # periodic tail: Pat^q @ H(r), the commuting powers Pat^(2^j) of the
+        # set bits of q applied from the left
+        sq, sc = x[:, :, -1:], xc[:, -1:]
+        for bit in range(int(q.max()).bit_length()):
+            on = (q >> bit) % 2 == 1
+            m[:, :, on], c[:, on] = _renorm(_mul(sq, m[:, :, on]), sc + c[:, on])
+            sq, sc = _renorm(_mul(sq, sq), 2.0 * sc)
+    if t is not None:
+        # constant tail: one more piece, with the last interval's generator
+        tail = t > 0.0
+        last = np.full(int(tail.sum()), gen[0].size - 1)
+        e, ec = _propagators(zs, gen, last, t[tail])
+        m[:, :, tail], c[:, tail] = _mul(m[:, :, tail], e), c[:, tail] + ec
+    return out.reshape(zs.size, -1, 2, 2), c
 
 
 def materialize(m, c, what):
@@ -198,13 +207,8 @@ def transfer_between(z, p, l_from, l_to):
     """Stripped segment 𝒜(z, l_from)^(-1) 𝒜(z, l_to), computed directly as
     the product over [l_from, l_to] (better conditioned than inverting)."""
     k, d = p.span_arrays(l_to, l_from)
-    blocks = ((k[i:i + _BLOCK], d[i:i + _BLOCK],
-               np.array([k.size - i] if i + _BLOCK >= k.size else [], dtype=np.intp))
-              for i in range(0, k.size, _BLOCK))
-    pieces = coeff.Pieces(p.generator_table, blocks, int(k.size == 0), 1,
-                          np.zeros(1, dtype=np.intp), None, None)
-    m, c = scaled_products([z], pieces)
-    return materialize(m[0, 0], c[0, 0], "transfer_between")
+    x, c = scaled_products([z], p.generator_table, k, d, [k.size])
+    return materialize(x[:, 0, 0].reshape(2, 2), c[0, 0], "transfer_between")
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +247,10 @@ class TransferFamily:
         return int(hits[0])
 
     def det_errors(self):
-        """|det - 1| per value, rounded as for one matrix at a time."""
-        d = det2(self.values) - 1.0
-        return np.hypot(d.real, d.imag)
+        """|det - 1| per value over max(1, largest |entry|)^2, the scale of
+        the round-off in a determinant formed from the entries."""
+        d = np.abs(det2(self.values) - 1.0)
+        return d / np.maximum(1.0, np.abs(self.values).max(axis=(-2, -1))) ** 2
 
     def validate(self, det_tol=1e-10, class_tol=1e-10):
         """Check the structural invariants; raises on the first violation.

@@ -2,9 +2,9 @@
 
 The exponential type of a transfer family has two independent faces: the
 closed-form coefficient integral (sum of sqrt(det P) masses, or of
-sqrt(1 - |a|^2) masses in disk gauge) and the measured growth rate
-log ||A(iy, l)|| / y extrapolated in 1/y.  Agreement of the two is the
-classical type formula and one of the package's acceptance gates.
+sqrt(1 - |a|^2) masses in disk gauge, a periodic tail folded to one period)
+and the measured growth rate log ||A(iy, l)|| / y extrapolated in 1/y.
+Agreement of the two is the classical type formula and an acceptance gate.
 
 Boundary values of the half-line Schur functions are approximated at x + i*eps
 on a decreasing eps ladder (any eps > 0: the tail closes every value), never
@@ -45,16 +45,20 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 def exponential_type_integral(system, l):
     """Closed-form exponential type: the sum over the pieces of [0, l] of
     sqrt(det P) times their mass (det P = 1 - |a|^2 in disk gauge); exact
-    for the stored piecewise-constant coefficients under every tail."""
+    for the stored piecewise-constant coefficients under every tail.  It
+    sums the folded piece stream of ``transfer_grid``, head plus q periods
+    plus the constant tail's mass, in O(N) for any l."""
     l = float(l)
     if l < 0.0:
         raise DomainError("l must be nonnegative")
     if not isinstance(system, (coeff.ArovParameters, coeff.GeneralCoefficients)):
         raise InputError(f"unsupported coefficient object {type(system).__name__}")
-    k, d = system.span_arrays(l)
+    k, d, ends, at, q, t = system.piece_arrays([l])
     p, alpha = system.generator_table[:2]
-    det_p = p[k] ** 2 - np.abs(alpha[k]) ** 2
-    return float(np.sum(np.sqrt(np.maximum(det_p, 0.0)) * d))
+    rate = np.sqrt(np.maximum(p ** 2 - np.abs(alpha) ** 2, 0.0))
+    cum = np.concatenate(([0.0], np.cumsum(rate[k] * d)))[ends]
+    return float(cum[at[0]] + (0.0 if q is None else q[0] * cum[-1])
+                 + (0.0 if t is None else t[0] * rate[-1]))
 
 
 def exponential_type_numeric(system, l, ys=TYPE_RAY):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +291,18 @@ def test_bp_bad_numbers_exit_3(tmp_path, full_line, capsys, flag, value):
 def test_non_finite_spectral_points_exit_2(const_half, capsys, argv):
     assert cli.main(argv + ["--input", const_half]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+def test_closed_stdout_exits_1_without_traceback(const_half):
+    # a reader that stops after one line, like `arvcanon transfer ... | head -1`
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from arvcanon.cli import main; sys.exit(main())",
+         "transfer", "--input", const_half, "--zgrid", "0,0.5:1,1.5:60", "--lgrid", "0:2:0.01"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.readline().startswith(b"# arvcanon")
+    proc.stdout.close()
+    err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -122,7 +122,8 @@ def test_kernel_across_blocks_and_chunks(monkeypatch):
     system = _disk_system(rng, 1300, TAIL_CONSTANT)
     zs = np.linspace(-1.0 + 0.2j, 1.0 + 0.9j, 7)
     ls = np.sort(np.concatenate((system.knots[[0, 511, 512, 513, 1024, 1300]],
-                                 [0.5 * system.length, 1.1 * system.length])))
+                                 [0.5 * system.length, 1.1 * system.length],
+                                 0.5 * (system.knots[508:514] + system.knots[509:515]))))
     m, c = prop.transfer_grid(system, zs, ls)
     for i in (0, 6):
         for j, l in enumerate(ls):

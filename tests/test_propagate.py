@@ -387,6 +387,18 @@ def test_det_error_column_small():
     assert float(np.max(fam.det_errors())) < 1e-11
 
 
+def test_det_error_is_relative_to_the_largest_entry():
+    # entries near 2e8: the absolute |det - 1| of correct values is the
+    # round-off of their products, far above 1e-10
+    p = ArovParameters([1.0, 2.0], [7.0, 6.0], [0.6, 0.5j])
+    fam = transfer_family(p, [1j, 0.3 + 0.2j, 3.0 + 1j], np.linspace(0.0, 3.0, 7))
+    assert np.max(np.abs(fam.values)) > 1e8
+    assert float(np.max(fam.validate().det_errors())) < 1e-13
+    values = fam.values.copy()
+    values[1, -1, 0, 0] *= 1.0 + 1e-8
+    assert TransferFamily(fam.zs, fam.ls, values, fam.gauge).det_errors()[1, -1] > 1e-9
+
+
 def test_family_validate_accepts_real_families_and_rejects_forgeries():
     rng = np.random.default_rng(34)
     p = random_parameters(rng)

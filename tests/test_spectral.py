@@ -33,6 +33,30 @@ def test_integral_constant_disk_coefficient():
     assert abs(exponential_type_integral(p, 2.0) - 1.6) < 1e-14
 
 
+def test_integral_folds_periodic_tails():
+    # sigma(r + q L) = sigma(r) + q sigma(L), in memory that does not grow
+    # with the number of periods
+    import tracemalloc
+
+    rng = np.random.default_rng(62)
+    n = 20
+    p = ArovParameters(np.cumsum(rng.uniform(0.13, 0.37, n)), rng.uniform(0.3, 1.5, n),
+                       rng.uniform(0.0, 0.9, n) * np.exp(2j * np.pi * rng.uniform(size=n)),
+                       TAIL_PERIODIC)
+    L = p.length
+    period = exponential_type_integral(p, L)
+    for r in (0.0, 0.37 * L, p.grid[6], 0.99 * L):
+        head = exponential_type_integral(p, r)
+        for q in (1, 2, 7, 1000):
+            want = head + q * period
+            assert abs(exponential_type_integral(p, r + q * L) - want) <= 1e-12 * want
+    tracemalloc.start()
+    exponential_type_integral(p, 1e5)
+    _, top = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert top < 2**20
+
+
 def test_numeric_free_coefficient():
     p = constant_parameters(0.0)
     assert abs(exponential_type_numeric(p, 1.0) - 1.0) < 1e-3

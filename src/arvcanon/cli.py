@@ -3,7 +3,11 @@
 Subcommands: transfer, disks, schur, riccati, type, reflectionless, bp,
 gauge.  Coefficient files are the JSON schemas documented in
 ``coefficients``; outputs are CSV tables (17 significant digits, stable row
-order, a header comment carrying the config hash) or JSON reports.  Exit
+order, a header comment carrying the config hash) or JSON reports.  A CSV
+is written from column arrays in blocks of rows, each formatted by one %
+operation: the bytes of format(x, ".17g") per number, at C speed.  The
+argument parser is built on the first ``main`` call and reused by every
+later one in the process (not at import).  Exit
 codes: 0 ok, 1 any other library error or a standard output closed by its
 reader (silently), 2 parse, 3 validation.  Grids are
 computed by the vectorised propagation kernel in one thread, ``riccati``
@@ -13,6 +17,7 @@ tail; ``--threads`` is accepted but changes nothing.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -38,10 +43,6 @@ _VALIDATION_ERRORS = (InputError, CoefficientError, PreconditionError,
                       DomainError, GaugeError, InconsistencyError)
 
 UNITS = "z:spectral(dimensionless) l:system-length"
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _parse_z(tok):
@@ -122,13 +123,28 @@ def _open_output(path):
     return contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
 
 
-def _write_table(path, columns, rows, cfg):
-    """Write the CSV line by line, so no copy of the whole text is held."""
-    lines = (",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n"
-             for row in rows)
+#: CSV rows formatted by one % operation
+_ROWS = 512
+
+
+def _write_table(path, header, columns, cfg):
+    """Write the CSV of equal-length column arrays, one per header name:
+    numbers as format(x, ".17g") (17 significant digits), strings as they
+    are.  Each block of _ROWS rows is one row template times the block
+    length, filled by one % operation from a (rows, columns) table of the
+    block, so the text is written in blocks and never held whole."""
+    columns = [np.asarray(c) for c in columns]
+    text = [c.dtype.kind in "OSU" for c in columns]
+    row = ",".join("%s" if t else "%.17g" for t in text) + "\n"
+    n = columns[0].shape[0]
     with _open_output(path) as fh:
-        fh.write(f"# arvcanon config={cfg} units={UNITS}\n" + ",".join(columns) + "\n")
-        fh.writelines(lines)
+        fh.write(f"# arvcanon config={cfg} units={UNITS}\n" + ",".join(header) + "\n")
+        for lo in range(0, n, _ROWS):
+            block = np.empty((min(_ROWS, n - lo), len(columns)),
+                             dtype=object if any(text) else float)
+            for j, c in enumerate(columns):
+                block[:, j] = c[lo:lo + _ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path, payload):
@@ -162,7 +178,7 @@ def _cmd_transfer(ns):
     ls = parse_lgrid(ns.lgrid)
     values = prop.materialize(*prop.transfer_grid(system, zs, ls), "transfer")
     fam = prop.TransferFamily(zs, ls, values, prop.GAUGE_RAW)
-    _write_table(ns.output, prop.FAMILY_CSV_COLUMNS, prop.family_csv_rows(fam),
+    _write_table(ns.output, prop.FAMILY_CSV_COLUMNS, prop.family_csv_columns(fam),
                  _config_hash(ns))
     return EXIT_OK
 
@@ -172,11 +188,11 @@ def _cmd_disks(ns):
     zs = parse_zgrid(ns.zgrid)
     ls = parse_lgrid(ns.lgrid)
     centers, radii = weyl.disks_grid(system, zs, ls)
-    rows = ((z.real, z.imag, l, centers[i, k].real, centers[i, k].imag, radii[i, k])
-            for i, z in enumerate(zs) for k, l in enumerate(ls))
     _write_table(ns.output,
                  ("z_re", "z_im", "l", "center_re", "center_im", "radius"),
-                 rows, _config_hash(ns))
+                 (np.repeat(zs.real, ls.size), np.repeat(zs.imag, ls.size),
+                  np.tile(ls, zs.size), centers.real.ravel(), centers.imag.ravel(),
+                  radii.ravel()), _config_hash(ns))
     return EXIT_OK
 
 
@@ -190,7 +206,7 @@ def _cmd_schur(ns):
         s, radius, l_stop = weyl.schur_grid(zs, p_right, ns.tol)
     _write_table(ns.output,
                  ("z_re", "z_im", "s_re", "s_im", "residual_radius", "l_stop"),
-                 zip(zs.real, zs.imag, s.real, s.imag, radius, l_stop), _config_hash(ns))
+                 (zs.real, zs.imag, s.real, s.imag, radius, l_stop), _config_hash(ns))
     return EXIT_OK
 
 
@@ -199,12 +215,14 @@ def _cmd_riccati(ns):
     z = _parse_z(ns.z)
     ls = parse_lgrid(ns.lgrid)
     s0 = weyl.schur_plus(z, system, tol=ns.tol).value if ns.s0 == "auto" else _parse_z(ns.s0)
+    states = ric.riccati_trajectory(z, s0, system, ls)
+    s = np.array([state.s for state in states], dtype=complex)
     # an escaped last row keeps its requested l and holds the escape point
-    rows = ((z.real, z.imag, l, state.s.real, state.s.imag, state.status)
-            for l, state in zip(ls, ric.riccati_trajectory(z, s0, system, ls)))
     _write_table(ns.output,
                  ("z_re", "z_im", "l", "s_re", "s_im", "status"),
-                 rows, _config_hash(ns))
+                 (np.full(s.size, z.real), np.full(s.size, z.imag), ls[:s.size],
+                  s.real, s.imag, np.array([state.status for state in states], dtype=str)),
+                 _config_hash(ns))
     return EXIT_OK
 
 
@@ -214,8 +232,8 @@ def _cmd_type(ns):
     if ns.format == "csv":
         _write_table(ns.output,
                      ("l", "sigma_integral", "sigma_numeric", "rel_gap"),
-                     [(ns.l, report.sigma_integral, report.sigma_numeric,
-                       report.rel_gap)],
+                     ([ns.l], [report.sigma_integral], [report.sigma_numeric],
+                      [report.rel_gap]),
                      _config_hash(ns))
     else:
         _write_json(ns.output, {
@@ -238,14 +256,13 @@ def _cmd_reflectionless(ns):
         raise ParseError(f"bad eps ladder {ns.eps!r}")
     reports = spec.reflectionless_ladder(p_left, p_right, xs, ladder,
                                          delta=ns.delta, tol=ns.tol)
-    rows = ((x, rep.eps, rep.s_plus[i].real, rep.s_plus[i].imag,
-             rep.s_minus[i].real, rep.s_minus[i].imag,
-             rep.defect[i], float(rep.ac[i]), float(rep.ok[i]))
-            for rep in reports for i, x in enumerate(rep.xs))
+    columns = zip(*((rep.xs, np.full(rep.xs.size, rep.eps), rep.s_plus.real, rep.s_plus.imag,
+                     rep.s_minus.real, rep.s_minus.imag, rep.defect, rep.ac, rep.ok)
+                    for rep in reports))
     _write_table(ns.output,
                  ("x", "eps", "sp_re", "sp_im", "sm_re", "sm_im",
                   "defect", "ac", "ok"),
-                 rows, _config_hash(ns))
+                 [np.concatenate(column) for column in columns], _config_hash(ns))
     if ns.summary:
         max_def = []
         for rep in reports:
@@ -278,12 +295,10 @@ def _cmd_bp(ns):
         raise ParseError("band intervals must be 'lo,hi' pairs")
     report = spec.bp_defect(p_left, p_right, intervals, (t1, t2), l_values,
                             ns.xstep, ns.eps, tol=ns.tol)
-    rows = [
-        (l, report.defects[j], float(report.n_points), float(report.n_excluded[j]))
-        for j, l in enumerate(report.l_values)
-    ]
     _write_table(ns.output, ("l", "defect", "n_points", "n_excluded"),
-                 rows, _config_hash(ns))
+                 (report.l_values, report.defects,
+                  np.full(len(report.l_values), report.n_points), report.n_excluded),
+                 _config_hash(ns))
     return EXIT_OK
 
 
@@ -304,7 +319,7 @@ def _cmd_gauge(ns):
         out, _ = prop.to_arov_gauge(fam)
     else:
         out = prop.to_pdb_gauge(fam)
-    _write_table(ns.output, prop.FAMILY_CSV_COLUMNS, prop.family_csv_rows(out),
+    _write_table(ns.output, prop.FAMILY_CSV_COLUMNS, prop.family_csv_columns(out),
                  _config_hash(ns))
     if ns.params_out:
         rec = prop.recover_parameters(out)
@@ -409,9 +424,15 @@ def _emit_error(exc):
     sys.stderr.write(json.dumps(detail) + "\n")
 
 
+@functools.cache
+def _parser():
+    """build_parser() once per process, on first use: building the parser
+    costs about thirty times what parsing a command line does."""
+    return build_parser()
+
+
 def main(argv=None):
-    ns = build_parser().parse_args(argv)
-    return run(ns)
+    return run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -24,9 +24,18 @@ General-gauge variant: ``{"grid": [...], "n": [...], "P": [...], "Q": [...],
 "tail": ...}`` where each P/Q entry is a 2x2 array of ``[re, im]`` pairs.
 Full-line systems are ``{"left": {...}, "right": {...}}`` with the left half
 stored mirrored (position l in the file means -l on the line).
+
+``load_parameters`` parses a file with no Python object or frame per
+number: numpy reads all numbers into one float buffer, a stretch of text at
+a time, one C scan checks the syntax and builds the structure around a
+shared marker per number, and rectangular numeric lists become views of the
+buffer.  The
+numbers are bit for bit those of ``json.loads``, except that an integer
+beyond the float range reads as infinity.
 """
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,7 +221,7 @@ class ArovParameters(_Piecewise):
             raise CoefficientError(
                 f"coefficient a[{bad[0]}] has |a| = {abs(a[bad[0]])} > 1"
             )
-        if self.tail not in _TAILS:
+        if not isinstance(self.tail, str) or self.tail not in _TAILS:
             raise CoefficientError(f"unknown tail policy {self.tail!r}")
         for name, arr in (("grid", g), ("m", m), ("a", a)):
             arr.setflags(write=False)
@@ -294,12 +303,24 @@ class ArovParameters(_Piecewise):
 
     def kappa_integral(self, l):
         """Closed-form integral of 2 a exp(-2 mu) d(mu) over [0, l]; exact for
-        the stored piecewise-constant class."""
+        the stored piecewise-constant class.  It sums the folded piece stream
+        of ``piece_arrays``: the head, q periods before it as a geometric sum
+        in exp(-2 mu(L)), and the constant tail's mass, in O(N) for any l."""
         if float(l) < 0.0:
             raise DomainError("l must be nonnegative")
-        k, d = self.span_arrays(l)
-        decay = np.exp(-2.0 * np.concatenate(([0.0], np.cumsum(d))))
-        return complex(np.sum(self.a[k] * -np.diff(decay)))
+        k, d, ends, at, q, t = self.piece_arrays([l])
+        mu = np.concatenate(([0.0], np.cumsum(d)))
+        cum = np.concatenate(([0.0], np.cumsum(self.a[k] * -np.diff(np.exp(-2.0 * mu)))))
+        mu, cum = mu[ends], cum[ends]  # at the heads
+        kappa = cum[at[0]]
+        if q is not None and q[0]:
+            # period j before the head is damped by exp(-2 j mu(L))
+            q, mu_l = int(q[0]), mu[-1]
+            periods = np.expm1(-2.0 * q * mu_l) / np.expm1(-2.0 * mu_l) if mu_l > 0.0 else q
+            kappa = cum[-1] * periods + np.exp(-2.0 * q * mu_l) * kappa
+        if t is not None:
+            kappa += self.a[-1] * np.exp(-2.0 * mu[at[0]]) * -np.expm1(-2.0 * t[0])
+        return complex(kappa)
 
     def to_dict(self):
         return {
@@ -452,9 +473,11 @@ class GeneralCoefficients(_Piecewise):
         Q = np.asarray(self.Q, dtype=complex)
         if n.shape != g.shape:
             raise CoefficientError("n must have one entry per interval")
+        if not np.all(np.isfinite(n)):
+            raise CoefficientError("density n has non-finite entries")
         if P.shape != (g.size, 2, 2) or Q.shape != (g.size, 2, 2):
             raise CoefficientError("P and Q must be stacks of 2x2 matrices, one per interval")
-        if self.tail not in _TAILS:
+        if not isinstance(self.tail, str) or self.tail not in _TAILS:
             raise CoefficientError(f"unknown tail policy {self.tail!r}")
         for name, arr in (("grid", g), ("n", n), ("P", P), ("Q", Q)):
             arr.setflags(write=False)
@@ -537,17 +560,29 @@ def _parse_real_list(values, key):
         raise ParseError(f"{key}: expected a list of numbers ({exc})")
 
 
+def _complex_pairs(arr):
+    """Complex numbers from [re, im] pairs on the last axis, bit for bit
+    (x + 1j * y would turn -0.0 and infinite parts)."""
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
+
+
 def _parse_complex_list(values, key):
     if isinstance(values, np.ndarray) and values.shape[1:] == (2,):
-        return values[:, 0] + 1j * values[:, 1]
+        return _complex_pairs(values)
+    if not isinstance(values, (list, np.ndarray)):
+        raise ParseError(f"{key}: expected a list of numbers or [re, im] pairs, "
+                         f"got {type(values).__name__}")
     out = []
     for i, v in enumerate(values):
-        if isinstance(v, (int, float)):
-            out.append(complex(v))
-        elif isinstance(v, (list, tuple, np.ndarray)) and len(v) == 2:
-            out.append(complex(float(v[0]), float(v[1])))
-        else:
-            raise ParseError(f"{key}[{i}]: expected number or [re, im] pair, got {v!r}")
+        try:
+            if isinstance(v, (int, float)):
+                out.append(complex(v))
+            elif isinstance(v, (list, tuple, np.ndarray)) and len(v) == 2:
+                out.append(complex(float(v[0]), float(v[1])))
+            else:
+                raise TypeError("not a number or a pair")
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{key}[{i}]: expected number or [re, im] pair, got {v!r} ({exc})")
     return np.array(out, dtype=complex)
 
 
@@ -555,7 +590,7 @@ def _parse_matrix_stack(values, key):
     try:  # uniform [re, im] pairs: one float array
         arr = np.asarray(values, dtype=float)
         if arr.ndim == 4 and arr.shape[1:] == (2, 2, 2):
-            return arr[..., 0] + 1j * arr[..., 1]
+            return _complex_pairs(arr)
     except (TypeError, ValueError):
         pass
     try:
@@ -591,60 +626,110 @@ def parameters_from_dict(d):
         _parse_matrix_stack(d["Q"], "Q"), d.get("tail", TAIL_FINITE)))
 
 
-_NUMBER = object()
+#: what the skeleton scan puts in place of every number: ``type(token)``,
+#: a C call that returns this one object
+_NUMBER = str
+
+#: JSON strings (keys included), skipped when the numbers are read
+_STRINGS = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+
+#: the integer token -0, which JSON reads as int 0 and so as +0.0
+_INT_ZERO = r"-0(?![.eE\d])"
+
+#: JSON structure and whitespace, blanked around the numbers
+_BLANK = str.maketrans("[]{},:\t\n\r", " " * 9)
+
+#: characters of text numpy reads at a time
+_CHUNK = 1 << 16
 
 
-def _compact(node, values, pos):
-    """Put back the numbers of a JSON tree parsed by _load_json, in document
-    order from pos: numeric lists become float arrays, lists of equal-length
-    numeric lists 2-d arrays.  Returns (node, next position)."""
+def _numbers(text):
+    """The numbers of a JSON text in document order, as one float array:
+    numpy reads each stretch between strings, at most about _CHUNK
+    characters at a time (cut after a comma), with its structure blanked,
+    the literals true, false and null removed and NaN and (-)Infinity kept
+    as numbers, so no copy of the whole text is made."""
+    parts, lo = [], 0
+    for a, b in [m.span() for m in re.finditer(_STRINGS, text)] + [(len(text), None)]:
+        while lo < a:
+            hi = text.find(",", lo + _CHUNK, a) + 1 or a
+            part = re.sub(_INT_ZERO, "0", text[lo:hi].translate(_BLANK))
+            if "u" in part or "l" in part:  # only true, false and null hold either
+                part = part.replace("true", " ").replace("false", " ").replace("null", " ")
+            if not part.isspace():  # np.fromstring reads pure blanks as [-1.0]
+                parts.append(np.fromstring(part, sep=" "))
+            lo = hi
+        lo = b
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _template(node):
+    """The skeleton of a full, rectangular numeric list shaped like node's
+    first elements, and that shape; (None, ()) when node's first leaf is
+    not a number."""
+    shape = []
+    while isinstance(node, list) and node:
+        shape.append(len(node))
+        node = node[0]
+    if node is not _NUMBER:
+        return None, ()
+    for n in reversed(shape):
+        node = [node] * n
+    return node, tuple(shape)
+
+
+def _rebuild(node, values, pos):
+    """Put the numbers back into a skeleton from _load_json, in document
+    order from pos: a rectangular numeric list becomes one view of values,
+    found by list equality with its template; objects (tuples of pairs)
+    become dicts, the last of duplicate keys winning.  Returns (node, next
+    position)."""
     if node is _NUMBER:
         return values[pos], pos + 1
-    if isinstance(node, list) and node:
-        width = len(node[0]) if isinstance(node[0], list) else 0
-        if all(v is _NUMBER for v in node) or width and all(
-                isinstance(v, list) and len(v) == width and
-                all(e is _NUMBER for e in v) for v in node):
-            n = len(node) * max(width, 1)
-            return values[pos:pos + n].reshape((len(node), width) if width else n), pos + n
-    for key in node if isinstance(node, dict) else range(len(node)) \
-            if isinstance(node, list) else ():
-        node[key], pos = _compact(node[key], values, pos)
+    if isinstance(node, tuple):
+        pairs = []
+        for key, value in node:
+            value, pos = _rebuild(value, values, pos)
+            pairs.append((key, value))
+        return dict(pairs), pos
+    if isinstance(node, list):
+        template, shape = _template(node)
+        if template is not None and node == template:
+            n = int(np.prod(shape))
+            return values[pos:pos + n].reshape(shape), pos + n
+        for i, value in enumerate(node):
+            node[i], pos = _rebuild(value, values, pos)
     return node, pos
 
 
 def _load_json(fh):
-    """json.load with the numbers in one float buffer, not one Python object
-    each: a large coefficient file parses in a fraction of the memory."""
-    from array import array  # loaded on first use: import arvcanon stays as lean
-    numbers = array("d")
-
-    def number(token):
-        numbers.append(float(token))
-        return _NUMBER
-
-    def members(pairs):
-        if len(dict(pairs)) < len(pairs):  # document order lost: reparse
-            raise KeyError("duplicate key")
-        return dict(pairs)
-
+    """json.load with the numbers in one float buffer and no Python object
+    or frame per number: numpy reads the numbers of the text (_numbers),
+    then one C scan checks the syntax and builds the skeleton (every number
+    the _NUMBER sentinel), and each rectangular numeric list becomes a view
+    of the buffer.  The numbers are read first, so no piece of the text is
+    copied while the skeleton is held."""
+    text = fh.read()
     try:
-        data = json.load(fh, parse_float=number, parse_int=number,
-                         object_pairs_hook=members)
-    except KeyError:
-        fh.seek(0)
-        return json.load(fh)
-    return _compact(data, np.array(numbers), 0)[0]
+        values = _numbers(text)
+    except ValueError:  # not JSON: the scan below says where
+        values = None
+    skeleton = json.loads(text, parse_float=type, parse_int=type, parse_constant=type,
+                          object_pairs_hook=tuple)
+    del text
+    return _rebuild(skeleton, values, 0)[0]
 
 
 def load_parameters(path):
     """Parse a coefficient file.  Returns ArovParameters, GeneralCoefficients
     or, for full-line files, a (left, right) tuple."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = _load_json(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if isinstance(data, dict) and ("left" in data or "right" in data):

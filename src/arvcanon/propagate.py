@@ -145,6 +145,16 @@ def scaled_products(zs, gen, k, d, ends):
     return x, xc
 
 
+def _power_left(m, c, sq, sc, q):
+    """Multiply matrix i of the scaled stack (m (4, nz, n), c (nz, n)) by
+    P^q[i] from the left, in place, for the scaled P = (sq (4, nz, 1),
+    sc (nz, 1)): the commuting powers P^(2^j) of the set bits of q."""
+    for bit in range(int(q.max()).bit_length()):
+        on = (q >> bit) % 2 == 1
+        m[:, :, on], c[:, on] = _renorm(_mul(sq, m[:, :, on]), sc + c[:, on])
+        sq, sc = _renorm(_mul(sq, sq), 2.0 * sc)
+
+
 def transfer_grid(system, zs, ls):
     """Scaled transfer matrices (M[nz, nl, 2, 2], logc[nz, nl]) of a disk- or
     general-gauge system over a spectral grid and lengths in any order: one
@@ -158,14 +168,8 @@ def transfer_grid(system, zs, ls):
     # one copy into the output layout; m is its (4, nz, nl) entry view
     out, c = np.take(x.transpose(1, 2, 0), at, axis=1), xc[:, at]
     m = out.transpose(2, 0, 1)
-    if q is not None:
-        # periodic tail: Pat^q @ H(r), the commuting powers Pat^(2^j) of the
-        # set bits of q applied from the left
-        sq, sc = x[:, :, -1:], xc[:, -1:]
-        for bit in range(int(q.max()).bit_length()):
-            on = (q >> bit) % 2 == 1
-            m[:, :, on], c[:, on] = _renorm(_mul(sq, m[:, :, on]), sc + c[:, on])
-            sq, sc = _renorm(_mul(sq, sq), 2.0 * sc)
+    if q is not None:  # periodic tail: Pat^q @ H(r)
+        _power_left(m, c, x[:, :, -1:], xc[:, -1:], q)
     if t is not None:
         # constant tail: one more piece, with the last interval's generator
         tail = t > 0.0
@@ -205,10 +209,29 @@ def transfer(z, p, l):
 
 def transfer_between(z, p, l_from, l_to):
     """Stripped segment 𝒜(z, l_from)^(-1) 𝒜(z, l_to), computed directly as
-    the product over [l_from, l_to] (better conditioned than inverting)."""
-    k, d = p.span_arrays(l_to, l_from)
-    x, c = scaled_products([z], p.generator_table, k, d, [k.size])
-    return materialize(x[:, 0, 0].reshape(2, 2), c[0, 0], "transfer_between")
+    the product over [l_from, l_to] (better conditioned than inverting).
+    A periodic span across more than one period boundary is folded: for
+    l_from = q0 L + r0 and l_to = q1 L + r1 it is R^m A(r0, L) A(0, r1),
+    R = A(r0, L) A(0, r0) being the period started at r0 and m = q1 - q0 - 1,
+    one kernel call and O(log m) products for any number of periods."""
+    spans, m = [(l_to, l_from)], 0
+    if p.tail == coeff.TAIL_PERIODIC and 0.0 <= l_from <= l_to < np.inf:
+        L = p.length
+        (q0, r0), (q1, r1) = divmod(float(l_from), L), divmod(float(l_to), L)
+        m = int(q1 - q0) - 1
+        if m > 0:  # pieces of [r0, L], then of [0, L] cut at r0 and r1
+            lo, hi = sorted((r0, r1))
+            spans = [(L, r0), (lo, 0.0), (hi, lo)]
+    parts = [p.span_arrays(*span) for span in spans]
+    k, d = (np.concatenate([part[i] for part in parts]) for i in (0, 1))
+    x, c = scaled_products([z], p.generator_table, k, d,
+                           np.cumsum([part[0].size for part in parts])[-2:])
+    if m > 0:  # x holds A(r0, L) A(0, lo) and A(r0, L) A(0, hi)
+        y = int(r1 > r0)
+        out, oc = x[:, :, y:y + 1].copy(), c[:, y:y + 1].copy()
+        _power_left(out, oc, x[:, :, 1 - y:2 - y], c[:, 1 - y:2 - y], np.array([m]))
+        x, c = out, oc
+    return materialize(x[:, 0, -1].reshape(2, 2), c[0, -1], "transfer_between")
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +291,11 @@ class TransferFamily:
         if worst_det > det_tol:
             raise InconsistencyError(f"max |det - 1| = {worst_det} exceeds {det_tol}")
         up = zs.imag >= 0
-        _, cls = j_defect(adjugate(values[up, :-1]) @ values[up, 1:], class_tol)
+        a, b = values[up, :-1], values[up, 1:]
+        seg = adjugate(a) @ b
+        # seg carries round-off of about eps |a| |b|, and j - seg j seg* that
+        # times |seg|: the band is class_tol |a| |b| |seg|, not class_tol |seg|^2
+        _, cls = j_defect(seg, class_tol * norm2(a) * norm2(b) / norm2(seg))
         real = (zs[up].imag == 0)[:, None]
         _raise_first(InconsistencyError, (
             ~np.where(real, cls.kind == JKind.UNITARY, cls.is_contractive),
@@ -376,14 +403,14 @@ def recover_parameters(f, tol=1e-8, lower_tol=1e-12):
     return RecoveryResult(params, mu, kappa, np.nonzero(zero)[0])
 
 
-def family_csv_rows(f):
-    """CSV rows (z_re, z_im, l, a11_re, a11_im, ..., a22_im, det_err), each
-    a list of floats made as it is read."""
+def family_csv_columns(f):
+    """The CSV columns (z_re, z_im, l, a11_re, a11_im, ..., a22_im, det_err)
+    as arrays, one row per (z, l) in C order; the entry columns are views of
+    the family's values."""
     nz, nl = f.zs.size, f.ls.size
     entries = np.ascontiguousarray(f.values).reshape(nz * nl, 4).view(float)
-    table = np.column_stack((np.repeat(f.zs.real, nl), np.repeat(f.zs.imag, nl),
-                             np.tile(f.ls, nz), entries, f.det_errors().ravel()))
-    return map(np.ndarray.tolist, table)
+    return (np.repeat(f.zs.real, nl), np.repeat(f.zs.imag, nl), np.tile(f.ls, nz),
+            *entries.T, f.det_errors().ravel())
 
 
 FAMILY_CSV_COLUMNS = (

@@ -1,9 +1,14 @@
 """Shared generators and independent oracles for the test suite."""
 
+import json
+import re
+
 import numpy as np
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from arvcanon import ArovParameters, InputError, TAIL_CONSTANT, TAIL_PERIODIC
+from arvcanon import (ArovParameters, GeneralCoefficients, InputError, TAIL_CONSTANT,
+                      TAIL_FINITE, TAIL_PERIODIC)
 from arvcanon import coefficients as coeff
 from arvcanon.mat2 import J, J1, as_mat2, det2, norm2
 from arvcanon.propagate import transfer, transfer_grid
@@ -32,6 +37,74 @@ def random_parameters(rng, n_max=12, total_mu=2.0, a_cap=0.95,
     angles = rng.uniform(0.0, 2.0 * np.pi, n)
     a = radii * np.exp(1j * angles)
     return ArovParameters(grid, m, a, tail)
+
+
+def random_general(rng, n, tail):
+    """Random general-gauge system: P >= 0 Hermitian and Q anti-Hermitian,
+    both with equal diagonal entries."""
+    # P = [[p, b], [conj b, p]] >= 0 and Q = [[i r, c], [-conj c, i r]]
+    p = rng.uniform(0.5, 1.5, n)
+    b = rng.uniform(0.0, 0.9, n) * p * np.exp(2j * np.pi * rng.uniform(size=n))
+    r, c = rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)
+    P = np.stack([np.stack([p, b], -1), np.stack([np.conj(b), p], -1)], -2)
+    Q = np.stack([np.stack([1j * r, c], -1), np.stack([-np.conj(c), 1j * r], -1)], -2)
+    return GeneralCoefficients(np.cumsum(rng.uniform(0.05, 0.3, n)),
+                               rng.uniform(0.0, 1.5, n), P, Q, tail)
+
+
+# --- coefficient files and CSV output -------------------------------------------------------------
+
+NUMBER_TOKEN = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+#: replacements for one number token of a valid file
+TOKEN_SWAPS = ("NaN", "Infinity", "-Infinity", "true", "false", "null", "[]",
+               "[[]]", "[[0.5, 1], []]", '"1.5"', "-0", "0", "-0.0", "1e400",
+               str(2**53 + 1), str(-(2**60 + 3)), str(2**70 + 12345), "5e-324")
+
+
+@st.composite
+def coefficient_texts(draw):
+    """JSON coefficient texts: a valid file of either gauge or a full line,
+    with up to two mutations (characters dropped or duplicated, duplicate
+    keys, number tokens swapped for NaN, Infinity, literals, lists, strings
+    and large or signed-zero integers, a string key full of digits and
+    escaped quotes)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["disk", "general", "full line"]))
+    tail = draw(st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE]))
+    if kind == "general":
+        payload = random_general(rng, int(rng.integers(1, 4)), tail).to_dict()
+    else:
+        halves = [random_parameters(rng, n_max=4, tail=tail).to_dict() for _ in range(2)]
+        payload = {"left": halves[0], "right": halves[1]} if kind == "full line" else halves[0]
+    text = json.dumps(payload, indent=draw(st.sampled_from([None, 1])))
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["drop", "duplicate", "key", "string", "token", "token"]))
+        i = draw(st.integers(0, len(text) - 1))
+        if how == "drop":
+            text = text[:i] + text[i + 1:]
+        elif how == "duplicate":
+            text = text[:i] + text[i] + text[i:]
+        elif how == "key":  # a duplicate key: the last one wins
+            key = draw(st.sampled_from(['"grid"', '"m"', '"a"', '"tail"', '"left"']))
+            text = text.replace("{", "{" + key + ': [0.5, 2], ', 1)
+        elif how == "string":
+            text = text.replace("{", r'{"n1 -0": "2.5e3 \"7, -0\" [1] true", ', 1)
+        else:
+            tokens = list(NUMBER_TOKEN.finditer(text))
+            if tokens:
+                tok = tokens[draw(st.integers(0, len(tokens) - 1))]
+                text = text[:tok.start()] + draw(st.sampled_from(TOKEN_SWAPS)) + text[tok.end():]
+    return text
+
+
+def csv_reference(header, columns, cfg, units):
+    """The CSV text of the command line written one number at a time:
+    format(x, ".17g") per number, strings as they are."""
+    lines = [f"# arvcanon config={cfg} units={units}", ",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row)
+              for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
 
 
 def random_upper_z(rng, re_max=1.5, im_range=(0.1, 1.5)):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arvcanon import cli, constant_parameters, riccati_fixed_point, save_parameters
+
+from helpers import coefficient_texts, csv_reference
 
 
 def _write(tmp_path, name, payload):
@@ -293,6 +298,14 @@ def test_non_finite_spectral_points_exit_2(const_half, capsys, argv):
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
+def test_non_utf8_file_exit_2(tmp_path, capsys):
+    # an undecodable byte ended in a UnicodeDecodeError traceback
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"grid": [1.0], "m": [1.0], "a": [0.5], "note": "\xff"}')
+    assert cli.main(["type", "--input", str(path), "--l", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
 def test_closed_stdout_exits_1_without_traceback(const_half):
     # a reader that stops after one line, like `arvcanon transfer ... | head -1`
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -306,3 +319,102 @@ def test_closed_stdout_exits_1_without_traceback(const_half):
     err = proc.communicate(timeout=120)[1].decode()
     assert proc.returncode == 1
     assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+# --- the CSV writer and the reused parser -------------------------------------------
+
+#: numbers a table must write as format(x, ".17g") does
+_EDGE_NUMBERS = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+                 1.7e308, -1.7e308, 1.7976931348623157e308, 1.0, -1.0, 0.1, 1 / 3, 1e16,
+                 123456789.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([0, 1, 2, cli._ROWS - 1, cli._ROWS, cli._ROWS + 1, 2 * cli._ROWS + 3])
+       | st.integers(0, 3 * cli._ROWS),
+       st.integers(1, 7), st.booleans(),
+       st.lists(st.sampled_from(_EDGE_NUMBERS) | st.floats(allow_nan=True), max_size=12))
+def test_write_table_bytes_equal_per_number_format(tmp_path_factory, seed, n, k, status, extra):
+    # random bit patterns (every class of double, NaN payloads included),
+    # the edge values and a string column, over row counts across blocks
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate((_EDGE_NUMBERS, extra, rng.standard_normal(8) * 1e3))
+    bits = rng.integers(0, 2**63, size=(k, n), dtype=np.int64) * rng.choice([1, -1], size=(k, n))
+    columns = [np.where(rng.random(n) < 0.5, pool[rng.integers(0, pool.size, n)],
+                        bits[j].view(float)) for j in range(k)]
+    if status:
+        columns.insert(int(rng.integers(0, k + 1)),
+                       np.array(rng.choice(["ok", "escaped"], n), dtype=str))
+    header = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    cli._write_table(str(path), header, columns, "abc123")
+    assert path.read_bytes() == csv_reference(header, columns, "abc123", cli.UNITS).encode()
+
+
+def test_in_process_calls_repeat_byte_for_byte(tmp_path, const_half, full_line):
+    # one parser serves every call of the process: interleaved subcommands,
+    # parse errors and option defaults leave no state behind
+    assert cli._parser() is cli._parser()
+    out = tmp_path / "out"
+    commands = {
+        "transfer": ["transfer", "--input", const_half, "--zgrid=-1,0.5:1,1.5:3",
+                     "--lgrid", "0:2:0.5"],
+        "disks": ["disks", "--input", const_half, "--zgrid", "i", "--lgrid", "0:1:0.25"],
+        "schur": ["schur", "--input", full_line, "--zgrid", "0.2,0.3:0.5,1:3"],
+        "schur_minus": ["schur", "--input", full_line, "--zgrid", "0.2,0.3:0.5,1:3",
+                        "--side", "minus"],
+        "riccati": ["riccati", "--input", const_half, "--z", "i", "--s0", "0.9,0",
+                    "--lgrid", "0:3:0.5"],
+        "type": ["type", "--input", const_half, "--l", "2"],
+        "type_csv": ["type", "--input", const_half, "--l", "2", "--format", "csv"],
+        "reflectionless": ["reflectionless", "--input", full_line, "--xgrid=-0.5:0.5:0.25",
+                           "--eps", "1e-2,1e-3", "--summary", str(out) + "_summary.json"],
+        "bp": ["bp", "--input", full_line, "--e=0.9,1.4", "--arc=0.4:2.0",
+               "--lladder=1,2", "--xstep=0.25"],
+        "gauge": ["gauge", "--input", const_half, "--to", "arov", "--zgrid", "0.5,0.5",
+                  "--lgrid", "0:1:0.25", "--params-out", str(out) + "_params.json"],
+    }
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text('{"grid": [1.0],\n "m": [1.0,}\n')
+    errors = [["transfer", "--input", const_half],  # argparse: missing options
+              ["schur", "--input", full_line, "--zgrid", "i", "--side", "up"],
+              ["type", "--input", str(bad_file), "--l", "1"]]  # malformed JSON
+
+    def run(name):
+        paths = [f"{out}_{name}.out"] + [a for a in commands[name] if a.startswith(str(out))]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(commands[name] + ["--output", paths[0]]) == 0, name
+        return [Path(p).read_bytes() for p in paths]
+
+    def fail(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code == 2 and "Traceback" not in err.getvalue()
+
+    first = {name: run(name) for name in commands}
+    for i, name in enumerate(reversed(list(commands))):
+        fail(errors[i % len(errors)])
+        assert run(name) == first[name], name  # config hash included
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_texts(), st.sampled_from([
+    ["transfer", "--zgrid", "0.5,0.5:1,1:2", "--lgrid", "0:2:0.5"],
+    ["schur", "--zgrid", "i"],
+    ["type", "--l", "1.5"],
+    ["riccati", "--z", "0.3,0.8", "--lgrid", "0:1:0.5"],
+]))
+def test_fuzzed_files_never_raise_through_main(tmp_path_factory, text, argv):
+    # valid and mutated coefficient texts: an exit code, never a traceback
+    path = tmp_path_factory.mktemp("fuzz") / "c.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--input", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -14,7 +14,7 @@ from arvcanon.coefficients import GeneralCoefficients, parameters_from_dict
 from arvcanon.mat2 import J, herm_eigs, mat2
 from arvcanon.propagate import transfer
 
-from helpers import random_parameters
+from helpers import coefficient_texts, random_general as _random_general, random_parameters
 
 
 # --- ArovParameters invariants ------------------------------------------------
@@ -22,6 +22,14 @@ from helpers import random_parameters
 def test_rejects_negative_density():
     with pytest.raises(CoefficientError, match="negative"):
         ArovParameters([1.0], [-0.5], [0.0])
+
+
+def test_general_rejects_non_finite_density():
+    # a NaN density wrote NaN transfer matrices and exited 0
+    c = dirac_coefficients()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(CoefficientError, match="non-finite"):
+            GeneralCoefficients(c.grid, [bad], c.P, c.Q)
 
 
 def test_rejects_coefficient_outside_disk():
@@ -368,17 +376,6 @@ def test_json_round_trip_full_line(tmp_path):
     assert np.allclose(r2.a, right.a)
 
 
-def _random_general(rng, n, tail):
-    # P = [[p, b], [conj b, p]] >= 0 and Q = [[i r, c], [-conj c, i r]]
-    p = rng.uniform(0.5, 1.5, n)
-    b = rng.uniform(0.0, 0.9, n) * p * np.exp(2j * np.pi * rng.uniform(size=n))
-    r, c = rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)
-    P = np.stack([np.stack([p, b], -1), np.stack([np.conj(b), p], -1)], -2)
-    Q = np.stack([np.stack([1j * r, c], -1), np.stack([-np.conj(c), 1j * r], -1)], -2)
-    return GeneralCoefficients(np.cumsum(rng.uniform(0.05, 0.3, n)),
-                               rng.uniform(0.0, 1.5, n), P, Q, tail)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
        st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE]),
@@ -438,6 +435,15 @@ def test_non_numeric_real_field_is_parse_error(tmp_path, payload, key):
         load_parameters(path)
 
 
+@pytest.mark.parametrize("tail", ["[1, 2]", "3", '{"x": "constant"}'])
+def test_non_string_tail_is_coefficient_error(tmp_path, tail):
+    # a numeric list read as an array made the tail check raise ValueError
+    path = tmp_path / "bad.json"
+    path.write_text('{"grid": [1, 2], "m": [1, 1], "a": [0.1, 0.2], "tail": %s}' % tail)
+    with pytest.raises(CoefficientError, match="tail"):
+        load_parameters(path)
+
+
 def test_pieces_periodic_fold_ends_for_non_binary_periods():
     # folding by floor(l / L) * L rounded back a period when L is not exact
     # in binary, so the span never advanced (or raised on a negative span)
@@ -474,3 +480,106 @@ def test_load_parameters_matches_plain_json(tmp_path, text):
         for name in ("grid", "m", "a", "n", "P", "Q"):
             if hasattr(w, name):
                 assert np.array_equal(getattr(g, name), getattr(w, name)), name
+
+
+def test_kappa_integral_folds_periodic_tails():
+    # the closed-form disk-center integral sums q periods as a geometric sum:
+    # the unrolled sum to 1e-13, in memory that does not grow with q
+    import tracemalloc
+
+    rng = np.random.default_rng(63)
+    n = 20
+    p = ArovParameters(np.cumsum(rng.uniform(0.13, 0.37, n)), rng.uniform(0.0, 0.05, n),
+                       rng.uniform(0.0, 0.9, n) * np.exp(2j * np.pi * rng.uniform(size=n)),
+                       TAIL_PERIODIC)
+    L = p.length
+
+    def unrolled(l):
+        k, d = p.span_arrays(l)
+        decay = np.exp(-2.0 * np.concatenate(([0.0], np.cumsum(d))))
+        return complex(np.sum(p.a[k] * -np.diff(decay)))
+
+    for l in (0.0, 0.4 * L, L, 2.0 * L, 3.3 * L, 71.6 * L, 2000.25 * L):
+        assert abs(p.kappa_integral(l) - unrolled(l)) <= 1e-13, l
+
+    def peak(l):
+        tracemalloc.start()
+        p.kappa_integral(l)
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    assert peak(1e5 * L) < peak(10.5 * L) + 4096
+
+
+# --- coefficient files: valid and mutated texts ----------------------------------
+
+def _plain_load(text):
+    """load_parameters written with json.loads: the behaviour to match."""
+    data = json.loads(text)
+    if isinstance(data, dict) and ("left" in data or "right" in data):
+        if not {"left", "right"} <= data.keys():
+            raise ParseError("full-line file needs both halves")
+        return parameters_from_dict(data["left"]), parameters_from_dict(data["right"])
+    return parameters_from_dict(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coefficient_texts())
+def test_fuzzed_files_parse_as_plain_json_does(tmp_path_factory, text):
+    # bit-identical arrays, or the same error class (a JSON syntax error is a
+    # ParseError naming line and column)
+    path = tmp_path_factory.mktemp("fuzz") / "c.json"
+    path.write_text(text)
+    try:
+        want = _plain_load(text)
+    except json.JSONDecodeError:
+        with pytest.raises(ParseError, match="line .*, column"):
+            load_parameters(path)
+        return
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            load_parameters(path)
+        return
+    got = load_parameters(path)
+    want, got = (want, got) if isinstance(want, tuple) else ((want,), (got,))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and g.tail == w.tail
+        for name in ("grid", "m", "a", "n", "P", "Q"):
+            if hasattr(w, name):
+                mine, theirs = getattr(g, name), getattr(w, name)
+                assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, name
+                assert mine.tobytes() == theirs.tobytes(), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_texts(), st.integers(1, 80))
+def test_numbers_read_in_chunks_of_any_size(text, chunk):
+    # the numbers come out the same however the text is cut for numpy
+    from arvcanon import coefficients
+
+    try:
+        whole = coefficients._numbers(text)
+    except ValueError:
+        return
+    saved, coefficients._CHUNK = coefficients._CHUNK, chunk
+    try:
+        assert coefficients._numbers(text).tobytes() == whole.tobytes()
+    finally:
+        coefficients._CHUNK = saved
+
+
+@pytest.mark.parametrize("text", [
+    '{"grid": [1], "m": [-0], "a": [[-0.0, 0.5]]}',
+    '{"grid": [1, 2], "m": [0, -0.0], "a": [-0, [0.5, -0.0]], "tail": "finite"}',
+    '{"grid": [1], "m": [1], "a": [[-0.0, 0.25]], "grid": [2], "x": "-0, 3"}',
+])
+def test_signed_zeros_parse_as_plain_json(tmp_path, text):
+    # JSON's integer -0 is +0.0, the float -0.0 keeps its sign, and a pair
+    # [-0.0, y] is complex(-0.0, y)
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    got, want = load_parameters(path), _plain_load(text)
+    for name in ("grid", "m", "a"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name

@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from arvcanon import (ArovParameters, DomainError, GaugeError,
-                      InconsistencyError, InputError, TAIL_FINITE, constant_parameters,
-                      dirac_coefficients, schroedinger_coefficients)
+                      InconsistencyError, InputError, TAIL_FINITE, TAIL_PERIODIC,
+                      constant_parameters, dirac_coefficients, schroedinger_coefficients)
 from arvcanon.mat2 import J, adjugate, det2, j_defect, norm2
 from arvcanon.propagate import (GAUGE_AROV, GAUGE_PDB, GAUGE_RAW,
                                 TransferFamily, recover_parameters, to_arov_gauge,
@@ -428,3 +428,52 @@ def test_recovery_without_lengths_is_an_input_error():
     fam = TransferFamily([1j], [], np.empty((1, 0, 2, 2)), GAUGE_AROV)
     with pytest.raises(InputError):
         recover_parameters(fam)
+
+
+def test_transfer_between_folds_periodic_spans():
+    # a span over many periods is the rotated period powered: the product of
+    # its parts, in memory that does not grow with the number of periods
+    import tracemalloc
+
+    rng = np.random.default_rng(64)
+    n = 20
+    p = ArovParameters(np.cumsum(rng.uniform(0.13, 0.37, n)), rng.uniform(0.0, 0.02, n),
+                       rng.uniform(0.0, 0.9, n) * np.exp(2j * np.pi * rng.uniform(size=n)),
+                       TAIL_PERIODIC)
+    L, z = p.length, 0.4 + 0.6j
+    for r0, r1, m in ((0.3, 0.7, 2), (0.7, 0.3, 5), (0.0, 0.0, 3), (0.5, 0.5, 40), (0.9, 0.0, 1)):
+        l_from, l_to = (3 + r0) * L, (4 + m + r1) * L
+        ref = (transfer_between(z, p, l_from, 4 * L)
+               @ np.linalg.matrix_power(transfer(z, p, L), m) @ transfer(z, p, r1 * L))
+        got = transfer_between(z, p, l_from, l_to)
+        assert np.max(np.abs(got - ref)) < 1e-11 * np.max(np.abs(ref)), (r0, r1, m)
+
+    def peak(periods):
+        tracemalloc.start()
+        transfer_between(z, p, 0.5 * L, (periods + 0.25) * L)
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    assert peak(5000) < 1.5 * peak(5)
+
+
+def test_validate_accepts_large_entry_families():
+    # entries near 8e13: the stripped segments carry round-off of eps |T|^2,
+    # which a band sized by the small segment called contractive on the real
+    # axis and indefinite above it
+    p = ArovParameters([1, 2], [12, 10], [0.3 + 0.2j, -0.4j])
+    for zs in ([0, 1j, 0.5 + 0.3j], [0.5 + 0.3j, 1j, 2 + 0.5j]):
+        fam = transfer_family(p, zs, np.linspace(0, 3, 7))
+        assert np.abs(fam.values).max() > 1e13
+        assert fam.validate() is fam
+
+
+def test_validate_rejects_a_family_run_backwards():
+    # two lengths swapped: that stripped segment expands
+    fam = transfer_family(constant_parameters(0.3 + 0.2j, m=1.5), [0.2 + 0.5j, 1j],
+                          np.linspace(0, 2, 5))
+    values = fam.values.copy()
+    values[:, [2, 3]] = values[:, [3, 2]]
+    with pytest.raises(InconsistencyError, match="expanding"):
+        TransferFamily(fam.zs, fam.ls, values, fam.gauge).validate()

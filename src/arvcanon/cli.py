@@ -7,9 +7,9 @@ order, a header comment carrying the config hash) or JSON reports.  A CSV
 is written from column arrays in blocks of rows, each formatted by one %
 operation: the bytes of format(x, ".17g") per number, at C speed.  The
 argument parser is built on the first ``main`` call and reused by every
-later one in the process (not at import).  Exit
-codes: 0 ok, 1 any other library error or a standard output closed by its
-reader (silently), 2 parse, 3 validation.  Grids are
+later one in the process (not at import).  Exit codes: 0 ok, 1 any other
+library error or a standard output closed by its reader (silently), 2
+parse, 3 validation.  Grids are
 computed by the vectorised propagation kernel in one thread, ``riccati``
 solves the stripping flow exactly and ``schur`` closes every value with the
 tail; ``--threads`` is accepted but changes nothing.
@@ -335,7 +335,10 @@ _ZGRID_HELP = ("point 're,im' or 'i', line 're1,im1:re2,im2:n' or 'iy:y1:y2:n:lo
                "write --zgrid=-2,0.5:2,0.5:3 for a leading '-'")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process on first use: building
+    it costs about thirty times what parsing a command line does."""
     ap = argparse.ArgumentParser(
         prog="arvcanon",
         description="Canonical systems in Arov gauge: propagation, Weyl disks, "
@@ -424,15 +427,8 @@ def _emit_error(exc):
     sys.stderr.write(json.dumps(detail) + "\n")
 
 
-@functools.cache
-def _parser():
-    """build_parser() once per process, on first use: building the parser
-    costs about thirty times what parsing a command line does."""
-    return build_parser()
-
-
 def main(argv=None):
-    return run(_parser().parse_args(argv))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

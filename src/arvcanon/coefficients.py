@@ -25,13 +25,13 @@ General-gauge variant: ``{"grid": [...], "n": [...], "P": [...], "Q": [...],
 Full-line systems are ``{"left": {...}, "right": {...}}`` with the left half
 stored mirrored (position l in the file means -l on the line).
 
-``load_parameters`` parses a file with no Python object or frame per
-number: numpy reads all numbers into one float buffer, a stretch of text at
-a time, one C scan checks the syntax and builds the structure around a
-shared marker per number, and rectangular numeric lists become views of the
-buffer.  The
-numbers are bit for bit those of ``json.loads``, except that an integer
-beyond the float range reads as infinity.
+``load_parameters`` parses a file with no Python frame per number and no
+Python object kept per number: numpy reads all numbers into one float
+buffer, a stretch of text at a time, one C scan checks the syntax and builds
+the structure around a shared marker per number, and rectangular numeric
+lists become views of the buffer.  The numbers are bit for bit those of
+``json.loads``, except that an integer beyond the float range reads as
+infinity.
 """
 
 import json
@@ -703,12 +703,13 @@ def _rebuild(node, values, pos):
 
 
 def _load_json(fh):
-    """json.load with the numbers in one float buffer and no Python object
-    or frame per number: numpy reads the numbers of the text (_numbers),
-    then one C scan checks the syntax and builds the skeleton (every number
-    the _NUMBER sentinel), and each rectangular numeric list becomes a view
-    of the buffer.  The numbers are read first, so no piece of the text is
-    copied while the skeleton is held."""
+    """json.load with the numbers in one float buffer, no Python frame per
+    number and no Python object kept per number: numpy reads the numbers
+    (_numbers), then one C scan checks the syntax and builds the skeleton,
+    type() turning each number token into the _NUMBER sentinel, and each
+    rectangular numeric list becomes a view of the buffer.  The numbers are
+    read first, so no piece of the text is copied while the skeleton is
+    held."""
     text = fh.read()
     try:
         values = _numbers(text)

@@ -294,8 +294,10 @@ class TransferFamily:
         a, b = values[up, :-1], values[up, 1:]
         seg = adjugate(a) @ b
         # seg carries round-off of about eps |a| |b|, and j - seg j seg* that
-        # times |seg|: the band is class_tol |a| |b| |seg|, not class_tol |seg|^2
-        _, cls = j_defect(seg, class_tol * norm2(a) * norm2(b) / norm2(seg))
+        # times |seg|: the band is class_tol |seg|^2, widened to
+        # 64 eps |a| |b| |seg| where that round-off is larger
+        round_off = 64.0 * np.finfo(float).eps * norm2(a) * norm2(b) / norm2(seg)
+        _, cls = j_defect(seg, np.maximum(class_tol, round_off))
         real = (zs[up].imag == 0)[:, None]
         _raise_first(InconsistencyError, (
             ~np.where(real, cls.kind == JKind.UNITARY, cls.is_contractive),

@@ -355,7 +355,7 @@ def test_write_table_bytes_equal_per_number_format(tmp_path_factory, seed, n, k,
 def test_in_process_calls_repeat_byte_for_byte(tmp_path, const_half, full_line):
     # one parser serves every call of the process: interleaved subcommands,
     # parse errors and option defaults leave no state behind
-    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is cli.build_parser()
     out = tmp_path / "out"
     commands = {
         "transfer": ["transfer", "--input", const_half, "--zgrid=-1,0.5:1,1.5:3",

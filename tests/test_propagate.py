@@ -469,11 +469,15 @@ def test_validate_accepts_large_entry_families():
         assert fam.validate() is fam
 
 
-def test_validate_rejects_a_family_run_backwards():
-    # two lengths swapped: that stripped segment expands
-    fam = transfer_family(constant_parameters(0.3 + 0.2j, m=1.5), [0.2 + 0.5j, 1j],
-                          np.linspace(0, 2, 5))
+@pytest.mark.parametrize("ls", [np.linspace(0, 2, 5), [0, 7.998, 7.999, 8],
+                                [0, 9.98, 9.99, 10], [0, 9.998, 9.999, 10],
+                                [0, 11.98, 11.99, 12]])
+def test_validate_rejects_a_family_run_backwards(ls):
+    # two lengths swapped: that stripped segment expands; the later cases
+    # have entries of 2e5 to 7e7 and segments of 0.01 and 0.001, where the
+    # round-off of the segment is far below its defect
+    fam = transfer_family(constant_parameters(0.3 + 0.2j, m=1.5), [0.2 + 0.5j, 1j], ls)
     values = fam.values.copy()
-    values[:, [2, 3]] = values[:, [3, 2]]
+    values[:, [-3, -2]] = values[:, [-2, -3]]
     with pytest.raises(InconsistencyError, match="expanding"):
         TransferFamily(fam.zs, fam.ls, values, fam.gauge).validate()

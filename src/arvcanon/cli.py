@@ -149,7 +149,7 @@ def _write_table(path, header, columns, cfg):
 
 def _write_json(path, payload):
     with _open_output(path) as fh:
-        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        coeff.write_json(payload, fh)
 
 
 def _load_single(ns):

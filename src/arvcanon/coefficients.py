@@ -35,6 +35,7 @@ infinity.
 """
 
 import json
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -553,7 +554,23 @@ def schroedinger_coefficients(q, grid, tail=TAIL_FINITE):
 # JSON input/output
 
 
+def _require_numbers(values, key):
+    """ParseError for a string, boolean or null where a number belongs, all
+    of which numpy would read as one ("1.5" as 1.5, true as 1, null as nan).
+    A numeric array, the form every all-number list of a file is read into,
+    passes without a look at its entries."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iufc":
+            raise ParseError(f"{key}: expected numbers, got an array of {values.dtype}")
+    elif isinstance(values, (list, tuple)):
+        for v in values:
+            _require_numbers(v, key)
+    elif isinstance(values, (bool, np.bool_)) or not isinstance(values, numbers.Number):
+        raise ParseError(f"{key}: expected a number, got {values!r}")
+
+
 def _parse_real_list(values, key):
+    _require_numbers(values, key)
     try:
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -567,11 +584,12 @@ def _complex_pairs(arr):
 
 
 def _parse_complex_list(values, key):
-    if isinstance(values, np.ndarray) and values.shape[1:] == (2,):
-        return _complex_pairs(values)
     if not isinstance(values, (list, np.ndarray)):
         raise ParseError(f"{key}: expected a list of numbers or [re, im] pairs, "
                          f"got {type(values).__name__}")
+    _require_numbers(values, key)
+    if isinstance(values, np.ndarray) and values.shape[1:] == (2,):
+        return _complex_pairs(values)
     out = []
     for i, v in enumerate(values):
         try:
@@ -587,6 +605,7 @@ def _parse_complex_list(values, key):
 
 
 def _parse_matrix_stack(values, key):
+    _require_numbers(values, key)
     try:  # uniform [re, im] pairs: one float array
         arr = np.asarray(values, dtype=float)
         if arr.ndim == 4 and arr.shape[1:] == (2, 2, 2):
@@ -741,11 +760,19 @@ def load_parameters(path):
     return parameters_from_dict(data)
 
 
+def write_json(payload, fh):
+    """Write a dict as JSON text: one key per line, in sorted order, each
+    value on its key's line.  Each value is encoded by json's C encoder;
+    json.dump with an indent takes the pure-Python one (CPython 3.10 and
+    3.11), several times slower on long lists of numbers."""
+    fh.write("{\n" + ",\n".join(f" {json.dumps(key)}: {json.dumps(payload[key], sort_keys=True)}"
+                                  for key in sorted(payload)) + "\n}\n")
+
+
 def save_parameters(obj, path):
     if isinstance(obj, tuple):
         payload = {"left": obj[0].to_dict(), "right": obj[1].to_dict()}
     else:
         payload = obj.to_dict()
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        write_json(payload, fh)

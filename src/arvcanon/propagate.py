@@ -20,13 +20,17 @@ y * sigma of several thousand.
 ``_expm`` is the one closed form, evaluated entrywise over arrays;
 ``_propagators`` applies it to (spectral point, piece) arrays of either
 gauge's generator table.  ``scaled_products`` is the one propagation kernel:
-the ordered products of a piece stream through given piece counts, in blocks
-of ``_BLOCK`` pieces (a prefix scan per block, carried across blocks); it
-knows no tails.  ``transfer_grid`` feeds it the folded stream of
-``piece_arrays`` and closes constant and periodic tails in O(1) and O(log)
-products.  Every transfer function here is a thin wrapper around the two;
-``transfer`` refuses to overflow silently.  The Riccati escape search is the
-one other caller of ``_propagators``.
+the ordered products of a piece stream through given piece counts.  It works
+in blocks of a fixed ``_BLOCK`` pieces, carried across blocks by a running
+product; within a block it builds levels of pairwise products down to at
+most ``_TOP`` nodes, scans those, and descends from the scan to each
+requested count through one node per level, so a block costs about one
+product per piece instead of a full prefix scan's log2(_BLOCK).  It knows no
+tails.  ``transfer_grid`` feeds it the folded stream of ``piece_arrays`` and
+closes constant and periodic tails in O(1) and O(log) products.  Every
+transfer function here is a thin wrapper around the two; ``transfer``
+refuses to overflow silently.  The Riccati escape search is the one other
+caller of ``_propagators`` and of the plain prefix scan ``_scan``.
 """
 
 from dataclasses import dataclass
@@ -41,11 +45,16 @@ GAUGE_AROV = "arov"
 GAUGE_PDB = "pdb"
 GAUGE_RAW = "raw"
 
-#: pieces per block of the ordered product.
-_BLOCK = 512
+#: pieces per block of the ordered product: a constant, never a function of
+#: the number of spectral points (see ``scaled_products``).
+_BLOCK = 1024
 
-#: (z, piece) cells per scan: spectral points are taken in chunks of
-#: _CELLS // _BLOCK or more, so the working set is bounded for any grid.
+#: most nodes of a block that are prefix-scanned: larger blocks are first
+#: reduced by levels of pairwise products.
+_TOP = 128
+
+#: (z, piece) cells per block and chunk: spectral points are taken in chunks
+#: of _CELLS // _BLOCK or more, so the working set is bounded for any grid.
 _CELLS = 4096
 
 _LN2 = float(np.log(2.0))
@@ -55,11 +64,11 @@ _EYE = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)[:, None, None]
 
 
 def _mul(x, y):
-    """Entrywise product of 2x2 stacks stored as (4, ...) = (11, 12, 21, 22)."""
-    x11, x12, x21, x22 = x
-    y11, y12, y21, y22 = y
-    return np.array((x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
-                     x21 * y11 + x22 * y21, x21 * y12 + x22 * y22))
+    """Entrywise product of 2x2 stacks stored as (4, ...) = (11, 12, 21, 22):
+    entry ij is x_i1 y_1j + x_i2 y_2j, both rows of x at once."""
+    x, y = x.reshape(2, 2, *x.shape[1:]), y.reshape(2, 2, *y.shape[1:])
+    out = x[:, :1] * y[0] + x[:, 1:] * y[1]
+    return out.reshape(4, *out.shape[2:])
 
 
 def _renorm(x, c):
@@ -119,29 +128,79 @@ def _scan(x, c):
     return x, c
 
 
+def _prefixes(x, c, cuts):
+    """Ordered products of the first cuts[j] matrices of the scaled stack
+    (x (4, nz, w), c (nz, w)), for ascending cuts in [1, w]: (4, nz, ncuts),
+    (nz, ncuts).  Levels of pairwise products (w/2 + w/4 + ... of them) are
+    built until at most _TOP nodes remain, and those are scanned.  Each cut
+    then starts from the scan through its high bits and descends, all cuts
+    at once, through the node of each level below whose bit it has set (the
+    identity where it has not).  Only the nodes some cut needs outlive their
+    level.  A stack of at most _TOP matrices is just scanned."""
+    nodes, level = [], 0
+    while x.shape[-1] > _TOP:
+        bits = cuts >> level
+        on = bits % 2 == 1
+        at = np.where(on, bits - 1, 0)
+        node, nc = x[..., at], c[..., at]
+        node[..., ~on], nc[..., ~on] = _EYE, 0.0
+        nodes.append((node, nc))
+        h = x.shape[-1] // 2 * 2
+        x, c = _renorm(_mul(x[..., 0:h:2], x[..., 1:h:2]), c[..., 0:h:2] + c[..., 1:h:2])
+        level += 1
+    x, c = _scan(x, c)
+    high = cuts >> level
+    y, yc = x[..., high - 1], c[..., high - 1]
+    if nodes:
+        y[..., high == 0], yc[..., high == 0] = _EYE, 0.0
+    for node, nc in reversed(nodes):
+        y, yc = _renorm(_mul(y, node), yc + nc)
+    return y, yc
+
+
 def scaled_products(zs, gen, k, d, ends):
     """The propagation kernel: ordered products of the pieces (k, d) of a
     generator table at every z, through the first ends[j] pieces (ascending;
     0 gives the identity): entry stack X (4, nz, ne) and log-scales c
-    (nz, ne), the product being exp(c) X with X of order one.  Blocks of
-    _BLOCK pieces are scanned for chunks of spectral points and carried into
-    running products, so no stack of more than about _CELLS (z, piece) cells
-    is ever formed."""
+    (nz, ne), the product being exp(c) X with X of order one.
+
+    The pieces are taken in blocks of _BLOCK, and the spectral points of a
+    block in chunks of about _CELLS // _BLOCK, so no stack of more than about
+    _CELLS (z, piece) cells is ever formed.  Within a block, ``_prefixes``
+    reads the products through the requested ends (and the block's total)
+    off levels of pairwise products and a scan of their top: about one
+    product per piece, where a full prefix scan takes log2(_BLOCK).  The
+    first block's products are the results themselves; each later block's
+    are multiplied by the running product of the blocks before it, which
+    then takes in the block's total.  The block width is a constant: were it
+    to follow nz, the association order, and so the last bits of every
+    product, would change with the number of spectral points, and a point
+    would not get the same value alone as in a grid."""
     zs = np.asarray(zs, dtype=complex).ravel()
     ends = np.asarray(ends, dtype=np.intp)
     nz, n = zs.size, int(ends[-1]) if ends.size else 0
-    x, xc = np.tile(_EYE, (1, nz, ends.size)), np.zeros((nz, ends.size))
-    run, rc = np.tile(_EYE, (1, nz, 1)), np.zeros((nz, 1))
+    x, xc = np.empty((4, nz, ends.size), dtype=complex), np.empty((nz, ends.size))
+    zero = ends == 0
+    x[:, :, zero], xc[:, zero] = _EYE, 0.0
+    # the running product through the blocks so far
+    run, rc = np.empty((4, nz, 1), dtype=complex), np.empty((nz, 1))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         sel = slice(*np.searchsorted(ends, (lo, hi), side="right"))
         cuts = ends[sel] - lo
+        out = cuts.size
+        if hi < n:  # the block's total, carried into the next block
+            cuts = np.append(cuts, hi - lo)
         step = max(1, _CELLS // (hi - lo))
         for z in (slice(i, i + step) for i in range(0, nz, step)):
-            y, c = _scan(*_propagators(zs[z], gen, k[lo:hi], d[lo:hi]))
-            x[:, z, sel] = _mul(run[:, z], y[:, :, cuts - 1])
-            xc[z, sel] = rc[z] + c[:, cuts - 1]
-            run[:, z], rc[z] = _renorm(_mul(run[:, z], y[:, :, -1:]), rc[z] + c[:, -1:])
+            y, c = _prefixes(*_propagators(zs[z], gen, k[lo:hi], d[lo:hi]), cuts)
+            if lo:
+                x[:, z, sel] = _mul(run[:, z], y[..., :out])
+                xc[z, sel] = rc[z] + c[:, :out]
+                y, c = _renorm(_mul(run[:, z], y[..., -1:]), rc[z] + c[:, -1:])
+            else:
+                x[:, z, sel], xc[z, sel] = y[..., :out], c[:, :out]
+            run[:, z], rc[z] = y[..., -1:], c[:, -1:]
     return x, xc
 
 

@@ -11,7 +11,8 @@ Schur values shrink disks along the stored head only: at its end L the
 tail's own Schur value, a fixed point of the stripping flow, pulled back
 through T(z, L) closes every point still open.  Disks over a (z, l) grid
 and Schur values over a z grid come from one call of the vectorised
-propagation kernel (one per pass over a long head); no threads involved.
+propagation kernel (one per pass over a long head, each pass resuming where
+the last one stopped); no threads involved.
 """
 
 from dataclasses import dataclass
@@ -156,12 +157,16 @@ def schur_grid(zs, p, tol=SCHUR_TOL):
     """Half-line Schur function at every z of a grid: Weyl-disk shrinkage
     along the head, closed exactly by the tail.
 
-    The disks at l = 1, 2, 4, ... < L and at L come from one kernel call
-    while the head crossed has at most ``_REACH`` intervals, then from one
-    call per fourfold reach for the points not yet converged; a point stops
-    at the first radius below tol, nesting asserted up to there.  A point
-    still open at L takes ``_tail_closure`` of T(z, L), with residual
-    radius 0.  Returns (value, residual_radius, l_stop).
+    The disks at l = 1, 2, 4, ... < L and at L come in passes: the first
+    kernel call crosses at most ``_REACH`` stored intervals, and each later
+    pass, for the points not yet converged, crosses four times as far.  A
+    later pass resumes from the scaled T(z, l) at which the previous one
+    stopped: one kernel call over the pieces past l only, multiplied onto it
+    from the left, so no piece of the head is crossed twice.  A point stops
+    at the first radius below tol, nesting asserted up to there (across
+    passes too).  A point still open at L takes ``_tail_closure`` of
+    T(z, L), with residual radius 0.  Returns (value, residual_radius,
+    l_stop).
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     if np.any(zs.imag <= 0.0):
@@ -186,30 +191,37 @@ def schur_grid(zs, p, tol=SCHUR_TOL):
     value, radius, l_stop = np.empty(zs.size, complex), np.empty(zs.size), np.empty(zs.size)
     todo, upto, reach = np.arange(zs.size), 0, _REACH
     while todo.size:
-        upto = max(upto + 1, int(np.searchsorted(crossed, reach, side="right")))
+        start, upto = upto, max(upto + 1, int(np.searchsorted(crossed, reach, side="right")))
         reach *= 4
-        m, c = prop.transfer_grid(p, zs[todo], ls[:upto])
+        x, c = prop.scaled_products(zs[todo], p.generator_table,
+                                    *p._cut(ls[start - 1] if start else 0.0, ls[start:upto]))
+        if start:  # from T(z, ls[start - 1]), whose disk opens the nesting check
+            x = np.concatenate((head, prop._mul(head, x)), axis=-1)
+            c = np.concatenate((hc, hc + c), axis=-1)
+        base = max(start - 1, 0)  # the index in ls of column 0
+        m = x.transpose(1, 2, 0).reshape(todo.size, -1, 2, 2)
         centers, radii = _disk_arrays(m, c)
         hit = radii < tol
         if upto == ls.size:
             hit[:, -1] = True  # the tail closes every point still open
         conv = hit.any(axis=1)
-        stop = np.where(conv, np.argmax(hit, axis=1), upto - 1)
+        stop = np.where(conv, np.argmax(hit, axis=1), hit.shape[1] - 1)
         loose = np.abs(np.diff(centers, axis=1)) > \
             radii[:, :-1] - radii[:, 1:] + NESTING_SLACK
-        loose &= np.arange(1, upto) <= stop[:, None]
+        loose &= np.arange(1, hit.shape[1]) <= stop[:, None]
         if loose.any():
             i, j = np.argwhere(loose)[0]
             raise InconsistencyError(
-                f"Weyl disks failed to nest at l = {ls[j + 1]}: |dc| = "
+                f"Weyl disks failed to nest at l = {ls[base + j + 1]}: |dc| = "
                 f"{abs(centers[i, j + 1] - centers[i, j]):.3e}, "
                 f"r_prev - r = {radii[i, j] - radii[i, j + 1]:.3e}")
         done, at = todo[conv], stop[conv]
-        value[done], radius[done], l_stop[done] = centers[conv, at], radii[conv, at], ls[at]
-        tail = conv & (stop == ls.size - 1)
+        value[done], radius[done], l_stop[done] = centers[conv, at], radii[conv, at], ls[base + at]
+        tail = conv & (base + stop == ls.size - 1)
         value[todo[tail]] = _tail_closure(zs[todo[tail]], p, m[tail, -1])
         radius[todo[tail]] = 0.0
         todo = todo[~conv]
+        head, hc = prop._renorm(x[:, ~conv, -1:], c[~conv, -1:])
     return value, radius, l_stop
 
 

@@ -306,6 +306,14 @@ def test_non_utf8_file_exit_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
+def test_string_in_place_of_a_number_exit_2(tmp_path, capsys):
+    # the file loaded, "1.5" and true read as numbers, and type exited 0
+    path = tmp_path / "strings.json"
+    path.write_text('{"grid": ["1.5"], "m": [true], "a": [[false, "0.25"]]}')
+    assert cli.main(["type", "--input", str(path), "--l", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
 def test_closed_stdout_exits_1_without_traceback(const_half):
     # a reader that stops after one line, like `arvcanon transfer ... | head -1`
     src = str(Path(__file__).resolve().parents[1] / "src")

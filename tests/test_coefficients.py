@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from arvcanon import (ArovParameters, CoefficientError, DomainError, ParseError,
                       dirac_coefficients, load_parameters, reflect,
                       reparametrize, save_parameters, schroedinger_coefficients,
                       strip_head, validate_general)
-from arvcanon.coefficients import GeneralCoefficients, parameters_from_dict
+from arvcanon.coefficients import GeneralCoefficients, parameters_from_dict, write_json
 from arvcanon.mat2 import J, herm_eigs, mat2
 from arvcanon.propagate import transfer
 
@@ -376,6 +377,55 @@ def test_json_round_trip_full_line(tmp_path):
     assert np.allclose(r2.a, right.a)
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), json_values, max_size=6))
+def test_json_writer_reads_as_indented_json_does(payload):
+    # one key a line with the value on it: the same JSON as json.dumps gives
+    # with an indent, written by the C encoder
+    fh = io.StringIO()
+    write_json(payload, fh)
+    text = fh.getvalue()
+    assert json.loads(text) == json.loads(json.dumps(payload, indent=1, sort_keys=True))
+    if payload:
+        assert len(text.splitlines()) == len(payload) + 2
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["disk", "general", "full line"]),
+       st.lists(st.tuples(st.floats(0.0, 1e6, allow_subnormal=True),
+                          st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)), min_size=1, max_size=5))
+def test_saved_parameters_load_bit_identical(tmp_path_factory, seed, kind, rows):
+    # every number survives save_parameters and load_parameters bit for bit,
+    # signed zeros and subnormals included
+    rng = np.random.default_rng(seed)
+    n = len(rows)
+    m, re, im = (np.array(col) for col in zip(*rows))
+    grid = np.cumsum(rng.uniform(0.05, 0.3, n))
+    if kind == "general":
+        systems = (GeneralCoefficients(grid, m, _random_general(rng, n, TAIL_FINITE).P,
+                                       _random_general(rng, n, TAIL_FINITE).Q, TAIL_FINITE),)
+    else:
+        systems = (ArovParameters(grid, m, re + 1j * im, TAIL_PERIODIC),
+                   random_parameters(rng, tail=TAIL_FINITE))[:1 + (kind == "full line")]
+    path = tmp_path_factory.mktemp("saved") / "p.json"
+    save_parameters(systems if kind == "full line" else systems[0], path)
+    loaded = load_parameters(path)
+    for got, want in zip(loaded if kind == "full line" else (loaded,), systems):
+        assert type(got) is type(want) and got.tail == want.tail
+        for name in ("grid", "m", "a", "n", "P", "Q"):
+            if hasattr(want, name):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
        st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE]),
@@ -480,6 +530,32 @@ def test_load_parameters_matches_plain_json(tmp_path, text):
         for name in ("grid", "m", "a", "n", "P", "Q"):
             if hasattr(w, name):
                 assert np.array_equal(getattr(g, name), getattr(w, name)), name
+
+
+_P = [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]]
+_Q = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("d", [
+    {"grid": ["1.5"], "m": [True], "a": [[False, "0.25"]]},
+    {"grid": ["1.5"], "m": [1], "a": [0.25]},
+    {"grid": [1.5], "m": [True], "a": [0.25]},
+    {"grid": [1.5], "m": [1], "a": ["0.25"]},
+    {"grid": [1.5], "m": [1], "a": [True]},
+    {"grid": [1.5], "m": [1], "a": [[0.25, False]]},
+    {"grid": [1.5, 2], "m": [1, None], "a": [0.25, 0.5]},
+    {"grid": [1], "n": ["1"], "P": [_P], "Q": [_Q]},
+    {"grid": [1], "n": [1], "P": [[[[1, 0], [0.5, 0]], [[0.5, 0], [True, 0]]]], "Q": [_Q]},
+    {"grid": [1], "n": [1], "P": [_P], "Q": [[[[0, 0], ["0", 0]], [[0, 0], [0, 0]]]]},
+])
+def test_strings_booleans_and_null_are_not_numbers(tmp_path, d):
+    # they were read as numbers: "1.5" as 1.5, true as 1, null as nan
+    with pytest.raises(ParseError, match="number"):
+        parameters_from_dict(d)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ParseError, match="number"):
+        load_parameters(path)
 
 
 def test_kappa_integral_folds_periodic_tails():

@@ -115,24 +115,67 @@ def test_kernel_unsorted_and_repeated_lengths():
         assert np.max(np.abs(np.exp(c[0, j] - ref_c) * m[0, j] - ref)) < 1e-10
 
 
+def _oracle_at(system, z, ls):
+    """_oracle at ascending lengths of a finite- or constant-tail system, from
+    one pass over the stored pieces: the product through the last knot below
+    each length, times the propagator of the rest."""
+    gens, density = _generators(system, z)
+    knots, n = system.knots, system.n_intervals
+    m, logc, at, out = np.eye(2, dtype=complex), 0.0, [], []
+    for k in range(n + 1):
+        at.append((m, logc))
+        if k < n:
+            m = m @ expm(gens[k] * density[k] * (knots[k + 1] - knots[k]))
+            s = np.max(np.abs(m))
+            m, logc = m / s, logc + np.log(s)
+    for l in ls:
+        k = min(int(np.searchsorted(knots, l, side="right")) - 1, n)
+        m, logc = at[k]
+        if l > knots[k]:
+            m = m @ expm(gens[min(k, n - 1)] * density[min(k, n - 1)] * (l - knots[k]))
+            s = np.max(np.abs(m))
+            m, logc = m / s, logc + np.log(s)
+        out.append((m, logc))
+    return out
+
+
 def test_kernel_across_blocks_and_chunks(monkeypatch):
-    # more pieces than one block, cuts inside blocks and on their edges,
-    # and more spectral points than one chunk
+    # more pieces than one block; cuts on block edges, on the edges of the
+    # pairwise product levels (powers of two and their neighbours), at 0,
+    # repeated, and inside intervals; more spectral points than one chunk
     rng = np.random.default_rng(9)
     system = _disk_system(rng, 1300, TAIL_CONSTANT)
     zs = np.linspace(-1.0 + 0.2j, 1.0 + 0.9j, 7)
-    ls = np.sort(np.concatenate((system.knots[[0, 511, 512, 513, 1024, 1300]],
+    edges = [0, 0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 99, 100, 101, 127, 128, 129, 255, 256,
+             257, 300, 511, 512, 513, 1000, 1023, 1024, 1024, 1025, 1100, 1151, 1152, 1153, 1300]
+    ls = np.sort(np.concatenate((system.knots[edges],
                                  [0.5 * system.length, 1.1 * system.length],
                                  0.5 * (system.knots[508:514] + system.knots[509:515]))))
     m, c = prop.transfer_grid(system, zs, ls)
     for i in (0, 6):
-        for j, l in enumerate(ls):
-            ref, ref_c = _oracle(system, zs[i], l)
+        for j, (ref, ref_c) in enumerate(_oracle_at(system, zs[i], ls)):
             assert np.max(np.abs(np.exp(c[i, j] - ref_c) * m[i, j] - ref)) < 1e-9
+    # blocks of 100 pieces, each reduced by five levels to three nodes (odd
+    # counts on the way), one spectral point a chunk
     monkeypatch.setattr(prop, "_CELLS", 1)
     monkeypatch.setattr(prop, "_BLOCK", 100)
+    monkeypatch.setattr(prop, "_TOP", 3)
     m2, c2 = prop.transfer_grid(system, zs, ls)
     assert np.max(np.abs(np.exp(c2 - c)[..., None, None] * m2 - m)) < 1e-12
+
+
+@pytest.mark.parametrize("nz", (1, 7, 100))
+def test_kernel_gives_a_point_alone_the_bits_it_gets_in_a_grid(nz):
+    # over a head of more than three blocks: the association order of the
+    # products does not depend on how many spectral points share the call
+    system = _disk_system(np.random.default_rng(15), 3 * prop._BLOCK + 300, TAIL_CONSTANT)
+    zs = np.linspace(-1.5 + 0.05j, 1.5 + 2.0j, nz)
+    ls = np.concatenate((system.knots[[0, 1, 700, prop._BLOCK, 2 * prop._BLOCK + 5]],
+                         np.linspace(0.1, 1.2, 9) * system.length))
+    m, c = prop.transfer_grid(system, zs, ls)
+    for i in range(0, nz, 11):
+        alone, alone_c = prop.transfer_grid(system, zs[i:i + 1], ls)
+        assert alone.tobytes() == m[i:i + 1].tobytes() and alone_c.tobytes() == c[i:i + 1].tobytes()
 
 
 def test_kernel_log_scale_past_overflow():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from arvcanon import (ArovParameters, DomainError, GaugeError,
-                      InconsistencyError, InputError, TAIL_FINITE, TAIL_PERIODIC,
-                      constant_parameters, dirac_coefficients, schroedinger_coefficients)
+                      InconsistencyError, InputError, TAIL_CONSTANT, TAIL_FINITE,
+                      TAIL_PERIODIC, constant_parameters, dirac_coefficients,
+                      schroedinger_coefficients, strip_head)
 from arvcanon.mat2 import J, adjugate, det2, j_defect, norm2
 from arvcanon.propagate import (GAUGE_AROV, GAUGE_PDB, GAUGE_RAW,
                                 TransferFamily, recover_parameters, to_arov_gauge,
@@ -481,3 +483,41 @@ def test_validate_rejects_a_family_run_backwards(ls):
     values[:, [-3, -2]] = values[:, [-2, -3]]
     with pytest.raises(InconsistencyError, match="expanding"):
         TransferFamily(fam.zs, fam.ls, values, fam.gauge).validate()
+
+
+# --- properties -------------------------------------------------------------------
+
+seeds = st.integers(0, 2**32 - 1)
+tails = st.sampled_from([TAIL_FINITE, TAIL_CONSTANT, TAIL_PERIODIC])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, tails, st.lists(st.builds(complex, st.floats(-2.0, 2.0), st.floats(0.0, 2.0)),
+                              max_size=4))
+def test_property_recovery_inverts_the_family(seed, tail, zs):
+    # the (m, a) read back off the Arov-gauge family over the knots, with z = i
+    # anywhere among the spectral points, are the system's own
+    p = random_parameters(np.random.default_rng(seed), tail=tail)
+    zs = np.array(zs + [1j] + zs[:1], dtype=complex)
+    arov, _ = to_arov_gauge(transfer_family(p, zs, p.knots))
+    rec = recover_parameters(arov).params
+    assert np.array_equal(rec.grid, p.grid)
+    assert np.max(np.abs(rec.m - p.m)) <= 1e-9 * np.max(p.m)
+    assert np.max(np.abs(rec.a - p.a)) <= 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, tails, st.builds(complex, st.floats(-2.0, 2.0), st.floats(-1.0, 2.0)),
+       st.floats(0.0, 1.0), st.floats(0.0, 3.0))
+def test_property_stripped_head_matches_transfer_between(seed, tail, z, start, span):
+    # the system with [0, l0] stripped, run for l - l0, is the stripped segment
+    # of the whole system over [l0, l]
+    p = random_parameters(np.random.default_rng(seed), tail=tail)
+    stop = p.length if tail == TAIL_FINITE else 3.0 * p.length
+    l0 = start * (p.length if tail == TAIL_FINITE else stop)
+    l = min(l0 + span * p.length, stop)
+    if tail == TAIL_FINITE and l0 == p.length:
+        return  # nothing is left to strip to
+    want = transfer_between(z, p, l0, l)
+    got = transfer(z, strip_head(p, l0), l - l0)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

@@ -64,11 +64,11 @@ _EYE = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)[:, None, None]
 
 
 def _mul(x, y):
-    """Entrywise product of 2x2 stacks stored as (4, ...) = (11, 12, 21, 22):
-    entry ij is x_i1 y_1j + x_i2 y_2j, both rows of x at once."""
-    x, y = x.reshape(2, 2, *x.shape[1:]), y.reshape(2, 2, *y.shape[1:])
-    out = x[:, :1] * y[0] + x[:, 1:] * y[1]
-    return out.reshape(4, *out.shape[2:])
+    """Entrywise product of 2x2 stacks stored as (4, ...) = (11, 12, 21, 22)."""
+    x11, x12, x21, x22 = x
+    y11, y12, y21, y22 = y
+    return np.array((x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+                     x21 * y11 + x22 * y21, x21 * y12 + x22 * y22))
 
 
 def _renorm(x, c):

@@ -12,7 +12,9 @@ library error or a standard output closed by its reader (silently), 2
 parse, 3 validation.  Grids are
 computed by the vectorised propagation kernel in one thread, ``riccati``
 solves the stripping flow exactly and ``schur`` closes every value with the
-tail; ``--threads`` is accepted but changes nothing.
+tail.  ``--tol`` belongs to the subcommands that evaluate Schur functions
+(schur, riccati, reflectionless, bp); ``transfer`` and ``disks`` accept
+``--threads``, which changes nothing and stays out of the config hash.
 """
 
 import argparse
@@ -347,21 +349,23 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help):
+    def command(name, func, help, schur=True):
+        """A subcommand; those that evaluate Schur functions take --tol."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--input", required=True, help="coefficient JSON file")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; the computation is "
-                            "vectorised and single-threaded")
-        p.add_argument("--tol", type=float, default=weyl.SCHUR_TOL,
-                       help="disk-shrinkage tolerance for Schur evaluation")
+        if schur:
+            p.add_argument("--tol", type=float, default=weyl.SCHUR_TOL,
+                           help="disk-shrinkage tolerance for Schur evaluation")
         return p
 
     for name, func, what in (("transfer", _cmd_transfer, "transfer matrices"),
                              ("disks", _cmd_disks, "Weyl disks")):
-        p = command(name, func, f"{what} over a (z, l) grid")
+        p = command(name, func, f"{what} over a (z, l) grid", schur=False)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; the computation is "
+                            "vectorised and single-threaded")
         p.add_argument("--zgrid", required=True, help=_ZGRID_HELP)
         p.add_argument("--lgrid", required=True)
 
@@ -375,7 +379,7 @@ def build_parser():
     p.add_argument("--s0", default="auto", help="'auto' or a complex token re,im")
     p.add_argument("--lgrid", required=True)
 
-    p = command("type", _cmd_type, "exponential type, both faces")
+    p = command("type", _cmd_type, "exponential type, both faces", schur=False)
     p.add_argument("--l", type=float, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -393,7 +397,7 @@ def build_parser():
     p.add_argument("--xstep", type=float, default=0.05)
     p.add_argument("--eps", type=float, default=1e-3)
 
-    p = command("gauge", _cmd_gauge, "regauge a sampled family")
+    p = command("gauge", _cmd_gauge, "regauge a sampled family", schur=False)
     p.add_argument("--to", choices=("arov", "pdb"), required=True)
     p.add_argument("--zgrid", required=True, help=_ZGRID_HELP)
     p.add_argument("--lgrid", required=True)

@@ -102,8 +102,12 @@ def _sorted_unique(x):
 
 
 class _Piecewise:
-    """Grid, tail policy and the piece builder shared by both gauges;
-    subclasses set ``density`` (per-interval mass density) and
+    """Grid, tail policy and the piece builder shared by both gauges.
+    ``piece_arrays`` is the only code that folds a span into pieces, a
+    constant tail's mass among them: a span from any start length, a
+    periodic one as the period rotated to start at the span's phase.
+    Subclasses set
+    ``density`` (per-interval mass density) and
     ``generator_table``: (p, alpha, r, gamma) per stored interval, the
     generator (i z P - Q) j for P = [[p, -conj(alpha)], [-alpha, p]] and
     Q = [[i r, conj(gamma)], [-gamma, i r]]; disk gauge is (1, a, 0, a)."""
@@ -139,54 +143,45 @@ class _Piecewise:
         k = np.minimum(grid.searchsorted(pts[:-1], side="right"), grid.size - 1)
         return k, (pts[1:] - pts[:-1]) * self.density[k], pts.searchsorted(points)
 
-    def span_arrays(self, l_to, l_from=0.0):
-        """(k, d) of the pieces covering [l_from, l_to]; a periodic tail is
-        unrolled by integer period count, so every span ends."""
-        l_from, l_to = float(l_from), float(l_to)
-        if not 0.0 <= l_from <= l_to < np.inf:
-            raise DomainError(f"bad span [{l_from}, {l_to}]")
-        L = self.length
-        if l_to > L and self.tail == TAIL_FINITE:
-            raise DomainError(f"span reaches l = {l_to} beyond finite tail at {L}")
-        if l_to <= L:
-            return self._cut(l_from, [l_to])[:2]
-        if self.tail == TAIL_CONSTANT:
-            last, tail = self.n_intervals - 1, (l_to - max(l_from, L)) * self.density[-1]
-            if l_from >= L:
-                return np.array([last]), np.array([tail])
-            k, d, _ = self._cut(l_from, [L])
-            return np.append(k, last), np.append(d, tail)
-        (q0, r0), (q1, r1) = divmod(l_from, L), divmod(l_to, L)
-        if q0 == q1:
-            return self._cut(r0, [r1])[:2]
-        parts = ([self._cut(r0, [L])] + [self._cut(0.0, [L])] * int(q1 - q0 - 1)
-                 + [self._cut(0.0, [r1])])
-        return tuple(np.concatenate([part[i] for part in parts]) for i in (0, 1))
-
-    def piece_arrays(self, ls):
-        """The folded piece stream from 0 to every length in ls (any order):
-        (k, d, ends, at, q, t).  The grid is cut once at every distinct head
-        (the folded lengths, 0 and, under a periodic tail, L): interval k and
-        mass d per piece, ends[j] pieces before head j.  Length i is
-        H[-1]^q[i] H[at[i]] exp(G_last t[i]), H the products through the
-        heads; q (period index) and t (mass past L) are None without a
-        periodic or constant tail."""
-        ls = np.asarray(ls, dtype=float).ravel()
-        if not np.all((ls >= 0.0) & (ls < np.inf)):
-            raise DomainError(f"lengths must be finite and nonnegative, got {ls}")
-        L = self.length
-        h, q, t = np.minimum(ls, L), None, None
+    def piece_arrays(self, ls, l_from=0.0):
+        """The folded piece stream of the spans from l_from to every length
+        in ls (any order, none below l_from): (k, d, ends, at, q, t).  The
+        grid is cut once at every distinct head (the folded lengths, the
+        start and, under a periodic tail, the period's end): interval k and
+        mass d per piece, ends[j] pieces before head j.  The span to length
+        i is H[-1]^q[i] H[at[i]] exp(G_last t[i]), H the products through
+        the heads; q (period count) and t (mass past max(l_from, L)) are
+        None without a periodic or constant tail.  A periodic stream that
+        starts at phase r0 = l_from mod L is the period rotated to start
+        there, the pieces of [r0, L] then those of [0, r0], so H[-1] is the
+        rotated period; for l_from = 0 it is the period itself."""
+        ls, l_from = np.asarray(ls, dtype=float).ravel(), float(l_from)
+        if not (0.0 <= l_from < np.inf and np.all((ls >= l_from) & (ls < np.inf))):
+            raise DomainError(f"lengths must be finite and at least l_from = {l_from} >= 0, "
+                              f"got {ls}")
+        L, q, t = self.length, None, None
         beyond = ls > L
-        if beyond.any():
-            if self.tail == TAIL_FINITE:
-                raise DomainError(f"l = {ls[beyond][0]} beyond finite tail at {L}")
-            if self.tail == TAIL_CONSTANT:
-                t = np.where(beyond, (ls - L) * self.density[-1], 0.0)
-            else:
-                q, h = np.divmod(ls, L)
-                q = q.astype(np.int64)
-        heads = _sorted_unique(np.concatenate(([0.0], h, [L] if q is not None else [])))
-        return (*self._cut(0.0, heads), np.searchsorted(heads, h), q, t)
+        if beyond.any() and self.tail == TAIL_FINITE:
+            raise DomainError(f"l = {ls[beyond][0]} beyond finite tail at {L}")
+        if not beyond.any() or self.tail == TAIL_CONSTANT:
+            if beyond.any():
+                t = np.where(beyond, (ls - max(l_from, L)) * self.density[-1], 0.0)
+            lo, h = min(l_from, L), np.minimum(ls, L)
+            heads = _sorted_unique(np.concatenate(([lo], h)))
+            return (*self._cut(lo, heads), np.searchsorted(heads, h), q, t)
+        (q0, r0), (q, h) = divmod(l_from, L), np.divmod(ls, L)
+        wrap = h < r0  # heads in [0, r0) lie past the rotated period's turn
+        q = (q - q0 - wrap).astype(np.int64)
+        heads = _sorted_unique(np.concatenate(([r0], h[~wrap], [L])))
+        k, d, ends = self._cut(r0, heads)
+        at = np.searchsorted(heads, h)
+        if r0 > 0.0:
+            turn = _sorted_unique(np.append(h[wrap], r0))
+            k2, d2, ends2 = self._cut(0.0, turn)
+            at[wrap] = heads.size + np.searchsorted(turn, h[wrap])
+            ends = np.append(ends, k.size + ends2)
+            k, d = np.append(k, k2), np.append(d, d2)
+        return k, d, ends, at, q, t
 
 
 @dataclass(frozen=True)

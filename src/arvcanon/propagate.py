@@ -26,11 +26,13 @@ product; within a block it builds levels of pairwise products down to at
 most ``_TOP`` nodes, scans those, and descends from the scan to each
 requested count through one node per level, so a block costs about one
 product per piece instead of a full prefix scan's log2(_BLOCK).  It knows no
-tails.  ``transfer_grid`` feeds it the folded stream of ``piece_arrays`` and
-closes constant and periodic tails in O(1) and O(log) products.  Every
-transfer function here is a thin wrapper around the two; ``transfer``
-refuses to overflow silently.  The Riccati escape search is the one other
-caller of ``_propagators`` and of the plain prefix scan ``_scan``.
+tails.  ``transfer_grid`` feeds it the folded stream of ``piece_arrays``
+from any start length l_from and closes constant and periodic tails in O(1)
+and O(log) products; it is the only code that powers a period.  Every
+transfer function here is a thin wrapper around the two: ``transfer_between``
+is ``transfer_grid`` from l_from, and ``transfer`` refuses to overflow
+silently.  The Riccati escape search bisects within one piece on
+``_propagators``, the one name here that other modules use.
 """
 
 from dataclasses import dataclass
@@ -204,31 +206,26 @@ def scaled_products(zs, gen, k, d, ends):
     return x, xc
 
 
-def _power_left(m, c, sq, sc, q):
-    """Multiply matrix i of the scaled stack (m (4, nz, n), c (nz, n)) by
-    P^q[i] from the left, in place, for the scaled P = (sq (4, nz, 1),
-    sc (nz, 1)): the commuting powers P^(2^j) of the set bits of q."""
-    for bit in range(int(q.max()).bit_length()):
-        on = (q >> bit) % 2 == 1
-        m[:, :, on], c[:, on] = _renorm(_mul(sq, m[:, :, on]), sc + c[:, on])
-        sq, sc = _renorm(_mul(sq, sq), 2.0 * sc)
-
-
-def transfer_grid(system, zs, ls):
+def transfer_grid(system, zs, ls, l_from=0.0):
     """Scaled transfer matrices (M[nz, nl, 2, 2], logc[nz, nl]) of a disk- or
-    general-gauge system over a spectral grid and lengths in any order: one
-    kernel call over the folded piece stream, then the tails."""
+    general-gauge system over a spectral grid and lengths in any order, each
+    the product over [l_from, l]: one kernel call over the folded piece
+    stream, then the tails."""
     if not isinstance(system, (coeff.ArovParameters, coeff.GeneralCoefficients)):
         raise InputError(f"unsupported coefficient object {type(system).__name__}")
     zs = np.asarray(zs, dtype=complex).ravel()
-    k, d, ends, at, q, t = system.piece_arrays(ls)
+    k, d, ends, at, q, t = system.piece_arrays(ls, l_from)
     gen = system.generator_table
     x, xc = scaled_products(zs, gen, k, d, ends)
     # one copy into the output layout; m is its (4, nz, nl) entry view
     out, c = np.take(x.transpose(1, 2, 0), at, axis=1), xc[:, at]
     m = out.transpose(2, 0, 1)
-    if q is not None:  # periodic tail: Pat^q @ H(r)
-        _power_left(m, c, x[:, :, -1:], xc[:, -1:], q)
+    if q is not None:  # periodic tail: P^q @ H, by the powers P^(2^j) of q's set bits
+        sq, sc = x[:, :, -1:], xc[:, -1:]
+        for bit in range(int(q.max()).bit_length()):
+            on = (q >> bit) % 2 == 1
+            m[:, :, on], c[:, on] = _renorm(_mul(sq, m[:, :, on]), sc + c[:, on])
+            sq, sc = _renorm(_mul(sq, sq), 2.0 * sc)
     if t is not None:
         # constant tail: one more piece, with the last interval's generator
         tail = t > 0.0
@@ -268,29 +265,11 @@ def transfer(z, p, l):
 
 def transfer_between(z, p, l_from, l_to):
     """Stripped segment 𝒜(z, l_from)^(-1) 𝒜(z, l_to), computed directly as
-    the product over [l_from, l_to] (better conditioned than inverting).
-    A periodic span across more than one period boundary is folded: for
-    l_from = q0 L + r0 and l_to = q1 L + r1 it is R^m A(r0, L) A(0, r1),
-    R = A(r0, L) A(0, r0) being the period started at r0 and m = q1 - q0 - 1,
-    one kernel call and O(log m) products for any number of periods."""
-    spans, m = [(l_to, l_from)], 0
-    if p.tail == coeff.TAIL_PERIODIC and 0.0 <= l_from <= l_to < np.inf:
-        L = p.length
-        (q0, r0), (q1, r1) = divmod(float(l_from), L), divmod(float(l_to), L)
-        m = int(q1 - q0) - 1
-        if m > 0:  # pieces of [r0, L], then of [0, L] cut at r0 and r1
-            lo, hi = sorted((r0, r1))
-            spans = [(L, r0), (lo, 0.0), (hi, lo)]
-    parts = [p.span_arrays(*span) for span in spans]
-    k, d = (np.concatenate([part[i] for part in parts]) for i in (0, 1))
-    x, c = scaled_products([z], p.generator_table, k, d,
-                           np.cumsum([part[0].size for part in parts])[-2:])
-    if m > 0:  # x holds A(r0, L) A(0, lo) and A(r0, L) A(0, hi)
-        y = int(r1 > r0)
-        out, oc = x[:, :, y:y + 1].copy(), c[:, y:y + 1].copy()
-        _power_left(out, oc, x[:, :, 1 - y:2 - y], c[:, 1 - y:2 - y], np.array([m]))
-        x, c = out, oc
-    return materialize(x[:, 0, -1].reshape(2, 2), c[0, -1], "transfer_between")
+    the product over [l_from, l_to] (better conditioned than inverting):
+    ``transfer_grid`` from l_from, so a periodic span costs one kernel call
+    over the rotated period and O(log) products for any number of periods."""
+    m, c = transfer_grid(p, [z], [l_to], l_from)
+    return materialize(m[0, 0], c[0, 0], "transfer_between")
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ finitely much measure, which is what certifies a wrong initial guess and
 makes staying bounded a sharp test.  The flow is solved exactly, with no
 stepping: s(l) is the Moebius image of s(0) under the transfer matrix
 T(z, l), and the escape point is found on the same closed-form propagators
-(one ordered scan of the bracket's pieces, then rounds of trial masses
-within the escaping piece).  The nontangential limit of a Schur function at
-+i*infinity, when it exists, determines the coefficient at the origin
-through a continuous bijection of the disk, implemented here as
-``a_to_c``/``c_to_a`` together with Richardson extrapolation along a ray.
+(one kernel call for the products through each of the bracket's pieces,
+then rounds of trial masses within the escaping piece).  The nontangential
+limit of a Schur function at +i*infinity, when it exists, determines the
+coefficient at the origin through a continuous bijection of the disk,
+implemented here as ``a_to_c``/``c_to_a`` together with Richardson
+extrapolation along a ray.
 """
 
 from dataclasses import dataclass
@@ -116,13 +117,19 @@ def _pushed(s, e):
 def _escape(z, s, p, l_lo, l_hi):
     """Escape point of the flow from s at l_lo, known to lie in (l_lo, l_hi]:
     the first piece whose end is outside the disk (the last one at the
-    latest), read off one scan of the bracket's pieces, then bisected on its
-    closed-form propagator with _FRACTIONS trial masses a round until no
-    trial lies strictly inside the bracket."""
+    latest), read off the products through every piece of the bracket, then
+    bisected on its closed-form propagator with _FRACTIONS trial masses a
+    round until no trial lies strictly inside the bracket.  The bracket's
+    pieces are its folded stream unrolled: q copies of the stream (the
+    rotated period), the pieces through the head, the constant tail's mass."""
     zs, gen = np.array([z]), p.generator_table
-    k, d = p.span_arrays(l_hi, l_lo)
+    k, d, ends, at, q, t = p.piece_arrays([l_hi], l_lo)
+    reps, n = 0 if q is None else int(q[0]), ends[at[0]]
+    k, d = np.append(np.tile(k, reps), k[:n]), np.append(np.tile(d, reps), d[:n])
+    if t is not None:
+        k, d = np.append(k, p.n_intervals - 1), np.append(d, t[0])
     k, d = k[d > 0.0], d[d > 0.0]
-    ends = _pushed(s, prop._scan(*prop._propagators(zs, gen, k, d))[0])
+    ends = _pushed(s, prop.scaled_products(zs, gen, k, d, np.arange(1, k.size + 1))[0])
     i = int(np.argmax(np.append(_outside(ends[:-1]), True)))
     if i:
         s = ends[i - 1, 0] / ends[i - 1, 1]

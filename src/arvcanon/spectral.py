@@ -240,16 +240,14 @@ def bp_defect(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
         grids.append(np.linspace(lo, hi, n))
     all_x = np.concatenate(grids)
 
-    # base boundary values: every grid point of each half in one call
+    # base boundary values at every grid point of each half and s_plus(i),
+    # and transfer matrices at the same points for all lengths, one call
+    # each; the minus half strips by J1 m J1, m with its entries reversed
     zs = all_x + 1j * eps
-    sp0, _, _ = weyl.schur_grid(zs, p_right, tol)
+    sp0, _, _ = weyl.schur_grid(np.append(zs, 1j), p_right, tol)
     sm0, _, _ = weyl.schur_minus_grid(zs, p_left, tol)
-    sp_i = weyl.schur_plus(1j, p_right, tol=tol).value
-
-    # transfer matrices at z = i and at every grid point, all lengths at
-    # once; the minus half strips by J1 m J1, m with its entries reversed
-    m_i, _ = prop.transfer_grid(p_right, [1j], l_values)
-    m_x, _ = prop.transfer_grid(p_right, zs, l_values)
+    m_x, _ = prop.transfer_grid(p_right, np.append(zs, 1j), l_values)
+    (sp0, sp_i), (m_x, m_i) = np.split(sp0, [-1]), np.split(m_x, [-1])
     # interior hypothesis at each probe length; v(i) = 0 for the minus half
     hyp = np.abs(np.stack([mobius_right(sp_i, m_i[0]),
                            mobius_right(0j, m_i[0, :, ::-1, ::-1])], axis=1))

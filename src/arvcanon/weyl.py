@@ -10,9 +10,9 @@ center/radius (never as quadratic forms) so nesting checks stay O(1).
 Schur values shrink disks along the stored head only: at its end L the
 tail's own Schur value, a fixed point of the stripping flow, pulled back
 through T(z, L) closes every point still open.  Disks over a (z, l) grid
-and Schur values over a z grid come from one call of the vectorised
-propagation kernel (one per pass over a long head, each pass resuming where
-the last one stopped); no threads involved.
+and Schur values over a z grid come from one ``transfer_grid`` call (one
+per pass over a long head, each pass a span from the length where the last
+one stopped, composed onto its transfer matrix); no threads involved.
 """
 
 from dataclasses import dataclass
@@ -161,10 +161,10 @@ def schur_grid(zs, p, tol=SCHUR_TOL):
     kernel call crosses at most ``_REACH`` stored intervals, and each later
     pass, for the points not yet converged, crosses four times as far.  A
     later pass resumes from the scaled T(z, l) at which the previous one
-    stopped: one kernel call over the pieces past l only, multiplied onto it
-    from the left, so no piece of the head is crossed twice.  A point stops
-    at the first radius below tol, nesting asserted up to there (across
-    passes too).  A point still open at L takes ``_tail_closure`` of
+    stopped: ``transfer_grid`` from l gives T(l -> l') over the pieces past
+    l only, and head @ m composes it with T(z, l), so no piece of the head
+    is crossed twice.  A point stops at the first radius below tol, nesting
+    asserted up to there (across passes too).  A point still open at L takes ``_tail_closure`` of
     T(z, L), with residual radius 0.  Returns (value, residual_radius,
     l_stop).
     """
@@ -193,13 +193,11 @@ def schur_grid(zs, p, tol=SCHUR_TOL):
     while todo.size:
         start, upto = upto, max(upto + 1, int(np.searchsorted(crossed, reach, side="right")))
         reach *= 4
-        x, c = prop.scaled_products(zs[todo], p.generator_table,
-                                    *p._cut(ls[start - 1] if start else 0.0, ls[start:upto]))
+        m, c = prop.transfer_grid(p, zs[todo], ls[start:upto], ls[start - 1] if start else 0.0)
         if start:  # from T(z, ls[start - 1]), whose disk opens the nesting check
-            x = np.concatenate((head, prop._mul(head, x)), axis=-1)
-            c = np.concatenate((hc, hc + c), axis=-1)
+            m = np.concatenate((head, head @ m), axis=1)
+            c = np.concatenate((hc, hc + c), axis=1)
         base = max(start - 1, 0)  # the index in ls of column 0
-        m = x.transpose(1, 2, 0).reshape(todo.size, -1, 2, 2)
         centers, radii = _disk_arrays(m, c)
         hit = radii < tol
         if upto == ls.size:
@@ -221,7 +219,7 @@ def schur_grid(zs, p, tol=SCHUR_TOL):
         value[todo[tail]] = _tail_closure(zs[todo[tail]], p, m[tail, -1])
         radius[todo[tail]] = 0.0
         todo = todo[~conv]
-        head, hc = prop._renorm(x[:, ~conv, -1:], c[~conv, -1:])
+        head, hc = m[~conv, -1:], c[~conv, -1:]
     return value, radius, l_stop
 
 

@@ -139,6 +139,63 @@ def general_generator(z, P, Q):
     return (1j * z * P - Q) @ SIGNATURE
 
 
+def generators(system, z):
+    """(i z P - Q) j per stored interval and per unit mass, with the density:
+    (G (n, 2, 2), density (n,)), for either gauge."""
+    if isinstance(system, ArovParameters):
+        a = system.a
+        P = np.stack([np.stack([np.ones_like(a), -np.conj(a)], -1),
+                      np.stack([-a, np.ones_like(a)], -1)], -2)
+        Q = np.stack([np.stack([np.zeros_like(a), np.conj(a)], -1),
+                      np.stack([-a, np.zeros_like(a)], -1)], -2)
+        density = system.m
+    else:
+        P, Q, density = system.P, system.Q, system.n
+    return (1j * z * P - Q) @ SIGNATURE, density
+
+
+def unrolled_pieces(system, l_to, l_from=0.0):
+    """(k, d) of the pieces covering [l_from, l_to], cut here from the grid,
+    the density and the tail alone: every stored interval of every period
+    the span meets, clipped to the span, then the constant tail's mass past
+    max(l_from, L); interval k carries mass d."""
+    knots = np.concatenate(([0.0], system.grid))
+    L, n = knots[-1], system.grid.size
+    density = system.m if isinstance(system, ArovParameters) else system.n
+    periods = (np.arange(int(l_from // L), int(np.ceil(l_to / L)))
+               if system.tail == TAIL_PERIODIC else np.arange(1))
+    starts = periods[:, None] * L + knots
+    lo = np.clip(starts[:, :-1], l_from, l_to).ravel()
+    hi = np.clip(starts[:, 1:], l_from, l_to).ravel()
+    k = np.tile(np.arange(n), periods.size)[hi > lo]
+    d = (hi - lo)[hi > lo] * density[k]
+    if system.tail == TAIL_CONSTANT and l_to > L:
+        k, d = np.append(k, n - 1), np.append(d, (l_to - max(l_from, L)) * density[-1])
+    return k, d
+
+
+def stream_mass(system, l_to, l_from=0.0):
+    """The mass of [l_from, l_to] as the folded piece stream of
+    ``piece_arrays`` carries it: q streams, the pieces through the head and
+    the constant tail's mass."""
+    k, d, ends, at, q, t = system.piece_arrays([l_to], l_from)
+    return float((0 if q is None else q[0]) * d[:ends[-1]].sum() + d[:ends[at[0]]].sum()
+                 + (0.0 if t is None else t[0]))
+
+
+def expm_transfer(system, z, l_to, l_from=0.0):
+    """The ordered product of scipy expm propagators over the pieces of
+    ``unrolled_pieces``: (M, log-scale), the product normalised after every
+    piece."""
+    gens, density = generators(system, z)
+    m, logc = np.eye(2, dtype=complex), 0.0
+    for k, d in zip(*unrolled_pieces(system, l_to, l_from)):
+        m = m @ expm(gens[k] * d)
+        s = np.max(np.abs(m))
+        m, logc = m / s, logc + np.log(s)
+    return m, logc
+
+
 def peano_series(z, pieces, order=45):
     """Truncated iterated-integral series for the ordered product of
     constant-generator pieces.
@@ -228,7 +285,7 @@ def rk4_riccati(z, s0, p, l, step=DEFAULT_STEP, escape_slack=ESCAPE_SLACK):
         raise InputError("step must be positive")
     s = s0
     mu_done = 0.0
-    k, d = p.span_arrays(float(l))
+    k, d = unrolled_pieces(p, float(l))
     for a, dmu in zip(p.a[k].tolist(), d.tolist()):
         remaining = dmu
         while remaining > 0.0:

@@ -164,12 +164,34 @@ def test_riccati_trajectory_escape_status(tmp_path):
 
 
 def test_removed_options_are_parse_errors(const_half, capsys):
+    # --tol only where a Schur function is evaluated, --threads only on
+    # transfer and disks
     for argv in (["riccati", "--z", "0.3,0.5", "--lgrid", "0:1:0.5", "--step", "0.1"],
-                 ["schur", "--zgrid", "i", "--lmax", "2"]):
+                 ["schur", "--zgrid", "i", "--lmax", "2"],
+                 ["transfer", "--zgrid", "i", "--lgrid", "0:1:0.5", "--tol", "1e-3"],
+                 ["disks", "--zgrid", "i", "--lgrid", "0:1:0.5", "--tol", "1e-3"],
+                 ["type", "--l", "1", "--tol", "1e-3"],
+                 ["gauge", "--to", "arov", "--zgrid", "i", "--lgrid", "0:1:0.5", "--tol", "1e-3"],
+                 ["schur", "--zgrid", "i", "--threads", "2"],
+                 ["riccati", "--z", "i", "--lgrid", "0:1:0.5", "--threads", "2"],
+                 ["type", "--l", "1", "--threads", "2"],
+                 ["reflectionless", "--xgrid", "0:1:0.5", "--threads", "2"],
+                 ["bp", "--e", "0,1", "--arc", "0:1", "--threads", "2"],
+                 ["gauge", "--to", "arov", "--zgrid", "i", "--lgrid", "0:1:0.5",
+                  "--threads", "2"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--input", const_half])
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_config_hash_of_a_schur_command_is_unchanged():
+    # the hash is over the parsed options: dropping options that schur never
+    # had must not move it
+    for argv, want in ((["--zgrid", "0,0.5:1,1:3", "--tol", "1e-10"], "923fc49905d1"),
+                       (["--zgrid", "i"], "265063fc164c")):
+        ns = cli.build_parser().parse_args(["schur", "--input", "system.json"] + argv)
+        assert cli._config_hash(ns) == want
 
 
 def test_leading_minus_grids_in_equals_form(tmp_path, const_half):

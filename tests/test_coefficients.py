@@ -15,7 +15,8 @@ from arvcanon.coefficients import GeneralCoefficients, parameters_from_dict, wri
 from arvcanon.mat2 import J, herm_eigs, mat2
 from arvcanon.propagate import transfer
 
-from helpers import coefficient_texts, random_general as _random_general, random_parameters
+from helpers import (coefficient_texts, random_general as _random_general, random_parameters,
+                     stream_mass, unrolled_pieces)
 
 
 # --- ArovParameters invariants ------------------------------------------------
@@ -99,25 +100,30 @@ def test_l_of_mu_returns_a_float(tail):
 
 def test_pieces_cover_partial_intervals():
     p = ArovParameters([1.0, 2.0], [1.0, 2.0], [0.1, 0.2j])
-    k, d = p.span_arrays(1.5)
+    k, d, ends, at, q, t = p.piece_arrays([1.5])
     assert k.tolist() == [0, 1] and d.tolist() == [1.0, 1.0]
-    k, d = p.span_arrays(1.5, 0.5)
-    assert k.tolist() == [0, 1] and d.tolist() == [0.5, 1.0]
+    assert ends[at].tolist() == [2] and q is None and t is None
+    k, d, ends, at, _, _ = p.piece_arrays([1.5], 0.5)
+    assert k.tolist() == [0, 1] and d.tolist() == [0.5, 1.0] and ends[at].tolist() == [2]
 
 
 def test_pieces_skip_zero_mass():
     # a zero-mass interval is a piece of mass 0: it moves nothing
     p = ArovParameters([1.0, 2.0, 3.0], [1.0, 0.0, 1.0], [0.1, 0.5, 0.9])
-    k, d = p.span_arrays(3.0)
+    k, d, _, _, _, _ = p.piece_arrays([3.0])
     assert d.tolist() == [1.0, 0.0, 1.0]
     assert p.a[k[d > 0]].tolist() == [0.1 + 0j, 0.9 + 0j]
 
 
 def test_pieces_fold_periodic_tail():
     p = ArovParameters([1.0], [1.0], [0.3], tail=TAIL_PERIODIC)
-    k, d = p.span_arrays(2.5)
-    assert k.tolist() == [0, 0, 0]
-    assert d.sum() == 2.5
+    k, d, ends, at, q, _ = p.piece_arrays([2.5])
+    assert k.tolist() == [0, 0] and q.tolist() == [2]
+    assert q[0] * d[:ends[-1]].sum() + d[:ends[at[0]]].sum() == 2.5
+    # from l_from = 1.25 the stream is the period rotated to start at 0.25
+    k, d, ends, at, q, _ = p.piece_arrays([2.5, 3.0], 1.25)
+    assert d.tolist() == [0.25, 0.5, 0.25] and ends.tolist() == [0, 1, 2, 2, 3]
+    assert at.tolist() == [1, 3] and q.tolist() == [1, 1]
 
 
 # --- ab_from_a ------------------------------------------------------------------
@@ -500,8 +506,8 @@ def test_pieces_periodic_fold_ends_for_non_binary_periods():
     for L in np.linspace(0.7, 1.3, 61):
         p = ArovParameters([0.4 * L, L], [1.0, 0.6], [0.3, -0.2j],
                            tail=TAIL_PERIODIC)
-        _, d = p.span_arrays(7.3)
-        assert abs(d.sum() - p.mu(7.3)) <= 1e-12
+        assert abs(stream_mass(p, 7.3) - p.mu(7.3)) <= 1e-12
+        assert abs(stream_mass(p, 7.3, 1.9) - (p.mu(7.3) - p.mu(1.9))) <= 1e-12
 
 
 @pytest.mark.parametrize("text", [
@@ -571,7 +577,7 @@ def test_kappa_integral_folds_periodic_tails():
     L = p.length
 
     def unrolled(l):
-        k, d = p.span_arrays(l)
+        k, d = unrolled_pieces(p, l)
         decay = np.exp(-2.0 * np.concatenate(([0.0], np.cumsum(d))))
         return complex(np.sum(p.a[k] * -np.diff(decay)))
 

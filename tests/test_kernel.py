@@ -1,6 +1,7 @@
 """The propagation kernel against an independent oracle: per-piece
-``scipy.linalg.expm`` products over a piece list enumerated here, apart from
-the package's piece builder, in both gauges and under every tail policy."""
+``scipy.linalg.expm`` products over a piece list that the test helpers
+enumerate apart from the package's piece builder, in both gauges, under
+every tail policy and from any start length."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from arvcanon import propagate as prop
 from arvcanon.riccati import riccati_trajectory
 from arvcanon.weyl import disks_grid
 
-SIGNATURE = np.diag([-1.0, 1.0]).astype(complex)
+from helpers import expm_transfer, generators, stream_mass
 
 
 def _disk_system(rng, n, tail):
@@ -34,44 +35,6 @@ def _general_system(rng, n, tail):
     P = np.stack([np.stack([p, b], -1), np.stack([np.conj(b), p], -1)], -2)
     Q = np.stack([np.stack([1j * r, c], -1), np.stack([-np.conj(c), 1j * r], -1)], -2)
     return GeneralCoefficients(grid, rng.uniform(0.5, 1.5, n), P, Q, tail)
-
-
-def _generators(system, z):
-    """(i z P - Q) j per stored interval, per unit mass."""
-    if isinstance(system, ArovParameters):
-        a = system.a
-        P = np.stack([np.stack([np.ones_like(a), -np.conj(a)], -1),
-                      np.stack([-a, np.ones_like(a)], -1)], -2)
-        Q = np.stack([np.stack([np.zeros_like(a), np.conj(a)], -1),
-                      np.stack([-a, np.zeros_like(a)], -1)], -2)
-        density = system.m
-    else:
-        P, Q, density = system.P, system.Q, system.n
-    return (1j * z * P - Q) @ SIGNATURE, density
-
-
-def _oracle(system, z, l):
-    """Ordered expm product over [0, l], the tail unrolled period by period;
-    returns (M, log-scale) with the product normalised after every piece."""
-    gens, density = _generators(system, z)
-    knots = np.concatenate(([0.0], system.grid))
-    L = knots[-1]
-    pieces, start = [], 0.0
-    while start < l:
-        for k in range(system.n_intervals):
-            lo, hi = start + knots[k], min(start + knots[k + 1], l)
-            if hi > lo:
-                pieces.append((k, hi - lo))
-        start += L
-        if system.tail == TAIL_CONSTANT and l > L:
-            pieces.append((system.n_intervals - 1, l - L))
-            break
-    m, logc = np.eye(2, dtype=complex), 0.0
-    for k, w in pieces:
-        m = m @ expm(gens[k] * density[k] * w)
-        s = np.max(np.abs(m))
-        m, logc = m / s, logc + np.log(s)
-    return m, logc
 
 
 def _lengths(system, periods):
@@ -100,7 +63,7 @@ def test_kernel_matches_expm_product(build, tail, periods):
     assert m.shape == (zs.size, ls.size, 2, 2) and c.shape == (zs.size, ls.size)
     for i, z in enumerate(zs):
         for j, l in enumerate(ls):
-            ref, ref_c = _oracle(system, z, l)
+            ref, ref_c = expm_transfer(system, z, l)
             got = np.exp(c[i, j] - ref_c) * m[i, j]
             assert np.max(np.abs(got - ref)) < 1e-10, (z, l)
 
@@ -111,15 +74,15 @@ def test_kernel_unsorted_and_repeated_lengths():
     ls = np.array([3.1, 0.0, 1.2, 3.1, 0.4]) * system.length
     m, c = prop.transfer_grid(system, [0.2 + 0.7j], ls)
     for j, l in enumerate(ls):
-        ref, ref_c = _oracle(system, 0.2 + 0.7j, l)
+        ref, ref_c = expm_transfer(system, 0.2 + 0.7j, l)
         assert np.max(np.abs(np.exp(c[0, j] - ref_c) * m[0, j] - ref)) < 1e-10
 
 
 def _oracle_at(system, z, ls):
-    """_oracle at ascending lengths of a finite- or constant-tail system, from
-    one pass over the stored pieces: the product through the last knot below
-    each length, times the propagator of the rest."""
-    gens, density = _generators(system, z)
+    """expm_transfer at ascending lengths of a finite- or constant-tail
+    system, from one pass over the stored pieces: the product through the
+    last knot below each length, times the propagator of the rest."""
+    gens, density = generators(system, z)
     knots, n = system.knots, system.n_intervals
     m, logc, at, out = np.eye(2, dtype=complex), 0.0, [], []
     for k in range(n + 1):
@@ -186,7 +149,7 @@ def test_kernel_log_scale_past_overflow():
     assert c[0, 1] > 700.0
     assert np.all(np.isfinite(m))
     for j, l in enumerate((1.0, 2.1)):
-        ref, ref_c = _oracle(system, z, l)
+        ref, ref_c = expm_transfer(system, z, l)
         assert abs(c[0, j] + np.log(np.max(np.abs(m[0, j]))) - ref_c) < 1e-10
         scaled = m[0, j] / np.max(np.abs(m[0, j]))
         assert np.max(np.abs(scaled - ref)) < 1e-10
@@ -217,7 +180,7 @@ def test_kernel_near_vanishing_growth_rate():
     z0 = a / np.sqrt(1.0 - a * a)
     for z in (z0, z0 + 1e-13, z0 - 1e-10, z0 + 1e-7j):
         m, c = prop.transfer_grid(system, [z], [0.7])
-        ref, ref_c = _oracle(system, z, 0.7)
+        ref, ref_c = expm_transfer(system, z, 0.7)
         assert np.max(np.abs(np.exp(c[0, 0] - ref_c) * m[0, 0] - ref)) < 1e-13
 
 
@@ -227,7 +190,7 @@ def test_kernel_periodic_fold_for_non_binary_periods():
         ls = np.array([7.3, 3.0 * L, 5.0 * L + 1e-15])
         m, c = prop.transfer_grid(system, [0.3 + 0.8j], ls)
         for j, l in enumerate(ls):
-            ref, ref_c = _oracle(system, 0.3 + 0.8j, l)
+            ref, ref_c = expm_transfer(system, 0.3 + 0.8j, l)
             assert np.max(np.abs(np.exp(c[0, j] - ref_c) * m[0, j] - ref)) < 1e-10
 
 
@@ -241,21 +204,61 @@ def test_stripped_segment_inside_the_tail(build, tail, spans):
     system = build(np.random.default_rng(12), 5, tail)
     z = 0.6 + 0.7j
     for lo, hi in (system.length * np.array(s) for s in spans):
-        ref_lo, c_lo = _oracle(system, z, lo)
-        ref_hi, c_hi = _oracle(system, z, hi)
+        ref_lo, c_lo = expm_transfer(system, z, lo)
+        ref_hi, c_hi = expm_transfer(system, z, hi)
         ref = np.exp(c_hi - c_lo) * np.linalg.solve(ref_lo, ref_hi)
         got = prop.transfer_between(z, system, lo, hi)
         assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref)), (lo, hi)
+
+
+@pytest.mark.parametrize("build", (_disk_system, _general_system))
+@pytest.mark.parametrize("tail, starts, stops", [
+    (TAIL_CONSTANT, (0.0, 0.4, 1.0, 1.7), (1.0, 1.3, 2.5)),
+    (TAIL_PERIODIC, (0.0, 0.4, 1.0, 1.7, 13.25), (1.0, 2.0, 2.5, 3.9, 14.1, 29.6)),
+    (TAIL_FINITE, (0.0, 0.4, 1.0), (1.0,))])
+def test_kernel_from_a_start_length(build, tail, starts, stops):
+    # starts below, at and past L, each to every stop not below it and to
+    # the stored knots past it, in units of L: the expm product over [l_from, l]
+    system = build(np.random.default_rng(17), 5, tail)
+    L, z = system.length, 0.35 + 0.45j
+    for l_from in L * np.array(starts):
+        ls = np.concatenate((system.knots, L * np.array(stops), [l_from]))
+        ls = ls[ls >= l_from]
+        m, c = prop.transfer_grid(system, [z], ls, l_from)
+        for j, l in enumerate(ls):
+            ref, ref_c = expm_transfer(system, z, l, l_from)
+            got = np.exp(c[0, j] - ref_c) * m[0, j]
+            assert np.max(np.abs(got - ref)) < 1e-10, (l_from, l)
+
+
+@pytest.mark.parametrize("tail", (TAIL_CONSTANT, TAIL_PERIODIC))
+def test_kernel_gives_a_point_alone_its_grid_bits_from_a_start_length(tail):
+    system = _disk_system(np.random.default_rng(16), 3 * prop._BLOCK + 300, tail)
+    L = system.length
+    l_from = float(system.knots[700]) + 0.1
+    zs = np.linspace(-1.5 + 0.05j, 1.5 + 2.0j, 23)
+    ls = l_from + L * np.array([0.0, 1e-3, 0.3, 0.9, 1.7, 4.25])
+    m, c = prop.transfer_grid(system, zs, ls, l_from)
+    for i in range(0, zs.size, 11):
+        alone, alone_c = prop.transfer_grid(system, zs[i:i + 1], ls, l_from)
+        assert alone.tobytes() == m[i:i + 1].tobytes() and alone_c.tobytes() == c[i:i + 1].tobytes()
+
+
+def test_kernel_rejects_lengths_below_the_start():
+    system = _disk_system(np.random.default_rng(10), 3, TAIL_PERIODIC)
+    for l_from, ls in ((-0.5, [1.0]), (np.inf, [np.inf]), (np.nan, [1.0]), (2.0, [1.0, 3.0])):
+        with pytest.raises(DomainError):
+            prop.transfer_grid(system, [1j], ls, l_from)
 
 
 @pytest.mark.parametrize("tail", (TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE))
 def test_pieces_of_an_empty_span_at_the_end_of_the_grid(tail):
     system = _disk_system(np.random.default_rng(13), 4, tail)
     L = system.length
-    assert not np.any(system.span_arrays(L, L)[1])
+    assert stream_mass(system, L, L) == 0.0
     if tail != TAIL_FINITE:
-        assert not np.any(system.span_arrays(2.5 * L, 2.5 * L)[1])
-        assert system.span_arrays(2.5 * L, 1.5 * L)[1].sum() == \
+        assert stream_mass(system, 2.5 * L, 2.5 * L) == 0.0
+        assert stream_mass(system, 2.5 * L, 1.5 * L) == \
             pytest.approx(system.mu(2.5 * L) - system.mu(1.5 * L), rel=1e-12)
 
 
@@ -314,6 +317,27 @@ def test_property_unit_determinant(system, z, fractions):
     # det(exp(c) M) = 1 up to round-off relative to the size of the entries
     scale = np.max(np.abs(m[0]), axis=(1, 2)) ** 2
     assert np.all(np.abs(det - np.exp(-2.0 * c[0])) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([_disk_system, _general_system]),
+       st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE]),
+       st.builds(complex, st.floats(-1.5, 1.5), st.floats(0.0, 1.0)),
+       st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       st.sampled_from([1.0, 3.0, 60.0]))
+def test_property_transfer_grid_from_a_start_length(seed, build, tail, z, start, spans, reach):
+    # l_from anywhere in [0, reach L] (past L, and across many periods), the
+    # lengths anywhere past it: the expm product over [l_from, l], relative
+    # to its largest entry
+    system = build(np.random.default_rng(seed), 4, tail)
+    top = system.length * (1.0 if tail == TAIL_FINITE else reach)
+    l_from = start * top
+    ls = l_from + np.array(spans) * (top - l_from)
+    m, c = prop.transfer_grid(system, [z], ls, l_from)
+    for j, l in enumerate(ls):
+        ref, ref_c = expm_transfer(system, z, l, l_from)
+        got = np.exp(c[0, j] - ref_c) * m[0, j]
+        assert np.max(np.abs(got - ref)) <= 1e-10, (l_from, l)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from arvcanon.propagate import (GAUGE_AROV, GAUGE_PDB, GAUGE_RAW,
                                 transfer_family, transfer_grid, transfer_scaled)
 
 from helpers import (disk_generator, general_generator, peano_series,
-                     random_parameters, random_upper_z)
+                     random_parameters, random_upper_z, unrolled_pieces)
 
 
 # --- constant-coefficient propagator ---------------------------------------------
@@ -107,7 +107,7 @@ def test_peano_series_oracle():
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.5))
         l = rng.uniform(0.2, 1.0) * p.length
         direct = transfer(z, p, l)
-        k, d = p.span_arrays(l)
+        k, d = unrolled_pieces(p, l)
         series = peano_series(z, zip(p.a[k], d))
         assert np.max(np.abs(direct - series)) < 1e-8
 

@@ -10,8 +10,7 @@ from .coefficients import (ABPair, ArovParameters, GeneralCoefficients,
                            ab_from_a, constant_parameters, dirac_coefficients,
                            load_parameters, parameters_from_dict, reflect,
                            reparametrize, save_parameters,
-                           schroedinger_coefficients, strip_head,
-                           validate_general)
+                           schroedinger_coefficients, strip_head)
 from .errors import (ArvcanonError, CoefficientError, DegenerateActionError,
                      DomainError, GaugeError, InconsistencyError, InputError,
                      ParseError, PreconditionError)

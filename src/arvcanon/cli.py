@@ -70,7 +70,7 @@ def parse_zgrid(specstr):
             y1, y2, n = float(parts[1]), float(parts[2]), int(parts[3])
             if len(parts) == 5 and parts[4] == "log" and 0 < y1 < y2 < np.inf and n >= 2:
                 return 1j * np.geomspace(y1, y2, n)
-        except (ValueError, IndexError):
+        except (IndexError, OverflowError, ValueError):
             pass
         raise ParseError(f"bad imaginary-axis grid spec {specstr!r}")
     if len(parts) == 1:
@@ -79,11 +79,11 @@ def parse_zgrid(specstr):
         z1, z2 = _parse_z(parts[0]), _parse_z(parts[1])
         try:
             n = int(parts[2])
-        except ValueError:
-            raise ParseError(f"bad grid count in {specstr!r}")
-        if n < 1:
-            raise ParseError("grid must be nonempty")
-        return np.linspace(z1, z2, n)
+            if n >= 1:
+                return np.linspace(z1, z2, n)
+        except (OverflowError, ValueError):  # not an integer, or too large to index
+            pass
+        raise ParseError(f"bad grid count in {specstr!r}: not from 1 to what numpy can index")
     raise ParseError(f"bad spectral grid spec {specstr!r}")
 
 
@@ -99,7 +99,10 @@ def parse_lgrid(specstr, signed=False):
             return np.array(vals)
         start, stop, step = vals
         if step > 0 and stop >= start:
-            return start + step * np.arange(int(np.floor((stop - start) / step + 1e-9)) + 1)
+            try:
+                return start + step * np.arange(int(np.floor((stop - start) / step + 1e-9)) + 1)
+            except (OverflowError, ValueError):
+                raise ParseError(f"grid {specstr!r} is too large to index")
     raise ParseError(f"bad grid spec {specstr!r}")
 
 
@@ -314,7 +317,7 @@ def _cmd_gauge(ns):
         if not np.any(ls == 0.0):
             raise InputError("--params-out needs the length grid to start at 0")
     anchor = 1j if ns.to == "arov" else 0j
-    if not np.any(np.abs(zs - anchor) <= 1e-12):
+    if not np.any(np.abs(zs - anchor) <= prop.Z_TOL):
         zs = np.concatenate(([anchor], zs))
     fam = prop.transfer_family(system, zs, ls)
     if ns.to == "arov":

@@ -7,7 +7,9 @@ endpoints ``l_1..l_N``).  A disk-gauge system is the pair (measure density
 system is the triple (density ``n_k >= 0``, Hermitian ``P_k >= 0``,
 anti-Hermitian ``Q_k``) with trace(j P) = trace(j Q) = 0.  Only absolutely
 continuous measures (densities) are supported; any continuous measure can be
-reparametrized to this class without changing observables.
+reparametrized to this class without changing observables.  Both gauges are
+checked when they are built, in code and from files alike: a constructor
+that returns has checked every invariant above.
 
 Beyond the last knot a tail policy applies:
 
@@ -21,9 +23,9 @@ JSON schema (one object per system)::
      "tail": "constant|periodic|finite"}
 
 General-gauge variant: ``{"grid": [...], "n": [...], "P": [...], "Q": [...],
-"tail": ...}`` where each P/Q entry is a 2x2 array of ``[re, im]`` pairs.
-Full-line systems are ``{"left": {...}, "right": {...}}`` with the left half
-stored mirrored (position l in the file means -l on the line).
+"tail": ...}``, each P/Q entry a 2x2 array of ``[re, im]`` pairs; in a, P
+and Q a number x stands for [x, 0].  Full-line systems are ``{"left": {...},
+"right": {...}}``, the left half stored mirrored (l in the file is -l).
 
 ``load_parameters`` parses a file with no Python frame per number and no
 Python object kept per number: numpy reads all numbers into one float
@@ -50,8 +52,12 @@ TAIL_PERIODIC = "periodic"
 TAIL_FINITE = "finite"
 _TAILS = (TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE)
 
-#: slack accepted on |a| <= 1 and on Hermiticity/trace constraints.
+#: slack accepted on |a| <= 1.
 COEFF_TOL = 1e-12
+
+#: slack, relative to max(1, |P|) or max(1, |Q|), accepted on the
+#: general-gauge constraints.
+GENERAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,11 @@ def _as_grid(grid):
     return g
 
 
+def _pairs(x):
+    """Complex entries as nested lists of [re, im] pairs, what the parse reads."""
+    return np.stack((x.real, x.imag), -1).tolist()
+
+
 def _sorted_unique(x):
     """np.unique without its lazily loaded machinery (most of a megabyte)."""
     x = np.sort(x)
@@ -102,15 +113,36 @@ def _sorted_unique(x):
 
 
 class _Piecewise:
-    """Grid, tail policy and the piece builder shared by both gauges.
-    ``piece_arrays`` is the only code that folds a span into pieces, a
-    constant tail's mass among them: a span from any start length, a
-    periodic one as the period rotated to start at the span's phase.
-    Subclasses set
-    ``density`` (per-interval mass density) and
-    ``generator_table``: (p, alpha, r, gamma) per stored interval, the
-    generator (i z P - Q) j for P = [[p, -conj(alpha)], [-alpha, p]] and
-    Q = [[i r, conj(gamma)], [-gamma, i r]]; disk gauge is (1, a, 0, a)."""
+    """Grid, density, tail policy and the piece builder shared by both
+    gauges.  The constructor checks the grid, the density (named by
+    ``_DENSITY``: one finite, nonnegative entry per interval) and the tail,
+    then the subclass's own coefficients (``_coefficients``), freezes every
+    array and sets ``density`` and ``generator_table``: (p, alpha, r, gamma)
+    per stored interval, the generator (i z P - Q) j for
+    P = [[p, -conj(alpha)], [-alpha, p]] and Q = [[i r, conj(gamma)],
+    [-gamma, i r]]; disk gauge is (1, a, 0, a).  ``piece_arrays`` is the
+    only code that folds a span into pieces, a constant tail's mass among
+    them: a span from any start length, a periodic one as the period
+    rotated to start at the span's phase."""
+
+    def __post_init__(self):
+        g, key = _as_grid(self.grid), self._DENSITY
+        d = np.asarray(getattr(self, key), dtype=float)
+        if d.shape != g.shape:
+            raise CoefficientError(f"{key} must have one entry per interval: grid has "
+                                   f"{g.size}, {key} has {d.size}")
+        if not np.all(np.isfinite(d)):
+            raise CoefficientError(f"density {key} has non-finite entries")
+        bad = np.nonzero(d < 0.0)[0]
+        if bad.size:
+            raise CoefficientError(f"density {key}[{bad[0]}] = {d[bad[0]]} is negative")
+        if not isinstance(self.tail, str) or self.tail not in _TAILS:
+            raise CoefficientError(f"unknown tail policy {self.tail!r}")
+        for name, arr in (("grid", g), (key, d), *self._coefficients(g.size).items()):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "density", d)
+        object.__setattr__(self, "generator_table", self._generators())
 
     @property
     def n_intervals(self):
@@ -196,35 +228,23 @@ class ArovParameters(_Piecewise):
     a: np.ndarray
     tail: str = TAIL_CONSTANT
 
-    def __post_init__(self):
-        g = _as_grid(self.grid)
-        m = np.asarray(self.m, dtype=float)
+    _DENSITY = "m"
+
+    def _coefficients(self, n):
         a = np.asarray(self.a, dtype=complex)
-        if m.shape != g.shape or a.shape != g.shape:
-            raise CoefficientError(
-                f"m and a must have one entry per interval: grid has {g.size}, "
-                f"m has {m.size}, a has {a.size}"
-            )
-        if not np.all(np.isfinite(m)):
-            raise CoefficientError("density m has non-finite entries")
-        bad = np.nonzero(m < 0.0)[0]
-        if bad.size:
-            raise CoefficientError(f"density m[{bad[0]}] = {m[bad[0]]} is negative")
+        if a.shape != (n,):
+            raise CoefficientError(f"a must have one entry per interval: grid has {n}, "
+                                   f"a has {a.size}")
         if not np.all(np.isfinite(a.view(float))):
             raise CoefficientError("coefficient a has non-finite entries")
         bad = np.nonzero(np.abs(a) > 1.0 + COEFF_TOL)[0]
         if bad.size:
-            raise CoefficientError(
-                f"coefficient a[{bad[0]}] has |a| = {abs(a[bad[0]])} > 1"
-            )
-        if not isinstance(self.tail, str) or self.tail not in _TAILS:
-            raise CoefficientError(f"unknown tail policy {self.tail!r}")
-        for name, arr in (("grid", g), ("m", m), ("a", a)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "density", m)
-        object.__setattr__(self, "generator_table", (
-            np.broadcast_to(1.0, g.size), a, np.broadcast_to(0.0, g.size), a))
+            raise CoefficientError(f"coefficient a[{bad[0]}] has |a| = {abs(a[bad[0]])} > 1")
+        return {"a": a}
+
+    def _generators(self):
+        n = self.grid.size
+        return np.broadcast_to(1.0, n), self.a, np.broadcast_to(0.0, n), self.a
 
     @property
     def mu_knots(self):
@@ -279,24 +299,6 @@ class ArovParameters(_Piecewise):
             return np.inf if self.m[-1] > 0 else mk
         return np.inf if mk > 0 else 0.0
 
-    def piece_at(self, l):
-        """(a, m) of the interval containing l (right-continuous)."""
-        l = float(l)
-        if l < 0.0:
-            raise DomainError("l must be nonnegative")
-        L = self.length
-        if l >= L:
-            if self.tail == TAIL_FINITE:
-                if l > L:
-                    raise DomainError(f"l = {l} beyond finite tail at {L}")
-                return complex(self.a[-1]), float(self.m[-1])
-            if self.tail == TAIL_CONSTANT:
-                return complex(self.a[-1]), float(self.m[-1])
-            l = l % L
-        k = int(np.searchsorted(self.grid, l, side="right"))
-        k = min(k, self.n_intervals - 1)
-        return complex(self.a[k]), float(self.m[k])
-
     def kappa_integral(self, l):
         """Closed-form integral of 2 a exp(-2 mu) d(mu) over [0, l]; exact for
         the stored piecewise-constant class.  It sums the folded piece stream
@@ -322,7 +324,7 @@ class ArovParameters(_Piecewise):
         return {
             "grid": self.grid.tolist(),
             "m": self.m.tolist(),
-            "a": [[z.real, z.imag] for z in self.a],
+            "a": _pairs(self.a),
             "tail": self.tail,
         }
 
@@ -419,42 +421,29 @@ def reparametrize(p, g_breaks, g_values):
 
     slope_end = (gv[-1] - gv[-2]) / (xb[-1] - xb[-2])
 
-    def g(x):
-        if x <= xb[-1]:
-            return float(np.interp(x, xb, gv))
-        return float(gv[-1] + slope_end * (x - xb[-1]))
+    def extended(x, xs, ys, step):
+        """np.interp through (xs, ys), continued past xs[-1] by step(x - xs[-1])."""
+        out, beyond = np.interp(x, xs, ys), x > xs[-1]
+        out[beyond] = ys[-1] + step(x[beyond] - xs[-1])
+        return out
 
-    def g_inv(y):
-        if y <= gv[-1]:
-            return float(np.interp(y, gv, xb))
-        return float(xb[-1] + (y - gv[-1]) / slope_end)
-
-    L_new = g_inv(p.length)
-    # refine: every slope break of g and every preimage of an old knot
-    breakpoints = sorted(
-        {float(b) for b in xb if 0.0 < b < L_new}
-        | {g_inv(k) for k in p.grid if g_inv(float(k)) < L_new}
-        | {L_new}
-    )
-    new_grid, new_m, new_a = [], [], []
-    lo = 0.0
-    for hi in breakpoints:
-        width = hi - lo
-        if width <= 0.0:
-            continue
-        span = g(hi) - g(lo)
-        mid_old = 0.5 * (g(hi) + g(lo))
-        a_k, m_k = p.piece_at(mid_old)
-        new_grid.append(hi)
-        new_m.append(m_k * span / width)
-        new_a.append(a_k)
-        lo = hi
-    return ArovParameters(np.array(new_grid), np.array(new_m), np.array(new_a), p.tail)
+    # the new knots: every slope break of g and every preimage of an old knot
+    knots = extended(p.grid, gv, xb, lambda d: d / slope_end)
+    knots = _sorted_unique(np.concatenate((xb[(xb > 0.0) & (xb < knots[-1])], knots)))
+    knots = np.concatenate(([0.0], knots[knots > 0.0]))
+    old = extended(knots, xb, gv, lambda d: slope_end * d)
+    # each new interval takes the old interval holding its image's midpoint
+    k = np.minimum(p.grid.searchsorted(0.5 * (old[1:] + old[:-1]), side="right"),
+                   p.grid.size - 1)
+    return ArovParameters(knots[1:], p.m[k] * np.diff(old) / np.diff(knots), p.a[k], p.tail)
 
 
 @dataclass(frozen=True)
 class GeneralCoefficients(_Piecewise):
-    """Piecewise-constant general-gauge coefficients (n, P, Q)."""
+    """Piecewise-constant general-gauge coefficients (n, P, Q).  The
+    constructor raises CoefficientError naming the first failed constraint:
+    P Hermitian positive semidefinite, Q anti-Hermitian, trace(j P) =
+    trace(j Q) = 0."""
 
     grid: np.ndarray
     n: np.ndarray
@@ -462,69 +451,44 @@ class GeneralCoefficients(_Piecewise):
     Q: np.ndarray
     tail: str = TAIL_FINITE
 
-    def __post_init__(self):
-        g = _as_grid(self.grid)
-        n = np.asarray(self.n, dtype=float)
+    _DENSITY = "n"
+
+    def _coefficients(self, n):
         P = np.asarray(self.P, dtype=complex)
         Q = np.asarray(self.Q, dtype=complex)
-        if n.shape != g.shape:
-            raise CoefficientError("n must have one entry per interval")
-        if not np.all(np.isfinite(n)):
-            raise CoefficientError("density n has non-finite entries")
-        if P.shape != (g.size, 2, 2) or Q.shape != (g.size, 2, 2):
+        if P.shape != (n, 2, 2) or Q.shape != (n, 2, 2):
             raise CoefficientError("P and Q must be stacks of 2x2 matrices, one per interval")
-        if not isinstance(self.tail, str) or self.tail not in _TAILS:
-            raise CoefficientError(f"unknown tail policy {self.tail!r}")
-        for name, arr in (("grid", g), ("n", n), ("P", P), ("Q", Q)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        finite = np.isfinite(P).all(axis=(1, 2)) & np.isfinite(Q).all(axis=(1, 2))
+        # non-finite intervals fail the first check; zeros keep the others quiet
+        p = np.where(finite[:, None, None], P, 0.0)
+        q = np.where(finite[:, None, None], Q, 0.0)
+        tol_p, tol_q = (GENERAL_TOL * np.maximum(1.0, norm2(x)) for x in (p, q))
+        lo, _ = herm_eigs(0.5 * (p + _h(p)))
+        tr_p = np.trace(J @ p, axis1=1, axis2=2)
+        tr_q = np.trace(J @ q, axis1=1, axis2=2)
+        _raise_first(
+            CoefficientError,
+            (~finite, lambda k: f"non-finite P/Q at interval {k}"),
+            (norm2(p - _h(p)) > tol_p, lambda k: f"P[{k}] not Hermitian"),
+            (lo < -tol_p, lambda k: f"P[{k}] not positive semidefinite (eig {lo[k]})"),
+            (norm2(q + _h(q)) > tol_q, lambda k: f"Q[{k}] not anti-Hermitian"),
+            (np.abs(tr_p) > tol_p, lambda k: f"trace(j P[{k}]) = {tr_p[k]} nonzero"),
+            (np.abs(tr_q) > tol_q, lambda k: f"trace(j Q[{k}]) = {tr_q[k]} nonzero"))
+        return {"P": P, "Q": Q}
+
+    def _generators(self):
         # trace(j P) = trace(j Q) = 0 leaves P11 = P22 and Q11 = Q22
-        object.__setattr__(self, "density", n)
-        object.__setattr__(self, "generator_table", (
-            P[:, 0, 0].real, -P[:, 1, 0], Q[:, 0, 0].imag, -Q[:, 1, 0]))
+        P, Q = self.P, self.Q
+        return P[:, 0, 0].real, -P[:, 1, 0], Q[:, 0, 0].imag, -Q[:, 1, 0]
 
     def to_dict(self):
-        def cplx(mstack):
-            return [
-                [[[z.real, z.imag] for z in row] for row in mat] for mat in mstack
-            ]
-
         return {
             "grid": self.grid.tolist(),
             "n": self.n.tolist(),
-            "P": cplx(self.P),
-            "Q": cplx(self.Q),
+            "P": _pairs(self.P),
+            "Q": _pairs(self.Q),
             "tail": self.tail,
         }
-
-
-def validate_general(c, tol=1e-10):
-    """Check every general-gauge invariant; return the input on success.
-
-    Violations raise CoefficientError naming the first failed constraint:
-    n >= 0, P Hermitian positive semidefinite, Q anti-Hermitian,
-    trace(j P) = trace(j Q) = 0.
-    """
-    bad = np.nonzero(c.n < 0.0)[0]
-    if bad.size:
-        raise CoefficientError(f"n[{bad[0]}] = {c.n[bad[0]]} is negative")
-    finite = np.isfinite(c.P).all(axis=(1, 2)) & np.isfinite(c.Q).all(axis=(1, 2))
-    # non-finite intervals fail the first check; zeros keep the others quiet
-    P = np.where(finite[:, None, None], c.P, 0.0)
-    Q = np.where(finite[:, None, None], c.Q, 0.0)
-    scale, qscale = np.maximum(1.0, norm2(P)), np.maximum(1.0, norm2(Q))
-    lo, _ = herm_eigs(0.5 * (P + _h(P)))
-    tr_p = np.trace(J @ P, axis1=1, axis2=2)
-    tr_q = np.trace(J @ Q, axis1=1, axis2=2)
-    _raise_first(
-        CoefficientError,
-        (~finite, lambda k: f"non-finite P/Q at interval {k}"),
-        (norm2(P - _h(P)) > tol * scale, lambda k: f"P[{k}] not Hermitian"),
-        (lo < -tol * scale, lambda k: f"P[{k}] not positive semidefinite (eig {lo[k]})"),
-        (norm2(Q + _h(Q)) > tol * qscale, lambda k: f"Q[{k}] not anti-Hermitian"),
-        (np.abs(tr_p) > tol * scale, lambda k: f"trace(j P[{k}]) = {tr_p[k]} nonzero"),
-        (np.abs(tr_q) > tol * qscale, lambda k: f"trace(j Q[{k}]) = {tr_q[k]} nonzero"))
-    return c
 
 
 def dirac_coefficients(length=1.0, n_intervals=1, tail=TAIL_FINITE):
@@ -551,17 +515,18 @@ def schroedinger_coefficients(q, grid, tail=TAIL_FINITE):
 
 def _require_numbers(values, key):
     """ParseError for a string, boolean or null where a number belongs, all
-    of which numpy would read as one ("1.5" as 1.5, true as 1, null as nan).
-    A numeric array, the form every all-number list of a file is read into,
+    of which numpy would read as one ("1.5" as 1.5, true as 1, null as nan),
+    and for a complex number, whose imaginary part a float read drops.  A
+    real array, the form every all-number list of a file is read into,
     passes without a look at its entries."""
     if isinstance(values, np.ndarray):
-        if values.dtype.kind not in "iufc":
-            raise ParseError(f"{key}: expected numbers, got an array of {values.dtype}")
+        if values.dtype.kind not in "iuf":
+            raise ParseError(f"{key}: expected real numbers, got an array of {values.dtype}")
     elif isinstance(values, (list, tuple)):
         for v in values:
             _require_numbers(v, key)
-    elif isinstance(values, (bool, np.bool_)) or not isinstance(values, numbers.Number):
-        raise ParseError(f"{key}: expected a number, got {values!r}")
+    elif isinstance(values, (bool, np.bool_)) or not isinstance(values, numbers.Real):
+        raise ParseError(f"{key}: expected a real number, got {values!r}")
 
 
 def _parse_real_list(values, key):
@@ -572,52 +537,33 @@ def _parse_real_list(values, key):
         raise ParseError(f"{key}: expected a list of numbers ({exc})")
 
 
-def _complex_pairs(arr):
-    """Complex numbers from [re, im] pairs on the last axis, bit for bit
-    (x + 1j * y would turn -0.0 and infinite parts)."""
-    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
-
-
-def _parse_complex_list(values, key):
-    if not isinstance(values, (list, np.ndarray)):
-        raise ParseError(f"{key}: expected a list of numbers or [re, im] pairs, "
-                         f"got {type(values).__name__}")
+def _parse_entries(values, key, shape):
+    """A list of complex entries of the given shape, () for a or (2, 2) for
+    P and Q, each number of an entry real or an [re, im] pair.  Uniform
+    pairs are one float view, bit for bit (x + 1j * y would turn -0.0 and
+    infinite parts); numbers mixed with pairs are made pairs first."""
     _require_numbers(values, key)
-    if isinstance(values, np.ndarray) and values.shape[1:] == (2,):
-        return _complex_pairs(values)
-    out = []
-    for i, v in enumerate(values):
-        try:
-            if isinstance(v, (int, float)):
-                out.append(complex(v))
-            elif isinstance(v, (list, tuple, np.ndarray)) and len(v) == 2:
-                out.append(complex(float(v[0]), float(v[1])))
-            else:
-                raise TypeError("not a number or a pair")
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{key}[{i}]: expected number or [re, im] pair, got {v!r} ({exc})")
-    return np.array(out, dtype=complex)
 
+    def pairs(v, depth):
+        if depth:
+            return [pairs(e, depth - 1) for e in v]
+        return v if isinstance(v, (list, tuple, np.ndarray)) else (v, 0.0)
 
-def _parse_matrix_stack(values, key):
-    _require_numbers(values, key)
-    try:  # uniform [re, im] pairs: one float array
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim == 4 and arr.shape[1:] == (2, 2, 2):
-            return _complex_pairs(arr)
-    except (TypeError, ValueError):
-        pass
     try:
-        arr = np.asarray(
-            [[[complex(float(e[0]), float(e[1])) if isinstance(e, (list, tuple, np.ndarray))
-               else complex(e) for e in row] for row in m] for m in values],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"{key}: expected a list of 2x2 matrices of [re, im] pairs ({exc})")
-    if arr.ndim != 3 or arr.shape[1:] != (2, 2):
-        raise ParseError(f"{key}: expected a list of 2x2 matrices, got shape {arr.shape}")
-    return arr
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim and arr.shape[1:] == shape:  # real entries
+            return arr.astype(complex)
+    except ValueError:  # ragged: numbers mixed with pairs
+        arr = None
+    try:
+        if arr is None or arr.shape[1:] != shape + (2,):
+            arr = np.asarray(pairs(values, len(shape) + 1), dtype=float)
+        if arr.shape[1:] != shape + (2,):
+            raise ValueError(f"got shape {arr.shape}")
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{key}: expected a list of {'2x2 matrices of ' if shape else ''}"
+                         f"numbers or [re, im] pairs ({exc})")
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 def parameters_from_dict(d):
@@ -634,10 +580,10 @@ def parameters_from_dict(d):
     grid = _parse_real_list(d["grid"], "grid")
     if disk:
         return ArovParameters(grid, _parse_real_list(d["m"], "m"),
-                              _parse_complex_list(d["a"], "a"), d.get("tail", TAIL_CONSTANT))
-    return validate_general(GeneralCoefficients(
-        grid, _parse_real_list(d["n"], "n"), _parse_matrix_stack(d["P"], "P"),
-        _parse_matrix_stack(d["Q"], "Q"), d.get("tail", TAIL_FINITE)))
+                              _parse_entries(d["a"], "a", ()), d.get("tail", TAIL_CONSTANT))
+    return GeneralCoefficients(grid, _parse_real_list(d["n"], "n"),
+                               _parse_entries(d["P"], "P", (2, 2)),
+                               _parse_entries(d["Q"], "Q", (2, 2)), d.get("tail", TAIL_FINITE))
 
 
 #: what the skeleton scan puts in place of every number: ``type(token)``,

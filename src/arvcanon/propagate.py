@@ -41,7 +41,8 @@ import numpy as np
 
 from . import coefficients as coeff
 from .errors import GaugeError, InconsistencyError, InputError, _raise_first
-from .mat2 import JKind, adjugate, det2, j_defect, norm2, su11_normalizer
+from .mat2 import (CLASS_TOL, DET_TOL, JKind, adjugate, det2, j_defect, norm2,
+                   su11_normalizer)
 
 GAUGE_AROV = "arov"
 GAUGE_PDB = "pdb"
@@ -54,6 +55,13 @@ _BLOCK = 1024
 #: most nodes of a block that are prefix-scanned: larger blocks are first
 #: reduced by levels of pairwise products.
 _TOP = 128
+
+#: a family's spectral point within Z_TOL of z is the point z
+Z_TOL = 1e-12
+
+#: recovery's slack on the z = i column's triangular shape, relative to
+#: max(1, |T|), and on |a| <= 1, round-off within it projected back
+LOWER_TOL, RECOVERY_TOL = 1e-12, 1e-8
 
 #: (z, piece) cells per block and chunk: spectral points are taken in chunks
 #: of _CELLS // _BLOCK or more, so the working set is bounded for any grid.
@@ -301,8 +309,8 @@ class TransferFamily:
         if np.any(np.diff(self.ls) < 0):
             raise InputError("family length grid must be nondecreasing")
 
-    def z_index(self, z, tol=1e-12):
-        hits = np.nonzero(np.abs(self.zs - complex(z)) <= tol)[0]
+    def z_index(self, z):
+        hits = np.nonzero(np.abs(self.zs - complex(z)) <= Z_TOL)[0]
         if hits.size == 0:
             raise InputError(f"family has no spectral point z = {z}")
         return int(hits[0])
@@ -313,7 +321,7 @@ class TransferFamily:
         d = np.abs(det2(self.values) - 1.0)
         return d / np.maximum(1.0, np.abs(self.values).max(axis=(-2, -1))) ** 2
 
-    def validate(self, det_tol=1e-10, class_tol=1e-10):
+    def validate(self):
         """Check the structural invariants; raises on the first violation.
 
         Identity at l = 0 (when present), unit determinants, j-contractive
@@ -323,19 +331,19 @@ class TransferFamily:
         zs, ls, values = self.zs, self.ls, self.values
         if ls.size and ls[0] == 0.0:
             _raise_first(GaugeError, (
-                norm2(values[:, 0] - np.eye(2)) > det_tol,
+                norm2(values[:, 0] - np.eye(2)) > DET_TOL,
                 lambda i: f"family value at (z={zs[i]}, l=0) is not the identity"))
         worst_det = float(np.max(self.det_errors())) if values.size else 0.0
-        if worst_det > det_tol:
-            raise InconsistencyError(f"max |det - 1| = {worst_det} exceeds {det_tol}")
+        if worst_det > DET_TOL:
+            raise InconsistencyError(f"max |det - 1| = {worst_det} exceeds {DET_TOL}")
         up = zs.imag >= 0
         a, b = values[up, :-1], values[up, 1:]
         seg = adjugate(a) @ b
         # seg carries round-off of about eps |a| |b|, and j - seg j seg* that
-        # times |seg|: the band is class_tol |seg|^2, widened to
+        # times |seg|: the band is CLASS_TOL |seg|^2, widened to
         # 64 eps |a| |b| |seg| where that round-off is larger
         round_off = 64.0 * np.finfo(float).eps * norm2(a) * norm2(b) / norm2(seg)
-        _, cls = j_defect(seg, np.maximum(class_tol, round_off))
+        _, cls = j_defect(seg, np.maximum(CLASS_TOL, round_off))
         real = (zs[up].imag == 0)[:, None]
         _raise_first(InconsistencyError, (
             ~np.where(real, cls.kind == JKind.UNITARY, cls.is_contractive),
@@ -345,7 +353,7 @@ class TransferFamily:
             t = values[self.z_index(1j)]
             scale = np.maximum(1.0, norm2(t))
             _raise_first(GaugeError, (
-                (np.abs(t[:, 0, 1]) > det_tol * scale) | (t[:, 0, 0].real <= 0)
+                (np.abs(t[:, 0, 1]) > DET_TOL * scale) | (t[:, 0, 0].real <= 0)
                 | (t[:, 1, 1].real <= 0),
                 lambda k: f"value at (z=i, l={ls[k]}) violates the claimed triangular "
                           "structure"))
@@ -364,11 +372,11 @@ def transfer_family(system, zs, ls):
     return TransferFamily(zs, ls, values, tag)
 
 
-def to_arov_gauge(f, det_tol=1e-10, class_tol=1e-10):
+def to_arov_gauge(f):
     """Gauge the family so its z = i column is lower triangular with positive
     diagonal.  Returns the regauged family and the SU(1,1) factors U(l_k).
     Weyl disks are unaffected."""
-    us = su11_normalizer(f.values[f.z_index(1j)], det_tol=det_tol, class_tol=class_tol)
+    us = su11_normalizer(f.values[f.z_index(1j)])
     return TransferFamily(f.zs, f.ls, f.values @ us, GAUGE_AROV), us
 
 
@@ -393,7 +401,7 @@ class RecoveryResult:
     zero_mass: np.ndarray  # interval indices that carried no measure
 
 
-def recover_parameters(f, tol=1e-8, lower_tol=1e-12):
+def recover_parameters(f):
     """Read (m_k, a_k) back off an Arov-gauge family.
 
     mu(l_k) = log A11(i, l_k) and kappa(l_k) = -A21/A11; the per-interval
@@ -411,10 +419,10 @@ def recover_parameters(f, tol=1e-8, lower_tol=1e-12):
     a11 = col[:, 0, 0]
     _raise_first(
         GaugeError,
-        (np.abs(col[:, 0, 1]) > lower_tol * scale,
+        (np.abs(col[:, 0, 1]) > LOWER_TOL * scale,
          lambda k: f"value at z=i, l={f.ls[k]} is not lower triangular "
                    f"(|A12| = {abs(col[k, 0, 1])})"),
-        ((a11.real <= 0.0) | (np.abs(a11.imag) > lower_tol * scale),
+        ((a11.real <= 0.0) | (np.abs(a11.imag) > LOWER_TOL * scale),
          lambda k: f"value at z=i, l={f.ls[k]} has nonpositive A11 = {a11[k]}"))
     mu = np.log(a11.real)
     kappa = -col[:, 1, 0] / a11
@@ -428,13 +436,13 @@ def recover_parameters(f, tol=1e-8, lower_tol=1e-12):
     zero = weights <= 0.0
     live = ~zero
     a[live] = dk[live] / weights[live]
-    bad = np.nonzero(np.abs(a) > 1.0 + tol)[0]
+    bad = np.nonzero(np.abs(a) > 1.0 + RECOVERY_TOL)[0]
     if bad.size:
         raise InconsistencyError(
             f"recovered |a[{bad[0]}]| = {abs(a[bad[0]])} > 1: "
             "input family was not j-monotonic"
         )
-    over = np.abs(a) > 1.0  # round-off past the circle, within tol: project back
+    over = np.abs(a) > 1.0  # round-off past the circle, within RECOVERY_TOL: project back
     if over.any():
         a[over] /= np.abs(a[over])
     params = coeff.ArovParameters(

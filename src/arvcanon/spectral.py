@@ -236,8 +236,10 @@ def bp_defect(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
         lo, hi = float(lo), float(hi)
         if not (lo < hi and np.isfinite(hi - lo)):
             raise InputError(f"bad band interval ({lo}, {hi})")
-        n = max(int(np.ceil((hi - lo) / x_step)) + 1, 2)
-        grids.append(np.linspace(lo, hi, n))
+        try:
+            grids.append(np.linspace(lo, hi, max(int(np.ceil((hi - lo) / x_step)) + 1, 2)))
+        except (OverflowError, ValueError):
+            raise InputError(f"x step {x_step} gives too many points on ({lo}, {hi})")
     all_x = np.concatenate(grids)
 
     # base boundary values at every grid point of each half and s_plus(i),

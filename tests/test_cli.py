@@ -320,6 +320,71 @@ def test_non_finite_spectral_points_exit_2(const_half, capsys, argv):
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["transfer", "--zgrid", "i", "--lgrid", "0:1:1e-300"], "ParseError"),
+    (["transfer", "--zgrid", "0,1:1,1:99999999999999999999999", "--lgrid", "1"], "ParseError"),
+    (["transfer", "--zgrid", "i", "--lgrid", "0:1e308:1e-308"], "ParseError"),
+    (["reflectionless", "--xgrid=-1e308:1e308:1e-300"], "ParseError"),
+    (["bp", "--e", "0.8,1.6", "--arc", "0.4:2.0", "--xstep", "1e-300"], "InputError")])
+def test_grids_too_large_to_index_are_errors(const_half, full_line, capsys, argv, error):
+    # numpy's size check or int() of an infinite count ended in a traceback;
+    # numpy refuses each of these sizes before it allocates anything
+    path = const_half if argv[0] == "transfer" else full_line
+    assert cli.main(argv + ["--input", path]) == (2 if error == "ParseError" else 3)
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+def test_log_imaginary_axis_zgrid(tmp_path, const_half):
+    out = tmp_path / "t.csv"
+    assert cli.main(["transfer", "--input", const_half, "--zgrid", "iy:1:100:3:log",
+                     "--lgrid", "1", "--output", str(out)]) == 0
+    _, rows = _read_rows(out)
+    zs = [complex(float(r[0]), float(r[1])) for r in rows]
+    assert np.allclose(zs, [1j, 10j, 100j], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("argv", [["reflectionless", "--xgrid", "1", "--eps", "1e-2,abc"],
+                                  ["bp", "--e", "0.8", "--arc", "0.4:2.0"],
+                                  ["bp", "--e", "0.8,1.6", "--arc", "x"],
+                                  ["bp", "--e", "0.8,1.6", "--arc", "0.4:2.0",
+                                   "--lladder", "1,x"]])
+def test_bad_full_line_specs_exit_2(full_line, capsys, argv):
+    assert cli.main(argv + ["--input", full_line]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+def test_full_line_command_needs_two_disk_gauge_halves(tmp_path, const_half, capsys):
+    from arvcanon import dirac_coefficients
+
+    general = tmp_path / "general.json"
+    save_parameters((dirac_coefficients(), dirac_coefficients()), general)
+    for path in (const_half, str(general)):
+        assert cli.main(["reflectionless", "--input", path, "--xgrid", "1"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+
+def test_gauge_params_out_requires_lengths_from_zero(tmp_path, const_half, capsys):
+    code = cli.main(["gauge", "--input", const_half, "--to", "arov",
+                     "--zgrid", "i", "--lgrid", "0.5:1:0.5",
+                     "--output", str(tmp_path / "g.csv"),
+                     "--params-out", str(tmp_path / "rec.json")])
+    assert code == 3
+    assert "start at 0" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_other_library_errors_exit_1(capsys):
+    from types import SimpleNamespace
+
+    from arvcanon import DegenerateActionError
+
+    def stub(ns):
+        raise DegenerateActionError("the action annihilates its row")
+
+    assert cli.run(SimpleNamespace(func=stub)) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DegenerateActionError", "message": "the action annihilates its row"}
+
+
 def test_non_utf8_file_exit_2(tmp_path, capsys):
     # an undecodable byte ended in a UnicodeDecodeError traceback
     path = tmp_path / "latin1.json"

@@ -10,7 +10,7 @@ from arvcanon import (ArovParameters, CoefficientError, DomainError, ParseError,
                       TAIL_PERIODIC, ab_from_a, constant_parameters,
                       dirac_coefficients, load_parameters, reflect,
                       reparametrize, save_parameters, schroedinger_coefficients,
-                      strip_head, validate_general)
+                      strip_head)
 from arvcanon.coefficients import GeneralCoefficients, parameters_from_dict, write_json
 from arvcanon.mat2 import J, herm_eigs, mat2
 from arvcanon.propagate import transfer
@@ -265,40 +265,79 @@ def test_reparametrize_rejects_non_monotone():
 # --- general coefficients --------------------------------------------------------
 
 def test_dirac_is_valid():
-    validate_general(dirac_coefficients(length=2.0, n_intervals=3))
+    dirac_coefficients(length=2.0, n_intervals=3)
 
 
 def test_schroedinger_is_valid_for_any_real_potential():
     rng = np.random.default_rng(12)
     q = rng.normal(size=5) * 3.0
-    validate_general(schroedinger_coefficients(q, np.linspace(0.4, 2.0, 5)))
+    schroedinger_coefficients(q, np.linspace(0.4, 2.0, 5))
 
 
 def test_general_rejects_indefinite_p():
     c = dirac_coefficients(length=1.0)
     bad_p = c.P.copy()
     bad_p[0] = np.diag([1.0, -1.0])
-    bad = GeneralCoefficients(c.grid, c.n, bad_p, c.Q, c.tail)
     with pytest.raises(CoefficientError, match="positive semidefinite"):
-        validate_general(bad)
+        GeneralCoefficients(c.grid, c.n, bad_p, c.Q, c.tail)
 
 
 def test_general_rejects_traceful_q():
     c = dirac_coefficients(length=1.0)
     bad_q = c.Q.copy()
     bad_q[0] = 1j * np.diag([1.0, -1.0])  # anti-Hermitian but trace(jQ) != 0
-    bad = GeneralCoefficients(c.grid, c.n, c.P, bad_q, c.tail)
     with pytest.raises(CoefficientError, match="trace"):
-        validate_general(bad)
+        GeneralCoefficients(c.grid, c.n, c.P, bad_q, c.tail)
 
 
 def test_general_rejects_non_antihermitian_q():
     c = dirac_coefficients(length=1.0)
     bad_q = c.Q.copy()
     bad_q[0] = np.eye(2)
-    bad = GeneralCoefficients(c.grid, c.n, c.P, bad_q, c.tail)
     with pytest.raises(CoefficientError, match="anti-Hermitian"):
-        validate_general(bad)
+        GeneralCoefficients(c.grid, c.n, c.P, bad_q, c.tail)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(
+    ["P11 != P22", "P not Hermitian", "P indefinite", "Q not anti-Hermitian",
+     "trace(j Q) != 0", "negative n", "NaN in P", "NaN in Q"]))
+def test_property_broken_general_systems_are_not_built(seed, case):
+    # one broken invariant: the constructor and the dict parse raise the same
+    # error naming it (a P11 != P22 system was built, its P22 dropped)
+    rng = np.random.default_rng(seed)
+    c = _random_general(rng, int(rng.integers(1, 6)), TAIL_FINITE)
+    n, P, Q = c.n.copy(), c.P.copy(), c.Q.copy()
+    k = int(rng.integers(c.n_intervals))
+    i, j = rng.integers(2, size=2)
+    if case == "P11 != P22":
+        P[k, 0, 0] += rng.uniform(0.1, 1.0)
+        pattern = rf"trace\(j P\[{k}\]\) = .* nonzero"
+    elif case == "P not Hermitian":
+        P[k, 0, 1] += rng.uniform(0.1, 1.0)
+        pattern = rf"P\[{k}\] not Hermitian"
+    elif case == "P indefinite":
+        P[k, 0, 1] = P[k, 1, 0] = rng.uniform(1.1, 3.0) * P[k, 0, 0]
+        pattern = rf"P\[{k}\] not positive semidefinite"
+    elif case == "Q not anti-Hermitian":
+        Q[k, 0, 1] += rng.uniform(0.1, 1.0)
+        pattern = rf"Q\[{k}\] not anti-Hermitian"
+    elif case == "trace(j Q) != 0":
+        Q[k, 0, 0] += 1j * rng.uniform(0.1, 1.0)
+        pattern = rf"trace\(j Q\[{k}\]\) = .* nonzero"
+    elif case == "negative n":
+        n[k] = -rng.uniform(0.1, 1.0)
+        pattern = rf"density n\[{k}\] = .* is negative"
+    else:
+        (P if case == "NaN in P" else Q)[k, i, j] = np.nan
+        pattern = rf"non-finite P/Q at interval {k}"
+    with pytest.raises(CoefficientError, match=pattern) as built:
+        GeneralCoefficients(c.grid, n, P, Q, c.tail)
+    d = {**c.to_dict(), "n": n.tolist(), "P": np.stack((P.real, P.imag), -1).tolist(),
+         "Q": np.stack((Q.real, Q.imag), -1).tolist()}
+    with pytest.raises(CoefficientError) as parsed:
+        parameters_from_dict(d)
+    assert type(parsed.value) is type(built.value) and str(parsed.value) == str(built.value)
 
 
 # --- strip_head -----------------------------------------------------------------

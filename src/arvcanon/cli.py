@@ -10,10 +10,12 @@ argument parser is built on the first ``main`` call and reused by every
 later one in the process (not at import).  Exit codes: 0 ok, 1 any other
 library error or a standard output closed by its reader (silently), 2
 parse, 3 validation.  Grids are
-computed by the vectorised propagation kernel in one thread, ``riccati``
-solves the stripping flow exactly and ``schur`` closes every value with the
-tail.  ``--tol`` belongs to the subcommands that evaluate Schur functions
-(schur, riccati, reflectionless, bp); ``transfer`` and ``disks`` accept
+computed by the vectorised propagation kernel in one thread, ``schur``
+closes every value with the tail, and ``riccati`` either pulls the tail's
+value back to every row (``--s0 auto``: the stripped Schur values, which
+never escape) or solves the stripping flow exactly from an explicit s0.
+``--tol`` belongs to the subcommands that shrink Weyl disks to a Schur value
+(schur, reflectionless, bp); ``transfer`` and ``disks`` accept
 ``--threads``, which changes nothing and stays out of the config hash.
 """
 
@@ -219,15 +221,18 @@ def _cmd_riccati(ns):
     system = _load_single(ns)
     z = _parse_z(ns.z)
     ls = parse_lgrid(ns.lgrid)
-    s0 = weyl.schur_plus(z, system, tol=ns.tol).value if ns.s0 == "auto" else _parse_z(ns.s0)
-    states = ric.riccati_trajectory(z, s0, system, ls)
-    s = np.array([state.s for state in states], dtype=complex)
+    if ns.s0 == "auto":  # the stripped Schur values, pulled back: they never escape
+        s = weyl.stripped_grid([z], system, ls)[0]
+        status = np.full(s.size, ric.STATUS_OK)
+    else:
+        states = ric.riccati_trajectory(z, _parse_z(ns.s0), system, ls)
+        s = np.array([state.s for state in states], dtype=complex)
+        status = np.array([state.status for state in states], dtype=str)
     # an escaped last row keeps its requested l and holds the escape point
     _write_table(ns.output,
                  ("z_re", "z_im", "l", "s_re", "s_im", "status"),
                  (np.full(s.size, z.real), np.full(s.size, z.imag), ls[:s.size],
-                  s.real, s.imag, np.array([state.status for state in states], dtype=str)),
-                 _config_hash(ns))
+                  s.real, s.imag, status), _config_hash(ns))
     return EXIT_OK
 
 
@@ -353,7 +358,8 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, schur=True):
-        """A subcommand; those that evaluate Schur functions take --tol."""
+        """A subcommand; those that shrink Weyl disks to a Schur value take
+        --tol."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--input", required=True, help="coefficient JSON file")
@@ -376,7 +382,7 @@ def build_parser():
     p.add_argument("--zgrid", required=True, help=_ZGRID_HELP)
     p.add_argument("--side", choices=("plus", "minus"), default="plus")
 
-    p = command("riccati", _cmd_riccati, "stripping-flow trajectory")
+    p = command("riccati", _cmd_riccati, "stripping-flow trajectory", schur=False)
     p.add_argument("--z", required=True,
                    help="spectral point 're,im' or 'i'; write --z=-0.4,0.6 for a leading '-'")
     p.add_argument("--s0", default="auto", help="'auto' or a complex token re,im")

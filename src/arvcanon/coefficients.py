@@ -36,6 +36,7 @@ lists become views of the buffer.  The numbers are bit for bit those of
 infinity.
 """
 
+import functools
 import json
 import numbers
 import re
@@ -144,6 +145,14 @@ class _Piecewise:
         object.__setattr__(self, "density", d)
         object.__setattr__(self, "generator_table", self._generators())
 
+    @functools.cached_property
+    def generator_bound(self):
+        """(max of p + |alpha|, max of |r| + |gamma|) over the stored
+        intervals: |z| times the first plus the second bounds every entry of
+        the generator at z.  Formed on first use."""
+        p, alpha, r, gamma = (np.abs(g) for g in self.generator_table)
+        return float(np.max(p + alpha)), float(np.max(r + gamma))
+
     @property
     def n_intervals(self):
         return self.grid.size
@@ -229,6 +238,9 @@ class ArovParameters(_Piecewise):
     tail: str = TAIL_CONSTANT
 
     _DENSITY = "m"
+
+    #: the table is (1, a, 0, a) with |a| <= 1 + COEFF_TOL
+    generator_bound = (2.0 + COEFF_TOL, 1.0 + COEFF_TOL)
 
     def _coefficients(self, n):
         a = np.asarray(self.a, dtype=complex)

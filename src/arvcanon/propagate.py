@@ -28,11 +28,15 @@ requested count through one node per level, so a block costs about one
 product per piece instead of a full prefix scan's log2(_BLOCK).  It knows no
 tails.  ``transfer_grid`` feeds it the folded stream of ``piece_arrays``
 from any start length l_from and closes constant and periodic tails in O(1)
-and O(log) products; it is the only code that powers a period.  Every
-transfer function here is a thin wrapper around the two: ``transfer_between``
-is ``transfer_grid`` from l_from, and ``transfer`` refuses to overflow
-silently.  The Riccati escape search bisects within one piece on
-``_propagators``, the one name here that other modules use.
+and O(log) products; it is the only code that powers a period.
+``transfer_to_end`` is the kernel's suffix mode: T(z; l -> L) for every l
+of the head from one call over the reversed stream.  Every transfer
+function here is a thin wrapper around these: ``transfer_between`` is
+``transfer_grid`` from l_from, and ``transfer`` refuses to overflow
+silently.  Both refuse a spectral point so large that the closed form's
+squares of generator entries could overflow.  The Riccati escape search
+bisects within one piece on ``_propagators``, the one name here that other
+modules use.
 """
 
 from dataclasses import dataclass
@@ -40,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coefficients as coeff
-from .errors import GaugeError, InconsistencyError, InputError, _raise_first
+from .errors import (DomainError, GaugeError, InconsistencyError, InputError,
+                     _raise_first)
 from .mat2 import (CLASS_TOL, DET_TOL, JKind, adjugate, det2, j_defect, norm2,
                    su11_normalizer)
 
@@ -68,6 +73,10 @@ LOWER_TOL, RECOVERY_TOL = 1e-12, 1e-8
 _CELLS = 4096
 
 _LN2 = float(np.log(2.0))
+
+#: bound on the generator entries of a kernel call (``generator_bound`` at
+#: |z|): past it the closed form's squares of them could overflow
+_G_MAX = 0.25 * np.sqrt(np.finfo(float).max)
 
 #: the identity as a (4, 1, 1) entry stack
 _EYE = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)[:, None, None]
@@ -214,14 +223,29 @@ def scaled_products(zs, gen, k, d, ends):
     return x, xc
 
 
+def _spectral_points(system, zs):
+    """The spectral points of a kernel call as a flat array, refused where
+    the closed form could overflow: while the system's ``generator_bound``
+    at |z| stays below _G_MAX, g11^2 + g12 g21 (and the Schur quadratics
+    built on the same entries) stay finite."""
+    if not isinstance(system, (coeff.ArovParameters, coeff.GeneralCoefficients)):
+        raise InputError(f"unsupported coefficient object {type(system).__name__}")
+    zs = np.asarray(zs, dtype=complex).ravel()
+    scale, shift = system.generator_bound
+    size = np.abs(zs)
+    if not float(size.max(initial=0.0)) * scale + shift <= _G_MAX:
+        z = zs[np.argmax(~(size * scale + shift <= _G_MAX))]
+        raise DomainError(f"spectral point z = {z} is too large: the generator's "
+                          "square overflows")
+    return zs
+
+
 def transfer_grid(system, zs, ls, l_from=0.0):
     """Scaled transfer matrices (M[nz, nl, 2, 2], logc[nz, nl]) of a disk- or
     general-gauge system over a spectral grid and lengths in any order, each
     the product over [l_from, l]: one kernel call over the folded piece
     stream, then the tails."""
-    if not isinstance(system, (coeff.ArovParameters, coeff.GeneralCoefficients)):
-        raise InputError(f"unsupported coefficient object {type(system).__name__}")
-    zs = np.asarray(zs, dtype=complex).ravel()
+    zs = _spectral_points(system, zs)
     k, d, ends, at, q, t = system.piece_arrays(ls, l_from)
     gen = system.generator_table
     x, xc = scaled_products(zs, gen, k, d, ends)
@@ -241,6 +265,28 @@ def transfer_grid(system, zs, ls, l_from=0.0):
         e, ec = _propagators(zs, gen, last, t[tail])
         m[:, :, tail], c[:, tail] = _mul(m[:, :, tail], e), c[:, tail] + ec
     return out.reshape(zs.size, -1, 2, 2), c
+
+
+def transfer_to_end(system, zs, ls):
+    """The suffix mode: scaled T(z; l -> L), L the stored grid's end, over a
+    spectral grid and lengths in [0, L] in any order, as (M[nz, nl, 2, 2],
+    logc[nz, nl]).  T(l -> L)^T is the ordered product of the transposed
+    propagators of the span's pieces taken last to first, and transposing
+    exp(G d) swaps g12 and g21, which the table (p, -conj alpha, r,
+    conj gamma) does exactly in either gauge.  So one kernel call over the
+    reversed stream of [min l, L], through n - e pieces for a head e pieces
+    in, gives every suffix; this is the only code that reverses a stream."""
+    zs = _spectral_points(system, zs)
+    ls, L = np.asarray(ls, dtype=float).ravel(), system.length
+    if not np.all((ls >= 0.0) & (ls <= L)):
+        raise DomainError(f"suffix lengths must lie in [0, {L}], got {ls}")
+    k, d, ends, at, _, _ = system.piece_arrays(np.append(ls, L), ls.min(initial=L))
+    p, alpha, r, gamma = system.generator_table
+    x, xc = scaled_products(zs, (p, -np.conj(alpha), r, np.conj(gamma)), k[::-1], d[::-1],
+                            ends[-1] - ends[::-1])
+    at = ends.size - 1 - at[:-1]  # head j is column ends.size - 1 - j of the reversed call
+    out = np.take(x.transpose(1, 2, 0), at, axis=1).reshape(zs.size, -1, 2, 2)
+    return out.swapaxes(-1, -2), xc[:, at]
 
 
 def materialize(m, c, what):

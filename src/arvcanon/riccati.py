@@ -13,7 +13,10 @@ makes staying bounded a sharp test.  The flow is solved exactly, with no
 stepping: s(l) is the Moebius image of s(0) under the transfer matrix
 T(z, l), and the escape point is found on the same closed-form propagators
 (one kernel call for the products through each of the bracket's pieces,
-then rounds of trial masses within the escaping piece).  The nontangential
+then rounds of trial masses within the escaping piece).  The same
+repulsion grows round-off in s(0) like e^(2 mu), so this forward flow is
+for a given s0; the stripped Schur values themselves are pulled back from
+the tail (``weyl.stripped_grid``) and never escape.  The nontangential
 limit of a Schur function at +i*infinity, when it exists, determines the
 coefficient at the origin through a continuous bijection of the disk,
 implemented here as ``a_to_c``/``c_to_a`` together with Richardson
@@ -89,9 +92,12 @@ def riccati_fixed_point(z, a, tol=1e-9):
 
 @dataclass(frozen=True)
 class RiccatiState:
-    """Endpoint of a Riccati trajectory.  status is "escaped" when the value
-    left the closed unit disk before the requested length; that is not a
-    failure, it certifies the initial value was not the Schur function."""
+    """Endpoint of a Riccati trajectory, the forward flow from a given s0.
+    status is "escaped" when the value left the closed unit disk before the
+    requested length; that is not a failure, it certifies s0 was not the
+    Schur function.  Stripped Schur values are not states of this flow:
+    ``weyl.stripped_grid`` pulls them back from the tail, and they never
+    escape."""
 
     s: complex
     l: float

@@ -242,22 +242,21 @@ def bp_defect(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
             raise InputError(f"x step {x_step} gives too many points on ({lo}, {hi})")
     all_x = np.concatenate(grids)
 
-    # base boundary values at every grid point of each half and s_plus(i),
-    # and transfer matrices at the same points for all lengths, one call
-    # each; the minus half strips by J1 m J1, m with its entries reversed
-    zs = all_x + 1j * eps
-    sp0, _, _ = weyl.schur_grid(np.append(zs, 1j), p_right, tol)
-    sm0, _, _ = weyl.schur_minus_grid(zs, p_left, tol)
-    m_x, _ = prop.transfer_grid(p_right, np.append(zs, 1j), l_values)
-    (sp0, sp_i), (m_x, m_i) = np.split(sp0, [-1]), np.split(m_x, [-1])
+    # the plus half's stripped values at every grid point and at z = i for
+    # all lengths, pulled back from the tail in one call; the minus half's
+    # base values, stripped forwards by J1 m J1 (m with its entries
+    # reversed) of the transfer matrices at the same points, one call each
+    zs = np.append(all_x + 1j * eps, 1j)
+    sp = weyl.stripped_grid(zs, p_right, l_values)
+    sm0, _, _ = weyl.schur_minus_grid(zs[:-1], p_left, tol)
+    m_x, _ = prop.transfer_grid(p_right, zs, l_values)
+    (sp, sp_i), (m_x, m_i) = np.split(sp, [-1]), np.split(m_x, [-1])
     # interior hypothesis at each probe length; v(i) = 0 for the minus half
-    hyp = np.abs(np.stack([mobius_right(sp_i, m_i[0]),
-                           mobius_right(0j, m_i[0, :, ::-1, ::-1])], axis=1))
+    hyp = np.abs(np.stack([sp_i[0], mobius_right(0j, m_i[0, :, ::-1, ::-1])], axis=1))
     j, side = np.nonzero(hyp >= 1.0)
     violations = tuple(zip(np.take(l_values, j).tolist(),
                            np.take(("plus", "minus"), side).tolist(), hyp[j, side].tolist()))
 
-    sp = mobius_right(sp0[:, None], m_x)
     sm = mobius_right(sm0[:, None], m_x[..., ::-1, ::-1])
     keep = (np.abs(sp) < 1.0) & (np.abs(sm) < 1.0)
     vals = harmonic_measure(np.where(keep, sm, 0.0), -t2, -t1) - \

@@ -13,6 +13,10 @@ through T(z, L) closes every point still open.  Disks over a (z, l) grid
 and Schur values over a z grid come from one ``transfer_grid`` call (one
 per pass over a long head, each pass a span from the length where the last
 one stopped, composed onto its transfer matrix); no threads involved.
+Stripped values s_plus(z; l) over a (z, l) grid pull the tail's value back
+through the suffix products T(z; l -> L) of one ``transfer_to_end`` call:
+the contracting direction of the stripping flow, so unlike the forward
+image of s_plus under T(z, l) they keep round-off at any measure.
 """
 
 from dataclasses import dataclass
@@ -22,8 +26,8 @@ import numpy as np
 from . import coefficients as coeff
 from . import propagate as prop
 from . import riccati as ric
-from .errors import (DegenerateActionError, InconsistencyError, InputError,
-                     PreconditionError)
+from .errors import (DegenerateActionError, DomainError, InconsistencyError,
+                     InputError, PreconditionError)
 from .mat2 import DET_TOL, adjugate, as_mat2, det2, j_defect, mobius_right
 
 LIMIT_POINT = "limit_point"
@@ -141,16 +145,28 @@ def _unimodular_constant(p):
     return complex(a0)
 
 
-def _tail_closure(zs, p, m):
-    """s_plus from the head's transfer matrix T(z, L), scaled to m: the
-    tail's own Schur value (the stationarity root of a constant tail, the
-    in-disk fixed point of a periodic tail's monodromy m) pulled back
-    through adj(m)."""
+def _tail_value(zs, p, m):
+    """The tail's own Schur value at every z, a fixed point of the stripping
+    flow: the stationarity root of a constant tail, the in-disk fixed point
+    of a periodic tail's monodromy T(z, 0 -> L), scaled to m."""
     if p.tail == coeff.TAIL_PERIODIC:
-        s = ric.disk_root(m[:, 0, 1], m[:, 1, 1] - m[:, 0, 0], -m[:, 1, 0])
-    else:
-        s = ric.riccati_fixed_point(zs, p.a[-1])
-    return mobius_right(s, adjugate(m))
+        return ric.disk_root(m[:, 0, 1], m[:, 1, 1] - m[:, 0, 0], -m[:, 1, 0])
+    return ric.riccati_fixed_point(zs, p.a[-1])
+
+
+def _schur_points(zs, p):
+    """The spectral points of a Schur evaluation, with its preconditions:
+    Im z > 0, disk-gauge coefficients, the limit-point case."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    if np.any(zs.imag <= 0.0):
+        raise PreconditionError(f"schur_plus needs Im z > 0, got z = {zs[zs.imag <= 0][0]}")
+    if not isinstance(p, coeff.ArovParameters):
+        raise InputError(
+            f"Schur functions need disk-gauge coefficients, got {type(p).__name__}"
+        )
+    if classify_limit(p) != LIMIT_POINT:
+        raise PreconditionError("schur_plus needs the limit-point case")
+    return zs
 
 
 def schur_grid(zs, p, tol=SCHUR_TOL):
@@ -164,19 +180,11 @@ def schur_grid(zs, p, tol=SCHUR_TOL):
     stopped: ``transfer_grid`` from l gives T(l -> l') over the pieces past
     l only, and head @ m composes it with T(z, l), so no piece of the head
     is crossed twice.  A point stops at the first radius below tol, nesting
-    asserted up to there (across passes too).  A point still open at L takes ``_tail_closure`` of
-    T(z, L), with residual radius 0.  Returns (value, residual_radius,
-    l_stop).
+    asserted up to there (across passes too).  A point still open at L takes
+    the tail's own value (``_tail_value``) pulled back through adj T(z, L),
+    with residual radius 0.  Returns (value, residual_radius, l_stop).
     """
-    zs = np.asarray(zs, dtype=complex).ravel()
-    if np.any(zs.imag <= 0.0):
-        raise PreconditionError(f"schur_plus needs Im z > 0, got z = {zs[zs.imag <= 0][0]}")
-    if not isinstance(p, coeff.ArovParameters):
-        raise InputError(
-            f"Schur functions need disk-gauge coefficients, got {type(p).__name__}"
-        )
-    if classify_limit(p) != LIMIT_POINT:
-        raise PreconditionError("schur_plus needs the limit-point case")
+    zs = _schur_points(zs, p)
     shortcut = _unimodular_constant(p)
     if shortcut is not None:
         zero = np.zeros(zs.size)
@@ -216,7 +224,8 @@ def schur_grid(zs, p, tol=SCHUR_TOL):
         done, at = todo[conv], stop[conv]
         value[done], radius[done], l_stop[done] = centers[conv, at], radii[conv, at], ls[base + at]
         tail = conv & (base + stop == ls.size - 1)
-        value[todo[tail]] = _tail_closure(zs[todo[tail]], p, m[tail, -1])
+        value[todo[tail]] = mobius_right(_tail_value(zs[todo[tail]], p, m[tail, -1]),
+                                         adjugate(m[tail, -1]))
         radius[todo[tail]] = 0.0
         todo = todo[~conv]
         head, hc = m[~conv, -1:], c[~conv, -1:]
@@ -227,6 +236,32 @@ def schur_plus(z, p, tol=SCHUR_TOL):
     """Half-line Schur function at one point (see ``schur_grid``)."""
     value, radius, l_stop = schur_grid([z], p, tol=tol)
     return SchurValue(complex(value[0]), float(radius[0]), float(l_stop[0]))
+
+
+def stripped_grid(zs, p, ls):
+    """Stripped Schur values s_plus(z; l), the Schur function of
+    ``strip_head(p, l)``, at every (z, l) of a grid: (nz, nl), lengths in
+    any order.  The tail's own value is pulled back through adj T(z; l -> L)
+    from one ``transfer_to_end`` call: the contracting direction of the
+    stripping flow, where the forward flow from s_plus grows its round-off
+    like e^(2 mu).  Rows of a constant tail at l >= L are the stationarity
+    root itself (T(L -> L) is the identity); a periodic tail's row at l is
+    its row at l mod L, the monodromy the same call's row at 0.  Same
+    preconditions and shortcut as ``schur_grid``."""
+    zs = _schur_points(zs, p)
+    ls = np.asarray(ls, dtype=float).ravel()
+    if not np.all((ls >= 0.0) & (ls < np.inf)):
+        raise DomainError(f"stripped values need finite lengths l >= 0, got {ls}")
+    shortcut = _unimodular_constant(p)
+    if shortcut is not None:
+        return np.full((zs.size, ls.size), shortcut)
+    if p.tail == coeff.TAIL_PERIODIC:
+        m, _ = prop.transfer_to_end(p, zs, np.append(np.mod(ls, p.length), 0.0))
+        s, m = _tail_value(zs, p, m[:, -1]), m[:, :-1]
+    else:
+        m, _ = prop.transfer_to_end(p, zs, np.minimum(ls, p.length))
+        s = _tail_value(zs, p, None)
+    return mobius_right(s[:, None], adjugate(m))
 
 
 def schur_stripped(s, t):

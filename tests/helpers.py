@@ -15,8 +15,8 @@ from arvcanon.propagate import transfer, transfer_grid
 from arvcanon.riccati import (ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK,
                               RiccatiState, riccati_rhs)
 from arvcanon.spectral import harmonic_measure
-from arvcanon.weyl import (SCHUR_TOL, schur_grid, schur_minus_grid, schur_plus,
-                           schur_stripped)
+from arvcanon.weyl import (SCHUR_TOL, schur_minus_grid, schur_stripped,
+                           stripped_grid)
 
 
 def random_parameters(rng, n_max=12, total_mu=2.0, a_cap=0.95,
@@ -362,25 +362,26 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 def bp_defect_loop(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
                    tol=SCHUR_TOL):
     """``bp_defect`` written point by point: per probe length and sample
-    point, one Moebius stripping per half and two scalar harmonic measures.
-    Returns (defects, n_excluded, hypothesis_violations)."""
+    point, the plus half's stripped value pulled back at that point alone
+    (``stripped_grid`` at one point, which gives a point the bits it gets in
+    a grid), one Moebius stripping of the minus half and two scalar harmonic
+    measures.  Returns (defects, n_excluded, hypothesis_violations)."""
     t1, t2 = float(arc[0]), float(arc[1])
     l_values = tuple(float(l) for l in l_values)
     grids = [np.linspace(lo, hi, max(int(np.ceil((hi - lo) / x_step)) + 1, 2))
              for lo, hi in e_intervals]
     zs = np.concatenate(grids) + 1j * eps
-    sp0, _, _ = schur_grid(zs, p_right, tol)
+    sp_x = [stripped_grid([z], p_right, l_values)[0] for z in zs]
     sm0, _, _ = schur_minus_grid(zs, p_left, tol)
-    sp_i = schur_plus(1j, p_right, tol=tol).value
+    sp_i = stripped_grid([1j], p_right, l_values)[0]
     m_i, _ = transfer_grid(p_right, [1j], l_values)
     m_x, _ = transfer_grid(p_right, zs, l_values)
     defects = np.zeros(len(l_values))
     excluded = np.zeros(len(l_values), dtype=int)
     violations = []
     for j, l in enumerate(l_values):
-        for tag, base, mat in (("plus", sp_i, m_i[0, j]),
-                               ("minus", 0j, J1 @ m_i[0, j] @ J1)):
-            val = schur_stripped(base, mat)
+        for tag, val in (("plus", sp_i[j]),
+                         ("minus", schur_stripped(0j, J1 @ m_i[0, j] @ J1))):
             if abs(val) >= 1.0:
                 violations.append((l, tag, abs(val)))
         total = 0.0
@@ -389,7 +390,7 @@ def bp_defect_loop(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
             vals = np.full(grid.size, np.nan)
             for i in range(grid.size):
                 m = m_x[offset + i, j]
-                sp = schur_stripped(sp0[offset + i], m)
+                sp = sp_x[offset + i][j]
                 sm = schur_stripped(sm0[offset + i], J1 @ m @ J1)
                 if abs(sp) >= 1.0 or abs(sm) >= 1.0:
                     excluded[j] += 1

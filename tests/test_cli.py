@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arvcanon import cli, constant_parameters, riccati_fixed_point, save_parameters
+from arvcanon import (ArovParameters, cli, constant_parameters, riccati_fixed_point,
+                      save_parameters, schur_plus, strip_head)
 
 from helpers import coefficient_texts, csv_reference
 
@@ -163,10 +165,30 @@ def test_riccati_trajectory_escape_status(tmp_path):
     assert len(rows) < 6  # stops emitting after the escape
 
 
+def test_riccati_auto_rows_are_the_stripped_values(tmp_path):
+    # mu = 40 per unit length: flowing s+ forwards, round-off put the l = 0.5
+    # row 4e-7 off and printed a false escape at l = 1
+    rng = np.random.default_rng(3)
+    p = ArovParameters(np.linspace(0.2, 10, 50), np.full(50, 40.0),
+                       0.6 * np.exp(2j * np.pi * rng.random(50)), tail="constant")
+    inp, out = str(tmp_path / "heavy.json"), tmp_path / "ric.csv"
+    save_parameters(p, inp)
+    assert cli.main(["riccati", "--input", inp, "--z=0.3,0.2", "--lgrid", "0:3:0.5",
+                     "--output", str(out)]) == 0
+    header, rows = _read_rows(out)
+    assert len(rows) == 7
+    for row in rows:
+        assert row[header.index("status")] == "ok"
+        l = float(row[header.index("l")])
+        s = complex(float(row[header.index("s_re")]), float(row[header.index("s_im")]))
+        assert abs(s - schur_plus(0.3 + 0.2j, strip_head(p, l)).value) <= 1e-12, l
+
+
 def test_removed_options_are_parse_errors(const_half, capsys):
-    # --tol only where a Schur function is evaluated, --threads only on
+    # --tol only where Weyl disks shrink to a Schur value, --threads only on
     # transfer and disks
     for argv in (["riccati", "--z", "0.3,0.5", "--lgrid", "0:1:0.5", "--step", "0.1"],
+                 ["riccati", "--z", "0.3,0.5", "--lgrid", "0:1:0.5", "--tol", "1e-3"],
                  ["schur", "--zgrid", "i", "--lmax", "2"],
                  ["transfer", "--zgrid", "i", "--lgrid", "0:1:0.5", "--tol", "1e-3"],
                  ["disks", "--zgrid", "i", "--lgrid", "0:1:0.5", "--tol", "1e-3"],
@@ -318,6 +340,21 @@ def test_bp_bad_numbers_exit_3(tmp_path, full_line, capsys, flag, value):
 def test_non_finite_spectral_points_exit_2(const_half, capsys, argv):
     assert cli.main(argv + ["--input", const_half]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [["transfer", "--zgrid=1e200,1", "--lgrid=1"],
+                                  ["disks", "--zgrid=1e200,1", "--lgrid=1"],
+                                  ["schur", "--zgrid=-1e160,1:1,1:3"],
+                                  ["riccati", "--z=1e200,1", "--lgrid=1"],
+                                  ["riccati", "--z=1e200,1", "--s0=0.5,0", "--lgrid=1"]])
+def test_spectral_points_too_large_for_the_closed_form_exit_3(const_half, capsys, argv):
+    # the generator's square overflowed: a row of nan, exit 0 (schur: exit 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--input", const_half]) == 3
+    out, err = capsys.readouterr()
+    assert "nan" not in out and json.loads(err)["error"] == "DomainError"
+    assert "too large" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -3,6 +3,8 @@
 enumerate apart from the package's piece builder, in both gauges, under
 every tail policy and from any start length."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from arvcanon import (ArovParameters, DomainError, GeneralCoefficients,
                       schroedinger_coefficients)
 from arvcanon import propagate as prop
 from arvcanon.riccati import riccati_trajectory
-from arvcanon.weyl import disks_grid
+from arvcanon.weyl import disks_grid, stripped_grid
 
 from helpers import expm_transfer, generators, stream_mass
 
@@ -298,6 +300,19 @@ def test_kernel_rejects_bad_lengths():
             prop.transfer_grid(system, [1j], ls)
 
 
+@pytest.mark.parametrize("build", (_disk_system, _general_system))
+def test_kernel_refuses_points_whose_generator_square_overflows(build):
+    system = build(np.random.default_rng(10), 3, TAIL_CONSTANT)
+    L = system.length
+    for call in (prop.transfer_grid, prop.transfer_to_end):
+        with pytest.raises(DomainError, match="too large"):
+            call(system, [1j, 1e200 + 1j], [0.5 * L])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, c = call(system, [1e150 + 1j], [0.5 * L])
+        assert np.all(np.isfinite(m)) and np.all(np.isfinite(c))
+
+
 # --- properties -------------------------------------------------------------------
 
 systems = st.builds(
@@ -347,3 +362,54 @@ def test_property_disks_nest_along_length(system, z, fractions):
     centers, radii = disks_grid(system, [z], ls)
     drift = np.abs(np.diff(centers[0]))
     assert np.all(drift <= radii[0, :-1] - radii[0, 1:] + 1e-10)
+
+
+# --- the suffix mode --------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([_disk_system, _general_system]),
+       st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE]),
+       st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.0, 1.0)),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), st.integers(0, 5))
+def test_property_suffix_mode_matches_expm_product(seed, build, tail, z, fractions, knot):
+    # T(z; l -> L) for l anywhere in [0, L], a knot among them, in both
+    # gauges and under every tail: the expm product over [l, L] relative to
+    # its largest entry, so the transposed generator table is checked in the
+    # general gauge too
+    system = build(np.random.default_rng(seed), 5, tail)
+    L = system.length
+    ls = np.append(np.array(fractions) * L, system.knots[knot])
+    m, c = prop.transfer_to_end(system, [z], ls)
+    assert m.shape == (1, ls.size, 2, 2) and c.shape == (1, ls.size)
+    for j, l in enumerate(ls):
+        ref, ref_c = expm_transfer(system, z, L, l)
+        got = np.exp(c[0, j] - ref_c) * m[0, j]
+        assert np.max(np.abs(got - ref)) <= 1e-10, l
+
+
+@pytest.mark.parametrize("tail", (TAIL_CONSTANT, TAIL_PERIODIC))
+def test_suffix_mode_gives_a_point_alone_the_bits_it_gets_in_a_grid(tail):
+    # over a head of more than three blocks, and through the stripped values
+    # pulled back on it
+    system = _disk_system(np.random.default_rng(18), 3 * prop._BLOCK + 300, tail)
+    L = system.length
+    zs = np.linspace(-1.5 + 0.05j, 1.5 + 2.0j, 23)
+    ls = np.concatenate((system.knots[[0, 1, 700, prop._BLOCK, 2 * prop._BLOCK + 5, -1]],
+                         np.linspace(0.1, 0.9, 5) * L))
+    m, c = prop.transfer_to_end(system, zs, ls)
+    s = stripped_grid(zs, system, np.append(ls, [1.3 * L, 4.7 * L]))
+    for i in range(0, zs.size, 11):
+        alone, alone_c = prop.transfer_to_end(system, zs[i:i + 1], ls)
+        assert alone.tobytes() == m[i:i + 1].tobytes() and alone_c.tobytes() == c[i:i + 1].tobytes()
+        alone = stripped_grid(zs[i:i + 1], system, np.append(ls, [1.3 * L, 4.7 * L]))
+        assert alone.tobytes() == s[i:i + 1].tobytes()
+
+
+def test_suffix_mode_rejects_lengths_outside_the_head():
+    system = _disk_system(np.random.default_rng(10), 3, TAIL_PERIODIC)
+    for ls in ([-0.1], [np.nan], [np.inf], [1.5 * system.length]):
+        with pytest.raises(DomainError):
+            prop.transfer_to_end(system, [1j], ls)
+    m, c = prop.transfer_to_end(system, [1j, 2.0], [])
+    assert m.shape == (2, 0, 2, 2) and c.shape == (2, 0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -282,21 +284,46 @@ def test_bp_defect_is_finite_past_a_long_tail_crossing():
         rep = bp_defect(p, p, [(0.8, 1.2)], (0.4, 2.0), (0.5, 1.0, 3.0), 0.1, 1e-3)
         assert np.all(np.isfinite(rep.defects))
 
+
+def test_bp_plus_half_past_large_measure():
+    # the forward flow of s_+(i) reported ('plus', 1e173) at l = 3 and
+    # ('plus', inf) at l = 4.5 here; pulled back, s(i, l) is the tail's 0.6
+    p = ArovParameters([1, 2, 3, 5], [100, 80, 120, 90], [0.5, 0.3 + 0.2j, -0.4j, 0.6],
+                       tail="constant")
+    rep = bp_defect(p, p, [(0.8, 1.2)], (0.4, 2.0), (1.0, 2.0, 3.0, 4.5), 0.1, 1e-3)
+    assert rep.hypothesis_violations == ()
+    assert np.all(np.isfinite(rep.defects))
+
+
+@pytest.mark.parametrize("l", (3.6, 4.0, 5.0))
+def test_bp_defect_past_mu_354(l):
+    # T(i, l)'s decaying entry rounds to 0 past mu = 354: the forward flow
+    # warned at l = 3.6 and raised DegenerateActionError from l = 4
+    p = constant_parameters(0.5, m=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = bp_defect(p, p, [(0.8, 1.2)], (0.4, 2.0), (l,), 0.1, 1e-3)
+    assert rep.hypothesis_violations == () and np.all(np.isfinite(rep.defects))
+
+
 def _long_head():
     rng = np.random.default_rng(3)
     a = 0.6 * np.exp(2j * np.pi * rng.random(20))
     return ArovParameters(np.linspace(0.5, 10.0, 20), np.ones(20), a, "constant")
 
 
-@pytest.mark.parametrize("case", ["gap", "loose_tol", "mismatched"])
+@pytest.mark.parametrize("case", ["gap", "loose_tol", "mismatched", "circle"])
 def test_bp_defect_matches_the_point_by_point_loop(case):
-    if case == "gap":  # stripped values reach the circle in the gap: exclusions
+    if case == "gap":  # stripped values within 1e-8 of the circle in the gap stay inside
         p = constant_parameters(0.9)
         args, tol = (p, p, [(-0.5, 0.5)], (0.3, 2.5), (0.5, 8.0, 12.0), 0.01, 1e-8), 1e-9
-    elif case == "loose_tol":  # s(i) off by the loose tol leaves the disk: violations
+    elif case == "loose_tol":  # the plus half takes no tol: its s(i) stays inside
         p = _long_head()
         args, tol = (p, p, [(-2.0, -0.2), (0.2, 2.0)], (0.3, 2.5), (0.5, 3.0, 6.0), 0.05,
                      1e-3), 0.3
+    elif case == "circle":  # a unimodular right half: every plus value on the circle
+        args, tol = (constant_parameters(0.5), constant_parameters(1.0), [(0.1, 1.0)],
+                     (0.3, 2.5), (0.5, 2.0), 0.1, 1e-3), 1e-9
     else:
         args, tol = (constant_parameters(0.5), constant_parameters(0.8),
                      [(-3.0, -0.1), (0.1, 3.0)], (0.3, 2.5), (0.5, 2.0, 6.0), 0.05, 1e-5), 1e-9
@@ -305,7 +332,7 @@ def test_bp_defect_matches_the_point_by_point_loop(case):
     assert np.max(np.abs(rep.defects - defects)) <= 1e-15
     assert np.array_equal(rep.n_excluded, excluded)
     assert rep.hypothesis_violations == violations
-    assert excluded.any() == (case == "gap") and bool(violations) == (case == "loose_tol")
+    assert excluded.any() == bool(violations) == (case == "circle")
 
 
 def test_reflectionless_ladder_equals_one_grid_call_per_eps():

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arvcanon import (ArovParameters, DegenerateActionError, LIMIT_CIRCLE,
-                      LIMIT_POINT, PreconditionError, TAIL_CONSTANT,
-                      TAIL_FINITE, TAIL_PERIODIC, classify_limit,
+from arvcanon import (ArovParameters, DegenerateActionError, DomainError,
+                      InputError, LIMIT_CIRCLE, LIMIT_POINT, PreconditionError,
+                      TAIL_CONSTANT, TAIL_FINITE, TAIL_PERIODIC, classify_limit,
                       constant_parameters, diameter_direct,
-                      herglotz_from_schur, schur_minus, schur_plus,
-                      schur_stripped, strip_head, weyl_disk, weyl_disk_at)
+                      herglotz_from_schur, schroedinger_coefficients,
+                      schur_minus, schur_plus, schur_stripped, strip_head,
+                      weyl_disk, weyl_disk_at)
 from arvcanon.mat2 import adjugate, mat2, mobius_right
 from arvcanon.propagate import transfer, transfer_scaled
 from arvcanon.riccati import riccati_fixed_point
-from arvcanon.weyl import _disk_from_scaled, schur_grid
+from arvcanon.weyl import _disk_from_scaled, schur_grid, stripped_grid
 
 from helpers import (doubling_oracle, random_contractive, random_parameters,
                      random_upper_z)
@@ -303,3 +304,54 @@ def test_property_stripping_identity(seed, tail, re_z, log_im_z, mu):
     s = schur_plus(z, p).value
     assert abs(schur_plus(z, strip_head(p, l)).value
                - schur_stripped(s, transfer(z, p, l))) <= 1e-9
+
+
+# --- stripped values by pull-back ---------------------------------------------------
+
+
+def _heavy_head():
+    # mu = 40 per unit length: forward from s+, round-off left the disk by
+    # l = 0.8 at z = 0.3 + 0.2i
+    rng = np.random.default_rng(3)
+    return ArovParameters(np.linspace(0.2, 10, 50), np.full(50, 40.0),
+                          0.6 * np.exp(2j * np.pi * rng.random(50)), TAIL_CONSTANT)
+
+
+@pytest.mark.parametrize("case", ("constant", "periodic", "heavy"))
+def test_stripped_grid_matches_the_schur_function_of_the_stripped_system(case):
+    # lengths inside the head, at L and past several periods (or far into a
+    # constant tail), against disk shrinkage on strip_head(p, l)
+    if case == "heavy":
+        p = _heavy_head()
+    else:
+        tail = TAIL_CONSTANT if case == "constant" else TAIL_PERIODIC
+        p = random_parameters(np.random.default_rng(21), n_max=8, total_mu=6.0, tail=tail)
+    L = p.length
+    ls = L * np.array([0.0, 0.05, 0.13, 0.5, 0.95, 0.999, 1.0, 2.37, 5.0, 7.81])
+    zs = np.array([1j, 0.3 + 0.2j, 0.4 + 0.3j, -1.1 + 0.05j, 0.7 + 1e-3j])
+    s = stripped_grid(zs, p, ls)
+    assert s.shape == (zs.size, ls.size)
+    for i, z in enumerate(zs):
+        for j, l in enumerate(ls):
+            want = schur_plus(z, strip_head(p, l), tol=1e-13).value
+            assert abs(s[i, j] - want) <= 1e-12, (z, l)
+    if p.tail == TAIL_CONSTANT:  # past L: the stationarity root itself
+        assert np.array_equal(s[:, 6:], np.repeat(riccati_fixed_point(zs, p.a[-1])[:, None],
+                                                  4, axis=1))
+
+
+def test_stripped_grid_preconditions_and_shortcut():
+    p = constant_parameters(0.5)
+    with pytest.raises(PreconditionError):
+        stripped_grid([0.5 + 0j], p, [1.0])
+    with pytest.raises(PreconditionError):
+        stripped_grid([1j], constant_parameters(0.5, tail=TAIL_FINITE), [0.5])
+    with pytest.raises(InputError):
+        stripped_grid([1j], schroedinger_coefficients([1.0], [1.0], TAIL_CONSTANT), [0.5])
+    for tail in (TAIL_CONSTANT, TAIL_PERIODIC):
+        for ls in ([-0.5], [np.nan], [np.inf]):
+            with pytest.raises(DomainError):
+                stripped_grid([1j], constant_parameters(0.5, tail=tail), ls)
+    s = stripped_grid([1j, 0.3 + 0.1j], constant_parameters(1j, tail=TAIL_PERIODIC),
+                      [0.0, 2.5])
+    assert np.all(s == 1j) and s.shape == (2, 2)

@@ -105,11 +105,15 @@ def _pairs(x):
     return np.stack((x.real, x.imag), -1).tolist()
 
 
-def _sorted_unique(x):
-    """np.unique without its lazily loaded machinery (most of a megabyte)."""
-    x = np.sort(x)
-    keep = np.ones(x.size, dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
+def _sorted_unique(*parts):
+    """The distinct values of the concatenated arrays, ascending: np.unique
+    without its lazily loaded machinery (most of a megabyte), sorted in place
+    in the one copy the concatenation makes."""
+    x = np.concatenate(parts)
+    x.sort()
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
     return x[keep]
 
 
@@ -176,12 +180,13 @@ class _Piecewise:
         [lo, L], cut at every point: (k, d, ends), ends[i] being the number
         of pieces before points[i]."""
         grid = self.grid
-        pts = np.concatenate(([lo], grid[grid.searchsorted(lo, side="right"):
-                                         grid.searchsorted(points[-1])], points))
-        if len(points) > 1:  # one point closes the span: pts is already sorted
-            pts = _sorted_unique(pts)
-        # lo = L opens a span of no mass: it keeps the last interval
-        k = np.minimum(grid.searchsorted(pts[:-1], side="right"), grid.size - 1)
+        parts = ([lo], grid[grid.searchsorted(lo, side="right"):grid.searchsorted(points[-1])],
+                 points)
+        # one point closes the span: the parts are already in order
+        pts = _sorted_unique(*parts) if len(points) > 1 else np.concatenate(parts)
+        # every knot but the last: lo = L opens a span of no mass, which keeps
+        # the last interval
+        k = grid[:-1].searchsorted(pts[:-1], side="right")
         return k, (pts[1:] - pts[:-1]) * self.density[k], pts.searchsorted(points)
 
     def piece_arrays(self, ls, l_from=0.0):
@@ -197,31 +202,35 @@ class _Piecewise:
         there, the pieces of [r0, L] then those of [0, r0], so H[-1] is the
         rotated period; for l_from = 0 it is the period itself."""
         ls, l_from = np.asarray(ls, dtype=float).ravel(), float(l_from)
-        if not (0.0 <= l_from < np.inf and np.all((ls >= l_from) & (ls < np.inf))):
+        # the extremes, once: each pass over the lengths costs about as much
+        # as the cut of a short span
+        first, last = ls.min(initial=np.inf), ls.max(initial=0.0)
+        if not (0.0 <= l_from < np.inf and first >= l_from and last < np.inf):
             raise DomainError(f"lengths must be finite and at least l_from = {l_from} >= 0, "
                               f"got {ls}")
         L, q, t = self.length, None, None
-        beyond = ls > L
-        if beyond.any() and self.tail == TAIL_FINITE:
-            raise DomainError(f"l = {ls[beyond][0]} beyond finite tail at {L}")
-        if not beyond.any() or self.tail == TAIL_CONSTANT:
-            if beyond.any():
-                t = np.where(beyond, (ls - max(l_from, L)) * self.density[-1], 0.0)
-            lo, h = min(l_from, L), np.minimum(ls, L)
-            heads = _sorted_unique(np.concatenate(([lo], h)))
-            return (*self._cut(lo, heads), np.searchsorted(heads, h), q, t)
+        if last > L and self.tail == TAIL_FINITE:
+            raise DomainError(f"l = {ls[ls > L][0]} beyond finite tail at {L}")
+        if last <= L or self.tail == TAIL_CONSTANT:
+            if last > L:
+                t = np.where(ls > L, (ls - max(l_from, L)) * self.density[-1], 0.0)
+                ls = np.minimum(ls, L)
+            lo = min(l_from, L)
+            heads = _sorted_unique([lo], ls)
+            return (*self._cut(lo, heads), heads.searchsorted(ls), q, t)
         (q0, r0), (q, h) = divmod(l_from, L), np.divmod(ls, L)
         wrap = h < r0  # heads in [0, r0) lie past the rotated period's turn
         q = (q - q0 - wrap).astype(np.int64)
-        heads = _sorted_unique(np.concatenate(([r0], h[~wrap], [L])))
+        heads = _sorted_unique([r0], h[~wrap], [L])
         k, d, ends = self._cut(r0, heads)
-        at = np.searchsorted(heads, h)
+        at = heads.searchsorted(h)
         if r0 > 0.0:
-            turn = _sorted_unique(np.append(h[wrap], r0))
+            hw = h[wrap]
+            turn = _sorted_unique(hw, [r0])
             k2, d2, ends2 = self._cut(0.0, turn)
-            at[wrap] = heads.size + np.searchsorted(turn, h[wrap])
-            ends = np.append(ends, k.size + ends2)
-            k, d = np.append(k, k2), np.append(d, d2)
+            at[wrap] = heads.size + turn.searchsorted(hw)
+            ends = np.concatenate((ends, k.size + ends2))
+            k, d = np.concatenate((k, k2)), np.concatenate((d, d2))
         return k, d, ends, at, q, t
 
 
@@ -441,7 +450,7 @@ def reparametrize(p, g_breaks, g_values):
 
     # the new knots: every slope break of g and every preimage of an old knot
     knots = extended(p.grid, gv, xb, lambda d: d / slope_end)
-    knots = _sorted_unique(np.concatenate((xb[(xb > 0.0) & (xb < knots[-1])], knots)))
+    knots = _sorted_unique(xb[(xb > 0.0) & (xb < knots[-1])], knots)
     knots = np.concatenate(([0.0], knots[knots > 0.0]))
     old = extended(knots, xb, gv, lambda d: slope_end * d)
     # each new interval takes the old interval holding its image's midpoint

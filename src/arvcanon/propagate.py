@@ -35,8 +35,8 @@ function here is a thin wrapper around these: ``transfer_between`` is
 ``transfer_grid`` from l_from, and ``transfer`` refuses to overflow
 silently.  Both refuse a spectral point so large that the closed form's
 squares of generator entries could overflow.  The Riccati escape search
-bisects within one piece on ``_propagators``, the one name here that other
-modules use.
+takes the table of its bisection's trial propagators within one piece from
+``_propagators``, the one name here that other modules use.
 """
 
 from dataclasses import dataclass
@@ -103,8 +103,9 @@ def _expm(g11, g12, g21, d):
     """exp(G d) = exp(c) E for trace-free G = [[g11, g12], [g21, -g11]],
     entrywise over broadcast arrays: E as a (4, ...) stack, c real."""
     g1221 = g12 * g21
+    # cosh and sinh(x)/rho are even in rho, so the principal root serves: its
+    # real part is never negative (nor -0)
     rho = np.sqrt(g11 * g11 + g1221)
-    rho = np.where(rho.real < 0.0, -rho, rho)  # cosh and sinh(x)/rho are even
     x = rho * d
     # with Re x >= 0 and ph = exp(i Im x): s = sinh(x) e^-Re(x) / rho, from
     # expm1(-2x) so it is exact for small x, and the diagonal entries are

@@ -13,8 +13,9 @@ makes staying bounded a sharp test.  The flow is solved exactly, with no
 stepping: s(l) is the Moebius image of s(0) under the transfer matrix
 T(z, l), and the escape point is found on the same closed-form propagators
 (one kernel call for the products through each of the bracket's pieces,
-then rounds of trial masses within the escaping piece).  The same
-repulsion grows round-off in s(0) like e^(2 mu), so this forward flow is
+then one call for a table of every trial mass that a fixed-width bisection
+of the escaping piece tries, which its rounds push a row through).  The
+same repulsion grows round-off in s(0) like e^(2 mu), so this forward flow is
 for a given s0; the stripped Schur values themselves are pulled back from
 the tail (``weyl.stripped_grid``) and never escape.  The nontangential
 limit of a Schur function at +i*infinity, when it exists, determines the
@@ -38,9 +39,10 @@ STATUS_ESCAPED = "escaped"
 #: |s| beyond 1 + ESCAPE_SLACK flags an escaped trajectory.
 ESCAPE_SLACK = 1e-6
 
-#: trial masses of one round of the escape bisection, as fractions of the
-#: bracket: each round narrows it 65-fold
-_FRACTIONS = np.arange(1, 65) / 65.0
+#: trial masses of one round of the escape search, in units of the round's
+#: width: round r tries j d / 65^r for j = 1..64 within a piece of mass d,
+#: so each round narrows the bracket 65-fold
+_TRIALS = np.arange(1, 65)
 
 
 def riccati_rhs(s, z, a):
@@ -115,19 +117,29 @@ def _outside(row):
     return np.abs(row[..., 0]) > (1.0 + ESCAPE_SLACK) * np.abs(row[..., 1])
 
 
-def _pushed(s, e):
-    """Projective rows (u, v) of s mapped through a (4, 1, n) entry stack."""
-    return np.stack((s * e[0, 0] + e[2, 0], s * e[1, 0] + e[3, 0]), axis=-1)
+def _pushed(row, e):
+    """Projective rows (u, v) M of the row (u, v) through a (4, 1, n) entry
+    stack."""
+    (u, v), (e11, e12, e21, e22) = row, e[:, 0]
+    return np.stack((u * e11 + v * e21, u * e12 + v * e22), axis=-1)
 
 
 def _escape(z, s, p, l_lo, l_hi):
     """Escape point of the flow from s at l_lo, known to lie in (l_lo, l_hi]:
     the first piece whose end is outside the disk (the last one at the
     latest), read off the products through every piece of the bracket, then
-    bisected on its closed-form propagator with _FRACTIONS trial masses a
-    round until no trial lies strictly inside the bracket.  The bracket's
-    pieces are its folded stream unrolled: q copies of the stream (the
-    rotated period), the pieces through the head, the constant tail's mass."""
+    bisected on that piece's closed-form propagators.  The bracket's pieces
+    are its folded stream unrolled: q copies of the stream (the rotated
+    period), the pieces through the head, the constant tail's mass.
+
+    Round r of the bisection tries _TRIALS multiples of h_r = d / 65^r, d
+    the piece's mass, from the bracket's left end, and keeps the first trial
+    outside the disk (or the bracket's right end when none is) as the right
+    end of the next bracket, h_r wide.  The widths are fixed in advance, so
+    one call gives the propagators of every trial mass of every round, down
+    to the float spacing of d, and each round pushes the row at its left end
+    through its 64 of them (exp(G(a + b)) = exp(G a) exp(G b)).  The escape
+    state is the last bracket's right end."""
     zs, gen = np.array([z]), p.generator_table
     k, d, ends, at, q, t = p.piece_arrays([l_hi], l_lo)
     reps, n = 0 if q is None else int(q[0]), ends[at[0]]
@@ -135,24 +147,23 @@ def _escape(z, s, p, l_lo, l_hi):
     if t is not None:
         k, d = np.append(k, p.n_intervals - 1), np.append(d, t[0])
     k, d = k[d > 0.0], d[d > 0.0]
-    ends = _pushed(s, prop.scaled_products(zs, gen, k, d, np.arange(1, k.size + 1))[0])
+    ends = _pushed((s, 1.0), prop.scaled_products(zs, gen, k, d, np.arange(1, k.size + 1))[0])
     i = int(np.argmax(np.append(_outside(ends[:-1]), True)))
-    if i:
-        s = ends[i - 1, 0] / ends[i - 1, 1]
-
-    def rows(t):  # from the start of piece i, through masses t of it
-        return _pushed(s, prop._propagators(zs, gen, k[i:i + 1], t)[0])
-
-    lo, hi = 0.0, float(d[i])
-    while True:
-        t = lo + (hi - lo) * _FRACTIONS
-        t = np.concatenate(([lo], t[(lo < t) & (t < hi)], [hi]))
-        if t.size == 2:
-            break
-        j = int(np.argmax(np.append(_outside(rows(t[1:-1])), True)))  # first outside
-        lo, hi = float(t[j]), float(t[j + 1])
-    (u, v), = rows(np.array([hi]))
-    mu = p.mu(l_lo) + float(np.sum(d[:i])) + hi
+    lo_row, hi_row = ends[i - 1] if i else (s, 1.0), ends[i]
+    rounds = max(1, int(np.ceil(np.log(d[i] / np.spacing(d[i])) / np.log(65.0))))
+    widths = d[i] / 65.0 ** np.arange(1, rounds + 1)
+    table, _ = prop._propagators(zs, gen, k[i:i + 1], np.outer(widths, _TRIALS).ravel())
+    table = table.reshape(4, 1, rounds, _TRIALS.size)
+    lo = 0.0
+    for r, h in enumerate(widths.tolist()):
+        rows = _pushed(lo_row, table[:, :, r])
+        j = int(np.argmax(np.append(_outside(rows), True)))  # first outside
+        if j:
+            lo_row, lo = rows[j - 1], lo + j * h
+        if j < _TRIALS.size:
+            hi_row = rows[j]
+    u, v = hi_row
+    mu = p.mu(l_lo) + float(np.sum(d[:i])) + lo + h
     return RiccatiState(complex(u / v), p.l_of_mu(mu), z, mu, STATUS_ESCAPED)
 
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from arvcanon import (ArovParameters, GeneralCoefficients, InputError, TAIL_CONSTANT,
                       TAIL_FINITE, TAIL_PERIODIC)
@@ -307,6 +308,35 @@ def rk4_riccati(z, s0, p, l, step=DEFAULT_STEP, escape_slack=ESCAPE_SLACK):
                     s, p.l_of_mu(mu_done), z, mu_done, STATUS_ESCAPED
                 )
     return RiccatiState(s, float(l), z, mu_done, STATUS_OK)
+
+
+def escape_oracle(z, s0, p, l, scan=64):
+    """Escape point (mu, s) of the forward flow from s0 within [0, l], or
+    None when the value stays in the disk: the pieces of ``unrolled_pieces``
+    propagated one scipy expm at a time, the first piece whose end lies
+    outside |s| = 1 + ESCAPE_SLACK scanned at ``scan`` equal masses, and
+    brentq on |s(t)| - (1 + ESCAPE_SLACK) between the last scan point inside
+    and the first one outside."""
+    gens, _ = generators(p, z)
+    row, mu = np.array([s0, 1.0], dtype=complex), 0.0
+
+    def excess(w):
+        return abs(w[0] / w[1]) - (1.0 + ESCAPE_SLACK)
+
+    for k, d in zip(*unrolled_pieces(p, float(l))):
+        def at(t, row=row, g=gens[k]):
+            return row @ expm(g * t)
+
+        if excess(at(d)) > 0.0:
+            ts = np.linspace(0.0, d, scan + 1)
+            j = next(j for j, t in enumerate(ts) if excess(at(t)) > 0.0)
+            t = brentq(lambda t: excess(at(t)), ts[j - 1], ts[j], xtol=1e-300,
+                       rtol=4.0 * np.finfo(float).eps)
+            u, v = at(t)
+            return mu + t, complex(u / v)
+        row, mu = at(d), mu + d
+        row = row / np.max(np.abs(row))
+    return None
 
 
 # --- disk-shrinkage oracle of the Schur function -----------------------------------

@@ -186,6 +186,23 @@ def test_kernel_near_vanishing_growth_rate():
         assert np.max(np.abs(np.exp(c[0, 0] - ref_c) * m[0, 0] - ref)) < 1e-13
 
 
+def test_principal_square_root_has_no_negative_real_part():
+    # _expm takes rho = sqrt(g11^2 + g12 g21) as numpy returns it, with no
+    # sign flip: that needs numpy's complex square root to be the principal
+    # branch, whose real part is never negative and never -0, also on the
+    # cut (either sign of a zero imaginary part) and for subnormal and huge
+    # arguments
+    big, tiny = np.finfo(float).max, np.finfo(float).smallest_subnormal
+    parts = np.array([0.0, tiny, 2.2e-308, 1e-150, 0.3, 1.0, 7.5, 1e150, 1e300, big])
+    parts = np.concatenate((parts, -parts))
+    w = np.empty((parts.size, parts.size), dtype=complex)
+    w.real, w.imag = parts[:, None], parts[None, :]
+    rng = np.random.default_rng(17)
+    w = np.concatenate((w.ravel(), (rng.normal(size=4000) + 1j * rng.normal(size=4000))
+                        * 10.0 ** rng.uniform(-300.0, 300.0, 4000)))
+    assert not np.any(np.signbit(np.sqrt(w).real))
+
+
 def test_kernel_periodic_fold_for_non_binary_periods():
     for L in np.linspace(0.7, 1.3, 61):
         system = ArovParameters([0.4 * L, L], [1.0, 0.6], [0.3, -0.2j], TAIL_PERIODIC)

@@ -1,6 +1,7 @@
 """The package's layering, read off its source: the propagation kernel's
-private names stay inside ``propagate`` (``_propagators`` apart, which the
-Riccati escape bisects on), and only ``coefficients`` cuts a grid."""
+private names stay inside ``propagate`` (``_propagators`` apart, which
+gives the Riccati escape search its table of trial propagators), and only
+``coefficients`` cuts a grid."""
 
 import ast
 import pathlib

@@ -9,9 +9,10 @@ from arvcanon import (DomainError, InputError, PreconditionError, TAIL_CONSTANT,
 from arvcanon.riccati import (ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK, a_to_c,
                               blaschke_matrix, boundary_limit, c_to_a,
                               richardson_extrapolate)
+from arvcanon import propagate as prop
 from arvcanon.propagate import transfer
 
-from helpers import random_parameters, rk4_riccati
+from helpers import escape_oracle, random_parameters, rk4_riccati
 
 
 # --- right-hand side ---------------------------------------------------------------
@@ -139,6 +140,43 @@ def test_trajectory_rows_agree_with_single_lengths():
         assert single.status == state.status
         assert abs(single.s - state.s) <= 1e-12
         assert abs(single.mu - state.mu) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC]),
+       st.floats(0.2, 1.5), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_property_escape_point_matches_expm_oracle(seed, tail, im_z, radius, turn):
+    # s0 anywhere in the disk at least 0.1 from the Schur value escapes within
+    # measure 8; the oracle finds the point by brentq on scipy expm
+    # propagators, apart from the kernel and its bisection
+    rng = np.random.default_rng(seed)
+    p = random_parameters(rng, n_max=6, tail=tail)
+    z = complex(rng.uniform(-1.0, 1.0), im_z)
+    s0 = np.sqrt(radius) * np.exp(2j * np.pi * turn)
+    assume(abs(s0 - schur_plus(z, p).value) >= 0.1)
+    l = p.l_of_mu(8.0)
+    state = integrate_riccati(z, s0, p, l)
+    assert state.status == STATUS_ESCAPED
+    mu, s = escape_oracle(z, s0, p, l)
+    assert abs(state.mu - mu) <= 1e-9
+    assert abs(state.s - s) <= 1e-9
+    assert abs(state.l - p.l_of_mu(mu)) <= 1e-9
+
+
+def test_escaped_trajectory_takes_four_propagator_calls(monkeypatch):
+    # the trajectory's kernel call and its constant tail, the bracket's
+    # products, and one table for every round of the escape bisection
+    calls, propagators = [], prop._propagators
+
+    def counted(*args):
+        calls.append(args)
+        return propagators(*args)
+
+    monkeypatch.setattr(prop, "_propagators", counted)
+    states = riccati_trajectory(0.3 + 0.5j, 0.5 + 0.2j, constant_parameters(0.5),
+                                np.arange(0.0, 10.0, 0.25))
+    assert states[-1].status == STATUS_ESCAPED
+    assert len(calls) <= 4
 
 
 def test_trajectory_rejects_descending_lengths():

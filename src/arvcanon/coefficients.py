@@ -221,16 +221,19 @@ class _Piecewise:
         (q0, r0), (q, h) = divmod(l_from, L), np.divmod(ls, L)
         wrap = h < r0  # heads in [0, r0) lie past the rotated period's turn
         q = (q - q0 - wrap).astype(np.int64)
-        heads = _sorted_unique([r0], h[~wrap], [L])
-        k, d, ends = self._cut(r0, heads)
-        at = heads.searchsorted(h)
+        # one cut of the period at every head and r0: the heads from r0 to
+        # L, then the turn's heads from 0 to r0, on the pieces rotated to
+        # start at r0
+        points = _sorted_unique([r0], h, [L])
+        k, d, ends = self._cut(0.0, points)
+        at = points.searchsorted(h)
         if r0 > 0.0:
-            hw = h[wrap]
-            turn = _sorted_unique(hw, [r0])
-            k2, d2, ends2 = self._cut(0.0, turn)
-            at[wrap] = heads.size + turn.searchsorted(hw)
-            ends = np.concatenate((ends, k.size + ends2))
-            k, d = np.concatenate((k, k2)), np.concatenate((d, d2))
+            i = points.searchsorted(r0)
+            c = ends[i]
+            k, d = np.concatenate((k[c:], k[:c])), np.concatenate((d[c:], d[:c]))
+            ends = np.concatenate((ends[i:] - c, ends[:i + 1] + (k.size - c)))
+            at -= i
+            at[wrap] += points.size
         return k, d, ends, at, q, t
 
 

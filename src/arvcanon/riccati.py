@@ -13,6 +13,7 @@ makes staying bounded a sharp test.  The flow is solved exactly, with no
 stepping: s(l) is the Moebius image of s(0) under the transfer matrix
 T(z, l), and the escape point is found on the same closed-form propagators
 (one kernel call for the products through each of the bracket's pieces,
+the whole periods of a periodic tail skipped on the period's binary powers,
 then one call for a table of every trial mass that a fixed-width bisection
 of the escaping piece tries, which its rounds push a row through).  The
 same repulsion grows round-off in s(0) like e^(2 mu), so this forward flow is
@@ -124,13 +125,35 @@ def _pushed(row, e):
     return np.stack((u * e11 + v * e21, u * e12 + v * e22), axis=-1)
 
 
+def _periods_inside(row, period, reps):
+    """(count, row): the most whole periods, below reps, after which the
+    row (u, v) is still inside the disk, and the row there, scaled.  Disks
+    nest, so a row once outside stays outside: the count is read off the
+    row pushed through the period's 2x2 matrix squared again and again
+    (each square scaled to its largest entry: the row is projective),
+    largest power first."""
+    powers = [period]
+    while 2 ** len(powers) < reps:
+        square = powers[-1] @ powers[-1]
+        powers.append(square / np.abs(square).max())
+    count = 0
+    for b in reversed(range(len(powers))):
+        pushed = row @ powers[b]
+        if count + 2 ** b < reps and not _outside(pushed):
+            row, count = pushed / np.abs(pushed).max(), count + 2 ** b
+    return count, row
+
+
 def _escape(z, s, p, l_lo, l_hi):
     """Escape point of the flow from s at l_lo, known to lie in (l_lo, l_hi]:
     the first piece whose end is outside the disk (the last one at the
     latest), read off the products through every piece of the bracket, then
     bisected on that piece's closed-form propagators.  The bracket's pieces
     are its folded stream unrolled: q copies of the stream (the rotated
-    period), the pieces through the head, the constant tail's mass.
+    period), the pieces through the head, the constant tail's mass.  Of
+    more than one period, the whole periods the row stays inside are
+    skipped (``_periods_inside``), and when more than one is left the
+    escape lies in the next one, the only one unrolled.
 
     Round r of the bisection tries _TRIALS multiples of h_r = d / 65^r, d
     the piece's mass, from the bracket's left end, and keeps the first trial
@@ -143,13 +166,20 @@ def _escape(z, s, p, l_lo, l_hi):
     zs, gen = np.array([z]), p.generator_table
     k, d, ends, at, q, t = p.piece_arrays([l_hi], l_lo)
     reps, n = 0 if q is None else int(q[0]), ends[at[0]]
+    row, mu = (s, 1.0), p.mu(l_lo)
+    if reps > 1:
+        period = prop.scaled_products(zs, gen, k, d, [k.size])[0].reshape(2, 2)
+        count, row = _periods_inside(row, period, reps)
+        mu, reps = mu + count * float(np.sum(d)), reps - count
+        if reps > 1:
+            reps, n, t = 1, 0, None
     k, d = np.append(np.tile(k, reps), k[:n]), np.append(np.tile(d, reps), d[:n])
     if t is not None:
         k, d = np.append(k, p.n_intervals - 1), np.append(d, t[0])
     k, d = k[d > 0.0], d[d > 0.0]
-    ends = _pushed((s, 1.0), prop.scaled_products(zs, gen, k, d, np.arange(1, k.size + 1))[0])
+    ends = _pushed(row, prop.scaled_products(zs, gen, k, d, np.arange(1, k.size + 1))[0])
     i = int(np.argmax(np.append(_outside(ends[:-1]), True)))
-    lo_row, hi_row = ends[i - 1] if i else (s, 1.0), ends[i]
+    lo_row, hi_row = ends[i - 1] if i else row, ends[i]
     rounds = max(1, int(np.ceil(np.log(d[i] / np.spacing(d[i])) / np.log(65.0))))
     widths = d[i] / 65.0 ** np.arange(1, rounds + 1)
     table, _ = prop._propagators(zs, gen, k[i:i + 1], np.outer(widths, _TRIALS).ravel())
@@ -163,7 +193,7 @@ def _escape(z, s, p, l_lo, l_hi):
         if j < _TRIALS.size:
             hi_row = rows[j]
     u, v = hi_row
-    mu = p.mu(l_lo) + float(np.sum(d[:i])) + lo + h
+    mu = mu + float(np.sum(d[:i])) + lo + h
     return RiccatiState(complex(u / v), p.l_of_mu(mu), z, mu, STATUS_ESCAPED)
 
 

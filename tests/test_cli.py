@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arvcanon import (ArovParameters, cli, constant_parameters, riccati_fixed_point,
                       save_parameters, schur_plus, strip_head)
@@ -463,13 +463,20 @@ _EDGE_NUMBERS = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.22507385
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1),
-       st.sampled_from([0, 1, 2, cli._ROWS - 1, cli._ROWS, cli._ROWS + 1, 2 * cli._ROWS + 3])
+       st.sampled_from([0, 1, 2, cli._ROWS - 1, cli._ROWS, cli._ROWS + 1, 2 * cli._ROWS + 3,
+                        cli._ARRAY_MIN - 1, cli._ARRAY_MIN, cli._BLOCK + 1])
        | st.integers(0, 3 * cli._ROWS),
        st.integers(1, 7), st.booleans(),
        st.lists(st.sampled_from(_EDGE_NUMBERS) | st.floats(allow_nan=True), max_size=12))
+# numeric tables just below and at the size converted in numpy, and one of
+# several blocks
+@example(seed=1, n=cli._ARRAY_MIN - 1, k=1, status=False, extra=[])
+@example(seed=2, n=cli._ARRAY_MIN, k=1, status=False, extra=[])
+@example(seed=3, n=cli._BLOCK // 3 + 5, k=7, status=False, extra=[])
 def test_write_table_bytes_equal_per_number_format(tmp_path_factory, seed, n, k, status, extra):
     # random bit patterns (every class of double, NaN payloads included),
     # the edge values and a string column, over row counts across blocks
+    # and on both sides of the size the numpy conversion takes
     rng = np.random.default_rng(seed)
     pool = np.concatenate((_EDGE_NUMBERS, extra, rng.standard_normal(8) * 1e3))
     bits = rng.integers(0, 2**63, size=(k, n), dtype=np.int64) * rng.choice([1, -1], size=(k, n))
@@ -482,6 +489,53 @@ def test_write_table_bytes_equal_per_number_format(tmp_path_factory, seed, n, k,
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     cli._write_table(str(path), header, columns, "abc123")
     assert path.read_bytes() == csv_reference(header, columns, "abc123", cli.UNITS).encode()
+
+
+def _edge_table():
+    """Every power of ten of a double and both its neighbours, the switches
+    of %g between notations, exact rounding ties and the ends of every class
+    of double, with both signs."""
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    tens = np.concatenate((tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)))
+    switches = [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-05, 0.000099999999999999991,
+                9999999999999999.0, 99999999999999999.0, 99999999999999984.0]
+    # 17 digits and a 5 at the 18th: ties that format() breaks to even
+    ties = np.concatenate(((2.0 ** 50 + np.arange(64)) * 0.25,
+                           (2.0 ** 52 + 2 * np.arange(64) + 1) * 0.25,
+                           (2.0 ** 53 - 2 * np.arange(64) - 1) * 0.125))
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF00000DEADBEEF], dtype=np.uint64).view(float)
+    ends = [0.0, np.inf, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+            1.7976931348623157e308]
+    x = np.concatenate((tens, switches, ties, ends))
+    return np.concatenate((x, -x, nans))
+
+
+def test_write_table_edge_numbers_equal_per_number_format(tmp_path):
+    x = _edge_table()
+    assert x.size >= cli._ARRAY_MIN
+    for k in (1, 3, 12):  # one block and several, and several row widths
+        columns = list(np.resize(x, (k, -(-x.size // k))))
+        header = [f"c{j}" for j in range(k)]
+        path = tmp_path / f"edge{k}.csv"
+        cli._write_table(str(path), header, columns, "abc123")
+        assert path.read_bytes() == csv_reference(header, columns, "abc123", cli.UNITS).encode()
+
+
+def test_write_table_converts_large_numeric_tables_in_numpy(tmp_path, monkeypatch):
+    blocks, convert = [], cli._decimal_text
+
+    def counted(block):
+        blocks.append(block.shape)
+        return convert(block)
+
+    monkeypatch.setattr(cli, "_decimal_text", counted)
+    x, y = np.linspace(-1.0, 1.0, cli._ARRAY_MIN), np.linspace(0.0, 1.0, 2 * cli._BLOCK + 1)
+    for columns, want in (([x[:-1]], 0), ([x], 1), ([y], 3), ([x, np.full(x.size, "ok")], 0)):
+        blocks.clear()
+        cli._write_table(str(tmp_path / "t.csv"), ["a", "b"][:len(columns)], columns, "c")
+        assert len(blocks) == want
+        assert all(rows * cols <= cli._BLOCK for rows, cols in blocks)
 
 
 def test_in_process_calls_repeat_byte_for_byte(tmp_path, const_half, full_line):

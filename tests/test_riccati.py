@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arvcanon import (DomainError, InputError, PreconditionError, TAIL_CONSTANT,
-                      TAIL_PERIODIC, constant_parameters, integrate_riccati,
+from arvcanon import (ArovParameters, DomainError, InputError, PreconditionError,
+                      TAIL_CONSTANT, TAIL_PERIODIC, constant_parameters, integrate_riccati,
                       riccati_fixed_point, riccati_rhs, riccati_trajectory,
                       schur_plus, schur_stripped, strip_head)
 from arvcanon.riccati import (ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK, a_to_c,
@@ -177,6 +177,55 @@ def test_escaped_trajectory_takes_four_propagator_calls(monkeypatch):
                                 np.arange(0.0, 10.0, 0.25))
     assert states[-1].status == STATUS_ESCAPED
     assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_escape_after_hundreds_of_periods_matches_expm_oracle(seed):
+    # a periodic system of mass 0.01 a period from s0 0.01 off the Schur
+    # value: the escape comes after a few hundred periods, which the search
+    # skips on the period's binary powers
+    rng = np.random.default_rng(seed)
+    p = random_parameters(rng, n_max=5, total_mu=0.01, tail=TAIL_PERIODIC)
+    z = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 1.0))
+    s0 = schur_plus(z, p).value + 0.01 * np.exp(2j * np.pi * rng.uniform())
+    l = p.l_of_mu(8.0)
+    state = integrate_riccati(z, s0, p, l)
+    assert state.status == STATUS_ESCAPED
+    assert state.l > 100 * p.length
+    mu, s = escape_oracle(z, s0, p, l)
+    assert abs(state.mu - mu) <= 1e-9
+    assert abs(state.s - s) <= 1e-9
+    assert abs(state.l - p.l_of_mu(mu)) <= 1e-9
+    # a bracket that ends just past the escape, in the same period: the
+    # escape lies in the head after the bracket's whole periods
+    turn = (np.floor(state.l / p.length) + 1.0) * p.length
+    near = integrate_riccati(z, s0, p, state.l + 0.5 * min(0.01 * p.length, turn - state.l))
+    assert abs(near.mu - mu) <= 1e-9
+    assert abs(near.s - s) <= 1e-9
+
+
+def test_escape_over_a_periodic_tail_unrolls_one_period(monkeypatch):
+    # from s0 = 0.9 the flow escapes in the first period; a bracket of 10^4
+    # periods hands the kernel no more pieces than one rotated period
+    rng = np.random.default_rng(74)
+    grid = np.cumsum(rng.uniform(0.1, 0.3, 5))
+    p = ArovParameters(grid / grid[-1], rng.uniform(0.2, 1.2, 5),
+                       0.6 * np.exp(2j * np.pi * rng.uniform(size=5)), TAIL_PERIODIC)
+    pieces, products = [], prop.scaled_products
+
+    def counted(zs, gen, k, d, ends):
+        pieces.append(len(k))
+        return products(zs, gen, k, d, ends)
+
+    monkeypatch.setattr(prop, "scaled_products", counted)
+    first = riccati_trajectory(0.3 + 0.5j, 0.9, p, [0.0, 1.0])[-1]
+    for l in (100.0, 1e4):
+        pieces.clear()
+        state = riccati_trajectory(0.3 + 0.5j, 0.9, p, [0.0, l])[-1]
+        assert state.status == STATUS_ESCAPED
+        assert max(pieces) <= p.n_intervals + 1
+        assert abs(state.mu - first.mu) <= 1e-12
+        assert abs(state.s - first.s) <= 1e-12
 
 
 def test_trajectory_rejects_descending_lengths():

@@ -7,7 +7,10 @@ order, a header comment carrying the config hash) or JSON reports.  A CSV
 is written from column arrays in blocks of rows, the bytes of
 format(x, ".17g") per number: an all-numeric table of a few hundred
 numbers or more converted to decimal in numpy, any other by one %
-operation a block.  The argument parser is built on the first ``main``
+operation a block.  The z_re, z_im and l columns of the (z, l) grid tables
+(transfer, disks, gauge) are handed over as distinct values and a row
+index, and in numpy each distinct value is converted once, its text
+gathered into every row.  The argument parser is built on the first ``main``
 call and reused by every later one in the process (not at import).  Exit
 codes: 0 ok, 1 any other library error or a standard output closed by its
 reader (silently), 2 parse, 3 validation.  Grids are computed by the
@@ -140,18 +143,30 @@ _ARRAY_MIN = 360
 _BLOCK = 2048
 
 
+def _rows(column, lo, hi):
+    """Rows lo to hi of a column: an array or a ``prop.GridColumn``."""
+    if isinstance(column, prop.GridColumn):
+        return column.values[column.index[lo:hi]]
+    return column[lo:hi]
+
+
 def _write_table(path, header, columns, cfg):
-    """Write the CSV of equal-length column arrays, one per header name:
-    numbers as format(x, ".17g") (17 significant digits), strings as they
-    are.  The text is written in blocks of rows and never held whole.  An
-    all-numeric table of _ARRAY_MIN numbers or more is converted in numpy
-    (``_decimal_text``), _BLOCK numbers at a time; any other table is
-    formatted _ROWS rows at a time by one % operation, a row template times
-    the block length filled from a (rows, columns) table of the block.
-    Both write the bytes of format(x, ".17g") per number."""
-    columns = [np.asarray(c) for c in columns]
-    text = [c.dtype.kind in "OSU" for c in columns]
-    n, k = columns[0].shape[0], len(columns)
+    """Write the CSV of equal-length columns, one per header name: arrays
+    or ``prop.GridColumn``s (distinct values and a row index); numbers as
+    format(x, ".17g") (17 significant digits), strings as they are.  The
+    text is written in blocks of rows and never held whole.  An all-numeric
+    table of _ARRAY_MIN numbers or more is converted in numpy, about _BLOCK
+    numbers a call: by ``_write_gathered`` when GridColumns lead it with at
+    most half a block of distinct values (a (z, l) grid), by
+    ``_decimal_text`` otherwise.  Any other table is formatted _ROWS rows at
+    a time by one % operation, a row template times the block length filled
+    from a (rows, columns) table of the block.  All write the bytes of
+    format(x, ".17g") per number."""
+    grid = [isinstance(c, prop.GridColumn) for c in columns]
+    columns = [c if g else np.asarray(c) for c, g in zip(columns, grid)]
+    text = [not g and c.dtype.kind in "OSU" for c, g in zip(columns, grid)]
+    n, k = len(columns[0].index if grid[0] else columns[0]), len(columns)
+    lead = grid.index(False) if False in grid else k
     head = f"# arvcanon config={cfg} units={UNITS}\n" + ",".join(header)
     with _open_output(path) as fh:
         if any(text) or n * k < _ARRAY_MIN:
@@ -160,19 +175,60 @@ def _write_table(path, header, columns, cfg):
             for lo in range(0, n, _ROWS):
                 block = np.empty((min(_ROWS, n - lo), k), dtype=object if any(text) else float)
                 for j, c in enumerate(columns):
-                    block[:, j] = c[lo:lo + _ROWS]
+                    block[:, j] = _rows(c, lo, lo + _ROWS)
                 fh.write(row * len(block) % tuple(block.ravel().tolist()))
             return
         # every row of the numpy conversion starts with its line break
         fh.write(head)
-        rows = min(n, max(1, _BLOCK // k))
-        block = np.empty((rows, k))
-        for lo in range(0, n, rows):
-            part = block[:min(rows, n - lo)]
-            for j, c in enumerate(columns):
-                part[:, j] = c[lo:lo + rows]
-            fh.write(_decimal_text(part))
+        if (0 < lead < k and not any(grid[lead:])
+                and sum(c.values.size for c in columns[:lead]) <= _BLOCK // 2):
+            _write_gathered(fh, columns[:lead], columns[lead:])
+        else:
+            rows = min(n, max(1, _BLOCK // k))
+            block = np.empty((rows, k))
+            for lo in range(0, n, rows):
+                part = block[:min(rows, n - lo)]
+                for j, c in enumerate(columns):
+                    part[:, j] = _rows(c, lo, lo + rows)
+                fh.write(_decimal_text(part))
         fh.write("\n")
+
+
+def _write_gathered(fh, grid, entries):
+    """Write the rows of a table led by the GridColumns ``grid``, each row
+    led by its line break.  A block's call converts only its entry numbers,
+    somewhat fewer than _BLOCK, straight into the entry columns of the
+    block's word array, and each grid column's words are gathered into the rest
+    from the words of its distinct values.  Those are converted once, by
+    the first block's call, in rows past the block's own; that block is
+    shortened by as many numbers."""
+    n, g, ke = len(entries[0]), len(grid), len(entries)
+    sizes = [c.values.size for c in grid]
+    # a block holds a word array for every column, so it converts fewer
+    # numbers than a plain block: counting a grid word as half a number
+    # keeps the writer's peak memory that of the plain path
+    rows, lo = max(1, 2 * _BLOCK // (2 * ke + g)), 0
+    extra = -(-sum(sizes) // ke)
+    m = min(n, max(1, rows - extra))
+    x = np.zeros((max(rows, m + extra), ke))
+    np.concatenate([c.values for c in grid], out=x[m:m + extra].ravel()[:sum(sizes)])
+    while lo < n:
+        for j, c in enumerate(entries):
+            x[:m, j] = c[lo:lo + m]
+        if lo:
+            words = _number_words(x[:m], slice(0), g)
+        else:  # the first column's distinct values start rows
+            words = _number_words(x[:m + extra], slice(m * ke, m * ke + sizes[0]), g)
+            known = np.split(words[m:, g:].reshape(-1, 4)[:sum(sizes)].view("V32")[:, 0],
+                             np.cumsum(sizes)[:-1])
+        cells = words.view("V32")[..., 0]  # a number's four words as one 32-byte item
+        for j, (c, w) in enumerate(zip(grid, known)):
+            cells[:m, j] = w[c.index[lo:lo + m]]
+        text = words[:m].view(np.uint8)
+        fh.write(str(text[text != 0], "ascii"))
+        del words, cells, text  # before the next block is converted
+        lo += m
+        m = min(rows, n - lo)
 
 
 #: decimal exponents the conversion tables cover: those of normal doubles,
@@ -223,7 +279,8 @@ def _decimal_tables():
       field, which is (d & keep) | ((d moved one byte on) & shift) | point
       for the digits d: the digits before the dot stay, the dot is
       written, the digits after it move one byte on, and the trailing
-      zeros that are not integer digits are dropped.
+      zeros that are not integer digits are dropped.  A fourth, zero word
+      makes each row 32 bytes, which numpy's take copies fastest.
     - per X: ``layout`` (class * 17 - 1), ``prefix`` (the row of ``lead``
       less 2 for a line break and 1 for a sign; ``lead`` holds the
       separator, sign and '0.' prefix right-aligned in a word) and
@@ -260,8 +317,8 @@ def _decimal_tables():
     has_dot = s > dot
     shown = i < np.maximum(s, forced) + has_dot
     masks = np.stack((shown & (~has_dot | (i < dot)), shown & has_dot & (i > dot),
-                      has_dot & (i == dot))).astype(np.uint8)
-    masks *= np.array([0xFF, 0xFF, ord(".")], np.uint8)[:, None, None, None]
+                      has_dot & (i == dot), np.zeros_like(shown))).astype(np.uint8)
+    masks *= np.array([0xFF, 0xFF, ord("."), 0], np.uint8)[:, None, None, None]
     layouts = [_decimal_layout(X) for X in xs]
     prefixes = [_decimal_layout(X)[1] for X in range(-4, 1)]
     return {
@@ -269,11 +326,12 @@ def _decimal_tables():
         "exp2": pow10[4].astype(np.int32),
         "digits": (pairs[:, None] | pairs << _U16).ravel(),
         "significant": significant,  # group j's digits follow 4j others
-        # (word, class * 17 + s - 1, (keep, shift, point))
-        "masks": np.ascontiguousarray(masks.reshape(3, 22 * 17, 3, 8).transpose(2, 1, 0, 3))
+        # (word, class * 17 + s - 1, (keep, shift, point, 0))
+        "masks": np.ascontiguousarray(masks.reshape(4, 22 * 17, 3, 8).transpose(2, 1, 0, 3))
                    .view("<u8")[..., 0],
-        "layout": np.array([cls * 17 - 1 for cls, _, _, _ in layouts], np.int16),
-        "prefix": np.array([4 * min(cls, 4) for cls, _, _, _ in layouts], np.int8),
+        # indices as intp, which numpy's indexing would otherwise convert to
+        "layout": np.array([cls * 17 - 1 for cls, _, _, _ in layouts], np.intp),
+        "prefix": np.array([4 * min(cls, 4) for cls, _, _, _ in layouts], np.intp),
         "lead": _le_words([(sep + sign + p).rjust(8, "\0") for p in prefixes
                            for sep in ",\n" for sign in ("", "-")]),
         "suffix": _le_words(["" if cls < 21 else f"e{X:+03d}".rjust(8, "\0")
@@ -377,54 +435,69 @@ def _digit_words(t, N):
 
 def _decimal_text(block):
     """The CSV rows of a (rows, columns) float block, each led by its line
-    break: the bytes of format(x, ".17g") per number, converted in numpy.
+    break: the bytes of format(x, ".17g") per number, converted in numpy
+    (``_number_words``) and compacted once that call's temporaries are
+    freed."""
+    text = _number_words(block, slice(0, None, block.shape[1])).view(np.uint8)
+    return str(text[text != 0], "ascii")
+
+
+def _number_words(block, first, skip=0):
+    """The four words of every number of a contiguous (rows, columns) float
+    block, in columns skip onwards of a new (rows, skip + columns, 4) array,
+    allocated once the digits are found; the first skip columns are left to
+    the caller.  ``first`` indexes the flattened block's numbers that start
+    a row, whose separator is the line break.
 
     A number is four little-endian words: the separator, sign and '0.'
     prefix right-aligned in the first (``lead``); the digit field in the
     next three, where per (class, significant digits) masks keep the
     digits before the dot, write the dot, move the rest one byte on and
     drop the trailing zeros; the exponent right-aligned in the last.  Zero
-    bytes fill the rest, and the block is compacted once.  Zero is 1 with
-    its digit rewritten; the other numbers ``_significands`` does not
-    serve are written by format() one at a time."""
-    text = _number_words(block).view(np.uint8)
-    return str(text[text != 0], "ascii")
-
-
-def _number_words(block):
-    """The four words of every number of a (rows, columns) float block, in
-    row order (``_decimal_text``, which compacts them once this call's
-    temporaries are freed)."""
+    bytes fill the rest, for the caller to compact.  Each word is finished
+    in a flat temporary and copied into place once.  Zero is 1 with its
+    digit rewritten; the other numbers ``_significands`` does not serve are
+    written by format() one at a time."""
     t = _decimal_tables()
+    shape = block.shape
     x = block.ravel()
     N, xi, slow = _significands(t, x)
-    (d1, d2, d3), s = _digit_words(t, N)
-    out = np.empty((x.size, 4), "<u8")
-    words = out.T
+    digits, s = _digit_words(t, N)
+    del N  # consumed
     layout = t["layout"][xi] + s
-    for j, (word, below) in enumerate(((d1, None), (d2, d1), (d3, d2)), 1):
-        keep, shift, point = np.take(t["masks"][j - 1], layout, axis=0).T
+    out = np.empty((shape[0], skip + shape[1], 4), "<u8")
+    words = out[:, skip:]
+    # the last word first: a word is rewritten once the next has read its top byte
+    for j in (3, 2, 1):
+        word = digits[j - 1]
+        keep, shift, point, _ = np.take(t["masks"][j - 1], layout, axis=0).T
         moved = word << _U8
-        if below is not None:
-            moved |= below >> _U56
+        if j > 1:
+            moved |= digits[j - 2] >> _U56
         moved &= shift
-        np.bitwise_and(word, keep, out=words[j])
-        words[j] |= moved
-        words[j] |= point
-    words[3] |= t["suffix"][xi]
+        moved |= point
+        if j == 3:
+            moved |= t["suffix"][xi]
+        word &= keep
+        word |= moved
+        words[..., j] = word.reshape(shape)
+        del keep, shift, point, moved  # before the next word's are made
     lead = t["prefix"][xi] + np.signbit(x)
-    lead.reshape(-1, block.shape[1])[:, 0] += 2
-    words[0] = t["lead"][lead]
-    text = out.view(np.uint8)
+    lead[first] += 2
+    words[..., 0] = t["lead"][lead].reshape(shape)
     slow = np.flatnonzero(slow)
-    zero = x[slow] == 0.0
-    text[slow[zero], 8] = ord("0")
-    slow = slow[~zero]
     if slow.size:
-        k = block.shape[1]
-        text[slow] = np.frombuffer(b"".join(
-            (("," if i % k else "\n") + format(v, ".17g")).encode().ljust(32, b"\0")
-            for i, v in zip(slow.tolist(), x[slow].tolist())), np.uint8).reshape(-1, 32)
+        zero = x[slow] == 0.0
+        r, c = np.divmod(slow[zero], shape[1])
+        words[r, c, 1] -= np.uint64(1)  # the digit '1' of 1 becomes '0'
+        slow = slow[~zero]
+    if slow.size:
+        starts = np.zeros(x.size, bool)
+        starts[first] = True
+        r, c = np.divmod(slow, shape[1])
+        words[r, c] = np.frombuffer(b"".join(
+            (("\n" if f else ",") + format(v, ".17g")).encode().ljust(32, b"\0")
+            for f, v in zip(starts[slow].tolist(), x[slow].tolist())), "<u8").reshape(-1, 4)
     return out
 
 
@@ -471,8 +544,7 @@ def _cmd_disks(ns):
     centers, radii = weyl.disks_grid(system, zs, ls)
     _write_table(ns.output,
                  ("z_re", "z_im", "l", "center_re", "center_im", "radius"),
-                 (np.repeat(zs.real, ls.size), np.repeat(zs.imag, ls.size),
-                  np.tile(ls, zs.size), centers.real.ravel(), centers.imag.ravel(),
+                 (*prop.grid_columns(zs, ls), centers.real.ravel(), centers.imag.ravel(),
                   radii.ravel()), _config_hash(ns))
     return EXIT_OK
 
@@ -598,17 +670,17 @@ def _cmd_gauge(ns):
     anchor = 1j if ns.to == "arov" else 0j
     if not np.any(np.abs(zs - anchor) <= prop.Z_TOL):
         zs = np.concatenate(([anchor], zs))
-    fam = prop.transfer_family(system, zs, ls)
+    fam = prop.transfer_family(system, zs, ls)  # regauged in place
     if ns.to == "arov":
-        out, _ = prop.to_arov_gauge(fam)
+        out, _ = prop.to_arov_gauge(fam, fam.values)
     else:
-        out = prop.to_pdb_gauge(fam)
+        out = prop.to_pdb_gauge(fam, fam.values)
     _write_table(ns.output, prop.FAMILY_CSV_COLUMNS, prop.family_csv_columns(out),
                  _config_hash(ns))
     if ns.params_out:
         rec = prop.recover_parameters(out)
         payload = rec.params.to_dict()
-        payload["kappa"] = [[k.real, k.imag] for k in rec.kappa]
+        payload["kappa"] = coeff._pairs(rec.kappa)
         payload["mu"] = rec.mu.tolist()
         payload["config"] = _config_hash(ns)
         _write_json(ns.params_out, payload)

@@ -6,7 +6,7 @@ stack, such as a transfer family over (z, l), and works on it entrywise.
 They act on row vectors by right multiplication, so the Moebius action of
 ``M`` on a point ``w`` is the ratio of the two entries of ``(w, 1) M``.  This
 module collects the closed-form pieces every other module leans on:
-determinants and adjugates, Hermitian eigenvalues, the j-defect
+products, determinants and adjugates, Hermitian eigenvalues, the j-defect
 classification, the SU(1,1) normalizer that puts a j-contractive matrix into
 lower-triangular form, and the Moebius action.  Everything is a pure
 function of its arguments; there is no shared state of any kind.
@@ -63,6 +63,26 @@ def det2(m):
     det.real = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
     det.imag = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
     return det[()]
+
+
+def mul2(x, y, out=None):
+    """Product x @ y of broadcast 2x2 stacks, formed entrywise: numpy's
+    matmul costs about half a microsecond a matrix, this a few nanoseconds
+    on a stack of thousands (a lone matrix is faster through ``@``).  Each
+    entry x_i1 y_1j + x_i2 y_2j is written into ``out`` (new when None)
+    with one temporary; ``out`` may be x itself, for a product in place,
+    since each row of x is read before it is written."""
+    x, y = np.asarray(x), np.asarray(y)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    for i in (0, 1):
+        first = x[..., i, 0] * y[..., 0, 0]
+        first += x[..., i, 1] * y[..., 1, 0]
+        second = out[..., i, 1]
+        np.multiply(x[..., i, 1], y[..., 1, 1], out=second)
+        second += x[..., i, 0] * y[..., 0, 1]
+        out[..., i, 0] = first
+    return out
 
 
 def adjugate(m):
@@ -122,7 +142,7 @@ def j_defect(t, tol=CLASS_TOL):
     as zero, since round-off in forming the defect scales with norm(T)^2.
     """
     t = as_mat2(t, "T")
-    x = J - t @ J @ _h(t)
+    x = J - mul2(mul2(t, J), _h(t))
     x = 0.5 * (x + _h(x))
     lo, hi = herm_eigs(x)
     band = tol * np.maximum(1.0, norm2(t) ** 2)

@@ -40,14 +40,15 @@ takes the table of its bisection's trial propagators within one piece from
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import coefficients as coeff
 from .errors import (DomainError, GaugeError, InconsistencyError, InputError,
                      _raise_first)
-from .mat2 import (CLASS_TOL, DET_TOL, JKind, adjugate, det2, j_defect, norm2,
-                   su11_normalizer)
+from .mat2 import (CLASS_TOL, DET_TOL, JKind, adjugate, det2, j_defect, mul2,
+                   norm2, su11_normalizer)
 
 GAUGE_AROV = "arov"
 GAUGE_PDB = "pdb"
@@ -259,9 +260,9 @@ def transfer_grid(system, zs, ls, l_from=0.0):
             on = (q >> bit) % 2 == 1
             m[:, :, on], c[:, on] = _renorm(_mul(sq, m[:, :, on]), sc + c[:, on])
             sq, sc = _renorm(_mul(sq, sq), 2.0 * sc)
-    if t is not None:
-        # constant tail: one more piece, with the last interval's generator
-        tail = t > 0.0
+    if t is not None and (tail := t > 0.0).any():
+        # constant tail: one more piece, with the last interval's generator,
+        # for the lengths past L
         last = np.full(int(tail.sum()), gen[0].size - 1)
         e, ec = _propagators(zs, gen, last, t[tail])
         m[:, :, tail], c[:, tail] = _mul(m[:, :, tail], e), c[:, tail] + ec
@@ -366,7 +367,11 @@ class TransferFamily:
         """|det - 1| per value over max(1, largest |entry|)^2, the scale of
         the round-off in a determinant formed from the entries."""
         d = np.abs(det2(self.values) - 1.0)
-        return d / np.maximum(1.0, np.abs(self.values).max(axis=(-2, -1))) ** 2
+        # the largest of the four, by entry (a reduction over the 2x2 axes
+        # is nearly twenty times slower)
+        a = np.abs(self.values).reshape(self.values.shape[:-2] + (4,))
+        largest = np.maximum(np.maximum(a[..., 0], a[..., 1]), np.maximum(a[..., 2], a[..., 3]))
+        return d / np.maximum(1.0, largest) ** 2
 
     def validate(self):
         """Check the structural invariants; raises on the first violation.
@@ -385,7 +390,7 @@ class TransferFamily:
             raise InconsistencyError(f"max |det - 1| = {worst_det} exceeds {DET_TOL}")
         up = zs.imag >= 0
         a, b = values[up, :-1], values[up, 1:]
-        seg = adjugate(a) @ b
+        seg = mul2(adjugate(a), b)
         # seg carries round-off of about eps |a| |b|, and j - seg j seg* that
         # times |seg|: the band is CLASS_TOL |seg|^2, widened to
         # 64 eps |a| |b| |seg| where that round-off is larger
@@ -419,21 +424,23 @@ def transfer_family(system, zs, ls):
     return TransferFamily(zs, ls, values, tag)
 
 
-def to_arov_gauge(f):
+def to_arov_gauge(f, out=None):
     """Gauge the family so its z = i column is lower triangular with positive
     diagonal.  Returns the regauged family and the SU(1,1) factors U(l_k).
-    Weyl disks are unaffected."""
+    Weyl disks are unaffected.  The values T(z, l) U(l) go into ``out``
+    (new when None; f.values regauges in place, and f then holds them)."""
     us = su11_normalizer(f.values[f.z_index(1j)])
-    return TransferFamily(f.zs, f.ls, f.values @ us, GAUGE_AROV), us
+    return TransferFamily(f.zs, f.ls, mul2(f.values, us, out), GAUGE_AROV), us
 
 
-def to_pdb_gauge(f):
-    """Gauge the family so its z = 0 column is the identity."""
+def to_pdb_gauge(f, out=None):
+    """Gauge the family so its z = 0 column is the identity; ``out`` as in
+    ``to_arov_gauge``."""
     t0 = f.values[f.z_index(0j)]
     d = det2(t0)
     if np.any(d == 0):
         raise InputError("singular z = 0 value; family is corrupt")
-    return TransferFamily(f.zs, f.ls, f.values @ (adjugate(t0) / d[:, None, None]),
+    return TransferFamily(f.zs, f.ls, mul2(f.values, adjugate(t0) / d[:, None, None], out),
                           GAUGE_PDB)
 
 
@@ -498,14 +505,31 @@ def recover_parameters(f):
     return RecoveryResult(params, mu, kappa, np.nonzero(zero)[0])
 
 
+class GridColumn(NamedTuple):
+    """A table column given as its distinct values and, per row, the index
+    of its value: the column is values[index].  The CSV writer converts
+    each distinct value once instead of once a row."""
+
+    values: np.ndarray
+    index: np.ndarray
+
+
+def grid_columns(zs, ls):
+    """The (z_re, z_im, l) columns of a (z, l) grid, one row per (z, l) in C
+    order, as GridColumns over the two axes."""
+    nz, nl = zs.size, ls.size
+    at_z = np.repeat(np.arange(nz), nl)
+    return (GridColumn(zs.real, at_z), GridColumn(zs.imag, at_z),
+            GridColumn(ls, np.tile(np.arange(nl), nz)))
+
+
 def family_csv_columns(f):
-    """The CSV columns (z_re, z_im, l, a11_re, a11_im, ..., a22_im, det_err)
-    as arrays, one row per (z, l) in C order; the entry columns are views of
-    the family's values."""
+    """The CSV columns (z_re, z_im, l, a11_re, a11_im, ..., a22_im, det_err),
+    one row per (z, l) in C order: the grid's GridColumns, then views of the
+    family's values and the determinant errors."""
     nz, nl = f.zs.size, f.ls.size
     entries = np.ascontiguousarray(f.values).reshape(nz * nl, 4).view(float)
-    return (np.repeat(f.zs.real, nl), np.repeat(f.zs.imag, nl), np.tile(f.ls, nz),
-            *entries.T, f.det_errors().ravel())
+    return (*grid_columns(f.zs, f.ls), *entries.T, f.det_errors().ravel())
 
 
 FAMILY_CSV_COLUMNS = (

@@ -28,7 +28,7 @@ from . import propagate as prop
 from . import riccati as ric
 from .errors import (DegenerateActionError, DomainError, InconsistencyError,
                      InputError, PreconditionError)
-from .mat2 import DET_TOL, adjugate, as_mat2, det2, j_defect, mobius_right
+from .mat2 import DET_TOL, adjugate, as_mat2, det2, j_defect, mobius_right, mul2
 
 LIMIT_POINT = "limit_point"
 LIMIT_CIRCLE = "limit_circle"
@@ -203,7 +203,7 @@ def schur_grid(zs, p, tol=SCHUR_TOL):
         reach *= 4
         m, c = prop.transfer_grid(p, zs[todo], ls[start:upto], ls[start - 1] if start else 0.0)
         if start:  # from T(z, ls[start - 1]), whose disk opens the nesting check
-            m = np.concatenate((head, head @ m), axis=1)
+            m = np.concatenate((head, mul2(head, m)), axis=1)
             c = np.concatenate((hc, hc + c), axis=1)
         base = max(start - 1, 0)  # the index in ls of column 0
         centers, radii = _disk_arrays(m, c)

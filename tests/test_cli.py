@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from arvcanon import (ArovParameters, cli, constant_parameters, riccati_fixed_point,
                       save_parameters, schur_plus, strip_head)
+from arvcanon import propagate as prop
 
 from helpers import coefficient_texts, csv_reference
 
@@ -536,6 +537,66 @@ def test_write_table_converts_large_numeric_tables_in_numpy(tmp_path, monkeypatc
         cli._write_table(str(tmp_path / "t.csv"), ["a", "b"][:len(columns)], columns, "c")
         assert len(blocks) == want
         assert all(rows * cols <= cli._BLOCK for rows, cols in blocks)
+
+
+#: grid coordinates a gathered column must write as format(x, ".17g") does
+_GRID_NUMBERS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-5, 0.1, 1 / 3,
+                 1.0, 2.5, 1e16, 123456789.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 60), st.integers(1, 9),
+       st.booleans(), st.lists(st.sampled_from(_EDGE_NUMBERS) | st.floats(allow_nan=True),
+                               max_size=12))
+# below and at the size converted in numpy, a single spectral point or
+# length over several blocks, and a grid of many blocks
+@example(seed=1, nz=3, nl=10, k=1, lead=True, extra=[])
+@example(seed=2, nz=5, nl=18, k=1, lead=True, extra=[])
+@example(seed=3, nz=1, nl=700, k=9, lead=True, extra=[])
+@example(seed=4, nz=700, nl=1, k=3, lead=True, extra=[])
+@example(seed=5, nz=101, nl=41, k=9, lead=True, extra=[np.inf, -np.inf, np.nan])
+def test_write_table_gathered_grid_columns_equal_materialised(tmp_path_factory, seed, nz, nl,
+                                                              k, lead, extra):
+    # a (z, l) grid table whose grid columns are GridColumns writes the bytes
+    # of the same table with those columns materialised, whether they lead
+    # the row (gathered) or not (read a block at a time)
+    rng = np.random.default_rng(seed)
+    grid = np.concatenate((_GRID_NUMBERS, rng.standard_normal(4)))
+    zs = grid[rng.integers(0, grid.size, nz)] + 1j * grid[rng.integers(0, grid.size, nz)]
+    ls = grid[rng.integers(0, grid.size, nl)]
+    pool = np.concatenate((_EDGE_NUMBERS, extra, rng.standard_normal(8) * 1e3))
+    n = nz * nl
+    bits = rng.integers(0, 2**63, size=(k, n), dtype=np.int64) * rng.choice([1, -1], size=(k, n))
+    entries = [np.where(rng.random(n) < 0.5, pool[rng.integers(0, pool.size, n)],
+                        bits[j].view(float)) for j in range(k)]
+    gathered = list(prop.grid_columns(zs, ls))
+    columns = gathered + entries if lead else entries[:1] + gathered + entries[1:]
+    plain = [c.values[c.index] if isinstance(c, prop.GridColumn) else c for c in columns]
+    assert np.array_equal(plain[0 if lead else 1], np.repeat(zs.real, nl))
+    assert np.array_equal(plain[2 if lead else 3], np.tile(ls, nz))
+    header = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    cli._write_table(str(path), header, columns, "abc123")
+    assert path.read_bytes() == csv_reference(header, plain, "abc123", cli.UNITS).encode()
+
+
+def test_write_table_converts_each_grid_coordinate_once(tmp_path, monkeypatch):
+    # the entry numbers of every row and the distinct grid values once, in
+    # calls of no more numbers than a plain block's
+    calls, convert = [], cli._number_words
+
+    def counted(block, *args):
+        calls.append(block.size)
+        return convert(block, *args)
+
+    monkeypatch.setattr(cli, "_number_words", counted)
+    zs = np.linspace(0.5 + 0.3j, 1.5 + 1j, 101)
+    ls = np.linspace(0.0, 2.0, 41)
+    entries = [np.sin(np.arange(zs.size * ls.size) + j) for j in range(9)]
+    cli._write_table(str(tmp_path / "t.csv"), prop.FAMILY_CSV_COLUMNS,
+                     (*prop.grid_columns(zs, ls), *entries), "c")
+    assert sum(calls) - 9 * zs.size * ls.size < 2 * zs.size + ls.size + 9
+    assert len(calls) > 1 and max(calls) <= cli._BLOCK
 
 
 def test_in_process_calls_repeat_byte_for_byte(tmp_path, const_half, full_line):

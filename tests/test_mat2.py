@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from arvcanon import (DegenerateActionError, InputError, PreconditionError,
                       j_defect, mat2, mobius_right, su11_normalizer)
-from arvcanon.mat2 import J, JKind, adjugate, det2, herm_eigs, norm2
+from arvcanon.mat2 import J, JKind, adjugate, det2, herm_eigs, mul2, norm2
 
 from helpers import is_su11, random_contractive, random_su11
 
@@ -188,3 +188,23 @@ def test_stack_helpers_equal_themselves_slice_by_slice(seed, n):
     _close(np.array(cls.eigenvalues).T, [c.eigenvalues for _, c in pairs])
     assert list(cls.kind) == [c.kind for _, c in pairs]
     assert list(cls.is_contractive) == [c.is_contractive for _, c in pairs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (5,), (3, 4)]))
+def test_mul2_is_the_matrix_product_broadcast_and_in_place(seed, shape):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    y = rng.normal(size=shape[-1:] + (2, 2)) + 1j * rng.normal(size=shape[-1:] + (2, 2))
+    want = x @ y
+    # each entry is two complex products and a sum, as in @: both are within
+    # a few units of round-off of the exact product (numpy's complex loops
+    # may fuse multiply-adds on some paths, so the bits are not compared)
+    bound = 1e-15 * (np.abs(x) @ np.abs(y))
+    got = mul2(x, y)
+    assert got.shape == want.shape and np.all(np.abs(got - want) <= bound)
+    one = x[(0,) * len(shape)]  # a lone matrix times a stack
+    assert np.all(np.abs(mul2(one, y) - one @ y) <= 1e-15 * (np.abs(one) @ np.abs(y)))
+    same = x.copy()  # the product written over x
+    assert mul2(same, y, out=same) is same
+    assert np.all(np.abs(same - want) <= bound)

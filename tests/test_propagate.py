@@ -7,8 +7,9 @@ from arvcanon import (ArovParameters, DomainError, GaugeError,
                       InconsistencyError, InputError, TAIL_CONSTANT, TAIL_FINITE,
                       TAIL_PERIODIC, constant_parameters, dirac_coefficients,
                       schroedinger_coefficients, strip_head)
-from arvcanon.mat2 import J, adjugate, det2, j_defect, norm2
-from arvcanon.propagate import (GAUGE_AROV, GAUGE_PDB, GAUGE_RAW,
+from arvcanon import propagate as prop
+from arvcanon.mat2 import J, adjugate, det2, j_defect, norm2, su11_normalizer
+from arvcanon.propagate import (GAUGE_AROV, GAUGE_PDB, GAUGE_RAW, LOWER_TOL,
                                 TransferFamily, recover_parameters, to_arov_gauge,
                                 to_pdb_gauge, transfer, transfer_between,
                                 transfer_family, transfer_grid, transfer_scaled)
@@ -282,6 +283,29 @@ def test_to_arov_gauge_is_identity_on_arov_families():
     assert np.max(np.abs(out.values - fam.values)) < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE]))
+def test_arov_regauge_is_bitwise_the_matmul_product(seed, tail):
+    # the entrywise product, new or written over the family's own values,
+    # has the bits numpy's matmul gives on Arov families
+    rng = np.random.default_rng(seed)
+    p = random_parameters(rng, tail=tail)
+    zs = np.concatenate(([1j], rng.uniform(-2, 2, 6) + 1j * rng.uniform(0.05, 2, 6)))
+    reach = p.length if tail == TAIL_FINITE else 1.5 * p.length
+    ls = np.concatenate(([0.0], rng.uniform(0.0, reach, 8)))
+    fam = transfer_family(p, zs, ls)
+    want = fam.values @ su11_normalizer(fam.values[0])
+    out, _ = to_arov_gauge(fam)
+    assert np.array_equal(out.values.view(float), want.view(float))
+    assert not np.any(np.signbit(out.values.view(float)) != np.signbit(want.view(float)))
+    col = out.values[0]
+    assert np.all(np.abs(col[:, 0, 1]) <= LOWER_TOL * np.maximum(1.0, norm2(col)))
+    values = fam.values
+    regauged, _ = to_arov_gauge(fam, values)
+    assert regauged.values is values
+    assert np.array_equal(values.view(float), want.view(float))
+
+
 def test_to_arov_gauge_schroedinger_has_unimodular_coefficient():
     # The constant-potential system has zero exponential type, so the type
     # formula forces |a(l)| = 1 a.e. in disk gauge (the phase rotates; the
@@ -521,3 +545,23 @@ def test_property_stripped_head_matches_transfer_between(seed, tail, z, start, s
     want = transfer_between(z, p, l0, l)
     got = transfer(z, strip_head(p, l0), l - l0)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_constant_tail_within_the_head_makes_one_propagator_call(monkeypatch):
+    # no length past L: the tail's propagators are not built at all
+    calls, build = [], prop._propagators
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return build(*args)
+
+    monkeypatch.setattr(prop, "_propagators", counted)
+    p = random_parameters(np.random.default_rng(41), tail=TAIL_CONSTANT)
+    zs = [0.3 + 0.5j, 1j]
+    inside = np.array([0.0, 0.5 * p.length, p.length])
+    m, c = transfer_grid(p, zs, inside)
+    assert len(calls) == 1
+    calls.clear()
+    m_past, c_past = transfer_grid(p, zs, np.append(inside, 1.5 * p.length))
+    assert len(calls) == 2 and calls[1] == 1
+    assert np.array_equal(m_past[:, :3], m) and np.array_equal(c_past[:, :3], c)

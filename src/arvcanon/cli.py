@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -219,8 +220,8 @@ def _write_gathered(fh, grid, entries):
             words = _number_words(x[:m], slice(0), g)
         else:  # the first column's distinct values start rows
             words = _number_words(x[:m + extra], slice(m * ke, m * ke + sizes[0]), g)
-            known = np.split(words[m:, g:].reshape(-1, 4)[:sum(sizes)].view("V32")[:, 0],
-                             np.cumsum(sizes)[:-1])
+            flat = words[m:, g:].reshape(-1, 4)[:sum(sizes)].view("V32")[:, 0]
+            known = [flat[end - size:end] for size, end in zip(sizes, itertools.accumulate(sizes))]
         cells = words.view("V32")[..., 0]  # a number's four words as one 32-byte item
         for j, (c, w) in enumerate(zip(grid, known)):
             cells[:m, j] = w[c.index[lo:lo + m]]

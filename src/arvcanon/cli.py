@@ -199,10 +199,10 @@ def _write_gathered(fh, grid, entries):
     """Write the rows of a table led by the GridColumns ``grid``, each row
     led by its line break.  A block's call converts only its entry numbers,
     somewhat fewer than _BLOCK, straight into the entry columns of the
-    block's word array, and each grid column's words are gathered into the rest
-    from the words of its distinct values.  Those are converted once, by
-    the first block's call, in rows past the block's own; that block is
-    shortened by as many numbers."""
+    block's word array, and each grid column's words are gathered into the
+    rest from the words of its distinct values.  Those are converted once,
+    by the first block's call, in extra rows that the first block gives up
+    so that its call is no larger than the others."""
     n, g, ke = len(entries[0]), len(grid), len(entries)
     sizes = [c.values.size for c in grid]
     # a block holds a word array for every column, so it converts fewer

@@ -219,22 +219,22 @@ class _Piecewise:
             heads = _sorted_unique([lo], ls)
             return (*self._cut(lo, heads), heads.searchsorted(ls), q, t)
         (q0, r0), (q, h) = divmod(l_from, L), np.divmod(ls, L)
-        wrap = h < r0  # heads in [0, r0) lie past the rotated period's turn
-        q = (q - q0 - wrap).astype(np.int64)
         # one cut of the period at every head and r0: the heads from r0 to
         # L, then the turn's heads from 0 to r0, on the pieces rotated to
         # start at r0
         points = _sorted_unique([r0], h, [L])
         k, d, ends = self._cut(0.0, points)
         at = points.searchsorted(h)
+        wrap = False
         if r0 > 0.0:
-            i = points.searchsorted(r0)
+            i, n = points.searchsorted(r0), k.size
             c = ends[i]
-            k, d = np.concatenate((k[c:], k[:c])), np.concatenate((d[c:], d[:c]))
-            ends = np.concatenate((ends[i:] - c, ends[:i + 1] + (k.size - c)))
-            at -= i
-            at[wrap] += points.size
-        return k, d, ends, at, q, t
+            turn = np.arange(c - n, c)  # pieces c to n - 1, then 0 to c - 1
+            k, d = k[turn], d[turn]
+            ends = np.concatenate((ends[i:] - c, ends[:i + 1] + (n - c)))
+            wrap = at < i  # heads in [0, r0) lie past the rotated period's turn
+            at = (at - i) % points.size
+        return k, d, ends, at, (q - q0 - wrap).astype(np.int64), t
 
 
 @dataclass(frozen=True)

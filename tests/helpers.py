@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
+import contextlib
 import json
 import re
 
@@ -11,6 +12,8 @@ from scipy.optimize import brentq
 from arvcanon import (ArovParameters, GeneralCoefficients, InputError, TAIL_CONSTANT,
                       TAIL_FINITE, TAIL_PERIODIC)
 from arvcanon import coefficients as coeff
+from arvcanon import propagate as prop
+from arvcanon.errors import DomainError
 from arvcanon.mat2 import J, J1, as_mat2, det2, norm2
 from arvcanon.propagate import transfer, transfer_grid
 from arvcanon.riccati import (ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK,
@@ -432,3 +435,104 @@ def bp_defect_loop(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
             offset += grid.size
         defects[j] = total
     return defects, excluded, tuple(violations)
+
+
+# --- bit references: earlier forms of the kernel and of the piece builder ----------------
+
+
+def _reference_mul(x, y):
+    """Entrywise product of 2x2 stacks, each entry a new array, stacked by
+    ``np.array``."""
+    x11, x12, x21, x22 = x
+    y11, y12, y21, y22 = y
+    return np.array((x11 * y11 + x12 * y21, x11 * y12 + x12 * y22,
+                     x21 * y11 + x22 * y21, x21 * y12 + x22 * y22))
+
+
+def _reference_renorm(x, c):
+    _, e = np.frexp(np.abs(x).max(axis=0))
+    x *= np.ldexp(1.0, -e)
+    return x, c + float(np.log(2.0)) * e
+
+
+def _reference_expm(g11, g12, g21, d):
+    """exp(G d) with every intermediate a new array, held to the end."""
+    g1221 = g12 * g21
+    rho = np.sqrt(g11 * g11 + g1221)
+    x = rho * d
+    ph = np.exp(1j * x.imag)
+    nonzero = x != 0.0
+    s = np.where(nonzero, -0.5 * ph * np.expm1(-2.0 * x) / np.where(nonzero, rho, 1.0), d)
+    e = np.empty((4,) + s.shape, dtype=complex)
+    np.multiply(s, g12, out=e[1])
+    np.multiply(s, g21, out=e[2])
+    flip = (rho * np.conj(g11)).real < 0.0
+    big = np.where(flip, rho - g11, rho + g11)
+    small = np.divide(g1221, big, out=np.zeros_like(big), where=big != 0.0)
+    decay = np.exp(-2.0 * x.real) * np.conj(ph)
+    np.add(decay, s * np.where(flip, small, big), out=e[0])
+    np.add(decay, s * np.where(flip, big, small), out=e[3])
+    return _reference_renorm(e, x.real)
+
+
+def _reference_scan(x, c):
+    step = 1
+    while step < x.shape[-1]:
+        y, cy = _reference_renorm(_reference_mul(x[..., :-step], x[..., step:]),
+                                  c[..., :-step] + c[..., step:])
+        x[..., step:] = y
+        c[..., step:] = cy
+        step *= 2
+    return x, c
+
+
+REFERENCE_KERNEL = {"_mul": _reference_mul, "_renorm": _reference_renorm,
+                    "_expm": _reference_expm, "_scan": _reference_scan}
+
+
+@contextlib.contextmanager
+def reference_kernel():
+    """Run ``propagate`` on the reference forms of its closed form, product,
+    renormalisation and scan: a new array for every intermediate, none
+    dropped before the function returns.  The kernel must give their bits."""
+    saved = {name: getattr(prop, name) for name in REFERENCE_KERNEL}
+    try:
+        for name, f in REFERENCE_KERNEL.items():
+            setattr(prop, name, f)
+        yield
+    finally:
+        for name, f in saved.items():
+            setattr(prop, name, f)
+
+
+def reference_piece_arrays(system, ls, l_from=0.0):
+    """``piece_arrays`` with the periodic stream rotated by slicing and
+    concatenation and the turn's heads moved by a masked add."""
+    ls, l_from = np.asarray(ls, dtype=float).ravel(), float(l_from)
+    first, last = ls.min(initial=np.inf), ls.max(initial=0.0)
+    if not (0.0 <= l_from < np.inf and first >= l_from and last < np.inf):
+        raise DomainError(f"lengths must be finite and at least l_from = {l_from} >= 0")
+    L, q, t = system.length, None, None
+    if last > L and system.tail == TAIL_FINITE:
+        raise DomainError(f"l = {ls[ls > L][0]} beyond finite tail at {L}")
+    if last <= L or system.tail == TAIL_CONSTANT:
+        if last > L:
+            t = np.where(ls > L, (ls - max(l_from, L)) * system.density[-1], 0.0)
+            ls = np.minimum(ls, L)
+        lo = min(l_from, L)
+        heads = coeff._sorted_unique([lo], ls)
+        return (*system._cut(lo, heads), heads.searchsorted(ls), q, t)
+    (q0, r0), (q, h) = divmod(l_from, L), np.divmod(ls, L)
+    wrap = h < r0
+    q = (q - q0 - wrap).astype(np.int64)
+    points = coeff._sorted_unique([r0], h, [L])
+    k, d, ends = system._cut(0.0, points)
+    at = points.searchsorted(h)
+    if r0 > 0.0:
+        i = points.searchsorted(r0)
+        c = ends[i]
+        k, d = np.concatenate((k[c:], k[:c])), np.concatenate((d[c:], d[:c]))
+        ends = np.concatenate((ends[i:] - c, ends[:i + 1] + (k.size - c)))
+        at -= i
+        at[wrap] += points.size
+    return k, d, ends, at, q, t

@@ -544,6 +544,15 @@ _GRID_NUMBERS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-5, 0.1,
                  1.0, 2.5, 1e16, 123456789.0)
 
 
+def _one_block_lengths(k):
+    """The most lengths nl whose one-point grid table (three GridColumns
+    holding nl + 2 distinct values, then k entry columns) the first
+    gathered block holds whole: 2 _BLOCK // (2k + 3) rows, of which
+    ceil((nl + 2) / k) carry the distinct values."""
+    rows = 2 * cli._BLOCK // (2 * k + 3)
+    return max(nl for nl in range(1, rows + 1) if nl + -(-(nl + 2) // k) <= rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 60), st.integers(1, 9),
        st.booleans(), st.lists(st.sampled_from(_EDGE_NUMBERS) | st.floats(allow_nan=True),
@@ -555,6 +564,9 @@ _GRID_NUMBERS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-5, 0.1,
 @example(seed=3, nz=1, nl=700, k=9, lead=True, extra=[])
 @example(seed=4, nz=700, nl=1, k=3, lead=True, extra=[])
 @example(seed=5, nz=101, nl=41, k=9, lead=True, extra=[np.inf, -np.inf, np.nan])
+# exactly one gathered block, and one block and a row
+@example(seed=6, nz=1, nl=_one_block_lengths(9), k=9, lead=True, extra=[])
+@example(seed=7, nz=1, nl=_one_block_lengths(9) + 1, k=9, lead=True, extra=[])
 def test_write_table_gathered_grid_columns_equal_materialised(tmp_path_factory, seed, nz, nl,
                                                               k, lead, extra):
     # a (z, l) grid table whose grid columns are GridColumns writes the bytes
@@ -597,6 +609,28 @@ def test_write_table_converts_each_grid_coordinate_once(tmp_path, monkeypatch):
                      (*prop.grid_columns(zs, ls), *entries), "c")
     assert sum(calls) - 9 * zs.size * ls.size < 2 * zs.size + ls.size + 9
     assert len(calls) > 1 and max(calls) <= cli._BLOCK
+
+
+def test_write_table_conversion_calls_of_grid_tables(tmp_path, monkeypatch):
+    # a transfer family of 100 spectral points and 21 lengths (2,100 rows of
+    # 12 columns) converts in 6 calls; a one-point table that one gathered
+    # block holds whole in 1, and with a row more in 2
+    calls, convert = [], cli._number_words
+
+    def counted(block, *args):
+        calls.append(block.size)
+        return convert(block, *args)
+
+    monkeypatch.setattr(cli, "_number_words", counted)
+    for nz, nl, want in ((100, 21, 6), (1, _one_block_lengths(9), 1),
+                         (1, _one_block_lengths(9) + 1, 2)):
+        zs, ls = np.linspace(-2.0 + 0.1j, 2.0 + 2.0j, nz), 0.6 * np.arange(nl)
+        values = np.exp(1j * np.arange(nz * nl * 4)).reshape(nz, nl, 2, 2)
+        family = prop.TransferFamily(zs, ls, values)
+        calls.clear()
+        cli._write_table(str(tmp_path / "t.csv"), prop.FAMILY_CSV_COLUMNS,
+                         prop.family_csv_columns(family), "c")
+        assert len(calls) == want, (nz, nl)
 
 
 def test_in_process_calls_repeat_byte_for_byte(tmp_path, const_half, full_line):

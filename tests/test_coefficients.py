@@ -16,7 +16,7 @@ from arvcanon.mat2 import J, herm_eigs, mat2
 from arvcanon.propagate import transfer
 
 from helpers import (coefficient_texts, random_general as _random_general, random_parameters,
-                     stream_mass, unrolled_pieces)
+                     reference_piece_arrays, stream_mass, unrolled_pieces)
 
 
 # --- ArovParameters invariants ------------------------------------------------
@@ -124,6 +124,33 @@ def test_pieces_fold_periodic_tail():
     k, d, ends, at, q, _ = p.piece_arrays([2.5, 3.0], 1.25)
     assert d.tolist() == [0.25, 0.5, 0.25] and ends.tolist() == [0, 1, 2, 2, 3]
     assert at.tolist() == [1, 3] and q.tolist() == [1, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE]),
+       st.sampled_from(["knot", "period", "inside"]), st.integers(0, 12), st.integers(0, 7),
+       st.floats(0.0, 1.0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       st.lists(st.integers(0, 12), max_size=3))
+def test_property_pieces_from_a_start_equal_the_reference(seed, tail, start, knot, periods, frac,
+                                                          spans, on_knots):
+    # the stream from a start on a knot, on a multiple of L or inside a
+    # period, to lengths anywhere past it and on knots of later periods, is
+    # bit for bit the reference's, whose rotation slices and concatenates
+    p = random_parameters(np.random.default_rng(seed), tail=tail, zero_mass_interval=True)
+    L, knots = p.length, p.knots
+    if tail == TAIL_FINITE:
+        periods = 0
+    l_from = {"knot": periods * L + knots[min(knot, p.n_intervals)], "period": periods * L,
+              "inside": (periods + frac) * L}[start]
+    l_from = min(l_from, L) if tail == TAIL_FINITE else l_from
+    top = L if tail == TAIL_FINITE else (periods + 3) * L
+    ls = np.minimum(l_from + np.array(spans) * (top - l_from), top)
+    later = (periods + 1) * L + knots[np.minimum(np.array(on_knots, dtype=int), p.n_intervals)]
+    ls = np.concatenate((ls, later[later >= l_from] if tail != TAIL_FINITE else []))
+    got, want = p.piece_arrays(ls, l_from), reference_piece_arrays(p, ls, l_from)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or (a.dtype == b.dtype and a.shape == b.shape
+                                               and a.tobytes() == b.tobytes())
 
 
 # --- ab_from_a ------------------------------------------------------------------

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from arvcanon import (ArovParameters, DomainError, GeneralCoefficients,
@@ -17,7 +17,7 @@ from arvcanon import propagate as prop
 from arvcanon.riccati import riccati_trajectory
 from arvcanon.weyl import disks_grid, stripped_grid
 
-from helpers import expm_transfer, generators, stream_mass
+from helpers import expm_transfer, generators, reference_kernel, stream_mass
 
 
 def _disk_system(rng, n, tail):
@@ -364,7 +364,8 @@ def test_property_transfer_grid_from_a_start_length(seed, build, tail, z, start,
     system = build(np.random.default_rng(seed), 4, tail)
     top = system.length * (1.0 if tail == TAIL_FINITE else reach)
     l_from = start * top
-    ls = l_from + np.array(spans) * (top - l_from)
+    # l_from + (top - l_from) can round an ulp past top, past a finite tail
+    ls = np.minimum(l_from + np.array(spans) * (top - l_from), top)
     m, c = prop.transfer_grid(system, [z], ls, l_from)
     for j, l in enumerate(ls):
         ref, ref_c = expm_transfer(system, z, l, l_from)
@@ -430,3 +431,113 @@ def test_suffix_mode_rejects_lengths_outside_the_head():
             prop.transfer_to_end(system, [1j], ls)
     m, c = prop.transfer_to_end(system, [1j, 2.0], [])
     assert m.shape == (2, 0, 2, 2) and c.shape == (2, 0)
+
+
+# --- the kernel's bits and working set --------------------------------------------
+
+
+def _null_system(rng, gauge, n, tail):
+    """A system of n intervals in the given gauge, about one interval in
+    four of no mass (x = 0 at every z) and one in four with a generator that
+    vanishes at z = 0 (disk gauge a = 0, general gauge r = b = c = 0), where
+    x = 0 and both factors (rho +- g11) are 0."""
+    grid = np.cumsum(rng.uniform(0.13, 0.37, n))
+    density = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(0.3, 1.5, n))
+    live = rng.random(n) >= 0.25
+    phase = np.exp(2j * np.pi * rng.uniform(size=n))
+    if gauge == "disk":
+        return ArovParameters(grid, density, live * rng.uniform(0.0, 0.9, n) * phase, tail)
+    p = rng.uniform(0.5, 1.5, n)
+    b = live * rng.uniform(0.0, 0.9, n) * p * phase
+    r, c = live * rng.normal(size=n), live * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    P = np.stack([np.stack([p, b], -1), np.stack([np.conj(b), p], -1)], -2)
+    Q = np.stack([np.stack([1j * r, c], -1), np.stack([-np.conj(c), 1j * r], -1)], -2)
+    return GeneralCoefficients(grid, density, P, Q, tail)
+
+
+def _kernel_outputs(system, zs, ls, heads):
+    return (*prop.transfer_grid(system, zs, ls), *prop.transfer_to_end(system, zs, heads))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["disk", "general"]),
+       st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE]),
+       st.sampled_from([prop._TOP - 1, prop._TOP, prop._TOP + 1, prop._BLOCK - 1, prop._BLOCK,
+                        prop._BLOCK + 1]) | st.integers(1, 40),
+       st.integers(1, 150), st.booleans())
+# z = 0 against generators that vanish there (big = 0), over one block and
+# a block and a piece, in both gauges
+@example(seed=1, gauge="disk", tail=TAIL_CONSTANT, n=prop._BLOCK + 1, nz=150, zero=True)
+@example(seed=2, gauge="general", tail=TAIL_PERIODIC, n=prop._TOP, nz=1, zero=True)
+def test_kernel_bits_equal_the_reference_forms(seed, gauge, tail, n, nz, zero):
+    # the kernel, writing into buffers it already holds and dropping each
+    # temporary after its last use, gives the bytes of the reference forms
+    # (a new array per intermediate) in transfer_grid and transfer_to_end:
+    # spectral points on and off the real axis (both signs of
+    # Re(rho conj(g11))), knots as heads so the stream is n pieces wide,
+    # lengths inside intervals and, past L, into the tail
+    rng = np.random.default_rng(seed)
+    system = _null_system(rng, gauge, n, tail)
+    L = system.length
+    zs = rng.uniform(-2.0, 2.0, nz) + 1j * rng.choice([-1.0, 0.0, 1.0], nz) * rng.uniform(0, 2, nz)
+    if zero:
+        zs[rng.integers(nz)] = 0.0
+    heads = np.concatenate((system.knots[rng.integers(0, n + 1, 4)], [L],
+                            rng.uniform(0.0, L, 2)))
+    reach = np.array([] if tail == TAIL_FINITE else [1.0, 1.7, 6.3]) * L
+    ls = np.concatenate((heads, reach))
+    got = _kernel_outputs(system, zs, ls, heads)
+    with reference_kernel():
+        want = _kernel_outputs(system, zs, ls, heads)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_kernel_reference_examples_reach_every_branch():
+    # a _null_system meets both branches of the factors (rho +- g11) and
+    # big = 0 at z = 0, read off the generator entries the kernel is given,
+    # and there too the kernel gives the reference forms' bytes
+    for gauge in ("disk", "general"):
+        system = _null_system(np.random.default_rng(3), gauge, 40, TAIL_CONSTANT)
+        p, alpha, r, gamma = (g[:, None] for g in system.generator_table)
+        z = np.array([0.0, 0.7 + 0.4j, -1.2 - 0.3j, 1.5])
+        g11 = -1j * (z * p - r)
+        rho = np.sqrt(g11 * g11 + (-1j * z * np.conj(alpha) - np.conj(gamma))
+                      * (1j * z * alpha - gamma))
+        flip = (rho * np.conj(g11)).real < 0.0
+        big = np.where(flip, rho - g11, rho + g11)
+        assert flip.any() and (~flip).any() and (big == 0.0).any()
+        ls = np.append(system.knots[::7], 2.5 * system.length)
+        got = _kernel_outputs(system, z, ls, system.knots[::7])
+        with reference_kernel():
+            want = _kernel_outputs(system, z, ls, system.knots[::7])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_kernel_chunk_working_memory_is_below_the_reference_forms():
+    # one chunk of _CELLS (z, piece) cells, its propagators and the products
+    # read off them: scanned whole (64 points x 64 pieces) and through levels
+    # of pairwise products (4 x 1024).  The output stack is 64 bytes a cell;
+    # the reference forms peak at about 4.6 such stacks (1,183 kB at 4,096
+    # cells), the kernel at 2.9 to 4.2
+    import tracemalloc
+
+    system = _disk_system(np.random.default_rng(12), prop._BLOCK, TAIL_CONSTANT)
+    gen = system.generator_table
+
+    def peak(nz):
+        n = prop._CELLS // nz
+        k = np.arange(n)
+        d = system.density[k] * system.widths[k]
+        zs = np.linspace(-2.0 + 0.1j, 2.0 + 2.0j, nz)
+        tracemalloc.start()
+        prop._prefixes(*prop._propagators(zs, gen, k, d), np.array([1, n // 3, n]))
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    for nz in (64, 4):
+        with reference_kernel():
+            reference = peak(nz)
+        got = peak(nz)
+        assert got < 0.95 * reference
+        assert got < 4.5 * 64 * prop._CELLS

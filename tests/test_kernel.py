@@ -517,8 +517,8 @@ def test_kernel_chunk_working_memory_is_below_the_reference_forms():
     # one chunk of _CELLS (z, piece) cells, its propagators and the products
     # read off them: scanned whole (64 points x 64 pieces) and through levels
     # of pairwise products (4 x 1024).  The output stack is 64 bytes a cell;
-    # the reference forms peak at about 4.6 such stacks (1,183 kB at 4,096
-    # cells), the kernel at 2.9 to 4.2
+    # the reference forms peak at 4.6 to 4.8 such stacks (1,183 kB at 4,096
+    # cells), the kernel at 2.9 to 3.1
     import tracemalloc
 
     system = _disk_system(np.random.default_rng(12), prop._BLOCK, TAIL_CONSTANT)
@@ -539,5 +539,5 @@ def test_kernel_chunk_working_memory_is_below_the_reference_forms():
         with reference_kernel():
             reference = peak(nz)
         got = peak(nz)
-        assert got < 0.95 * reference
-        assert got < 4.5 * 64 * prop._CELLS
+        assert got < 0.8 * reference
+        assert got < 3.5 * 64 * prop._CELLS

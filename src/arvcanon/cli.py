@@ -8,7 +8,7 @@ is written from column arrays in blocks of rows, the bytes of
 format(x, ".17g") per number: an all-numeric table of a few hundred
 numbers or more converted to decimal in numpy, about 4,096 numbers a call,
 any other by one % operation a block.  The block is that large because
-each conversion call has a fixed cost of about 150 us; its working set
+each conversion call has a fixed cost of about 0.1 ms; its working set
 (about 550 kB for a 12-column table) stays below the propagation kernel's
 for one chunk of (z, piece) cells, so the writer does not set a command's
 peak memory.  The z_re, z_im and l columns of the (z, l) grid tables
@@ -144,7 +144,7 @@ _ROWS = 512
 #: all-numeric tables of at least this many numbers are converted in numpy
 #: (below it the conversion's fixed cost per block outweighs what it saves)
 _ARRAY_MIN = 360
-#: numbers per block of the numpy conversion: a call costs about 150 us
+#: numbers per block of the numpy conversion: a call costs about 0.1 ms
 #: whatever its size, and a block's working set (about 550 kB in a 12-column
 #: grid table) stays below that of one chunk of the propagation kernel
 _BLOCK = 4096

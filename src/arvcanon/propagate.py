@@ -33,9 +33,10 @@ The kernel's working set is set by one chunk of _CELLS (z, piece) cells:
 its propagator stack (64 bytes a cell, 256 kB) and, while the stack is
 built and scanned, a few more arrays of a number a cell.  ``_expm`` and
 ``_mul`` write into buffers they already hold and drop each intermediate
-after its last use, with the same ufuncs on the same operands in the same
-order, so the bits are those of a new array per intermediate while a
-chunk peaks at about 0.78 MB instead of 1.18 MB (numpy 2.4).
+after its last use, and ``_scan`` drops each step's products once they are
+copied in, with the same ufuncs on the same operands in the same order:
+the bits are those of a new array per intermediate, while a chunk peaks at
+about 0.78 MB instead of 1.18 MB (numpy 2.4).
 ``transfer_to_end`` is the kernel's suffix mode: T(z; l -> L) for every l
 of the head from one call over the reversed stream.  Every transfer
 function here is a thin wrapper around these: ``transfer_between`` is
@@ -141,6 +142,7 @@ def _expm(g11, g12, g21, d):
     flip = (rho * np.conj(g11)).real < 0.0  # |rho + g11| < |rho - g11|
     big = np.where(flip, rho - g11, rho + g11)
     del g11
+    # big = 0 only where rho = g11 = 0, and there g12 g21 = 0 already
     small = np.divide(g1221, big, g1221, where=big != 0.0)
     s = -2.0 * x
     np.expm1(s, s)

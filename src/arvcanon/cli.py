@@ -19,11 +19,11 @@ call and reused by every later one in the process (not at import).  Exit
 codes: 0 ok, 1 any other library error or a standard output closed by its
 reader (silently), 2 parse, 3 validation.  Grids are computed by the
 vectorised propagation kernel in one thread, ``schur``
-closes every value with the tail, and ``riccati`` either pulls the tail's
+certifies every value at round-off (a disk below ``weyl.SCHUR_TOL``, or
+closed by the tail), and ``riccati`` either pulls the tail's
 value back to every row (``--s0 auto``: the stripped Schur values, which
 never escape) or solves the stripping flow exactly from an explicit s0.
-``--tol`` belongs to the subcommands that shrink Weyl disks to a Schur value
-(schur, reflectionless, bp); ``transfer`` and ``disks`` accept
+No subcommand takes a tolerance; ``transfer`` and ``disks`` accept
 ``--threads``, which changes nothing and stays out of the config hash.
 """
 
@@ -561,9 +561,9 @@ def _cmd_schur(ns):
     zs = parse_zgrid(ns.zgrid)
     p_left, p_right = loaded if isinstance(loaded, tuple) else (loaded, loaded)
     if ns.side == "minus":
-        s, radius, l_stop = weyl.schur_minus_grid(zs, p_left, ns.tol)
+        s, radius, l_stop = weyl.schur_minus_grid(zs, p_left)
     else:
-        s, radius, l_stop = weyl.schur_grid(zs, p_right, ns.tol)
+        s, radius, l_stop = weyl.schur_grid(zs, p_right)
     _write_table(ns.output,
                  ("z_re", "z_im", "s_re", "s_im", "residual_radius", "l_stop"),
                  (zs.real, zs.imag, s.real, s.imag, radius, l_stop), _config_hash(ns))
@@ -617,8 +617,7 @@ def _cmd_reflectionless(ns):
         ladder = tuple(float(e) for e in ns.eps.split(","))
     except ValueError:
         raise ParseError(f"bad eps ladder {ns.eps!r}")
-    reports = spec.reflectionless_ladder(p_left, p_right, xs, ladder,
-                                         delta=ns.delta, tol=ns.tol)
+    reports = spec.reflectionless_ladder(p_left, p_right, xs, ladder, delta=ns.delta)
     columns = zip(*((rep.xs, np.full(rep.xs.size, rep.eps), rep.s_plus.real, rep.s_plus.imag,
                      rep.s_minus.real, rep.s_minus.imag, rep.defect, rep.ac, rep.ok)
                     for rep in reports))
@@ -657,7 +656,7 @@ def _cmd_bp(ns):
     if any(len(iv) != 2 for iv in intervals):
         raise ParseError("band intervals must be 'lo,hi' pairs")
     report = spec.bp_defect(p_left, p_right, intervals, (t1, t2), l_values,
-                            ns.xstep, ns.eps, tol=ns.tol)
+                            ns.xstep, ns.eps)
     _write_table(ns.output, ("l", "defect", "n_points", "n_excluded"),
                  (report.l_values, report.defects,
                   np.full(len(report.l_values), report.n_points), report.n_excluded),
@@ -710,21 +709,17 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, schur=True):
-        """A subcommand; those that shrink Weyl disks to a Schur value take
-        --tol."""
+    def command(name, func, help):
+        """A subcommand, with the --input and --output every one takes."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--input", required=True, help="coefficient JSON file")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        if schur:
-            p.add_argument("--tol", type=float, default=weyl.SCHUR_TOL,
-                           help="disk-shrinkage tolerance for Schur evaluation")
         return p
 
     for name, func, what in (("transfer", _cmd_transfer, "transfer matrices"),
                              ("disks", _cmd_disks, "Weyl disks")):
-        p = command(name, func, f"{what} over a (z, l) grid", schur=False)
+        p = command(name, func, f"{what} over a (z, l) grid")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; the computation is "
                             "vectorised and single-threaded")
@@ -735,13 +730,13 @@ def build_parser():
     p.add_argument("--zgrid", required=True, help=_ZGRID_HELP)
     p.add_argument("--side", choices=("plus", "minus"), default="plus")
 
-    p = command("riccati", _cmd_riccati, "stripping-flow trajectory", schur=False)
+    p = command("riccati", _cmd_riccati, "stripping-flow trajectory")
     p.add_argument("--z", required=True,
                    help="spectral point 're,im' or 'i'; write --z=-0.4,0.6 for a leading '-'")
     p.add_argument("--s0", default="auto", help="'auto' or a complex token re,im")
     p.add_argument("--lgrid", required=True)
 
-    p = command("type", _cmd_type, "exponential type, both faces", schur=False)
+    p = command("type", _cmd_type, "exponential type, both faces")
     p.add_argument("--l", type=float, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -759,7 +754,7 @@ def build_parser():
     p.add_argument("--xstep", type=float, default=0.05)
     p.add_argument("--eps", type=float, default=1e-3)
 
-    p = command("gauge", _cmd_gauge, "regauge a sampled family", schur=False)
+    p = command("gauge", _cmd_gauge, "regauge a sampled family")
     p.add_argument("--to", choices=("arov", "pdb"), required=True)
     p.add_argument("--zgrid", required=True, help=_ZGRID_HELP)
     p.add_argument("--lgrid", required=True)

@@ -76,12 +76,12 @@ class ABPair:
         return self.A + self.B
 
 
-def ab_from_a(a, tol=COEFF_TOL):
+def ab_from_a(a):
     """Expand a unit-disk coefficient into its (A, B) generator pair."""
     a = complex(a)
     if not np.isfinite(a.real) or not np.isfinite(a.imag):
         raise InputError("coefficient a must be finite")
-    if abs(a) > 1.0 + tol:
+    if abs(a) > 1.0 + COEFF_TOL:
         raise CoefficientError(f"coefficient out of range: |a| = {abs(a)} > 1")
     ac = np.conj(a)
     A = mat2(1.0, -ac, -a, 1.0)

@@ -168,7 +168,7 @@ def mobius_right(w, m):
     return np.divide(num, den, out=inf, where=den != 0)[()]
 
 
-def su11_normalizer(t, det_tol=DET_TOL, class_tol=CLASS_TOL):
+def su11_normalizer(t):
     """The unique U in SU(1,1) such that ``T U`` is lower triangular with
     positive diagonal, for j-contractive T with det T = 1; of each matrix
     of a stack, the first failing one named in the error.
@@ -181,10 +181,10 @@ def su11_normalizer(t, det_tol=DET_TOL, class_tol=CLASS_TOL):
     a, b = t[..., 0, 0], t[..., 0, 1]
     lam2 = np.abs(a) ** 2 - np.abs(b) ** 2
     det = det2(t)
-    _, cls = j_defect(t, class_tol)
+    _, cls = j_defect(t)
     _raise_first(
         PreconditionError,
-        (np.abs(det - 1.0) > det_tol,
+        (np.abs(det - 1.0) > DET_TOL,
          lambda *i: f"su11_normalizer needs det T = 1, got det = {det[i]}"),
         (~cls.is_contractive, lambda *i: "su11_normalizer needs a j-contractive "
          f"matrix, got {np.asarray(cls.kind)[i].value}"),

@@ -53,7 +53,7 @@ def riccati_rhs(s, z, a):
     return np.conj(a) * (iz + 1.0) * s * s - 2.0 * iz * s + a * (iz - 1.0)
 
 
-def disk_root(qa, qb, qc, tol=1e-9):
+def disk_root(qa, qb, qc):
     """Root in the closed unit disk of qa w^2 + qb w + qc = 0, elementwise
     over complex arrays of one shape.
 
@@ -70,7 +70,7 @@ def disk_root(qa, qb, qc, tol=1e-9):
     num, den = np.where(small, qc, q), np.where(small, q, qa)
     root = np.divide(num, den, out=np.where(num == 0.0, 0j, complex(np.inf)),
                      where=den != 0.0)
-    bad = ~(np.abs(root) <= 1.0 + tol)
+    bad = ~(np.abs(root) <= 1.0 + 1e-9)  # slack for a root on the circle
     if bad.any():
         i = np.argmax(bad)
         raise InconsistencyError(
@@ -79,7 +79,7 @@ def disk_root(qa, qb, qc, tol=1e-9):
     return root
 
 
-def riccati_fixed_point(z, a, tol=1e-9):
+def riccati_fixed_point(z, a):
     """Root of the stationarity quadratic lying in the closed unit disk, at a
     spectral point or an array of them (``disk_root``; at z = i the leading
     coefficient vanishes and the root is a itself)."""
@@ -89,7 +89,7 @@ def riccati_fixed_point(z, a, tol=1e-9):
     if abs(a) > 1.0 + coeff.COEFF_TOL:
         raise CoefficientError(f"|a| = {abs(a)} > 1")
     iz = 1j * z
-    s = disk_root(np.conj(a) * (iz + 1.0), -2.0 * iz, a * (iz - 1.0), tol)
+    s = disk_root(np.conj(a) * (iz + 1.0), -2.0 * iz, a * (iz - 1.0))
     return complex(s) if s.ndim == 0 else s
 
 
@@ -231,21 +231,21 @@ def integrate_riccati(z, s0, p, l):
     return riccati_trajectory(z, s0, p, [l])[-1]
 
 
-def a_to_c(a, tol=1e-12):
+def a_to_c(a):
     """Boundary-limit coordinate of a disk coefficient:
     c = a / (1 + sqrt(1 - |a|^2)).  Fixes the unit circle pointwise."""
     a = complex(a)
     r2 = abs(a) ** 2
-    if r2 > 1.0 + tol:
+    if r2 > 1.0 + coeff.COEFF_TOL:
         raise DomainError(f"|a| = {abs(a)} > 1")
     return a / (1.0 + np.sqrt(max(1.0 - r2, 0.0)))
 
 
-def c_to_a(c, tol=1e-12):
+def c_to_a(c):
     """Inverse of a_to_c: a = 2 c / (1 + |c|^2)."""
     c = complex(c)
     r2 = abs(c) ** 2
-    if r2 > 1.0 + tol:
+    if r2 > 1.0 + coeff.COEFF_TOL:
         raise DomainError(f"|c| = {abs(c)} > 1")
     return 2.0 * c / (1.0 + r2)
 

@@ -63,16 +63,11 @@ def exponential_type_integral(system, l):
 
 def exponential_type_numeric(system, l, ys=TYPE_RAY):
     """Measured exponential type: log ||A(iy, l)|| / y on a geometric y-grid,
-    Richardson-extrapolated in 1/y.  ``system`` may also be a callable
-    z -> (M, logscale) producing scaled transfer matrices, which is how
-    overflow at y * sigma of a few thousand is avoided; a coefficient system
-    is propagated at every y in one kernel call."""
+    Richardson-extrapolated in 1/y.  The system is propagated at every y in
+    one kernel call, scaled, so y * sigma of a few thousand cannot overflow."""
     ys = tuple(float(y) for y in ys)
-    if callable(system):
-        m, c = (np.array(v) for v in zip(*(system(1j * y) for y in ys)))
-    else:
-        m, c = prop.transfer_grid(system, 1j * np.array(ys), [l])
-        m, c = m[:, 0], c[:, 0]
+    m, c = prop.transfer_grid(system, 1j * np.array(ys), [l])
+    m, c = m[:, 0], c[:, 0]
     estimate, _ = richardson_extrapolate((c + np.log(norm2(m))) / ys, ys[1] / ys[0])
     return float(estimate.real)
 
@@ -150,8 +145,8 @@ class ReflectionlessReport:
 
     defect[i] = |s_plus(x_i + i eps) - conj(s_minus(x_i + i eps))|;
     ac[i] marks the pointwise a.c.-band proxy max(|s+|, |s-|) < 1 - delta;
-    ok[i] is True at every point: every Schur value is closed exactly by the
-    tail, so no point can fail on its own.
+    ok[i] is True at every point: every Schur value is certified at
+    round-off or closed exactly by the tail, so no point can fail on its own.
     """
 
     xs: np.ndarray
@@ -164,16 +159,14 @@ class ReflectionlessReport:
     delta: float
 
 
-def reflectionless_defect(p_left, p_right, xs, eps, delta=AC_DELTA,
-                          tol=weyl.SCHUR_TOL):
+def reflectionless_defect(p_left, p_right, xs, eps, delta=AC_DELTA):
     """Evaluate both half-line Schur functions just above the real axis and
     report the reflectionless defect per grid point: ``reflectionless_ladder``
     at one eps."""
-    return reflectionless_ladder(p_left, p_right, xs, (eps,), delta, tol)[0]
+    return reflectionless_ladder(p_left, p_right, xs, (eps,), delta)[0]
 
 
-def reflectionless_ladder(p_left, p_right, xs, eps_ladder=EPS_LADDER,
-                          delta=AC_DELTA, tol=weyl.SCHUR_TOL):
+def reflectionless_ladder(p_left, p_right, xs, eps_ladder=EPS_LADDER, delta=AC_DELTA):
     """Reports for a decreasing eps ladder, exhibiting the eps -> 0 trend,
     every (eps, x) point of each half in one ``weyl`` grid call.
     No extrapolation to eps = 0 is attempted: boundary values exist a.e. but
@@ -185,8 +178,8 @@ def reflectionless_ladder(p_left, p_right, xs, eps_ladder=EPS_LADDER,
         raise DomainError("eps must be positive and finite")
     xs = np.asarray(xs, dtype=float).ravel()
     zs = (xs + 1j * eps[:, None]).ravel()
-    sp = weyl.schur_grid(zs, p_right, tol)[0].reshape(eps.size, xs.size)
-    sm = weyl.schur_minus_grid(zs, p_left, tol)[0].reshape(eps.size, xs.size)
+    sp = weyl.schur_grid(zs, p_right)[0].reshape(eps.size, xs.size)
+    sm = weyl.schur_minus_grid(zs, p_left)[0].reshape(eps.size, xs.size)
     defect = np.abs(sp - np.conj(sm))
     ac = np.maximum(np.abs(sp), np.abs(sm)) < 1.0 - delta
     ok = np.ones(xs.size, dtype=bool)
@@ -214,8 +207,7 @@ class BPReport:
     hypothesis_violations: tuple
 
 
-def bp_defect(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
-              tol=weyl.SCHUR_TOL):
+def bp_defect(p_left, p_right, e_intervals, arc, l_values, x_step, eps):
     """Harmonic-measure defect of a two-sided system on a length ladder.
 
     e_intervals: list of (lo, hi) subsets of the a.c. band; arc = (t1, t2) a
@@ -248,7 +240,7 @@ def bp_defect(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
     # reversed) of the transfer matrices at the same points, one call each
     zs = np.append(all_x + 1j * eps, 1j)
     sp = weyl.stripped_grid(zs, p_right, l_values)
-    sm0, _, _ = weyl.schur_minus_grid(zs[:-1], p_left, tol)
+    sm0, _, _ = weyl.schur_minus_grid(zs[:-1], p_left)
     m_x, _ = prop.transfer_grid(p_right, zs, l_values)
     (sp, sp_i), (m_x, m_i) = np.split(sp, [-1]), np.split(m_x, [-1])
     # interior hypothesis at each probe length; v(i) = 0 for the minus half

@@ -33,8 +33,12 @@ from .mat2 import DET_TOL, adjugate, as_mat2, det2, j_defect, mobius_right, mul2
 LIMIT_POINT = "limit_point"
 LIMIT_CIRCLE = "limit_circle"
 
-#: default disk-shrinkage target for Schur evaluation.
-SCHUR_TOL = 1e-9
+#: disk radius that certifies a Schur value: a disk this small fixes its
+#: center to round-off (45 ulps of 1).  Radii decay exponentially in l, so
+#: each rung of the doubling ladder roughly squares them: on 10^4- and
+#: 10^5-interval heads at Im z = 0.05, 0.5 and 1, 1e-14 stops on the same
+#: rung as 1e-9, where 1e-15 can cost one more.
+SCHUR_TOL = 1e-14
 
 #: slack allowed when asserting monotone nesting of successive disks.
 NESTING_SLACK = 1e-10
@@ -50,9 +54,9 @@ class Disk:
     center: complex
     radius: float
 
-    def nested_in(self, other, slack=NESTING_SLACK):
-        """Whether self is contained in other, up to slack."""
-        return abs(self.center - other.center) <= other.radius - self.radius + slack
+    def nested_in(self, other):
+        """Whether self is contained in other, up to NESTING_SLACK."""
+        return abs(self.center - other.center) <= other.radius - self.radius + NESTING_SLACK
 
 
 def _disk_arrays(m, logc):
@@ -79,13 +83,13 @@ def _disk_from_scaled(m, logc):
     return Disk(complex(center), float(radius))
 
 
-def weyl_disk(t, assume_contractive=False, det_tol=DET_TOL, class_tol=1e-10):
+def weyl_disk(t, assume_contractive=False):
     """Weyl disk of a j-contractive matrix with det T = 1."""
     t = as_mat2(t, "T")
     if not assume_contractive:
-        if abs(det2(t) - 1.0) > det_tol:
+        if abs(det2(t) - 1.0) > DET_TOL:
             raise PreconditionError(f"weyl_disk needs det T = 1, got {det2(t)}")
-        _, cls = j_defect(t, class_tol)
+        _, cls = j_defect(t)
         if not cls.is_contractive:
             raise PreconditionError(
                 f"weyl_disk needs a j-contractive matrix, got {cls.kind.value}"
@@ -127,8 +131,9 @@ def classify_limit(p):
 @dataclass(frozen=True)
 class SchurValue:
     """Schur-function sample with the residual disk radius that certified it
-    and the length at which the iteration stopped; a value closed by the tail
-    has residual radius 0 and stops at the head's end L."""
+    and the length at which the iteration stopped: a value stopped inside the
+    head has a radius below ``SCHUR_TOL``, at round-off; a value closed by
+    the tail has residual radius 0 and stops at the head's end L."""
 
     value: complex
     residual_radius: float
@@ -169,7 +174,7 @@ def _schur_points(zs, p):
     return zs
 
 
-def schur_grid(zs, p, tol=SCHUR_TOL):
+def schur_grid(zs, p):
     """Half-line Schur function at every z of a grid: Weyl-disk shrinkage
     along the head, closed exactly by the tail.
 
@@ -179,8 +184,10 @@ def schur_grid(zs, p, tol=SCHUR_TOL):
     later pass resumes from the scaled T(z, l) at which the previous one
     stopped: ``transfer_grid`` from l gives T(l -> l') over the pieces past
     l only, and head @ m composes it with T(z, l), so no piece of the head
-    is crossed twice.  A point stops at the first radius below tol, nesting
-    asserted up to there (across passes too).  A point still open at L takes
+    is crossed twice.  A point stops at the first radius below ``SCHUR_TOL``,
+    where its disk fixes it to round-off, nesting asserted up to there
+    (across passes too), so a point whose disk closes early crosses only
+    the pieces it needs.  A point still open at L takes
     the tail's own value (``_tail_value``) pulled back through adj T(z, L),
     with residual radius 0.  Returns (value, residual_radius, l_stop).
     """
@@ -207,7 +214,7 @@ def schur_grid(zs, p, tol=SCHUR_TOL):
             c = np.concatenate((hc, hc + c), axis=1)
         base = max(start - 1, 0)  # the index in ls of column 0
         centers, radii = _disk_arrays(m, c)
-        hit = radii < tol
+        hit = radii < SCHUR_TOL
         if upto == ls.size:
             hit[:, -1] = True  # the tail closes every point still open
         conv = hit.any(axis=1)
@@ -232,9 +239,9 @@ def schur_grid(zs, p, tol=SCHUR_TOL):
     return value, radius, l_stop
 
 
-def schur_plus(z, p, tol=SCHUR_TOL):
+def schur_plus(z, p):
     """Half-line Schur function at one point (see ``schur_grid``)."""
-    value, radius, l_stop = schur_grid([z], p, tol=tol)
+    value, radius, l_stop = schur_grid([z], p)
     return SchurValue(complex(value[0]), float(radius[0]), float(l_stop[0]))
 
 
@@ -280,19 +287,19 @@ def mobius_factor(z):
     return (z - 1j) / (z + 1j)
 
 
-def schur_minus_grid(zs, p_left, tol=SCHUR_TOL):
+def schur_minus_grid(zs, p_left):
     """Left half-line Schur function s_minus(z) = v(z) * s_plus of the
     reflected system at every z of a grid; vanishes at z = i by
     construction.  Returns (value, residual_radius, l_stop)."""
     zs = np.asarray(zs, dtype=complex).ravel()
-    value, radius, l_stop = schur_grid(zs, coeff.reflect(p_left), tol)
+    value, radius, l_stop = schur_grid(zs, coeff.reflect(p_left))
     v = mobius_factor(zs)
     return v * value, np.abs(v) * radius, l_stop
 
 
-def schur_minus(z, p_left, tol=SCHUR_TOL):
+def schur_minus(z, p_left):
     """Left half-line Schur function at one point (see ``schur_minus_grid``)."""
-    value, radius, l_stop = schur_minus_grid([z], p_left, tol)
+    value, radius, l_stop = schur_minus_grid([z], p_left)
     return SchurValue(complex(value[0]), float(radius[0]), float(l_stop[0]))
 
 

@@ -19,8 +19,7 @@ from arvcanon.propagate import transfer, transfer_grid
 from arvcanon.riccati import (ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK,
                               RiccatiState, riccati_rhs)
 from arvcanon.spectral import harmonic_measure
-from arvcanon.weyl import (SCHUR_TOL, schur_minus_grid, schur_stripped,
-                           stripped_grid)
+from arvcanon.weyl import schur_minus_grid, schur_stripped, stripped_grid
 
 
 def random_parameters(rng, n_max=12, total_mu=2.0, a_cap=0.95,
@@ -392,8 +391,7 @@ def doubling_oracle(p, z, tol=1e-9):
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def bp_defect_loop(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
-                   tol=SCHUR_TOL):
+def bp_defect_loop(p_left, p_right, e_intervals, arc, l_values, x_step, eps):
     """``bp_defect`` written point by point: per probe length and sample
     point, the plus half's stripped value pulled back at that point alone
     (``stripped_grid`` at one point, which gives a point the bits it gets in
@@ -405,7 +403,7 @@ def bp_defect_loop(p_left, p_right, e_intervals, arc, l_values, x_step, eps,
              for lo, hi in e_intervals]
     zs = np.concatenate(grids) + 1j * eps
     sp_x = [stripped_grid([z], p_right, l_values)[0] for z in zs]
-    sm0, _, _ = schur_minus_grid(zs, p_left, tol)
+    sm0, _, _ = schur_minus_grid(zs, p_left)
     sp_i = stripped_grid([1j], p_right, l_values)[0]
     m_i, _ = transfer_grid(p_right, [1j], l_values)
     m_x, _ = transfer_grid(p_right, zs, l_values)

@@ -148,8 +148,8 @@ def test_criterion_06_schur_cross_validation():
         p = constant_parameters(a)
         for z in (1j, 2j, 1 + 1j):
             center, _, _ = doubling_oracle(p, z, tol=1e-10)
-            worst_fp = max(worst_fp, abs(schur_plus(z, p, tol=1e-10).value - center))
-        worst_i = max(worst_i, abs(schur_plus(1j, p, tol=1e-10).value - a))
+            worst_fp = max(worst_fp, abs(schur_plus(z, p).value - center))
+        worst_i = max(worst_i, abs(schur_plus(1j, p).value - a))
     ok = worst_fp <= 1e-7 and worst_i <= 1e-9
     _report(6, "tail closure equals the disk-shrinkage limit", ok,
             f"max |closure - disk limit| = {worst_fp:.3e} (<= 1e-7), "
@@ -163,7 +163,7 @@ def test_criterion_07_riccati_stripping_agreement():
         p = random_parameters(rng, n_max=8,
                               total_mu=float(rng.uniform(1.0, 5.0)), a_cap=0.9)
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.5))
-        s0 = schur_plus(z, p, tol=1e-11).value
+        s0 = schur_plus(z, p).value
         state = integrate_riccati(z, s0, p, p.length)
         ref = rk4_riccati(z, s0, p, p.length)
         worst = max(worst, abs(state.s - ref.s))
@@ -307,8 +307,8 @@ def test_criterion_12_gauge_and_reparametrization_invariance():
         values = np.concatenate(([0.0], np.sort(rng.uniform(0.2, 1.0, 3)) * p.length))
         q = reparametrize(p, breaks, values)
         z = complex(rng.uniform(-1, 1), rng.uniform(0.4, 1.2))
-        sp = schur_plus(z, p, tol=1e-11).value
-        sq = schur_plus(z, q, tol=1e-11).value
+        sp = schur_plus(z, p).value
+        sq = schur_plus(z, q).value
         worst_reparam = max(worst_reparam, abs(sp - sq))
         for lq in rng.uniform(0.1, breaks[-1], 4):
             lp = float(np.interp(lq, breaks, values))

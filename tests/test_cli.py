@@ -103,7 +103,7 @@ def test_schur_closes_with_the_tail(tmp_path, const_half):
     # Im z = 1e-8
     out = tmp_path / "s.csv"
     assert cli.main(["schur", "--input", const_half, "--zgrid", "0,0.001:1.2,1e-8:2",
-                     "--tol", "1e-12", "--output", str(out)]) == 0
+                     "--output", str(out)]) == 0
     _, rows = _read_rows(out)
     zs = np.array([complex(float(r[0]), float(r[1])) for r in rows])
     s = np.array([complex(float(r[2]), float(r[3])) for r in rows])
@@ -186,9 +186,12 @@ def test_riccati_auto_rows_are_the_stripped_values(tmp_path):
 
 
 def test_removed_options_are_parse_errors(const_half, capsys):
-    # --tol only where Weyl disks shrink to a Schur value, --threads only on
-    # transfer and disks
+    # no subcommand takes --tol (Schur values are certified at round-off),
+    # --threads only on transfer and disks
     for argv in (["riccati", "--z", "0.3,0.5", "--lgrid", "0:1:0.5", "--step", "0.1"],
+                 ["schur", "--zgrid", "0,0.5:1,1:3", "--tol", "1e-10"],
+                 ["reflectionless", "--xgrid", "0:1:0.5", "--tol", "1e-3"],
+                 ["bp", "--e", "0,1", "--arc", "0:1", "--tol", "1e-3"],
                  ["riccati", "--z", "0.3,0.5", "--lgrid", "0:1:0.5", "--tol", "1e-3"],
                  ["schur", "--zgrid", "i", "--lmax", "2"],
                  ["transfer", "--zgrid", "i", "--lgrid", "0:1:0.5", "--tol", "1e-3"],
@@ -210,9 +213,9 @@ def test_removed_options_are_parse_errors(const_half, capsys):
 
 def test_config_hash_of_a_schur_command_is_unchanged():
     # the hash is over the parsed options: dropping options that schur never
-    # had must not move it
-    for argv, want in ((["--zgrid", "0,0.5:1,1:3", "--tol", "1e-10"], "923fc49905d1"),
-                       (["--zgrid", "i"], "265063fc164c")):
+    # had must not move it (dropping its own --tol did)
+    for argv, want in ((["--zgrid", "0,0.5:1,1:3"], "9e7097d6f11f"),
+                       (["--zgrid", "i"], "4969de13b34a")):
         ns = cli.build_parser().parse_args(["schur", "--input", "system.json"] + argv)
         assert cli._config_hash(ns) == want
 

@@ -32,7 +32,7 @@ def test_rhs_matches_finite_difference_of_stripping():
         p = random_parameters(rng, n_max=1, a_cap=0.8)  # single interval
         a = complex(p.a[0])
         z = complex(rng.uniform(-1, 1), rng.uniform(0.4, 1.2))
-        s0 = schur_plus(z, p, tol=1e-11).value
+        s0 = schur_plus(z, p).value
         m = float(p.m[0])
         h = 1e-5
 
@@ -110,7 +110,7 @@ def test_escape_point_is_exact_for_free_coefficient():
 def test_true_schur_value_is_stationary():
     p = constant_parameters(0.35 - 0.25j)
     z = 0.8 + 1.1j
-    s0 = schur_plus(z, p, tol=1e-11).value
+    s0 = schur_plus(z, p).value
     state = integrate_riccati(z, s0, p, 4.0)
     assert state.status == STATUS_OK
     assert abs(state.s - s0) < 1e-8
@@ -121,7 +121,7 @@ def test_trajectory_matches_rk4_on_random_systems():
     for _ in range(8):
         p = random_parameters(rng, total_mu=float(rng.uniform(2.0, 5.0)))
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.5))
-        s0 = schur_plus(z, p, tol=1e-11).value
+        s0 = schur_plus(z, p).value
         state = integrate_riccati(z, s0, p, p.length)
         ref = rk4_riccati(z, s0, p, p.length)
         assert state.status == ref.status == STATUS_OK

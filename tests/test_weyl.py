@@ -12,7 +12,7 @@ from arvcanon import (ArovParameters, DegenerateActionError, DomainError,
 from arvcanon.mat2 import adjugate, mat2, mobius_right
 from arvcanon.propagate import transfer, transfer_scaled
 from arvcanon.riccati import riccati_fixed_point
-from arvcanon.weyl import _disk_from_scaled, schur_grid, stripped_grid
+from arvcanon.weyl import SCHUR_TOL, _disk_from_scaled, schur_grid, stripped_grid
 
 from helpers import (doubling_oracle, random_contractive, random_parameters,
                      random_upper_z)
@@ -66,7 +66,7 @@ def test_disk_nesting_along_length():
     z = random_upper_z(rng)
     disks = [weyl_disk_at(p, z, l) for l in np.linspace(0.1, 2.5 * p.length, 12)]
     for d1, d2 in zip(disks, disks[1:]):
-        assert d2.nested_in(d1, slack=1e-10)
+        assert d2.nested_in(d1)
 
 
 def test_locally_uniform_shrinkage_on_compact_grid():
@@ -117,12 +117,12 @@ def test_schur_plus_at_i_equals_coefficient():
 def test_schur_plus_matches_riccati_fixed_point():
     for a in (0.3, 0.6, 0.9j):
         for z in (1j, 2j, 1 + 1j):
-            sv = schur_plus(z, constant_parameters(a), tol=1e-10)
+            sv = schur_plus(z, constant_parameters(a))
             assert abs(sv.value - riccati_fixed_point(z, a)) < 1e-7
 
 
 def test_schur_plus_fixed_value_at_2i():
-    sv = schur_plus(2j, constant_parameters(0.6), tol=1e-10)
+    sv = schur_plus(2j, constant_parameters(0.6))
     assert abs(sv.value - (4.0 - np.sqrt(11.68)) / 1.2) < 1e-9
 
 
@@ -139,12 +139,12 @@ def test_schur_plus_periodic_tail():
     per = ArovParameters([1.0], [1.0], [0.45], tail="periodic")
     const = constant_parameters(0.45)
     for z in (1j, 0.6 + 0.8j):
-        sv_p = schur_plus(z, per, tol=1e-10)
-        sv_c = schur_plus(z, const, tol=1e-10)
+        sv_p = schur_plus(z, per)
+        sv_c = schur_plus(z, const)
         assert abs(sv_p.value - sv_c.value) < 1e-9
     # a genuinely two-piece pattern still has nested, shrinking disks
     per2 = ArovParameters([0.5, 1.0], [1.0, 0.5], [0.3, -0.6j], tail="periodic")
-    sv = schur_plus(2j, per2, tol=1e-10)
+    sv = schur_plus(2j, per2)
     assert abs(sv.value) <= 1.0
     assert sv.residual_radius < 1e-10
 
@@ -161,7 +161,7 @@ def test_schur_plus_probe_independence():
     rng = np.random.default_rng(44)
     p = random_parameters(rng, a_cap=0.8)
     z = 0.4 + 0.9j
-    sv = schur_plus(z, p, tol=1e-10)
+    sv = schur_plus(z, p)
     m, _ = transfer_scaled(z, p, 60.0)
     for w in (0.0, 0.5, -0.5j):
         probe = mobius_right(w, adjugate(m))
@@ -172,7 +172,7 @@ def test_schur_stripped_identity_and_stationarity():
     assert schur_stripped(0.3 + 0.1j, np.eye(2)) == 0.3 + 0.1j
     p = constant_parameters(0.45)
     z = 0.7 + 1.3j
-    s = schur_plus(z, p, tol=1e-11).value
+    s = schur_plus(z, p).value
     for l in (0.5, 1.5, 4.0):
         assert abs(schur_stripped(s, transfer(z, p, l)) - s) < 1e-8
 
@@ -182,9 +182,9 @@ def test_schur_stripped_matches_disk_limit_of_tail_system():
     p = random_parameters(rng, a_cap=0.8)
     z = -0.3 + 1.1j
     l0 = 0.6 * p.length
-    s = schur_plus(z, p, tol=1e-11).value
+    s = schur_plus(z, p).value
     stripped = schur_stripped(s, transfer(z, p, l0))
-    direct = schur_plus(z, strip_head(p, l0), tol=1e-11).value
+    direct = schur_plus(z, strip_head(p, l0)).value
     assert abs(stripped - direct) < 1e-8
 
 
@@ -197,7 +197,7 @@ def test_schur_minus_vanishes_at_i():
 
 def test_schur_minus_constant_coefficient_value():
     a = 0.4 + 0.2j
-    sv = schur_minus(2j, constant_parameters(a), tol=1e-10)
+    sv = schur_minus(2j, constant_parameters(a))
     expected = (1.0 / 3.0) * riccati_fixed_point(2j, np.conj(a))
     assert abs(sv.value - expected) < 1e-7
 
@@ -243,7 +243,7 @@ def _check_against_doubling_oracle(zs, p):
     # is closed by the tail and lies in the oracle's last disk
     values, radii, l_stop = schur_grid(zs, p)
     for i, z in enumerate(zs):
-        center, radius, l = doubling_oracle(p, z)
+        center, radius, l = doubling_oracle(p, z, SCHUR_TOL)
         if radii[i] > 0.0:
             assert l_stop[i] == l < p.length
             assert abs(values[i] - center) < 1e-11
@@ -255,18 +255,34 @@ def _check_against_doubling_oracle(zs, p):
     return radii
 
 
+def _oracle_head(n):
+    rng = np.random.default_rng(49)
+    grid = np.cumsum(rng.uniform(0.02, 0.05, n)) if n > 3 else [0.4, 1.0, 1.3]
+    return ArovParameters(grid, rng.uniform(0.5, 1.2, n),
+                          0.8 * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n)))
+
+
+_ORACLE_ZS = np.array([0.3 + 0.05j, 1.1 + 0.5j, -0.7 + 0.05j, 0.2 + 1.5j, 0.4 + 4.0j])
+
+
 @pytest.mark.parametrize("n", (3, 1500))
 def test_schur_grid_matches_doubling_oracle(n):
     # with 1500 intervals of the head some points stop inside it and others
     # are closed by the tail, across passes
-    rng = np.random.default_rng(49)
-    grid = np.cumsum(rng.uniform(0.02, 0.05, n)) if n > 3 else [0.4, 1.0, 1.3]
-    p = ArovParameters(grid, rng.uniform(0.5, 1.2, n),
-                       0.8 * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n)))
-    zs = np.array([0.3 + 0.05j, 1.1 + 0.5j, -0.7 + 0.05j, 0.2 + 1.5j, 0.4 + 4.0j])
-    radii = _check_against_doubling_oracle(zs, p)
+    radii = _check_against_doubling_oracle(_ORACLE_ZS, _oracle_head(n))
     if n > 3:
         assert (radii > 0.0).any() and (radii == 0.0).any()
+
+
+def test_schur_grid_is_certified_at_round_off():
+    # a value stopped inside the head agrees with the tail's value pulled
+    # back to l = 0, which no disk radius limits; a radius of 1e-9 left
+    # gaps of 4e-13 here
+    p = _oracle_head(1500)
+    zs = np.append(_ORACLE_ZS, [0.5 + 1j, -1.0 + 0.3j])
+    values, radii, _ = schur_grid(zs, p)
+    assert (radii > 0.0).any()
+    assert np.max(np.abs(values - stripped_grid(zs, p, [0.0])[:, 0])) <= 1e-14
 
 
 def test_schur_grid_periodic_tail_matches_doubling_oracle():
@@ -333,7 +349,7 @@ def test_stripped_grid_matches_the_schur_function_of_the_stripped_system(case):
     assert s.shape == (zs.size, ls.size)
     for i, z in enumerate(zs):
         for j, l in enumerate(ls):
-            want = schur_plus(z, strip_head(p, l), tol=1e-13).value
+            want = schur_plus(z, strip_head(p, l)).value
             assert abs(s[i, j] - want) <= 1e-12, (z, l)
     if p.tail == TAIL_CONSTANT:  # past L: the stationarity root itself
         assert np.array_equal(s[:, 6:], np.repeat(riccati_fixed_point(zs, p.a[-1])[:, None],

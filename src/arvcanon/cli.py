@@ -2,31 +2,30 @@
 
 Subcommands: transfer, disks, schur, riccati, type, reflectionless, bp,
 gauge.  Coefficient files are the JSON schemas documented in
-``coefficients``; outputs are CSV tables (17 significant digits, stable row
-order, a header comment carrying the config hash) or JSON reports.  A CSV
-is written from column arrays in blocks of rows, the bytes of
-format(x, ".17g") per number: an all-numeric table of a few hundred
-numbers or more converted to decimal in numpy, about 4,096 numbers a call,
-any other by one % operation a block.  The block is that large because
-each conversion call has a fixed cost of about 0.1 ms; its working set
-(about 550 kB for a 12-column table) stays below the propagation kernel's
-for one chunk of (z, piece) cells, so the writer does not set a command's
-peak memory.  The z_re, z_im and l columns of the (z, l) grid tables
-(transfer, disks, gauge) are handed over as distinct values and a row
-index, and in numpy each distinct value is converted once, its text
-gathered into every row.  The argument parser is built on the first ``main``
-call and reused by every later one in the process (not at import).  Exit
-codes: 0 ok, 1 any other library error or a standard output closed by its
-reader (silently), 2 parse, 3 validation.  Grids are computed by the
-vectorised propagation kernel in one thread, ``schur``
-certifies every value at round-off (a disk below ``weyl.SCHUR_TOL``, or
-closed by the tail), and ``riccati`` either pulls the tail's
-value back to every row (``--s0 auto``: the stripped Schur values, which
-never escape) or solves the stripping flow exactly from an explicit s0.
-No subcommand takes a tolerance; ``transfer`` and ``disks`` accept
-``--threads``, which changes nothing and stays out of the config hash.
+``coefficients``; outputs are JSON reports or CSV tables (17 significant
+digits, stable row order, a header comment carrying the config hash) whose
+layout is decided here alone: the (z, l) grid tables (transfer, disks,
+gauge) hand their z_re, z_im and l columns over as ``GridColumn``s,
+distinct values and a row index.  A table is written in blocks of rows, the
+bytes of format(x, ".17g") per number: one with a text column or fewer
+than a few hundred numbers by one % operation a block, any other by one
+numpy conversion path, about 4,096 numbers a call, with each leading grid
+column's distinct values converted once and gathered into every row.  A
+call costs about 0.1 ms whatever its size, and its working set (about
+550 kB for a 12-column table) stays below the propagation kernel's for one
+chunk of (z, piece) cells, so the writer does not set a command's peak
+memory.  The argument parser is built on the first ``main`` call and reused
+by every later one in the process (not at import).  Exit codes: 0 ok, 1 any
+other library error, an output that cannot be opened, or a standard output
+closed by its reader (silently), 2 parse, 3 validation.  Grids are computed
+by the vectorised propagation kernel in one thread, ``schur`` certifies
+every value at round-off (a disk below ``weyl.SCHUR_TOL``, or closed by the
+tail), and ``riccati`` either pulls the tail's value back to every row
+(``--s0 auto``: the stripped Schur values, which never escape) or solves
+the stripping flow exactly from an explicit s0.  No subcommand takes a
+tolerance; ``transfer`` and ``disks`` accept ``--threads``, which changes
+nothing and stays out of the config hash.
 """
-
 import argparse
 import contextlib
 import functools
@@ -35,6 +34,7 @@ import itertools
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,30 +150,61 @@ _ARRAY_MIN = 360
 _BLOCK = 4096
 
 
+class GridColumn(NamedTuple):
+    """A table column given as its distinct values and, per row, the index
+    of its value: the column is values[index].  The CSV writer converts
+    each distinct value once instead of once a row."""
+
+    values: np.ndarray
+    index: np.ndarray
+
+
+def grid_columns(zs, ls):
+    """The (z_re, z_im, l) columns of a (z, l) grid, one row per (z, l) in C
+    order, as GridColumns over the two axes."""
+    nz, nl = zs.size, ls.size
+    at_z = np.repeat(np.arange(nz), nl)
+    return (GridColumn(zs.real, at_z), GridColumn(zs.imag, at_z),
+            GridColumn(ls, np.tile(np.arange(nl), nz)))
+
+
+def family_csv_columns(f):
+    """The CSV columns (z_re, z_im, l, a11_re, a11_im, ..., a22_im, det_err),
+    one row per (z, l) in C order: the grid's GridColumns, then views of the
+    family's values and the determinant errors."""
+    nz, nl = f.zs.size, f.ls.size
+    entries = np.ascontiguousarray(f.values).reshape(nz * nl, 4).view(float)
+    return (*grid_columns(f.zs, f.ls), *entries.T, f.det_errors().ravel())
+
+
+FAMILY_CSV_COLUMNS = (
+    "z_re", "z_im", "l",
+    "a11_re", "a11_im", "a12_re", "a12_im",
+    "a21_re", "a21_im", "a22_re", "a22_im",
+    "det_err",
+)
+
+
 def _rows(column, lo, hi):
-    """Rows lo to hi of a column: an array or a ``prop.GridColumn``."""
-    if isinstance(column, prop.GridColumn):
+    """Rows lo to hi of a column: an array or a ``GridColumn``."""
+    if isinstance(column, GridColumn):
         return column.values[column.index[lo:hi]]
     return column[lo:hi]
 
 
 def _write_table(path, header, columns, cfg):
     """Write the CSV of equal-length columns, one per header name: arrays
-    or ``prop.GridColumn``s (distinct values and a row index); numbers as
-    format(x, ".17g") (17 significant digits), strings as they are.  The
-    text is written in blocks of rows and never held whole.  An all-numeric
-    table of _ARRAY_MIN numbers or more is converted in numpy, about _BLOCK
-    numbers a call: by ``_write_gathered`` when GridColumns lead it with at
-    most half a block of distinct values (a (z, l) grid), by
-    ``_decimal_text`` otherwise.  Any other table is formatted _ROWS rows at
-    a time by one % operation, a row template times the block length filled
-    from a (rows, columns) table of the block.  All write the bytes of
-    format(x, ".17g") per number."""
-    grid = [isinstance(c, prop.GridColumn) for c in columns]
+    or ``GridColumn``s (distinct values and a row index); numbers as the
+    bytes of format(x, ".17g"), strings as they are.  The text is written
+    in blocks of rows and never held whole: an all-numeric table of
+    _ARRAY_MIN numbers or more by ``_write_gathered``, converted in numpy
+    about _BLOCK numbers a call, any other _ROWS rows at a time by one %
+    operation, a row template times the block length filled from a (rows,
+    columns) table of the block."""
+    grid = [isinstance(c, GridColumn) for c in columns]
     columns = [c if g else np.asarray(c) for c, g in zip(columns, grid)]
     text = [not g and c.dtype.kind in "OSU" for c, g in zip(columns, grid)]
     n, k = len(columns[0].index if grid[0] else columns[0]), len(columns)
-    lead = grid.index(False) if False in grid else k
     head = f"# arvcanon config={cfg} units={UNITS}\n" + ",".join(header)
     with _open_output(path) as fh:
         if any(text) or n * k < _ARRAY_MIN:
@@ -187,45 +218,43 @@ def _write_table(path, header, columns, cfg):
             return
         # every row of the numpy conversion starts with its line break
         fh.write(head)
-        if (0 < lead < k and not any(grid[lead:])
-                and sum(c.values.size for c in columns[:lead]) <= _BLOCK // 2):
-            _write_gathered(fh, columns[:lead], columns[lead:])
-        else:
-            rows = min(n, max(1, _BLOCK // k))
-            block = np.empty((rows, k))
-            for lo in range(0, n, rows):
-                part = block[:min(rows, n - lo)]
-                for j, c in enumerate(columns):
-                    part[:, j] = _rows(c, lo, lo + rows)
-                fh.write(_decimal_text(part))
+        # the leading GridColumns (a (z, l) grid), all but the last column
+        # at most, are gathered if their distinct values fit half a block
+        lead = (grid[:-1] + [False]).index(False)
+        if sum(c.values.size for c in columns[:lead]) > _BLOCK // 2:
+            lead = 0
+        _write_gathered(fh, n, columns[:lead], columns[lead:])
         fh.write("\n")
 
 
-def _write_gathered(fh, grid, entries):
-    """Write the rows of a table led by the GridColumns ``grid``, each row
-    led by its line break.  A block's call converts only its entry numbers,
-    somewhat fewer than _BLOCK, straight into the entry columns of the
-    block's word array, and each grid column's words are gathered into the
-    rest from the words of its distinct values.  Those are converted once,
-    by the first block's call, in extra rows that the first block gives up
-    so that its call is no larger than the others."""
-    n, g, ke = len(entries[0]), len(grid), len(entries)
+def _write_gathered(fh, n, grid, columns):
+    """Write the n rows of a table, each led by its line break: ``columns``
+    (arrays or GridColumns) converted a block at a time, one call a block,
+    and the GridColumns ``grid`` gathered from the words of their distinct
+    values, which the first block's call converts in extra rows it gives
+    up (so it is no larger than the others).  No grid: _BLOCK // k rows."""
+    g, ke = len(grid), len(columns)
     sizes = [c.values.size for c in grid]
     # a block holds a word array for every column, so it converts fewer
-    # numbers than a plain block: counting a grid word as half a number
-    # keeps the writer's peak memory that of the plain path
+    # numbers than one with no grid: counting a grid word as half a number
+    # keeps the writer's peak memory that of a table without one
     rows, lo = max(1, 2 * _BLOCK // (2 * ke + g)), 0
     extra = -(-sum(sizes) // ke)
     m = min(n, max(1, rows - extra))
-    x = np.zeros((max(rows, m + extra), ke))
-    np.concatenate([c.values for c in grid], out=x[m:m + extra].ravel()[:sum(sizes)])
+    x = np.zeros((max(min(rows, n), m + extra), ke))
+    if grid:
+        np.concatenate([c.values for c in grid], out=x[m:m + extra].ravel()[:sum(sizes)])
+    # the numbers that start a row: with a grid, the first grid column's
+    # distinct values, and none after the first block
+    starts = slice(0, 0 if grid else None, ke)
+    first = slice(m * ke, m * ke + sizes[0]) if grid else starts
     while lo < n:
-        for j, c in enumerate(entries):
-            x[:m, j] = c[lo:lo + m]
+        for j, c in enumerate(columns):
+            x[:m, j] = _rows(c, lo, lo + m)
         if lo:
-            words = _number_words(x[:m], slice(0), g)
-        else:  # the first column's distinct values start rows
-            words = _number_words(x[:m + extra], slice(m * ke, m * ke + sizes[0]), g)
+            words = _number_words(x[:m], starts, g)
+        else:
+            words = _number_words(x[:m + extra], first, g)
             flat = words[m:, g:].reshape(-1, 4)[:sum(sizes)].view("V32")[:, 0]
             known = [flat[end - size:end] for size, end in zip(sizes, itertools.accumulate(sizes))]
         cells = words.view("V32")[..., 0]  # a number's four words as one 32-byte item
@@ -270,7 +299,7 @@ def _le_words(strings):
 
 @functools.cache
 def _decimal_tables():
-    """The tables of ``_decimal_text``, built once from Python integers on
+    """The tables of ``_number_words``, built once from Python integers on
     first use.
 
     - ``hi``, ``lo``, ``exp2`` at X: 10^(16 - X) = (hi + lo) 2^exp2 to
@@ -440,15 +469,6 @@ def _digit_words(t, N):
     return (*words, last.view(np.uint64)), t["significant"][groups].max(axis=0)
 
 
-def _decimal_text(block):
-    """The CSV rows of a (rows, columns) float block, each led by its line
-    break: the bytes of format(x, ".17g") per number, converted in numpy
-    (``_number_words``) and compacted once that call's temporaries are
-    freed."""
-    text = _number_words(block, slice(0, None, block.shape[1])).view(np.uint8)
-    return str(text[text != 0], "ascii")
-
-
 def _number_words(block, first, skip=0):
     """The four words of every number of a contiguous (rows, columns) float
     block, in columns skip onwards of a new (rows, skip + columns, 4) array,
@@ -539,7 +559,7 @@ def _cmd_transfer(ns):
     ls = parse_lgrid(ns.lgrid)
     values = prop.materialize(*prop.transfer_grid(system, zs, ls), "transfer")
     fam = prop.TransferFamily(zs, ls, values, prop.GAUGE_RAW)
-    _write_table(ns.output, prop.FAMILY_CSV_COLUMNS, prop.family_csv_columns(fam),
+    _write_table(ns.output, FAMILY_CSV_COLUMNS, family_csv_columns(fam),
                  _config_hash(ns))
     return EXIT_OK
 
@@ -551,7 +571,7 @@ def _cmd_disks(ns):
     centers, radii = weyl.disks_grid(system, zs, ls)
     _write_table(ns.output,
                  ("z_re", "z_im", "l", "center_re", "center_im", "radius"),
-                 (*prop.grid_columns(zs, ls), centers.real.ravel(), centers.imag.ravel(),
+                 (*grid_columns(zs, ls), centers.real.ravel(), centers.imag.ravel(),
                   radii.ravel()), _config_hash(ns))
     return EXIT_OK
 
@@ -617,7 +637,7 @@ def _cmd_reflectionless(ns):
         ladder = tuple(float(e) for e in ns.eps.split(","))
     except ValueError:
         raise ParseError(f"bad eps ladder {ns.eps!r}")
-    reports = spec.reflectionless_ladder(p_left, p_right, xs, ladder, delta=ns.delta)
+    reports = spec.reflectionless_ladder(p_left, p_right, xs, ladder)
     columns = zip(*((rep.xs, np.full(rep.xs.size, rep.eps), rep.s_plus.real, rep.s_plus.imag,
                      rep.s_minus.real, rep.s_minus.imag, rep.defect, rep.ac, rep.ok)
                     for rep in reports))
@@ -626,13 +646,10 @@ def _cmd_reflectionless(ns):
                   "defect", "ac", "ok"),
                  [np.concatenate(column) for column in columns], _config_hash(ns))
     if ns.summary:
-        max_def = []
-        for rep in reports:
-            max_def.append(float(np.max(rep.defect[rep.ac])) if rep.ac.any() else None)
-        trend = all(
-            a is not None and b is not None and b <= a
-            for a, b in zip(max_def, max_def[1:])
-        )
+        max_def = [float(np.max(rep.defect[rep.ac])) if rep.ac.any() else None
+                   for rep in reports]
+        trend = all(a is not None and b is not None and b <= a
+                    for a, b in zip(max_def, max_def[1:]))
         _write_json(ns.summary, {
             "eps_ladder": list(ladder),
             "max_defect_on_ac_band": max_def,
@@ -645,10 +662,7 @@ def _cmd_reflectionless(ns):
 def _cmd_bp(ns):
     p_left, p_right = _load_fullline(ns)
     try:
-        intervals = [
-            tuple(float(v) for v in piece.split(","))
-            for piece in ns.e.split(";")
-        ]
+        intervals = [tuple(float(v) for v in piece.split(",")) for piece in ns.e.split(";")]
         t1, t2 = (float(v) for v in ns.arc.split(":"))
         l_values = tuple(float(v) for v in ns.lladder.split(","))
     except ValueError:
@@ -681,7 +695,7 @@ def _cmd_gauge(ns):
         out, _ = prop.to_arov_gauge(fam, fam.values)
     else:
         out = prop.to_pdb_gauge(fam, fam.values)
-    _write_table(ns.output, prop.FAMILY_CSV_COLUMNS, prop.family_csv_columns(out),
+    _write_table(ns.output, FAMILY_CSV_COLUMNS, family_csv_columns(out),
                  _config_hash(ns))
     if ns.params_out:
         rec = prop.recover_parameters(out)
@@ -744,7 +758,6 @@ def build_parser():
                 "boundary-value defect on an eps ladder")
     p.add_argument("--xgrid", required=True)
     p.add_argument("--eps", default="1e-2,1e-3,1e-4", help="comma-separated ladder")
-    p.add_argument("--delta", type=float, default=spec.AC_DELTA)
     p.add_argument("--summary", default=None, help="JSON trend summary path")
 
     p = command("bp", _cmd_bp, "harmonic-measure defect on a length ladder")
@@ -780,6 +793,9 @@ def run(ns):
     except BrokenPipeError:
         # the reader closed stdout: the final flush goes to devnull, silently
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_COMPUTE
+    except OSError as exc:  # an output that cannot be opened or written
+        _emit_error(exc)
         return EXIT_COMPUTE
 
 

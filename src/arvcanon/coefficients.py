@@ -234,7 +234,10 @@ class _Piecewise:
             ends = np.concatenate((ends[i:] - c, ends[:i + 1] + (n - c)))
             wrap = at < i  # heads in [0, r0) lie past the rotated period's turn
             at = (at - i) % points.size
-        return k, d, ends, at, (q - q0 - wrap).astype(np.int64), t
+        q = q - q0 - wrap
+        if not q.max() < 2.0 ** 63:  # an int64 count would wrap
+            raise DomainError(f"l = {ls[np.argmax(q)]} is 2^63 periods or more past {l_from}")
+        return k, d, ends, at, q.astype(np.int64), t
 
 
 @dataclass(frozen=True)

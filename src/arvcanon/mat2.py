@@ -137,13 +137,18 @@ class JClass:
 def j_defect(t, tol=CLASS_TOL):
     """Defect ``j - T j T*`` and its sign classification.
 
-    The defect is symmetrized, ``(X + X*)/2``, to suppress round-off
-    asymmetry.  Eigenvalues within ``tol * max(1, norm(T)^2)`` of zero count
-    as zero, since round-off in forming the defect scales with norm(T)^2.
+    For T = [[a, b], [c, d]] it is [[|a|^2 - |b|^2 - 1, a c* - b d*],
+    [c a* - d b*, 1 + |c|^2 - |d|^2]], Hermitian by construction.
+    Eigenvalues within ``tol * max(1, norm(T)^2)`` of zero count as zero,
+    since round-off in forming the defect scales with norm(T)^2.
     """
     t = as_mat2(t, "T")
-    x = J - mul2(mul2(t, J), _h(t))
-    x = 0.5 * (x + _h(x))
+    a, b, c, d = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
+    x = np.empty(t.shape, dtype=complex)
+    x[..., 0, 0] = (a * np.conj(a)).real - (b * np.conj(b)).real - 1.0
+    x[..., 1, 1] = 1.0 + (c * np.conj(c)).real - (d * np.conj(d)).real
+    x[..., 0, 1] = a * np.conj(c) - b * np.conj(d)
+    x[..., 1, 0] = np.conj(x[..., 0, 1])
     lo, hi = herm_eigs(x)
     band = tol * np.maximum(1.0, norm2(t) ** 2)
     code = np.select([(np.abs(lo) <= band) & (np.abs(hi) <= band), lo >= -band,

@@ -36,20 +36,21 @@ built and scanned, a few more arrays of a number a cell.  ``_expm`` and
 ``_mul`` write into buffers they already hold and drop each intermediate
 after its last use, and ``_scan`` drops each step's products once they are
 copied in, with the same ufuncs on the same operands in the same order:
-the bits are those of a new array per intermediate, while a chunk peaks at
-about 0.78 MB instead of 1.18 MB (numpy 2.4).
+the bits are those of a new array per intermediate, and a chunk peaks at
+about 0.78 MB (numpy 2.4).
 ``transfer_to_end`` is the kernel's suffix mode: T(z; l -> L) for every l
 of the head from one call over the reversed stream.  Every transfer
 function here is a thin wrapper around these: ``transfer_between`` is
 ``transfer_grid`` from l_from, and ``transfer`` refuses to overflow
 silently.  Both refuse a spectral point so large that the closed form's
-squares of generator entries could overflow.  The Riccati escape search
+squares of generator entries could overflow, and ``transfer_grid``
+refuses a span too long for its spectral point, whose exponent rho d or
+log-scale overflows, instead of returning NaN.  The Riccati escape search
 takes the table of its bisection's trial propagators within one piece from
 ``_propagators``, the one name here that other modules use.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -291,16 +292,22 @@ def transfer_grid(system, zs, ls, l_from=0.0):
     m = out.transpose(2, 0, 1)
     if q is not None:  # periodic tail: P^q @ H, by the powers P^(2^j) of q's set bits
         sq, sc = x[:, :, -1:], xc[:, -1:]
-        for bit in range(int(q.max()).bit_length()):
-            on = (q >> bit) % 2 == 1
-            m[:, :, on], c[:, on] = _renorm(_mul(sq, m[:, :, on]), sc + c[:, on])
-            sq, sc = _renorm(_mul(sq, sq), 2.0 * sc)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            for bit in range(int(q.max()).bit_length()):
+                on = (q >> bit) % 2 == 1
+                m[:, :, on], c[:, on] = _renorm(_mul(sq, m[:, :, on]), sc + c[:, on])
+                sq, sc = _renorm(_mul(sq, sq), 2.0 * sc)
     if t is not None and (tail := t > 0.0).any():
         # constant tail: one more piece, with the last interval's generator,
         # for the lengths past L
         last = np.full(int(tail.sum()), gen[0].size - 1)
-        e, ec = _propagators(zs, gen, last, t[tail])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            e, ec = _propagators(zs, gen, last, t[tail])
         m[:, :, tail], c[:, tail] = _mul(m[:, :, tail], e), c[:, tail] + ec
+    # entries are of order one, so their sum is finite unless one is not:
+    # an exponent or log-scale that overflowed leaves NaN or inf
+    if not (np.isfinite(out.sum()) and c.max(initial=0.0) < np.inf):
+        raise DomainError("an exponent or log-scale overflows: the span is too long at this z")
     return out.reshape(zs.size, -1, 2, 2), c
 
 
@@ -539,37 +546,3 @@ def recover_parameters(f):
     )
     return RecoveryResult(params, mu, kappa, np.nonzero(zero)[0])
 
-
-class GridColumn(NamedTuple):
-    """A table column given as its distinct values and, per row, the index
-    of its value: the column is values[index].  The CSV writer converts
-    each distinct value once instead of once a row."""
-
-    values: np.ndarray
-    index: np.ndarray
-
-
-def grid_columns(zs, ls):
-    """The (z_re, z_im, l) columns of a (z, l) grid, one row per (z, l) in C
-    order, as GridColumns over the two axes."""
-    nz, nl = zs.size, ls.size
-    at_z = np.repeat(np.arange(nz), nl)
-    return (GridColumn(zs.real, at_z), GridColumn(zs.imag, at_z),
-            GridColumn(ls, np.tile(np.arange(nl), nz)))
-
-
-def family_csv_columns(f):
-    """The CSV columns (z_re, z_im, l, a11_re, a11_im, ..., a22_im, det_err),
-    one row per (z, l) in C order: the grid's GridColumns, then views of the
-    family's values and the determinant errors."""
-    nz, nl = f.zs.size, f.ls.size
-    entries = np.ascontiguousarray(f.values).reshape(nz * nl, 4).view(float)
-    return (*grid_columns(f.zs, f.ls), *entries.T, f.det_errors().ravel())
-
-
-FAMILY_CSV_COLUMNS = (
-    "z_re", "z_im", "l",
-    "a11_re", "a11_im", "a12_re", "a12_im",
-    "a21_re", "a21_im", "a22_re", "a22_im",
-    "det_err",
-)

@@ -30,7 +30,7 @@ from .errors import DomainError, InputError
 from .mat2 import mobius_right, norm2
 from .riccati import richardson_extrapolate
 
-#: default y-samples for the numeric growth rate.
+#: y-samples of the numeric growth rate.
 TYPE_RAY = (50.0, 100.0, 200.0, 400.0, 800.0)
 
 #: default eps ladder for boundary-value approximation.
@@ -61,11 +61,11 @@ def exponential_type_integral(system, l):
                  + (0.0 if t is None else t[0] * rate[-1]))
 
 
-def exponential_type_numeric(system, l, ys=TYPE_RAY):
-    """Measured exponential type: log ||A(iy, l)|| / y on a geometric y-grid,
-    Richardson-extrapolated in 1/y.  The system is propagated at every y in
-    one kernel call, scaled, so y * sigma of a few thousand cannot overflow."""
-    ys = tuple(float(y) for y in ys)
+def exponential_type_numeric(system, l):
+    """Measured exponential type: log ||A(iy, l)|| / y at the y of TYPE_RAY,
+    Richardson-extrapolated in 1/y, from one scaled kernel call, so
+    y * sigma of a few thousand cannot overflow."""
+    ys = TYPE_RAY
     m, c = prop.transfer_grid(system, 1j * np.array(ys), [l])
     m, c = m[:, 0], c[:, 0]
     estimate, _ = richardson_extrapolate((c + np.log(norm2(m))) / ys, ys[1] / ys[0])
@@ -82,11 +82,11 @@ class TypeReport:
     rel_gap: float
 
 
-def type_report(system, l, ys=TYPE_RAY):
+def type_report(system, l):
     si = exponential_type_integral(system, l)
-    sn = exponential_type_numeric(system, l, ys)
+    sn = exponential_type_numeric(system, l)
     gap = abs(sn - si) / max(si, 1e-6)
-    return TypeReport(si, sn, tuple(ys), gap)
+    return TypeReport(si, sn, TYPE_RAY, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ class ReflectionlessReport:
     """Pointwise boundary diagnostics at one eps.
 
     defect[i] = |s_plus(x_i + i eps) - conj(s_minus(x_i + i eps))|;
-    ac[i] marks the pointwise a.c.-band proxy max(|s+|, |s-|) < 1 - delta;
+    ac[i] marks the pointwise a.c.-band proxy max(|s+|, |s-|) < 1 - AC_DELTA;
     ok[i] is True at every point: every Schur value is certified at
     round-off or closed exactly by the tail, so no point can fail on its own.
     """
@@ -156,17 +156,16 @@ class ReflectionlessReport:
     defect: np.ndarray
     ac: np.ndarray
     ok: np.ndarray
-    delta: float
 
 
-def reflectionless_defect(p_left, p_right, xs, eps, delta=AC_DELTA):
+def reflectionless_defect(p_left, p_right, xs, eps):
     """Evaluate both half-line Schur functions just above the real axis and
     report the reflectionless defect per grid point: ``reflectionless_ladder``
     at one eps."""
-    return reflectionless_ladder(p_left, p_right, xs, (eps,), delta)[0]
+    return reflectionless_ladder(p_left, p_right, xs, (eps,))[0]
 
 
-def reflectionless_ladder(p_left, p_right, xs, eps_ladder=EPS_LADDER, delta=AC_DELTA):
+def reflectionless_ladder(p_left, p_right, xs, eps_ladder=EPS_LADDER):
     """Reports for a decreasing eps ladder, exhibiting the eps -> 0 trend,
     every (eps, x) point of each half in one ``weyl`` grid call.
     No extrapolation to eps = 0 is attempted: boundary values exist a.e. but
@@ -181,9 +180,9 @@ def reflectionless_ladder(p_left, p_right, xs, eps_ladder=EPS_LADDER, delta=AC_D
     sp = weyl.schur_grid(zs, p_right)[0].reshape(eps.size, xs.size)
     sm = weyl.schur_minus_grid(zs, p_left)[0].reshape(eps.size, xs.size)
     defect = np.abs(sp - np.conj(sm))
-    ac = np.maximum(np.abs(sp), np.abs(sm)) < 1.0 - delta
+    ac = np.maximum(np.abs(sp), np.abs(sm)) < 1.0 - AC_DELTA
     ok = np.ones(xs.size, dtype=bool)
-    return [ReflectionlessReport(xs, float(e), *row, ok, delta)
+    return [ReflectionlessReport(xs, float(e), *row, ok)
             for e, *row in zip(eps, sp, sm, defect, ac)]
 
 

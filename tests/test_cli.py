@@ -187,8 +187,10 @@ def test_riccati_auto_rows_are_the_stripped_values(tmp_path):
 
 def test_removed_options_are_parse_errors(const_half, capsys):
     # no subcommand takes --tol (Schur values are certified at round-off),
-    # --threads only on transfer and disks
+    # --threads only on transfer and disks, and reflectionless takes no
+    # --delta (its a.c.-band proxy is spectral.AC_DELTA)
     for argv in (["riccati", "--z", "0.3,0.5", "--lgrid", "0:1:0.5", "--step", "0.1"],
+                 ["reflectionless", "--xgrid", "0:1:0.5", "--delta", "0.02"],
                  ["schur", "--zgrid", "0,0.5:1,1:3", "--tol", "1e-10"],
                  ["reflectionless", "--xgrid", "0:1:0.5", "--tol", "1e-3"],
                  ["bp", "--e", "0,1", "--arc", "0:1", "--tol", "1e-3"],
@@ -361,6 +363,65 @@ def test_spectral_points_too_large_for_the_closed_form_exit_3(const_half, capsys
     assert "too large" in json.loads(err)["message"]
 
 
+_PERIODIC = {"grid": [1, 2], "m": [1, 0.5], "a": [0.5, [0, 0.3]], "tail": "periodic"}
+
+
+@pytest.mark.parametrize("payload, argv", [
+    (_PERIODIC, ["type", "--l", "1e300"]),
+    (_PERIODIC, ["riccati", "--z", "1,1", "--s0", "0.5,0.5", "--lgrid", "1e300"]),
+    ({"grid": [2e-300], "m": [1], "a": [0.5], "tail": "periodic"},
+     ["transfer", "--zgrid", "i", "--lgrid", "1"])])
+def test_period_counts_past_int64_exit_3(tmp_path, capsys, payload, argv):
+    # the period count wrapped to -2^63: a negative sigma_integral, a
+    # traceback, and a matrix within 1e-280 of the identity, each after a
+    # RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--input", _write(tmp_path, "p.json", payload)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "DomainError"
+    assert "periods" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("payload, l", [
+    ({"grid": [1.0], "m": [1.0], "a": [0.5], "tail": "constant"}, "1e306"),
+    ({"grid": [1e300], "m": [1.0], "a": [0.5], "tail": "periodic"}, "1e307")])
+def test_overflowing_exponent_or_log_scale_exit_3(tmp_path, capsys, payload, l):
+    # the closed form's exponent rho d at y = 800, or the log-scale of the
+    # period's powers, overflowed: sigma_numeric and rel_gap were NaN, exit 0
+    path = _write(tmp_path, "p.json", payload)
+    assert cli.main(["type", "--input", path, "--l", l]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "DomainError"
+    assert "overflows" in json.loads(err)["message"]
+
+
+def test_type_report_below_the_overflow_is_finite(tmp_path, capsys):
+    # an exponent rho d of 6.9e307 at y = 800 is no error
+    path = _write(tmp_path, "p.json", {"grid": [1.0], "m": [1.0], "a": [0.5], "tail": "constant"})
+    assert cli.main(["type", "--input", path, "--l", "1e305"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["sigma_integral"] == pytest.approx(0.75 ** 0.5 * 1e305, rel=1e-15)
+    assert report["rel_gap"] < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["transfer", "--zgrid", "i", "--lgrid", "1", "--output", "{missing}/x.csv"],
+    ["transfer", "--zgrid", "i", "--lgrid", "1", "--output", "{tmp}"],
+    ["gauge", "--to", "arov", "--zgrid", "i", "--lgrid", "0:1:0.5", "--output", "{tmp}/g.csv",
+     "--params-out", "{missing}/p.json"],
+    ["reflectionless", "--xgrid", "0:1:0.5", "--output", "{tmp}/r.csv",
+     "--summary", "{missing}/s.json"]])
+def test_output_that_cannot_be_opened_exits_1(tmp_path, const_half, full_line, capsys, argv):
+    # open() raised through main: a traceback and exit 1
+    path = full_line if argv[0] == "reflectionless" else const_half
+    argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in argv]
+    assert cli.main(argv + ["--input", path]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] in ("FileNotFoundError", "IsADirectoryError")
+
+
 @pytest.mark.parametrize("argv, error", [
     (["transfer", "--zgrid", "i", "--lgrid", "0:1:1e-300"], "ParseError"),
     (["transfer", "--zgrid", "0,1:1,1:99999999999999999999999", "--lgrid", "1"], "ParseError"),
@@ -527,13 +588,13 @@ def test_write_table_edge_numbers_equal_per_number_format(tmp_path):
 
 
 def test_write_table_converts_large_numeric_tables_in_numpy(tmp_path, monkeypatch):
-    blocks, convert = [], cli._decimal_text
+    blocks, convert = [], cli._number_words
 
-    def counted(block):
+    def counted(block, *args):
         blocks.append(block.shape)
-        return convert(block)
+        return convert(block, *args)
 
-    monkeypatch.setattr(cli, "_decimal_text", counted)
+    monkeypatch.setattr(cli, "_number_words", counted)
     x, y = np.linspace(-1.0, 1.0, cli._ARRAY_MIN), np.linspace(0.0, 1.0, 2 * cli._BLOCK + 1)
     for columns, want in (([x[:-1]], 0), ([x], 1), ([y], 3), ([x, np.full(x.size, "ok")], 0)):
         blocks.clear()
@@ -570,6 +631,10 @@ def _one_block_lengths(k):
 # exactly one gathered block, and one block and a row
 @example(seed=6, nz=1, nl=_one_block_lengths(9), k=9, lead=True, extra=[])
 @example(seed=7, nz=1, nl=_one_block_lengths(9) + 1, k=9, lead=True, extra=[])
+# more distinct grid values than half a block, read a block at a time, and
+# a table of GridColumns alone
+@example(seed=8, nz=1100, nl=2, k=2, lead=True, extra=[])
+@example(seed=9, nz=40, nl=30, k=0, lead=True, extra=[])
 def test_write_table_gathered_grid_columns_equal_materialised(tmp_path_factory, seed, nz, nl,
                                                               k, lead, extra):
     # a (z, l) grid table whose grid columns are GridColumns writes the bytes
@@ -584,9 +649,9 @@ def test_write_table_gathered_grid_columns_equal_materialised(tmp_path_factory, 
     bits = rng.integers(0, 2**63, size=(k, n), dtype=np.int64) * rng.choice([1, -1], size=(k, n))
     entries = [np.where(rng.random(n) < 0.5, pool[rng.integers(0, pool.size, n)],
                         bits[j].view(float)) for j in range(k)]
-    gathered = list(prop.grid_columns(zs, ls))
+    gathered = list(cli.grid_columns(zs, ls))
     columns = gathered + entries if lead else entries[:1] + gathered + entries[1:]
-    plain = [c.values[c.index] if isinstance(c, prop.GridColumn) else c for c in columns]
+    plain = [c.values[c.index] if isinstance(c, cli.GridColumn) else c for c in columns]
     assert np.array_equal(plain[0 if lead else 1], np.repeat(zs.real, nl))
     assert np.array_equal(plain[2 if lead else 3], np.tile(ls, nz))
     header = [f"c{j}" for j in range(len(columns))]
@@ -608,8 +673,8 @@ def test_write_table_converts_each_grid_coordinate_once(tmp_path, monkeypatch):
     zs = np.linspace(0.5 + 0.3j, 1.5 + 1j, 101)
     ls = np.linspace(0.0, 2.0, 41)
     entries = [np.sin(np.arange(zs.size * ls.size) + j) for j in range(9)]
-    cli._write_table(str(tmp_path / "t.csv"), prop.FAMILY_CSV_COLUMNS,
-                     (*prop.grid_columns(zs, ls), *entries), "c")
+    cli._write_table(str(tmp_path / "t.csv"), cli.FAMILY_CSV_COLUMNS,
+                     (*cli.grid_columns(zs, ls), *entries), "c")
     assert sum(calls) - 9 * zs.size * ls.size < 2 * zs.size + ls.size + 9
     assert len(calls) > 1 and max(calls) <= cli._BLOCK
 
@@ -631,8 +696,8 @@ def test_write_table_conversion_calls_of_grid_tables(tmp_path, monkeypatch):
         values = np.exp(1j * np.arange(nz * nl * 4)).reshape(nz, nl, 2, 2)
         family = prop.TransferFamily(zs, ls, values)
         calls.clear()
-        cli._write_table(str(tmp_path / "t.csv"), prop.FAMILY_CSV_COLUMNS,
-                         prop.family_csv_columns(family), "c")
+        cli._write_table(str(tmp_path / "t.csv"), cli.FAMILY_CSV_COLUMNS,
+                         cli.family_csv_columns(family), "c")
         assert len(calls) == want, (nz, nl)
 
 

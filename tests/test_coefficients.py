@@ -126,6 +126,16 @@ def test_pieces_fold_periodic_tail():
     assert at.tolist() == [1, 3] and q.tolist() == [1, 1]
 
 
+def test_pieces_refuse_period_counts_past_int64():
+    # the count of 2^63 periods or more wrapped to -2^63 in the int64 cast;
+    # the largest count below it is kept exactly
+    p = ArovParameters([1.0, 2.0], [1.0, 0.5], [0.5, 0.3j], tail=TAIL_PERIODIC)
+    assert p.piece_arrays([2.0 * (2.0 ** 63 - 1024)])[4].tolist() == [2 ** 63 - 1024]
+    for ls, l_from in (([2.0 ** 64], 0.0), ([1.0, 1e300], 0.0), ([3e300], 1e300)):
+        with pytest.raises(DomainError, match="periods"):
+            p.piece_arrays(ls, l_from)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC, TAIL_FINITE]),
        st.sampled_from(["knot", "period", "inside"]), st.integers(0, 12), st.integers(0, 7),

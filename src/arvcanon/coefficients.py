@@ -38,6 +38,7 @@ infinity.
 
 import functools
 import json
+import math
 import numbers
 import re
 from dataclasses import dataclass
@@ -101,8 +102,8 @@ def _as_grid(grid):
 
 
 def _pairs(x):
-    """Complex entries as nested lists of [re, im] pairs, what the parse reads."""
-    return np.stack((x.real, x.imag), -1).tolist()
+    """Complex entries as a float array of [re, im] pairs, what the parse reads."""
+    return np.stack((x.real, x.imag), -1)
 
 
 def _sorted_unique(*parts):
@@ -174,6 +175,12 @@ class _Piecewise:
     @property
     def widths(self):
         return np.diff(self.knots)
+
+    def to_dict(self):
+        """The JSON object of the system as plain lists, for json.dumps
+        (``save_parameters`` writes the arrays of ``_json_fields``)."""
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in self._json_fields().items()}
 
     def _cut(self, lo, points):
         """Stored intervals from lo through the ascending points, all inside
@@ -347,13 +354,8 @@ class ArovParameters(_Piecewise):
             kappa += self.a[-1] * np.exp(-2.0 * mu[at[0]]) * -np.expm1(-2.0 * t[0])
         return complex(kappa)
 
-    def to_dict(self):
-        return {
-            "grid": self.grid.tolist(),
-            "m": self.m.tolist(),
-            "a": _pairs(self.a),
-            "tail": self.tail,
-        }
+    def _json_fields(self):
+        return {"grid": self.grid, "m": self.m, "a": _pairs(self.a), "tail": self.tail}
 
 
 def constant_parameters(a, m=1.0, length=1.0, tail=TAIL_CONSTANT):
@@ -508,14 +510,9 @@ class GeneralCoefficients(_Piecewise):
         P, Q = self.P, self.Q
         return P[:, 0, 0].real, -P[:, 1, 0], Q[:, 0, 0].imag, -Q[:, 1, 0]
 
-    def to_dict(self):
-        return {
-            "grid": self.grid.tolist(),
-            "n": self.n.tolist(),
-            "P": _pairs(self.P),
-            "Q": _pairs(self.Q),
-            "tail": self.tail,
-        }
+    def _json_fields(self):
+        return {"grid": self.grid, "n": self.n, "P": _pairs(self.P), "Q": _pairs(self.Q),
+                "tail": self.tail}
 
 
 def dirac_coefficients(length=1.0, n_intervals=1, tail=TAIL_FINITE):
@@ -728,19 +725,117 @@ def load_parameters(path):
     return parameters_from_dict(data)
 
 
+#: float arrays of at most this many dimensions are written through the
+#: numpy converter: their separators, "]" * b + ", " + "[" * b for b below
+#: it, fit the converter's 32-byte column
+_JSON_DEPTH = 16
+
+
+@functools.cache
+def _json_separators():
+    """The separators of a JSON list of numbers, by the count b of lists
+    they close and open, and a last, empty one: each a 32-byte item, the
+    size of one number's words in the numpy converter."""
+    seps = [("]" * b + ", " + "[" * b).encode() for b in range(_JSON_DEPTH)] + [b""]
+    return np.frombuffer(b"".join(sep.ljust(32, b"\0") for sep in seps), "V32")
+
+
+def _json_parts(value):
+    """json.dumps(value, sort_keys=True) in parts: text, and each nonempty
+    float ndarray of at most _JSON_DEPTH dimensions, at any depth of nested
+    dicts (whose keys are strings), as itself."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and value.size and value.ndim <= _JSON_DEPTH:
+            yield value
+        else:
+            yield json.dumps(value.tolist())
+    elif isinstance(value, dict):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _json_parts(value[key])
+        yield "}"
+    else:
+        yield json.dumps(value, sort_keys=True)
+
+
+def _write_numbers(fh, x, kind, runs):
+    """Write one block of the numbers x as JSON, each led by the separator
+    ``_json_separators()[kind]``: the text of runs[j] = (stop, after) is
+    that of the numbers up to position stop, then after.  One converter
+    call takes every number as a row of its own, its separator in the
+    column before it and its leading line break dropped with the zero
+    bytes.  The numbers are the bytes of format(x, ".17g") but where JSON
+    spells them otherwise: -0.0 (a JSON integer -0 reads as +0.0), NaN,
+    Infinity and -Infinity."""
+    from .decimals import _number_words
+    words = _number_words(x[:, None], slice(None), 1)
+    cells = words.view("V32")[..., 0]  # (separator, number) of 32 bytes each
+    cells[:, 0] = np.take(_json_separators(), kind)
+    odd = np.flatnonzero(~np.isfinite(x) | (x == 0.0) & np.signbit(x))
+    if odd.size:
+        cells[odd, 1] = np.frombuffer(b"".join(json.dumps(v).encode().ljust(32, b"\0")
+                                               for v in x[odd].tolist()), "V32")
+    text, lo = words.view(np.uint8), 0
+    for stop, after in runs:
+        run = text[lo:stop]
+        fh.write(str(run[run > 10], "ascii") + after)
+        lo = stop
+
+
 def write_json(payload, fh):
     """Write a dict as JSON text: one key per line, in sorted order, each
-    value on its key's line.  Each value is encoded by json's C encoder;
-    json.dump with an indent takes the pure-Python one (CPython 3.10 and
-    3.11), several times slower on long lists of numbers."""
-    fh.write("{\n" + ",\n".join(f" {json.dumps(key)}: {json.dumps(payload[key], sort_keys=True)}"
-                                  for key in sorted(payload)) + "\n}\n")
+    value on its key's line.  A float ndarray, at any depth of nested dicts,
+    is written as json.dumps writes its list, but each number as the bytes
+    of format(x, ".17g") (integral values with no decimal point), -0.0,
+    NaN, Infinity or -Infinity, so every float keeps its bits.  The numbers
+    of all the payload's arrays are converted in one pass through the numpy
+    converter, at most _BLOCK a call, and written a block at a time: the
+    whole text is never held.  Every other value is encoded by json's C
+    encoder; json.dump with an indent takes the pure-Python one (CPython
+    3.10 and 3.11), several times slower on long lists of numbers.  The
+    converter is imported on first use, so ``import arvcanon`` does not
+    compile it."""
+    from .decimals import _BLOCK
+    parts = ["{\n"]
+    for i, key in enumerate(sorted(payload)):
+        parts += [",\n" if i else "", f" {json.dumps(key)}: ", *_json_parts(payload[key])]
+    texts, arrays = [""], []
+    for part in parts + ["\n}\n"]:
+        if isinstance(part, str):
+            texts[-1] += part
+        else:
+            texts[-1] += "[" * part.ndim
+            arrays.append(part)
+            texts.append("]" * part.ndim)
+    fh.write(texts[0])
+    x = np.empty(min(_BLOCK, sum(a.size for a in arrays)))
+    kind = np.empty(x.size, np.intp)
+    pos, runs = 0, []
+    for a, after in zip(arrays, texts[1:]):
+        # the count of numbers in a list at each depth inside the array
+        flat, inner, lo = a.ravel(), [math.prod(a.shape[j:]) for j in range(1, a.ndim)], 0
+        while lo < flat.size:
+            n = min(flat.size - lo, x.size - pos)
+            x[pos:pos + n] = flat[lo:lo + n]
+            # a number's separator closes and opens each inner list it starts
+            at = np.arange(lo, lo + n)
+            kind[pos:pos + n] = sum(at % size == 0 for size in inner)
+            if lo == 0:
+                kind[pos] = -1  # the array's first number: none
+            lo, pos = lo + n, pos + n
+            runs.append((pos, after if lo == flat.size else ""))
+            if pos == x.size:
+                _write_numbers(fh, x, kind, runs)
+                pos, runs = 0, []
+    if runs:
+        _write_numbers(fh, x[:pos], kind[:pos], runs)
 
 
 def save_parameters(obj, path):
     if isinstance(obj, tuple):
-        payload = {"left": obj[0].to_dict(), "right": obj[1].to_dict()}
+        payload = {"left": obj[0]._json_fields(), "right": obj[1]._json_fields()}
     else:
-        payload = obj.to_dict()
+        payload = obj._json_fields()
     with open(path, "w") as fh:
         write_json(payload, fh)

@@ -45,11 +45,14 @@ function here is a thin wrapper around these: ``transfer_between`` is
 silently.  Both refuse a spectral point so large that the closed form's
 squares of generator entries could overflow, and ``transfer_grid``
 refuses a span too long for its spectral point, whose exponent rho d or
-log-scale overflows, instead of returning NaN.  The Riccati escape search
+log-scale overflows, instead of returning NaN or warning: only a kernel
+call whose exponents could overflow, by a bound from ``generator_bound``,
+runs with numpy's overflow warnings off.  The Riccati escape search
 takes the table of its bisection's trial propagators within one piece from
 ``_propagators``, the one name here that other modules use.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +91,10 @@ _LN2 = float(np.log(2.0))
 #: bound on the generator entries of a kernel call (``generator_bound`` at
 #: |z|): past it the closed form's squares of them could overflow
 _G_MAX = 0.25 * np.sqrt(np.finfo(float).max)
+
+#: bound on the exponents and log-scales of a kernel call: past it -2 rho d
+#: in ``_expm``, or a sum of log-scales, could overflow
+_EXPONENT_MAX = 0.25 * np.finfo(float).max
 
 #: the identity as a (4, 1, 1) entry stack
 _EYE = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)[:, None, None]
@@ -278,6 +285,19 @@ def _spectral_points(system, zs):
     return zs
 
 
+def _kernel_errstate(system, zs, d):
+    """The floating-point context of a kernel call over the pieces d at the
+    spectral points zs.  |rho| <= sqrt(2) (|z| scale + shift) bounds every
+    exponent rho d and, times the stream's mass, every log-scale, so only a
+    call that could overflow runs with the warnings off (its caller refuses
+    the overflow); any other runs as it is."""
+    scale, shift = system.generator_bound
+    reach = (float(np.abs(zs).max(initial=0.0)) * scale + shift) * float(d.max(initial=0.0))
+    if np.sqrt(2.0) * reach * d.size > _EXPONENT_MAX:
+        return np.errstate(over="ignore", invalid="ignore")
+    return contextlib.nullcontext()
+
+
 def transfer_grid(system, zs, ls, l_from=0.0):
     """Scaled transfer matrices (M[nz, nl, 2, 2], logc[nz, nl]) of a disk- or
     general-gauge system over a spectral grid and lengths in any order, each
@@ -286,7 +306,8 @@ def transfer_grid(system, zs, ls, l_from=0.0):
     zs = _spectral_points(system, zs)
     k, d, ends, at, q, t = system.piece_arrays(ls, l_from)
     gen = system.generator_table
-    x, xc = scaled_products(zs, gen, k, d, ends)
+    with _kernel_errstate(system, zs, d):  # an overflow is refused below
+        x, xc = scaled_products(zs, gen, k, d, ends)
     # one copy into the output layout; m is its (4, nz, nl) entry view
     out, c = np.take(x.transpose(1, 2, 0), at, axis=1), xc[:, at]
     m = out.transpose(2, 0, 1)
@@ -294,16 +315,17 @@ def transfer_grid(system, zs, ls, l_from=0.0):
         sq, sc = x[:, :, -1:], xc[:, -1:]
         with np.errstate(over="ignore"):  # an overflow is refused below
             for bit in range(int(q.max()).bit_length()):
+                if bit:
+                    sq, sc = _renorm(_mul(sq, sq), 2.0 * sc)
                 on = (q >> bit) % 2 == 1
                 m[:, :, on], c[:, on] = _renorm(_mul(sq, m[:, :, on]), sc + c[:, on])
-                sq, sc = _renorm(_mul(sq, sq), 2.0 * sc)
     if t is not None and (tail := t > 0.0).any():
         # constant tail: one more piece, with the last interval's generator,
         # for the lengths past L
         last = np.full(int(tail.sum()), gen[0].size - 1)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             e, ec = _propagators(zs, gen, last, t[tail])
-        m[:, :, tail], c[:, tail] = _mul(m[:, :, tail], e), c[:, tail] + ec
+            m[:, :, tail], c[:, tail] = _mul(m[:, :, tail], e), c[:, tail] + ec
     # entries are of order one, so their sum is finite unless one is not:
     # an exponent or log-scale that overflowed leaves NaN or inf
     if not (np.isfinite(out.sum()) and c.max(initial=0.0) < np.inf):
@@ -326,8 +348,9 @@ def transfer_to_end(system, zs, ls):
         raise DomainError(f"suffix lengths must lie in [0, {L}], got {ls}")
     k, d, ends, at, _, _ = system.piece_arrays(np.append(ls, L), ls.min(initial=L))
     p, alpha, r, gamma = system.generator_table
-    x, xc = scaled_products(zs, (p, -np.conj(alpha), r, np.conj(gamma)), k[::-1], d[::-1],
-                            ends[-1] - ends[::-1])
+    with _kernel_errstate(system, zs, d):  # an overflow is refused by the caller
+        x, xc = scaled_products(zs, (p, -np.conj(alpha), r, np.conj(gamma)), k[::-1], d[::-1],
+                                ends[-1] - ends[::-1])
     at = ends.size - 1 - at[:-1]  # head j is column ends.size - 1 - j of the reversed call
     out = np.take(x.transpose(1, 2, 0), at, axis=1).reshape(zs.size, -1, 2, 2)
     return out.swapaxes(-1, -2), xc[:, at]

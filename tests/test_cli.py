@@ -385,15 +385,28 @@ def test_period_counts_past_int64_exit_3(tmp_path, capsys, payload, argv):
 
 @pytest.mark.parametrize("payload, l", [
     ({"grid": [1.0], "m": [1.0], "a": [0.5], "tail": "constant"}, "1e306"),
-    ({"grid": [1e300], "m": [1.0], "a": [0.5], "tail": "periodic"}, "1e307")])
+    ({"grid": [1e300], "m": [1.0], "a": [0.5], "tail": "periodic"}, "1e307"),
+    ({"grid": [1e306], "m": [1.0], "a": [0.5], "tail": "constant"}, "1e306")])
 def test_overflowing_exponent_or_log_scale_exit_3(tmp_path, capsys, payload, l):
     # the closed form's exponent rho d at y = 800, or the log-scale of the
-    # period's powers, overflowed: sigma_numeric and rel_gap were NaN, exit 0
+    # period's powers, overflowed: sigma_numeric and rel_gap were NaN, exit 0.
+    # The exponent of the head's own piece overflowed in the kernel call,
+    # with RuntimeWarnings (errors here) before the exit-3 line
     path = _write(tmp_path, "p.json", payload)
     assert cli.main(["type", "--input", path, "--l", l]) == 3
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"] == "DomainError"
     assert "overflows" in json.loads(err)["message"]
+
+
+def test_overflowing_suffix_exit_3_with_no_warning(tmp_path, capsys):
+    # riccati --s0 auto pulls the tail's value back through the kernel's
+    # suffix mode, whose exponent rho d at z = 800i overflowed with
+    # RuntimeWarnings (errors here) before the exit-3 line
+    path = _write(tmp_path, "p.json", {"grid": [1e306], "m": [1.0], "a": [0.5], "tail": "constant"})
+    assert cli.main(["riccati", "--input", path, "--z=0,800", "--lgrid", "0:1e306:1e306"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "InputError"
 
 
 def test_type_report_below_the_overflow_is_finite(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from arvcanon import (ArovParameters, CoefficientError, DomainError, ParseError,
                       dirac_coefficients, load_parameters, reflect,
                       reparametrize, save_parameters, schroedinger_coefficients,
                       strip_head)
-from arvcanon.coefficients import GeneralCoefficients, parameters_from_dict, write_json
+from arvcanon import decimals
+from arvcanon.coefficients import (GeneralCoefficients, _load_json, parameters_from_dict,
+                                    write_json)
+from arvcanon.decimals import _BLOCK
 from arvcanon.mat2 import J, herm_eigs, mat2
 from arvcanon.propagate import transfer
 
@@ -477,6 +482,86 @@ def test_json_writer_reads_as_indented_json_does(payload):
     if payload:
         assert len(text.splitlines()) == len(payload) + 2
 
+
+
+#: numbers where the JSON text of a float is easy to get wrong: signed
+#: zeros, subnormals, the normal range's ends, infinities, NaN and
+#: integral values, some past 2^53
+AWKWARD = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072009e-308,
+                    2.2250738585072014e-308, -1e-308, 1.7976931348623157e308, -1e308,
+                    np.inf, -np.inf, np.nan, 1.0, -3.0, 123456.0, 1e16, 2.0 ** 53 + 2,
+                    12345678901234568.0, 1e17, -1e22, 0.1, 1e-5, 1e-4])
+
+
+def _array(seed, shape, count):
+    """A float array of the shape (n, *shape) holding about count numbers:
+    awkward values, doubles of every exponent from random bits, integers."""
+    rng = np.random.default_rng(seed)
+    n = count // max(1, math.prod(shape))
+    size = n * math.prod(shape)
+    pick = rng.integers(0, 3, size)
+    x = rng.integers(0, 2 ** 64, size, dtype=np.uint64).view(float)
+    x[pick == 0] = rng.choice(AWKWARD, int(np.sum(pick == 0)))
+    x[pick == 1] = rng.integers(-2 ** 60, 2 ** 60, int(np.sum(pick == 1)))
+    return x.reshape((n, *shape))
+
+
+def _same_floats(got, want):
+    """Bit for bit, but any NaN for a NaN, as JSON has one NaN."""
+    got = np.asarray(got, dtype=float).reshape(want.shape)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+counts = st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]) | st.integers(0, 40)
+arrays = st.tuples(st.integers(0, 2 ** 32 - 1), st.sampled_from([(), (2,), (2, 2, 2)]), counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(arrays, max_size=4), st.dictionaries(st.text(), json_values, max_size=3))
+def test_json_writer_arrays_read_back_bit_for_bit(drawn, plain):
+    # float arrays, alone, side by side, inside a nested dict and among
+    # plain values, read back bit for bit through json.loads and through the
+    # coefficient file reader; each number is the bytes of format(x, ".17g")
+    # but for JSON's -0.0, NaN, Infinity and -Infinity
+    xs = [_array(*a) for a in drawn]
+    arrays = {f"x{i}": x for i, x in enumerate(xs)}
+    if xs:
+        arrays["nested"] = {"y": xs[-1]}
+    payload = {**plain, **arrays}
+    fh = io.StringIO()
+    write_json(payload, fh)
+    text = fh.getvalue()
+    loaded, kept = json.loads(text), plain.keys() - arrays.keys()
+    assert {k: loaded[k] for k in kept} == json.loads(json.dumps({k: plain[k] for k in kept}))
+    for read in (loaded, _load_json(io.StringIO(text))):
+        assert read.keys() == payload.keys()
+        for i, x in enumerate(xs):
+            assert _same_floats(read[f"x{i}"], x)
+        if xs:
+            assert _same_floats(read["nested"]["y"], xs[-1])
+    if xs:
+        fh = io.StringIO()
+        write_json({"x": xs[0]}, fh)
+        tokens = re.split(r"[][, ]+", fh.getvalue()[len('{\n "x": '):-len("\n}\n")])
+        assert all(t in ("-0.0", "NaN", "Infinity", "-Infinity") or t == format(float(t), ".17g")
+                   for t in tokens if t)
+
+
+def test_json_writer_converts_a_payload_in_one_pass(monkeypatch):
+    # every array of a payload goes through the converter together: at most
+    # ceil(numbers / _BLOCK) calls, none of more than _BLOCK numbers
+    calls, convert = [], decimals._number_words
+    monkeypatch.setattr(decimals, "_number_words",
+                        lambda block, *a: calls.append(block.size) or convert(block, *a))
+    for sizes in ((283,), (1000, 1000, 2000, 2002, 1001), (_BLOCK,), (1, _BLOCK, 1), (7, 9)):
+        calls.clear()
+        payload = {f"x{i}": np.linspace(0.0, 1.0, n) for i, n in enumerate(sizes)}
+        write_json({**payload, "tail": "finite", "nested": {"z": np.zeros((2, 2, 2, 2))}},
+                   io.StringIO())
+        total = sum(sizes) + 16
+        assert len(calls) == -(-total // _BLOCK) and max(calls) <= _BLOCK
+        assert sum(calls) == total
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 

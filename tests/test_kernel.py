@@ -213,6 +213,18 @@ def test_kernel_periodic_fold_for_non_binary_periods():
             assert np.max(np.abs(np.exp(c[0, j] - ref_c) * m[0, j] - ref)) < 1e-10
 
 
+@pytest.mark.parametrize("periods", [1, 2, 5, 12])
+def test_periodic_tail_squares_only_the_powers_it_uses(monkeypatch, periods):
+    # P^q is the product of the powers P^(2^j) of q's set bits: q.bit_length() - 1
+    # squares, none past the top bit (a square of the period's power is the
+    # kernel's only product of a stack by itself)
+    squares, mul = [], prop._mul
+    monkeypatch.setattr(prop, "_mul", lambda x, y: squares.append(x is y) or mul(x, y))
+    system = ArovParameters([0.4, 1.0], [1.0, 0.6], [0.3, -0.2j], TAIL_PERIODIC)
+    prop.transfer_grid(system, [0.3 + 0.8j, 1j], [periods + 0.5])
+    assert sum(squares) == periods.bit_length() - 1
+
+
 @pytest.mark.parametrize("build", (_disk_system, _general_system))
 @pytest.mark.parametrize("tail, spans", [
     (TAIL_CONSTANT, ((1.0, 1.0), (1.0, 1.7), (1.3, 2.9), (0.5, 1.4))),

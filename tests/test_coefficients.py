@@ -521,8 +521,9 @@ arrays = st.tuples(st.integers(0, 2 ** 32 - 1), st.sampled_from([(), (2,), (2, 2
 @given(st.lists(arrays, max_size=4), st.dictionaries(st.text(), json_values, max_size=3))
 def test_json_writer_arrays_read_back_bit_for_bit(drawn, plain):
     # float arrays, alone, side by side, inside a nested dict and among
-    # plain values, read back bit for bit through json.loads and through the
-    # coefficient file reader; each number is the bytes of format(x, ".17g")
+    # plain values, read back bit for bit through json.loads and through
+    # load_parameters' JSON reader (_load_json, which takes any values, not
+    # only a valid system); each number is the bytes of format(x, ".17g")
     # but for JSON's -0.0, NaN, Infinity and -Infinity
     xs = [_array(*a) for a in drawn]
     arrays = {f"x{i}": x for i, x in enumerate(xs)}

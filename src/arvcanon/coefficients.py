@@ -28,12 +28,16 @@ and Q a number x stands for [x, 0].  Full-line systems are ``{"left": {...},
 "right": {...}}``, the left half stored mirrored (l in the file is -l).
 
 ``load_parameters`` parses a file with no Python frame per number and no
-Python object kept per number: numpy reads all numbers into one float
-buffer, a stretch of text at a time, one C scan checks the syntax and builds
+Python object kept past its stretch of text: the numbers are read into one
+float buffer a stretch at a time, one C scan checks the syntax and builds
 the structure around a shared marker per number, and rectangular numeric
-lists become views of the buffer.  The numbers are bit for bit those of
-``json.loads``, except that an integer beyond the float range reads as
-infinity.
+lists become views of the buffer.  A stretch takes one of two paths: orjson
+reads its numbers as one JSON list, correctly rounded, and numpy copies
+them out; a stretch with a literal (true, false, null, NaN, Infinity) or
+one orjson refuses (a number beyond the float range, an empty list between
+numbers, text that is not JSON) goes through numpy's text reader instead.
+The numbers are bit for bit those of ``json.loads``, except that an integer
+beyond the float range reads as infinity.
 """
 
 import functools
@@ -44,6 +48,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import (CoefficientError, DomainError, InputError, ParseError,
                      PreconditionError, _raise_first)
@@ -620,29 +625,53 @@ _STRINGS = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 #: the integer token -0, which JSON reads as int 0 and so as +0.0
 _INT_ZERO = r"-0(?![.eE\d])"
 
-#: JSON structure and whitespace, blanked around the numbers
-_BLANK = str.maketrans("[]{},:\t\n\r", " " * 9)
+#: JSON structure and whitespace, blanked around the numbers and their commas
+_BLANK = str.maketrans("[]{}:\t\n\r", " " * 8)
 
-#: characters of text numpy reads at a time
-_CHUNK = 1 << 16
+#: characters of text read at a time: orjson makes a Python float of every
+#: number of a stretch before numpy copies them out
+_CHUNK = 1 << 14
+
+
+def _fromstring(part):
+    """The numbers of a blanked stretch by numpy's text reader: the literals
+    true, false and null dropped, NaN and (-)Infinity kept as numbers and a
+    number beyond the float range read as infinity."""
+    part = re.sub(_INT_ZERO, "0", part.replace(",", " "))
+    if "u" in part or "l" in part:  # only true, false and null hold either
+        part = part.replace("true", " ").replace("false", " ").replace("null", " ")
+    # np.fromstring reads pure blanks as [-1.0]
+    return np.empty(0) if part.isspace() else np.fromstring(part, sep=" ")
 
 
 def _numbers(text):
-    """The numbers of a JSON text in document order, as one float array:
-    numpy reads each stretch between strings, at most about _CHUNK
-    characters at a time (cut after a comma), with its structure blanked,
-    the literals true, false and null removed and NaN and (-)Infinity kept
-    as numbers, so no copy of the whole text is made."""
+    """The numbers of a JSON text in document order, as one float array,
+    read a stretch between strings at a time, at most about _CHUNK
+    characters (cut after a comma), so no copy of the whole text is made.
+    A stretch's structure is blanked and its edge commas stripped, which
+    leaves its numbers and the commas between them: one orjson.loads of that
+    as a list reads them correctly rounded, as float() does.  A stretch that
+    holds a literal (u, l, N and I are only found in true, false, null, NaN
+    and Infinity) or that orjson refuses (a number beyond the float range,
+    an empty list between numbers, text that is not JSON) is read by
+    numpy's text reader instead (_fromstring)."""
     parts, lo = [], 0
     for a, b in [m.span() for m in re.finditer(_STRINGS, text)] + [(len(text), None)]:
         while lo < a:
             hi = text.find(",", lo + _CHUNK, a) + 1 or a
-            part = re.sub(_INT_ZERO, "0", text[lo:hi].translate(_BLANK))
-            if "u" in part or "l" in part:  # only true, false and null hold either
-                part = part.replace("true", " ").replace("false", " ").replace("null", " ")
-            if not part.isspace():  # np.fromstring reads pure blanks as [-1.0]
-                parts.append(np.fromstring(part, sep=" "))
+            part = text[lo:hi].translate(_BLANK).strip(" ,")
             lo = hi
+            if not part:
+                continue
+            if not ("u" in part or "l" in part or "N" in part or "I" in part):
+                try:
+                    values = orjson.loads(f"[{part}]")
+                except orjson.JSONDecodeError:
+                    pass
+                else:
+                    parts.append(np.fromiter(values, float, len(values)))
+                    continue
+            parts.append(_fromstring(part))
         lo = b
     return np.concatenate(parts) if parts else np.empty(0)
 
@@ -688,8 +717,8 @@ def _rebuild(node, values, pos):
 
 def _load_json(fh):
     """json.load with the numbers in one float buffer, no Python frame per
-    number and no Python object kept per number: numpy reads the numbers
-    (_numbers), then one C scan checks the syntax and builds the skeleton,
+    number and no Python object kept per number: _numbers reads the numbers,
+    then one C scan checks the syntax and builds the skeleton,
     type() turning each number token into the _NUMBER sentinel, and each
     rectangular numeric list becomes a view of the buffer.  The numbers are
     read first, so no piece of the text is copied while the skeleton is

@@ -131,7 +131,9 @@ def _expm(g11, g12, g21, d):
     """exp(G d) = exp(c) E for trace-free G = [[g11, g12], [g21, -g11]],
     entrywise over broadcast arrays: E as a (4, ...) stack, c real.  Each
     intermediate goes into a buffer already held where one is free and is
-    dropped after its last use (arguments that only the call holds too)."""
+    dropped after its last use (arguments that only the call holds too).  No
+    complex product is written over one of its own operands: on a stack of
+    one element numpy rounds such a product otherwise than out of place."""
     g1221 = g12 * g21
     # cosh and sinh(x)/rho are even in rho, so the principal root serves: its
     # real part is never negative (nor -0)
@@ -155,7 +157,7 @@ def _expm(g11, g12, g21, d):
     small = np.divide(g1221, big, g1221, where=big != 0.0)
     s = -2.0 * x
     np.expm1(s, s)
-    np.multiply(-0.5 * ph, s, s)
+    s = -0.5 * ph * s
     np.divide(s, rho, s, where=~zero)
     np.copyto(s, d, where=zero)
     del rho
@@ -166,8 +168,8 @@ def _expm(g11, g12, g21, d):
     decay = np.multiply(np.exp(-2.0 * x.real), np.conj(ph, ph), ph)  # ph e^-2x
     np.multiply(s, np.where(flip, small, big), e[0])
     np.add(decay, e[0], e[0])
-    np.multiply(s, np.where(flip, big, small), s)
-    np.add(decay, s, e[3])
+    np.multiply(s, np.where(flip, big, small), e[3])
+    np.add(decay, e[3], e[3])
     del s, decay, small, big  # before the renormalisation's temporaries
     return _renorm(e, x.real)
 

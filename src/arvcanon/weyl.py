@@ -153,8 +153,13 @@ def _unimodular_constant(p):
 def _tail_value(zs, p, m):
     """The tail's own Schur value at every z, a fixed point of the stripping
     flow: the stationarity root of a constant tail, the in-disk fixed point
-    of a periodic tail's monodromy T(z, 0 -> L), scaled to m."""
+    of a periodic tail's monodromy T(z, 0 -> L), scaled to m; a monodromy
+    whose exponent or log-scale overflowed (NaN or inf entries) is refused
+    before the quadratic is formed from it."""
     if p.tail == coeff.TAIL_PERIODIC:
+        if not np.isfinite(m).all():
+            raise DomainError("an exponent or log-scale overflows: the period is too long "
+                              "at this z")
         return ric.disk_root(m[:, 0, 1], m[:, 1, 1] - m[:, 0, 0], -m[:, 1, 0])
     return ric.riccati_fixed_point(zs, p.a[-1])
 

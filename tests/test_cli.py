@@ -409,6 +409,19 @@ def test_overflowing_suffix_exit_3_with_no_warning(tmp_path, capsys):
     assert out == "" and json.loads(err)["error"] == "InputError"
 
 
+def test_overflowing_periodic_monodromy_exit_3_with_no_warning(tmp_path, capsys):
+    # --s0 auto over a periodic tail takes the in-disk root of the
+    # monodromy's quadratic; a monodromy whose exponent overflowed (NaN
+    # entries) reached the quadratic and warned there (an error here)
+    path = _write(tmp_path, "p.json", {"grid": [1e306, 2e306], "m": [1, 1], "a": [0.5, 0.3],
+                                       "tail": "periodic"})
+    argv = ["riccati", "--input", path, "--z=0,800", "--lgrid", "0:1e306:1e306", "--s0", "auto"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "DomainError" and "overflows" in json.loads(err)["message"]
+
+
 def test_type_report_below_the_overflow_is_finite(tmp_path, capsys):
     # an exponent rho d of 6.9e307 at y = 800 is no error
     path = _write(tmp_path, "p.json", {"grid": [1.0], "m": [1.0], "a": [0.5], "tail": "constant"})

@@ -814,6 +814,116 @@ def test_numbers_read_in_chunks_of_any_size(text, chunk):
         coefficients._CHUNK = saved
 
 
+def _float_tokens(rng, n):
+    """n JSON number tokens that float() reads as finite: repr and .17g text
+    of random doubles of every exponent, subnormals among them; exact
+    halfway points between adjacent doubles written with 17, 20, 25 and 45
+    digits, each also nudged one unit in the 40th digit; 1 to 40-digit
+    mantissas with exponents -360 to 330; the largest double."""
+    from decimal import Context, Decimal
+
+    exact = Context(prec=1200)
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64)
+    bits[: n // 8] &= np.uint64(2**63 + 2**52 - 1)  # exponent field 0: zero and subnormals
+    doubles = bits.view(float)
+    doubles = doubles[np.isfinite(doubles)].tolist()
+    tokens = [repr(x) for x in doubles] + [format(x, ".17g") for x in doubles]
+    for x in doubles[: n // 4]:
+        x = abs(x)
+        if x == np.finfo(float).max:
+            continue
+        half = exact.divide(exact.add(Decimal(x), Decimal(np.nextafter(x, np.inf))), 2)
+        for digits in (17, 20, 25, 45):
+            text = format(half, f".{digits - 1}e")
+            tokens.append(text)
+            unit = Decimal(f"1e{int(text.split('e')[1]) - 39}")
+            for nudge in (unit, -unit):
+                tokens.append(format(exact.add(Decimal(text), nudge), f".{max(digits, 40) - 1}e"))
+    for _ in range(n):
+        digits = "".join(map(str, rng.integers(0, 10, int(rng.integers(1, 41)))))
+        digits = digits.lstrip("0") or "0"
+        point = int(rng.integers(1, len(digits) + 1))
+        mantissa = digits[:point] + (f".{digits[point:]}" if digits[point:] else "")
+        exponent = int(rng.integers(-360, 331))
+        sign = rng.choice(["", "-"])
+        mark = rng.choice(["e", "E", "e+", "E+"]) if exponent >= 0 else rng.choice(["e", "E"])
+        tokens.append(f"{sign}{mantissa}{mark}{exponent}" if exponent else f"{sign}{mantissa}")
+    tokens.append("1.7976931348623157e308")
+    return [t for t in tokens if math.isfinite(float(t))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, 1]))
+def test_numbers_read_bit_for_bit_as_float_does(seed, indent):
+    # the oracle is Python's float(), independent of both readers: every
+    # finite token, in the nested lists of a coefficient-like file, reads
+    # as float(token) does, and orjson reads them all (numpy's text reader,
+    # the path for literals and refused stretches, is never called)
+    from unittest import mock
+
+    from arvcanon import coefficients
+
+    rng = np.random.default_rng(seed)
+    tokens = _float_tokens(rng, 400)
+    rng.shuffle(tokens)
+    pairs = ", ".join(f"[{a}, {b}]" for a, b in zip(tokens[0::2], tokens[1::2]))
+    sep = "\n " if indent else " "
+    text = f'{{"grid": [{sep}{pairs}{sep}], "tail": "constant"}}'
+    want = np.array([float(t) for t in tokens[: len(tokens) // 2 * 2]])
+
+    def refused(part):
+        raise AssertionError(f"read by numpy: {part[:80]}")
+
+    with mock.patch.object(coefficients, "_fromstring", refused):
+        got = coefficients._numbers(text)
+    assert got.tobytes() == want.tobytes()
+
+
+def _json_numbers(text):
+    """The numbers json.loads reads from a text, in document order, as
+    floats: what _numbers must give (literals dropped)."""
+    def walk(node):
+        if isinstance(node, dict):
+            for v in node.values():
+                yield from walk(v)
+        elif isinstance(node, list):
+            for v in node:
+                yield from walk(v)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield float(node)
+
+    return np.array(list(walk(json.loads(text))), dtype=float)
+
+
+@pytest.mark.parametrize("text, fallback", [
+    ('[NaN, 0.5, -Infinity, Infinity]', True),
+    ('{"m": [1e999, -1e999, 2.5e-3], "a": [0.25]}', True),
+    ('[1.7976931348623159e308, 1.7976931348623157e308, -0]', True),
+    ('[-0, [-0, -0.0], -0e0, 0]', False),
+    ('[-0, [-0, -0.0], -0e0, 0, null]', True),
+    (f'[{2**64}, {2**64 - 1}, {2**63}, -{2**63 + 1}, {2**70 + 12345}, {10**30 + 1}]', False),
+    (f'[{2**64}, {2**64 - 1}, {2**63}, -{2**63 + 1}, {2**70 + 12345}, NaN]', True),
+    ('[true, 1.5, [false, 2], null, 3e-5]', True),
+    ('{"grid": [1, [], 2], "m": [[[]], 0.75]}', True),
+    ('[]', False),
+    ('{"grid": [], "x": "1, 2, NaN", "m": [0.5]}', False),
+])
+def test_numbers_equal_json_on_both_paths(text, fallback):
+    # literals, refused stretches (a number beyond the float range, an empty
+    # list between numbers) and the tokens json spells differently from a
+    # float (integer -0, integers past 2^64) read as json.loads reads them;
+    # the stretches with a literal or a refused number go through numpy
+    from unittest import mock
+
+    from arvcanon import coefficients
+
+    with mock.patch.object(coefficients, "_fromstring",
+                           wraps=coefficients._fromstring) as spy:
+        got = coefficients._numbers(text)
+    assert got.tobytes() == _json_numbers(text).tobytes()
+    assert spy.called == fallback
+
+
 @pytest.mark.parametrize("text", [
     '{"grid": [1], "m": [-0], "a": [[-0.0, 0.5]]}',
     '{"grid": [1, 2], "m": [0, -0.0], "a": [-0, [0.5, -0.0]], "tail": "finite"}',

@@ -22,14 +22,13 @@ from .propagate import (GAUGE_AROV, GAUGE_PDB, GAUGE_RAW, RecoveryResult,
                         transfer_family, transfer_scaled)
 from .riccati import (BoundaryLimit, RiccatiState, a_to_c, blaschke_matrix,
                       boundary_limit, c_to_a, integrate_riccati,
-                      riccati_fixed_point, riccati_rhs, riccati_trajectory)
+                      riccati_fixed_point, riccati_trajectory)
 from .spectral import (BPReport, ReflectionlessReport, TypeReport, bp_defect,
                        exponential_type_integral, exponential_type_numeric,
                        gamma_metric, harmonic_measure, reflectionless_defect,
                        reflectionless_ladder, type_report)
 from .weyl import (Disk, LIMIT_CIRCLE, LIMIT_POINT, SchurValue, classify_limit,
-                   diameter_direct, herglotz_from_schur, mobius_factor,
-                   schur_minus, schur_plus, schur_stripped, weyl_disk,
-                   weyl_disk_at)
+                   diameter_direct, herglotz_from_schur, schur_minus,
+                   schur_plus, schur_stripped, weyl_disk, weyl_disk_at)
 
 __version__ = "0.1.0"

@@ -345,21 +345,14 @@ def _cmd_riccati(ns):
 def _cmd_type(ns):
     system = _load_single(ns)
     report = spec.type_report(system, ns.l)
-    if ns.format == "csv":
-        _write_table(ns.output,
-                     ("l", "sigma_integral", "sigma_numeric", "rel_gap"),
-                     ([ns.l], [report.sigma_integral], [report.sigma_numeric],
-                      [report.rel_gap]),
-                     _config_hash(ns))
-    else:
-        _write_json(ns.output, {
-            "l": ns.l,
-            "sigma_integral": report.sigma_integral,
-            "sigma_numeric": report.sigma_numeric,
-            "rel_gap": report.rel_gap,
-            "y_samples": list(report.ys),
-            "config": _config_hash(ns),
-        })
+    _write_json(ns.output, {
+        "l": ns.l,
+        "sigma_integral": report.sigma_integral,
+        "sigma_numeric": report.sigma_numeric,
+        "rel_gap": report.rel_gap,
+        "y_samples": list(report.ys),
+        "config": _config_hash(ns),
+    })
     return EXIT_OK
 
 
@@ -482,7 +475,6 @@ def build_parser():
 
     p = command("type", _cmd_type, "exponential type, both faces")
     p.add_argument("--l", type=float, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = command("reflectionless", _cmd_reflectionless,
                 "boundary-value defect on an eps ladder")

@@ -31,12 +31,12 @@ and Q a number x stands for [x, 0].  Full-line systems are ``{"left": {...},
 Python object kept past its stretch of text: the numbers are read into one
 float buffer a stretch at a time, one C scan checks the syntax and builds
 the structure around a shared marker per number, and rectangular numeric
-lists become views of the buffer.  A stretch takes one of two paths: orjson
-reads its numbers as one JSON list, correctly rounded, and numpy copies
-them out; a stretch with a literal (true, false, null, NaN, Infinity) or
-one orjson refuses (a number beyond the float range, an empty list between
-numbers, text that is not JSON) goes through numpy's text reader instead.
-The numbers are bit for bit those of ``json.loads``, except that an integer
+lists become views of the buffer.  orjson reads each stretch's numbers as
+one JSON list, correctly rounded, and numpy copies them out.  A file with a
+literal (true, false, null, NaN, Infinity) or a stretch orjson refuses (a
+number beyond the float range, an empty list between numbers, text that is
+not JSON) is read whole by ``json.loads`` instead, into plain lists.  The
+numbers are bit for bit those of ``json.loads``, except that an integer
 beyond the float range reads as infinity.
 """
 
@@ -622,9 +622,6 @@ _NUMBER = str
 #: JSON strings (keys included), skipped when the numbers are read
 _STRINGS = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 
-#: the integer token -0, which JSON reads as int 0 and so as +0.0
-_INT_ZERO = r"-0(?![.eE\d])"
-
 #: JSON structure and whitespace, blanked around the numbers and their commas
 _BLANK = str.maketrans("[]{}:\t\n\r", " " * 8)
 
@@ -633,28 +630,17 @@ _BLANK = str.maketrans("[]{}:\t\n\r", " " * 8)
 _CHUNK = 1 << 14
 
 
-def _fromstring(part):
-    """The numbers of a blanked stretch by numpy's text reader: the literals
-    true, false and null dropped, NaN and (-)Infinity kept as numbers and a
-    number beyond the float range read as infinity."""
-    part = re.sub(_INT_ZERO, "0", part.replace(",", " "))
-    if "u" in part or "l" in part:  # only true, false and null hold either
-        part = part.replace("true", " ").replace("false", " ").replace("null", " ")
-    # np.fromstring reads pure blanks as [-1.0]
-    return np.empty(0) if part.isspace() else np.fromstring(part, sep=" ")
-
-
 def _numbers(text):
     """The numbers of a JSON text in document order, as one float array,
     read a stretch between strings at a time, at most about _CHUNK
     characters (cut after a comma), so no copy of the whole text is made.
     A stretch's structure is blanked and its edge commas stripped, which
     leaves its numbers and the commas between them: one orjson.loads of that
-    as a list reads them correctly rounded, as float() does.  A stretch that
-    holds a literal (u, l, N and I are only found in true, false, null, NaN
-    and Infinity) or that orjson refuses (a number beyond the float range,
-    an empty list between numbers, text that is not JSON) is read by
-    numpy's text reader instead (_fromstring)."""
+    as a list reads them correctly rounded, as float() does.  Raises
+    ValueError on a stretch that holds a literal (u and l are only found in
+    true, false and null) and orjson.JSONDecodeError, a ValueError, on one
+    orjson refuses (NaN, Infinity, a number beyond the float range, an empty
+    list between numbers, text that is not JSON)."""
     parts, lo = [], 0
     for a, b in [m.span() for m in re.finditer(_STRINGS, text)] + [(len(text), None)]:
         while lo < a:
@@ -663,15 +649,10 @@ def _numbers(text):
             lo = hi
             if not part:
                 continue
-            if not ("u" in part or "l" in part or "N" in part or "I" in part):
-                try:
-                    values = orjson.loads(f"[{part}]")
-                except orjson.JSONDecodeError:
-                    pass
-                else:
-                    parts.append(np.fromiter(values, float, len(values)))
-                    continue
-            parts.append(_fromstring(part))
+            if "u" in part or "l" in part:
+                raise ValueError("a literal among the numbers")
+            values = orjson.loads(f"[{part}]")
+            parts.append(np.fromiter(values, float, len(values)))
         lo = b
     return np.concatenate(parts) if parts else np.empty(0)
 
@@ -722,12 +703,14 @@ def _load_json(fh):
     type() turning each number token into the _NUMBER sentinel, and each
     rectangular numeric list becomes a view of the buffer.  The numbers are
     read first, so no piece of the text is copied while the skeleton is
-    held."""
+    held.  A text _numbers refuses is read whole by json.loads into plain
+    lists, each integer token as float() reads it plus 0.0: -0 is +0.0, as
+    JSON has it, and an integer past the float range is infinity."""
     text = fh.read()
     try:
         values = _numbers(text)
-    except ValueError:  # not JSON: the scan below says where
-        values = None
+    except ValueError:
+        return json.loads(text, parse_int=lambda token: float(token) + 0.0)
     skeleton = json.loads(text, parse_float=type, parse_int=type, parse_constant=type,
                           object_pairs_hook=tuple)
     del text

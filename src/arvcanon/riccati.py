@@ -46,13 +46,6 @@ ESCAPE_SLACK = 1e-6
 _TRIALS = np.arange(1, 65)
 
 
-def riccati_rhs(s, z, a):
-    """Right-hand side of the stripping flow in the measure variable."""
-    s, z, a = complex(s), complex(z), complex(a)
-    iz = 1j * z
-    return np.conj(a) * (iz + 1.0) * s * s - 2.0 * iz * s + a * (iz - 1.0)
-
-
 def disk_root(qa, qb, qc):
     """Root in the closed unit disk of qa w^2 + qb w + qc = 0, elementwise
     over complex arrays of one shape.

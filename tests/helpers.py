@@ -16,8 +16,7 @@ from arvcanon import propagate as prop
 from arvcanon.errors import DomainError
 from arvcanon.mat2 import J, J1, as_mat2, det2, norm2
 from arvcanon.propagate import transfer, transfer_grid
-from arvcanon.riccati import (ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK,
-                              RiccatiState, riccati_rhs)
+from arvcanon.riccati import ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK, RiccatiState
 from arvcanon.spectral import harmonic_measure
 from arvcanon.weyl import schur_minus_grid, schur_stripped, stripped_grid
 
@@ -263,6 +262,13 @@ JUMP_CAP = 0.05
 
 class StepUnderflowError(RuntimeError):
     """Adaptive step control reduced the step below the useful resolution."""
+
+
+def riccati_rhs(s, z, a):
+    """Right-hand side of the stripping flow in the measure variable."""
+    s, z, a = complex(s), complex(z), complex(a)
+    iz = 1j * z
+    return np.conj(a) * (iz + 1.0) * s * s - 2.0 * iz * s + a * (iz - 1.0)
 
 
 def _rk4_step(s, a, z, h):

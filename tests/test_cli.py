@@ -187,8 +187,8 @@ def test_riccati_auto_rows_are_the_stripped_values(tmp_path):
 
 def test_removed_options_are_parse_errors(const_half, capsys):
     # no subcommand takes --tol (Schur values are certified at round-off),
-    # --threads only on transfer and disks, and reflectionless takes no
-    # --delta (its a.c.-band proxy is spectral.AC_DELTA)
+    # --threads only on transfer and disks, reflectionless takes no --delta
+    # (its a.c.-band proxy is spectral.AC_DELTA) and type writes JSON only
     for argv in (["riccati", "--z", "0.3,0.5", "--lgrid", "0:1:0.5", "--step", "0.1"],
                  ["reflectionless", "--xgrid", "0:1:0.5", "--delta", "0.02"],
                  ["schur", "--zgrid", "0,0.5:1,1:3", "--tol", "1e-10"],
@@ -203,6 +203,7 @@ def test_removed_options_are_parse_errors(const_half, capsys):
                  ["schur", "--zgrid", "i", "--threads", "2"],
                  ["riccati", "--z", "i", "--lgrid", "0:1:0.5", "--threads", "2"],
                  ["type", "--l", "1", "--threads", "2"],
+                 ["type", "--l", "1", "--format", "csv"],
                  ["reflectionless", "--xgrid", "0:1:0.5", "--threads", "2"],
                  ["bp", "--e", "0,1", "--arc", "0:1", "--threads", "2"],
                  ["gauge", "--to", "arov", "--zgrid", "i", "--lgrid", "0:1:0.5",
@@ -742,7 +743,6 @@ def test_in_process_calls_repeat_byte_for_byte(tmp_path, const_half, full_line):
         "riccati": ["riccati", "--input", const_half, "--z", "i", "--s0", "0.9,0",
                     "--lgrid", "0:3:0.5"],
         "type": ["type", "--input", const_half, "--l", "2"],
-        "type_csv": ["type", "--input", const_half, "--l", "2", "--format", "csv"],
         "reflectionless": ["reflectionless", "--input", full_line, "--xgrid=-0.5:0.5:0.25",
                            "--eps", "1e-2,1e-3", "--summary", str(out) + "_summary.json"],
         "bp": ["bp", "--input", full_line, "--e=0.9,1.4", "--arc=0.4:2.0",

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arvcanon import (ArovParameters, CoefficientError, DomainError, ParseError,
                       PreconditionError, TAIL_CONSTANT, TAIL_FINITE,
@@ -854,13 +854,16 @@ def _float_tokens(rng, n):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 1]))
+@example(10932, None)  # each draws the integer token -0
+@example(46660, None)
+@example(919052, None)
+@example(934, None)
 def test_numbers_read_bit_for_bit_as_float_does(seed, indent):
-    # the oracle is Python's float(), independent of both readers: every
+    # the oracle is Python's float(), independent of the reader: every
     # finite token, in the nested lists of a coefficient-like file, reads
-    # as float(token) does, and orjson reads them all (numpy's text reader,
-    # the path for literals and refused stretches, is never called)
-    from unittest import mock
-
+    # as float(token) does, an integer token as JSON reads it, through int
+    # (so -0 is +0.0), and orjson reads them all (_numbers raises on a
+    # stretch it refuses)
     from arvcanon import coefficients
 
     rng = np.random.default_rng(seed)
@@ -869,30 +872,25 @@ def test_numbers_read_bit_for_bit_as_float_does(seed, indent):
     pairs = ", ".join(f"[{a}, {b}]" for a, b in zip(tokens[0::2], tokens[1::2]))
     sep = "\n " if indent else " "
     text = f'{{"grid": [{sep}{pairs}{sep}], "tail": "constant"}}'
-    want = np.array([float(t) for t in tokens[: len(tokens) // 2 * 2]])
-
-    def refused(part):
-        raise AssertionError(f"read by numpy: {part[:80]}")
-
-    with mock.patch.object(coefficients, "_fromstring", refused):
-        got = coefficients._numbers(text)
-    assert got.tobytes() == want.tobytes()
+    want = np.array([float(int(t)) if t.lstrip("-").isdigit() else float(t)
+                     for t in tokens[: len(tokens) // 2 * 2]])
+    assert coefficients._numbers(text).tobytes() == want.tobytes()
 
 
-def _json_numbers(text):
-    """The numbers json.loads reads from a text, in document order, as
-    floats: what _numbers must give (literals dropped)."""
+def _document_numbers(node):
+    """The numbers of a parsed JSON document in document order, as floats,
+    the entries of its arrays included (literals dropped)."""
     def walk(node):
         if isinstance(node, dict):
             for v in node.values():
                 yield from walk(v)
-        elif isinstance(node, list):
+        elif isinstance(node, (list, np.ndarray)):
             for v in node:
                 yield from walk(v)
         elif isinstance(node, (int, float)) and not isinstance(node, bool):
             yield float(node)
 
-    return np.array(list(walk(json.loads(text))), dtype=float)
+    return np.array(list(walk(node)), dtype=float)
 
 
 @pytest.mark.parametrize("text, fallback", [
@@ -911,17 +909,20 @@ def _json_numbers(text):
 def test_numbers_equal_json_on_both_paths(text, fallback):
     # literals, refused stretches (a number beyond the float range, an empty
     # list between numbers) and the tokens json spells differently from a
-    # float (integer -0, integers past 2^64) read as json.loads reads them;
-    # the stretches with a literal or a refused number go through numpy
-    from unittest import mock
-
+    # float (integer -0, integers past 2^64) load as json.loads reads them;
+    # the texts with a literal or a refused number are those _numbers
+    # raises on, which json.loads then reads whole
     from arvcanon import coefficients
 
-    with mock.patch.object(coefficients, "_fromstring",
-                           wraps=coefficients._fromstring) as spy:
-        got = coefficients._numbers(text)
-    assert got.tobytes() == _json_numbers(text).tobytes()
-    assert spy.called == fallback
+    try:
+        coefficients._numbers(text)
+    except ValueError:
+        refused = True
+    else:
+        refused = False
+    assert refused == fallback
+    got = _document_numbers(_load_json(io.StringIO(text)))
+    assert got.tobytes() == _document_numbers(json.loads(text)).tobytes()
 
 
 @pytest.mark.parametrize("text", [
@@ -937,3 +938,44 @@ def test_signed_zeros_parse_as_plain_json(tmp_path, text):
     got, want = load_parameters(path), _plain_load(text)
     for name in ("grid", "m", "a"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def _long_disk_text(m0, extra=""):
+    """A disk-gauge file of several _CHUNK stretches of repr-written
+    numbers, m0 the token of its first density and extra text put before
+    its closing brace."""
+    rng = np.random.default_rng(29)
+    n = 2000
+    text = json.dumps({"grid": np.cumsum(rng.uniform(0.05, 0.3, n)).tolist(),
+                       "m": rng.uniform(0.2, 1.2, n - 1).tolist(),
+                       "a": rng.uniform(-0.5, 0.5, (n, 2)).tolist()})
+    return text.replace('"m": [', f'"m": [{m0}, ', 1)[:-1] + extra + "}"
+
+
+@pytest.mark.parametrize("m0, extra, want", [
+    ("1" * 400, "", (CoefficientError, "non-finite")),
+    ("0.5", ', "note": null', None),
+    ("true", "", (ParseError, "m: expected a real number")),
+], ids=["400-digit integer", "null beside the arrays", "true in m"])
+def test_texts_the_numbers_refuse_load_through_json(tmp_path, m0, extra, want):
+    # _numbers raises on each text, which json.loads then reads whole: an
+    # integer past the float range reads as infinity, a null beside the
+    # arrays leaves them bit for bit as the orjson path reads them, and a
+    # boolean is not a number
+    from arvcanon import coefficients
+
+    text = _long_disk_text(m0, extra)
+    assert len(text) > 4 * coefficients._CHUNK
+    with pytest.raises(ValueError):
+        coefficients._numbers(text)
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    if want is not None:
+        with pytest.raises(want[0], match=want[1]):
+            load_parameters(path)
+        return
+    got = load_parameters(path)
+    path.write_text(_long_disk_text(m0))
+    plain = load_parameters(path)
+    for name in ("grid", "m", "a"):
+        assert getattr(got, name).tobytes() == getattr(plain, name).tobytes(), name

@@ -51,8 +51,8 @@ import numpy as np
 import orjson
 
 from .errors import (CoefficientError, DomainError, InputError, ParseError,
-                     PreconditionError, _raise_first)
-from .mat2 import J, _h, herm_eigs, mat2, norm2
+                     _raise_first)
+from .mat2 import J, _h, herm_eigs, norm2
 
 TAIL_CONSTANT = "constant"
 TAIL_PERIODIC = "periodic"
@@ -65,34 +65,6 @@ COEFF_TOL = 1e-12
 #: slack, relative to max(1, |P|) or max(1, |Q|), accepted on the
 #: general-gauge constraints.
 GENERAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ABPair:
-    """The Hermitian/anti-Hermitian generator pair attached to a unit-disk
-    coefficient: A = [[1, -conj(a)], [-a, 1]], B = [[0, conj(a)], [-a, 0]]."""
-
-    a: complex
-    A: np.ndarray
-    B: np.ndarray
-
-    @property
-    def a_plus_b(self):
-        """A + B = [[1, 0], [-2a, 1]]."""
-        return self.A + self.B
-
-
-def ab_from_a(a):
-    """Expand a unit-disk coefficient into its (A, B) generator pair."""
-    a = complex(a)
-    if not np.isfinite(a.real) or not np.isfinite(a.imag):
-        raise InputError("coefficient a must be finite")
-    if abs(a) > 1.0 + COEFF_TOL:
-        raise CoefficientError(f"coefficient out of range: |a| = {abs(a)} > 1")
-    ac = np.conj(a)
-    A = mat2(1.0, -ac, -a, 1.0)
-    B = mat2(0.0, ac, -a, 0.0)
-    return ABPair(a, A, B)
 
 
 def _as_grid(grid):
@@ -431,47 +403,6 @@ def strip_head(p, l0):
     return ArovParameters(new_grid, new_m, new_a, p.tail)
 
 
-def reparametrize(p, g_breaks, g_values):
-    """Change of length variable: new parameters with cumulative measure
-    ``mu~(l) = mu(g(l))`` and coefficient ``a~(l) = a(g(l))``.
-
-    ``g`` is given as a piecewise-linear increasing map through the points
-    ``(g_breaks[i], g_values[i])`` with g(0) = 0, extended linearly beyond the
-    last breakpoint.  The transfer matrix of the result at l equals the
-    original's at g(l); observables do not change.  Periodic tails are not
-    supported (the image of a periodic pattern under a generic map is not
-    periodic).
-    """
-    xb = np.asarray(g_breaks, dtype=float)
-    gv = np.asarray(g_values, dtype=float)
-    if xb.ndim != 1 or xb.shape != gv.shape or xb.size < 2:
-        raise PreconditionError("grid map needs matching break/value arrays (>= 2 points)")
-    if xb[0] != 0.0 or gv[0] != 0.0:
-        raise PreconditionError("grid map must satisfy g(0) = 0")
-    if np.any(np.diff(xb) <= 0.0) or np.any(np.diff(gv) <= 0.0):
-        raise PreconditionError("grid map must be strictly increasing")
-    if p.tail == TAIL_PERIODIC:
-        raise DomainError("reparametrize does not support periodic tails")
-
-    slope_end = (gv[-1] - gv[-2]) / (xb[-1] - xb[-2])
-
-    def extended(x, xs, ys, step):
-        """np.interp through (xs, ys), continued past xs[-1] by step(x - xs[-1])."""
-        out, beyond = np.interp(x, xs, ys), x > xs[-1]
-        out[beyond] = ys[-1] + step(x[beyond] - xs[-1])
-        return out
-
-    # the new knots: every slope break of g and every preimage of an old knot
-    knots = extended(p.grid, gv, xb, lambda d: d / slope_end)
-    knots = _sorted_unique(xb[(xb > 0.0) & (xb < knots[-1])], knots)
-    knots = np.concatenate(([0.0], knots[knots > 0.0]))
-    old = extended(knots, xb, gv, lambda d: slope_end * d)
-    # each new interval takes the old interval holding its image's midpoint
-    k = np.minimum(p.grid.searchsorted(0.5 * (old[1:] + old[:-1]), side="right"),
-                   p.grid.size - 1)
-    return ArovParameters(knots[1:], p.m[k] * np.diff(old) / np.diff(knots), p.a[k], p.tail)
-
-
 @dataclass(frozen=True)
 class GeneralCoefficients(_Piecewise):
     """Piecewise-constant general-gauge coefficients (n, P, Q).  The
@@ -564,6 +495,8 @@ def _parse_real_list(values, key):
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{key}: expected a list of numbers ({exc})")
+    except OverflowError as exc:  # a Python int past the float range
+        raise CoefficientError(f"{key} has non-finite entries ({exc})")
 
 
 def _parse_entries(values, key, shape):
@@ -582,7 +515,7 @@ def _parse_entries(values, key, shape):
         arr = np.asarray(values, dtype=float)
         if arr.ndim and arr.shape[1:] == shape:  # real entries
             return arr.astype(complex)
-    except ValueError:  # ragged: numbers mixed with pairs
+    except (ValueError, OverflowError):  # ragged (numbers mixed with pairs) or too large
         arr = None
     try:
         if arr is None or arr.shape[1:] != shape + (2,):
@@ -592,6 +525,8 @@ def _parse_entries(values, key, shape):
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{key}: expected a list of {'2x2 matrices of ' if shape else ''}"
                          f"numbers or [re, im] pairs ({exc})")
+    except OverflowError as exc:  # a Python int past the float range
+        raise CoefficientError(f"{key} has non-finite entries ({exc})")
     return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 

@@ -243,17 +243,6 @@ def c_to_a(c):
     return 2.0 * c / (1.0 + r2)
 
 
-def blaschke_matrix(a):
-    """SU(1,1) representative of the disk automorphism w -> (w - a)/(1 - conj(a) w):
-    [[1, -conj(a)], [-a, 1]] / sqrt(1 - |a|^2).  Satisfies
-    blaschke_matrix(a_to_c(a))^2 == blaschke_matrix(a) on the open disk."""
-    a = complex(a)
-    r2 = abs(a) ** 2
-    if r2 >= 1.0:
-        raise DomainError(f"blaschke_matrix needs |a| < 1, got |a| = {abs(a)}")
-    return np.array([[1.0, -np.conj(a)], [-a, 1.0]], dtype=complex) / np.sqrt(1.0 - r2)
-
-
 def richardson_extrapolate(values, ratio):
     """Iterated Richardson extrapolation for samples f(y_k) on a geometric
     grid y_k = y_0 * ratio^k, assuming an error expansion in powers of 1/y.

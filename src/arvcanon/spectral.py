@@ -90,7 +90,7 @@ def type_report(system, l):
 
 
 # ---------------------------------------------------------------------------
-# Harmonic measure and the disk pseudo-metric
+# Harmonic measure
 
 
 def harmonic_measure(w, theta1, theta2):
@@ -121,18 +121,6 @@ def harmonic_measure(w, theta1, theta2):
 
     delta = image_angle(theta1 + sweep) - image_angle(theta1)
     return (delta % (2.0 * np.pi)) / (2.0 * np.pi)
-
-
-def gamma_metric(w, z):
-    """Moebius-invariant disk pseudo-distance
-    2 |w - z| / (sqrt(1 - |w|^2) sqrt(1 - |z|^2)); it dominates differences
-    of harmonic measures of a common arc."""
-    w, z = complex(w), complex(z)
-    if abs(w) >= 1.0 or abs(z) >= 1.0:
-        raise DomainError("gamma_metric needs both points strictly inside the disk")
-    return float(
-        2.0 * abs(w - z) / np.sqrt((1.0 - abs(w) ** 2) * (1.0 - abs(z) ** 2))
-    )
 
 
 # ---------------------------------------------------------------------------

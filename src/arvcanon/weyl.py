@@ -83,27 +83,19 @@ def _disk_from_scaled(m, logc):
     return Disk(complex(center), float(radius))
 
 
-def weyl_disk(t, assume_contractive=False):
-    """Weyl disk of a j-contractive matrix with det T = 1."""
+def weyl_disk(t):
+    """Weyl disk of a j-contractive matrix with det T = 1, both checked
+    first: the formula ``disks_grid`` runs over (z, l) stacks, applied to
+    one matrix."""
     t = as_mat2(t, "T")
-    if not assume_contractive:
-        if abs(det2(t) - 1.0) > DET_TOL:
-            raise PreconditionError(f"weyl_disk needs det T = 1, got {det2(t)}")
-        _, cls = j_defect(t)
-        if not cls.is_contractive:
-            raise PreconditionError(
-                f"weyl_disk needs a j-contractive matrix, got {cls.kind.value}"
-            )
+    if abs(det2(t) - 1.0) > DET_TOL:
+        raise PreconditionError(f"weyl_disk needs det T = 1, got {det2(t)}")
+    _, cls = j_defect(t)
+    if not cls.is_contractive:
+        raise PreconditionError(
+            f"weyl_disk needs a j-contractive matrix, got {cls.kind.value}"
+        )
     return _disk_from_scaled(t, 0.0)
-
-
-def diameter_direct(t):
-    """Diameter formula 2 / (|T11|^2 - |T12|^2), straight from T (no
-    normalization); agrees with 2 * radius of weyl_disk(T)."""
-    denom = abs(t[0, 0]) ** 2 - abs(t[0, 1]) ** 2
-    if denom <= 0.0:
-        raise PreconditionError("matrix is not j-contractive (|T11| <= |T12|)")
-    return 2.0 / denom
 
 
 def disks_grid(system, zs, ls):
@@ -274,17 +266,6 @@ def stripped_grid(zs, p, ls):
         m, _ = prop.transfer_to_end(p, zs, np.minimum(ls, p.length))
         s = _tail_value(zs, p, None)
     return mobius_right(s[:, None], adjugate(m))
-
-
-def schur_stripped(s, t):
-    """Schur value after stripping by the transfer matrix t: the Moebius
-    image of s under the right action of t, elementwise over stacks."""
-    image = mobius_right(s, t)
-    if np.any(np.isinf(image)):
-        raise DegenerateActionError(
-            "stripped Schur value at projective infinity (|s| = 1 boundary collision)"
-        )
-    return image
 
 
 def mobius_factor(z):

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import re
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
@@ -13,12 +14,14 @@ from arvcanon import (ArovParameters, GeneralCoefficients, InputError, TAIL_CONS
                       TAIL_FINITE, TAIL_PERIODIC)
 from arvcanon import coefficients as coeff
 from arvcanon import propagate as prop
-from arvcanon.errors import DomainError
-from arvcanon.mat2 import J, J1, as_mat2, det2, norm2
+from arvcanon.coefficients import COEFF_TOL, _sorted_unique
+from arvcanon.errors import (CoefficientError, DegenerateActionError, DomainError,
+                             PreconditionError)
+from arvcanon.mat2 import J, J1, as_mat2, det2, mat2, mobius_right, norm2
 from arvcanon.propagate import transfer, transfer_grid
 from arvcanon.riccati import ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK, RiccatiState
 from arvcanon.spectral import harmonic_measure
-from arvcanon.weyl import schur_minus_grid, schur_stripped, stripped_grid
+from arvcanon.weyl import schur_minus_grid, stripped_grid
 
 
 def random_parameters(rng, n_max=12, total_mu=2.0, a_cap=0.95,
@@ -243,6 +246,124 @@ def random_su11(rng, t_max=1.5):
     p = np.cosh(t) * np.exp(1j * alpha)
     q = np.sinh(t) * np.exp(1j * beta)
     return np.array([[p, q], [np.conj(q), np.conj(p)]], dtype=complex)
+
+
+# --- paper identities: closed forms the library's numbers are checked against ----------
+#
+# Formulas of the paper that no command runs; the acceptance criteria and the
+# unit tests use them as oracles.
+
+
+@dataclass(frozen=True)
+class ABPair:
+    """The Hermitian/anti-Hermitian generator pair attached to a unit-disk
+    coefficient: A = [[1, -conj(a)], [-a, 1]], B = [[0, conj(a)], [-a, 0]]."""
+
+    a: complex
+    A: np.ndarray
+    B: np.ndarray
+
+    @property
+    def a_plus_b(self):
+        """A + B = [[1, 0], [-2a, 1]]."""
+        return self.A + self.B
+
+
+def ab_from_a(a):
+    """Expand a unit-disk coefficient into its (A, B) generator pair."""
+    a = complex(a)
+    if not np.isfinite(a.real) or not np.isfinite(a.imag):
+        raise InputError("coefficient a must be finite")
+    if abs(a) > 1.0 + COEFF_TOL:
+        raise CoefficientError(f"coefficient out of range: |a| = {abs(a)} > 1")
+    ac = np.conj(a)
+    A = mat2(1.0, -ac, -a, 1.0)
+    B = mat2(0.0, ac, -a, 0.0)
+    return ABPair(a, A, B)
+
+
+def reparametrize(p, g_breaks, g_values):
+    """Change of length variable: new parameters with cumulative measure
+    ``mu~(l) = mu(g(l))`` and coefficient ``a~(l) = a(g(l))``.
+
+    ``g`` is given as a piecewise-linear increasing map through the points
+    ``(g_breaks[i], g_values[i])`` with g(0) = 0, extended linearly beyond the
+    last breakpoint.  The transfer matrix of the result at l equals the
+    original's at g(l); observables do not change.  Periodic tails are not
+    supported (the image of a periodic pattern under a generic map is not
+    periodic).
+    """
+    xb = np.asarray(g_breaks, dtype=float)
+    gv = np.asarray(g_values, dtype=float)
+    if xb.ndim != 1 or xb.shape != gv.shape or xb.size < 2:
+        raise PreconditionError("grid map needs matching break/value arrays (>= 2 points)")
+    if xb[0] != 0.0 or gv[0] != 0.0:
+        raise PreconditionError("grid map must satisfy g(0) = 0")
+    if np.any(np.diff(xb) <= 0.0) or np.any(np.diff(gv) <= 0.0):
+        raise PreconditionError("grid map must be strictly increasing")
+    if p.tail == TAIL_PERIODIC:
+        raise DomainError("reparametrize does not support periodic tails")
+
+    slope_end = (gv[-1] - gv[-2]) / (xb[-1] - xb[-2])
+
+    def extended(x, xs, ys, step):
+        """np.interp through (xs, ys), continued past xs[-1] by step(x - xs[-1])."""
+        out, beyond = np.interp(x, xs, ys), x > xs[-1]
+        out[beyond] = ys[-1] + step(x[beyond] - xs[-1])
+        return out
+
+    # the new knots: every slope break of g and every preimage of an old knot
+    knots = extended(p.grid, gv, xb, lambda d: d / slope_end)
+    knots = _sorted_unique(xb[(xb > 0.0) & (xb < knots[-1])], knots)
+    knots = np.concatenate(([0.0], knots[knots > 0.0]))
+    old = extended(knots, xb, gv, lambda d: slope_end * d)
+    # each new interval takes the old interval holding its image's midpoint
+    k = np.minimum(p.grid.searchsorted(0.5 * (old[1:] + old[:-1]), side="right"),
+                   p.grid.size - 1)
+    return ArovParameters(knots[1:], p.m[k] * np.diff(old) / np.diff(knots), p.a[k], p.tail)
+
+
+def blaschke_matrix(a):
+    """SU(1,1) representative of the disk automorphism w -> (w - a)/(1 - conj(a) w):
+    [[1, -conj(a)], [-a, 1]] / sqrt(1 - |a|^2).  Satisfies
+    blaschke_matrix(a_to_c(a))^2 == blaschke_matrix(a) on the open disk."""
+    a = complex(a)
+    r2 = abs(a) ** 2
+    if r2 >= 1.0:
+        raise DomainError(f"blaschke_matrix needs |a| < 1, got |a| = {abs(a)}")
+    return np.array([[1.0, -np.conj(a)], [-a, 1.0]], dtype=complex) / np.sqrt(1.0 - r2)
+
+
+def gamma_metric(w, z):
+    """Moebius-invariant disk pseudo-distance
+    2 |w - z| / (sqrt(1 - |w|^2) sqrt(1 - |z|^2)); it dominates differences
+    of harmonic measures of a common arc."""
+    w, z = complex(w), complex(z)
+    if abs(w) >= 1.0 or abs(z) >= 1.0:
+        raise DomainError("gamma_metric needs both points strictly inside the disk")
+    return float(
+        2.0 * abs(w - z) / np.sqrt((1.0 - abs(w) ** 2) * (1.0 - abs(z) ** 2))
+    )
+
+
+def diameter_direct(t):
+    """Diameter formula 2 / (|T11|^2 - |T12|^2), straight from T (no
+    normalization); agrees with 2 * radius of weyl_disk(T)."""
+    denom = abs(t[0, 0]) ** 2 - abs(t[0, 1]) ** 2
+    if denom <= 0.0:
+        raise PreconditionError("matrix is not j-contractive (|T11| <= |T12|)")
+    return 2.0 / denom
+
+
+def schur_stripped(s, t):
+    """Schur value after stripping by the transfer matrix t: the Moebius
+    image of s under the right action of t, elementwise over stacks."""
+    image = mobius_right(s, t)
+    if np.any(np.isinf(image)):
+        raise DegenerateActionError(
+            "stripped Schur value at projective infinity (|s| = 1 boundary collision)"
+        )
+    return image
 
 
 # --- RK4 oracle of the stripping flow ---------------------------------------------

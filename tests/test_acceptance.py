@@ -9,21 +9,19 @@ tuned to the implementation under test.
 import numpy as np
 
 from arvcanon import (constant_parameters, dirac_coefficients, reflect,
-                      reparametrize, schroedinger_coefficients, schur_minus,
-                      schur_plus)
+                      schroedinger_coefficients, schur_minus, schur_plus)
 from arvcanon.mat2 import J, det2, herm_eigs, norm2
 from arvcanon.propagate import (recover_parameters, to_arov_gauge, to_pdb_gauge,
                                 transfer, transfer_between, transfer_family)
-from arvcanon.riccati import (a_to_c, blaschke_matrix, boundary_limit, c_to_a,
-                              integrate_riccati)
+from arvcanon.riccati import a_to_c, boundary_limit, c_to_a, integrate_riccati
 from arvcanon.spectral import (exponential_type_integral,
-                               exponential_type_numeric, gamma_metric,
-                               harmonic_measure, reflectionless_defect,
-                               type_report)
-from arvcanon.weyl import weyl_disk, weyl_disk_at, diameter_direct
+                               exponential_type_numeric, harmonic_measure,
+                               reflectionless_defect, type_report)
+from arvcanon.weyl import weyl_disk, weyl_disk_at
 
-from helpers import (doubling_oracle, random_contractive, random_parameters,
-                     random_su11, rk4_riccati)
+from helpers import (blaschke_matrix, diameter_direct, doubling_oracle, gamma_metric,
+                     random_contractive, random_parameters, random_su11,
+                     reparametrize, rk4_riccati)
 
 
 def _report(num, desc, ok, detail):
@@ -296,8 +294,8 @@ def test_criterion_12_gauge_and_reparametrization_invariance():
             if complex(z).imag <= 0:
                 continue
             for k in range(1, ls.size):
-                d0 = weyl_disk(fam.values[iz, k], assume_contractive=True)
-                d1 = weyl_disk(round1.values[iz, k], assume_contractive=True)
+                d0 = weyl_disk(fam.values[iz, k])
+                d1 = weyl_disk(round1.values[iz, k])
                 worst_gauge = max(worst_gauge, abs(d0.center - d1.center),
                                   abs(d0.radius - d1.radius))
     worst_reparam = 0.0

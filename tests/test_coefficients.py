@@ -9,10 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from arvcanon import (ArovParameters, CoefficientError, DomainError, ParseError,
                       PreconditionError, TAIL_CONSTANT, TAIL_FINITE,
-                      TAIL_PERIODIC, ab_from_a, constant_parameters,
-                      dirac_coefficients, load_parameters, reflect,
-                      reparametrize, save_parameters, schroedinger_coefficients,
-                      strip_head)
+                      TAIL_PERIODIC, constant_parameters, dirac_coefficients,
+                      load_parameters, reflect, save_parameters,
+                      schroedinger_coefficients, strip_head)
 from arvcanon import decimals
 from arvcanon.coefficients import (GeneralCoefficients, _load_json, parameters_from_dict,
                                     write_json)
@@ -20,8 +19,9 @@ from arvcanon.decimals import _BLOCK
 from arvcanon.mat2 import J, herm_eigs, mat2
 from arvcanon.propagate import transfer
 
-from helpers import (coefficient_texts, random_general as _random_general, random_parameters,
-                     reference_piece_arrays, stream_mass, unrolled_pieces)
+from helpers import (ab_from_a, coefficient_texts, random_general as _random_general,
+                     random_parameters, reference_piece_arrays, reparametrize, stream_mass,
+                     unrolled_pieces)
 
 
 # --- ArovParameters invariants ------------------------------------------------
@@ -724,6 +724,25 @@ def test_strings_booleans_and_null_are_not_numbers(tmp_path, d):
     path.write_text(json.dumps(d))
     with pytest.raises(ParseError, match="number"):
         load_parameters(path)
+
+
+_BIG = 10 ** 400
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"grid": [1], "m": [_BIG], "a": [0.5]}, "m"),
+    ({"grid": [_BIG], "m": [1], "a": [0.5]}, "grid"),
+    ({"grid": [1], "m": [1], "a": [_BIG]}, "a"),
+    ({"grid": [1], "m": [1], "a": [[0.5, -_BIG]]}, "a"),
+    ({"grid": [1, 2], "m": [1, 1], "a": [0.5, [_BIG, 0]]}, "a"),
+    ({"grid": [1], "n": [_BIG], "P": [_P], "Q": [_Q]}, "n"),
+    ({"grid": [1], "n": [1], "P": [[_P[0], [[0.5, 0], [_BIG, 0]]]], "Q": [_Q]}, "P"),
+], ids=["m", "grid", "a number", "a pair", "a pair beside a number", "n", "P"])
+def test_integers_past_the_float_range_are_coefficient_errors(d, key):
+    # json.load reads a 400-digit integer as a Python int, which no float
+    # holds: the same refusal as the infinity load_parameters reads it as
+    with pytest.raises(CoefficientError, match=f"^{key} has non-finite entries"):
+        parameters_from_dict(d)
 
 
 def test_kappa_integral_folds_periodic_tails():

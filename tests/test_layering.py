@@ -1,7 +1,8 @@
 """The package's layering, read off its source: the propagation kernel's
 private names stay inside ``propagate`` (``_propagators`` apart, which
-gives the Riccati escape search its table of trial propagators), and only
-``coefficients`` cuts a grid."""
+gives the Riccati escape search its table of trial propagators), only
+``coefficients`` cuts a grid, and every public function or class is run by
+the library or a demo (identities only tests use live in ``helpers``)."""
 
 import ast
 import pathlib
@@ -9,6 +10,10 @@ import pathlib
 import arvcanon
 
 SOURCES = sorted(pathlib.Path(arvcanon.__file__).parent.glob("*.py"))
+DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
+
+#: documented entry points that no library module or demo names
+ENTRY_POINTS = {"save_parameters", "schur_minus", "weyl_disk"}
 
 
 def _modules():
@@ -53,3 +58,27 @@ def test_only_coefficients_cuts_a_grid():
              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_cut"]
     assert not calls
     assert len(SOURCES) > 5
+
+
+def _named(node):
+    """Every name a node reads or binds, as a Name or as an Attribute."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_every_public_name_is_run_by_the_library_or_a_demo():
+    defs, named = [], set()
+    for name, tree in _modules():
+        if name == "__init__":
+            continue
+        for stmt in tree.body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                defs.append(stmt.name)
+                named |= _named(stmt) - {stmt.name}
+            else:
+                named |= _named(stmt)
+    for path in DEMOS:
+        named |= _named(ast.parse(path.read_text(encoding="utf-8")))
+    assert len(DEMOS) > 3
+    assert sorted(set(defs) - named - ENTRY_POINTS) == []

@@ -4,15 +4,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from arvcanon import (ArovParameters, DomainError, InputError, PreconditionError,
                       TAIL_CONSTANT, TAIL_PERIODIC, constant_parameters, integrate_riccati,
-                      riccati_fixed_point, riccati_trajectory, schur_plus, schur_stripped,
-                      strip_head)
+                      riccati_fixed_point, riccati_trajectory, schur_plus, strip_head)
 from arvcanon.riccati import (ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK, a_to_c,
-                              blaschke_matrix, boundary_limit, c_to_a,
-                              richardson_extrapolate)
+                              boundary_limit, c_to_a, richardson_extrapolate)
 from arvcanon import propagate as prop
 from arvcanon.propagate import transfer
 
-from helpers import escape_oracle, random_parameters, riccati_rhs, rk4_riccati
+from helpers import (blaschke_matrix, escape_oracle, random_parameters, riccati_rhs,
+                     rk4_riccati, schur_stripped)
 
 
 # --- right-hand side ---------------------------------------------------------------

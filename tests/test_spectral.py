@@ -7,14 +7,13 @@ from scipy.integrate import quad
 from arvcanon import (ArovParameters, DomainError, GeneralCoefficients,
                       TAIL_PERIODIC, constant_parameters, dirac_coefficients,
                       schroedinger_coefficients)
-from arvcanon.coefficients import ab_from_a
 from arvcanon.spectral import (bp_defect, exponential_type_integral,
-                               exponential_type_numeric, gamma_metric,
-                               harmonic_measure, reflectionless_defect,
-                               reflectionless_ladder, type_report)
+                               exponential_type_numeric, harmonic_measure,
+                               reflectionless_defect, reflectionless_ladder,
+                               type_report)
 from arvcanon.weyl import schur_grid, schur_minus_grid
 
-from helpers import bp_defect_loop, random_parameters, random_su11
+from helpers import ab_from_a, bp_defect_loop, gamma_metric, random_parameters, random_su11
 
 
 # --- exponential type ---------------------------------------------------------------

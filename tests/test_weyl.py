@@ -5,17 +5,16 @@ from hypothesis import given, settings, strategies as st
 from arvcanon import (ArovParameters, DegenerateActionError, DomainError,
                       InputError, LIMIT_CIRCLE, LIMIT_POINT, PreconditionError,
                       TAIL_CONSTANT, TAIL_FINITE, TAIL_PERIODIC, classify_limit,
-                      constant_parameters, diameter_direct,
-                      herglotz_from_schur, schroedinger_coefficients,
-                      schur_minus, schur_plus, schur_stripped, strip_head,
-                      weyl_disk, weyl_disk_at)
+                      constant_parameters, herglotz_from_schur,
+                      schroedinger_coefficients, schur_minus, schur_plus,
+                      strip_head, weyl_disk, weyl_disk_at)
 from arvcanon.mat2 import adjugate, mat2, mobius_right
 from arvcanon.propagate import transfer, transfer_scaled
 from arvcanon.riccati import riccati_fixed_point
 from arvcanon.weyl import SCHUR_TOL, _disk_from_scaled, schur_grid, stripped_grid
 
-from helpers import (doubling_oracle, random_contractive, random_parameters,
-                     random_upper_z)
+from helpers import (diameter_direct, doubling_oracle, random_contractive,
+                     random_parameters, random_upper_z, schur_stripped)
 
 
 # --- disk geometry ----------------------------------------------------------------

@@ -248,7 +248,7 @@ def random_su11(rng, t_max=1.5):
     return np.array([[p, q], [np.conj(q), np.conj(p)]], dtype=complex)
 
 
-# --- paper identities: closed forms the library's numbers are checked against ----------
+# --- paper identities the library's numbers are checked against -------------------
 #
 # Formulas of the paper that no command runs; the acceptance criteria and the
 # unit tests use them as oracles.

@@ -28,19 +28,19 @@ and Q a number x stands for [x, 0].  Full-line systems are ``{"left": {...},
 "right": {...}}``, the left half stored mirrored (l in the file is -l).
 
 ``load_parameters`` parses a file with no Python frame per number and no
-Python object kept past its stretch of text: the numbers are read into one
-float buffer a stretch at a time, one C scan checks the syntax and builds
-the structure around a shared marker per number, and rectangular numeric
-lists become views of the buffer.  orjson reads each stretch's numbers as
-one JSON list, correctly rounded, and numpy copies them out.  A file with a
-literal (true, false, null, NaN, Infinity) or a stretch orjson refuses (a
-number beyond the float range, an empty list between numbers, text that is
-not JSON) is read whole by ``json.loads`` instead, into plain lists.  The
-numbers are bit for bit those of ``json.loads``, except that an integer
-beyond the float range reads as infinity.
+Python object kept past its chunk of text: orjson reads each full,
+rectangular numeric list, correctly rounded, about 16 kB at a time with its
+brackets, and numpy copies the numbers into one array per list.  One
+json.loads of an outline, the text with each such list replaced by null,
+gives the structure around them.  Any other list (ragged or empty, numbers
+mixed with pairs, NaN, Infinity, a number beyond the float range) is read
+by json.loads into plain lists, and so is a whole file that holds a literal
+(true, false, null).  The numbers are bit for bit those of ``json.loads``,
+except that an integer beyond the float range reads as infinity.
 """
 
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -202,7 +202,10 @@ class _Piecewise:
             lo = min(l_from, L)
             heads = _sorted_unique([lo], ls)
             return (*self._cut(lo, heads), heads.searchsorted(ls), q, t)
-        (q0, r0), (q, h) = divmod(l_from, L), np.divmod(ls, L)
+        with np.errstate(over="ignore", invalid="ignore"):  # such a count raises below
+            (q0, r0), (q, h) = divmod(l_from, L), np.divmod(ls, L)
+        if not q.max() - q0 < 2.0 ** 63:  # an int64 count would wrap
+            raise DomainError(f"l = {ls[np.argmax(q)]} is 2^63 periods or more past {l_from}")
         # one cut of the period at every head and r0: the heads from r0 to
         # L, then the turn's heads from 0 to r0, on the pieces rotated to
         # start at r0
@@ -218,10 +221,7 @@ class _Piecewise:
             ends = np.concatenate((ends[i:] - c, ends[:i + 1] + (n - c)))
             wrap = at < i  # heads in [0, r0) lie past the rotated period's turn
             at = (at - i) % points.size
-        q = q - q0 - wrap
-        if not q.max() < 2.0 ** 63:  # an int64 count would wrap
-            raise DomainError(f"l = {ls[np.argmax(q)]} is 2^63 periods or more past {l_from}")
-        return k, d, ends, at, q.astype(np.int64), t
+        return k, d, ends, at, (q - q0 - wrap).astype(np.int64), t
 
 
 @dataclass(frozen=True)
@@ -477,14 +477,16 @@ def _require_numbers(values, key):
     """ParseError for a string, boolean or null where a number belongs, all
     of which numpy would read as one ("1.5" as 1.5, true as 1, null as nan),
     and for a complex number, whose imaginary part a float read drops.  A
-    real array, the form every all-number list of a file is read into,
-    passes without a look at its entries."""
+    real array, the form every rectangular numeric list of a file is read
+    into, passes without a look at its entries, and a list of plain floats
+    and ints (not bools) with one look at their types, in C."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind not in "iuf":
             raise ParseError(f"{key}: expected real numbers, got an array of {values.dtype}")
     elif isinstance(values, (list, tuple)):
-        for v in values:
-            _require_numbers(v, key)
+        if not set(map(type, values)) <= {float, int}:
+            for v in values:
+                _require_numbers(v, key)
     elif isinstance(values, (bool, np.bool_)) or not isinstance(values, numbers.Real):
         raise ParseError(f"{key}: expected a real number, got {values!r}")
 
@@ -550,106 +552,101 @@ def parameters_from_dict(d):
                                _parse_entries(d["Q"], "Q", (2, 2)), d.get("tail", TAIL_FINITE))
 
 
-#: what the skeleton scan puts in place of every number: ``type(token)``,
-#: a C call that returns this one object
-_NUMBER = str
-
-#: JSON strings (keys included), skipped when the numbers are read
+#: JSON strings (keys included), kept as they are in the outline
 _STRINGS = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 
-#: JSON structure and whitespace, blanked around the numbers and their commas
-_BLANK = str.maketrans("[]{}:\t\n\r", " " * 8)
-
-#: characters of text read at a time: orjson makes a Python float of every
-#: number of a stretch before numpy copies them out
+#: characters of a list read at a time: orjson makes a Python float of every
+#: number of a chunk before numpy copies them out
 _CHUNK = 1 << 14
 
-
-def _numbers(text):
-    """The numbers of a JSON text in document order, as one float array,
-    read a stretch between strings at a time, at most about _CHUNK
-    characters (cut after a comma), so no copy of the whole text is made.
-    A stretch's structure is blanked and its edge commas stripped, which
-    leaves its numbers and the commas between them: one orjson.loads of that
-    as a list reads them correctly rounded, as float() does.  Raises
-    ValueError on a stretch that holds a literal (u and l are only found in
-    true, false and null) and orjson.JSONDecodeError, a ValueError, on one
-    orjson refuses (NaN, Infinity, a number beyond the float range, an empty
-    list between numbers, text that is not JSON)."""
-    parts, lo = [], 0
-    for a, b in [m.span() for m in re.finditer(_STRINGS, text)] + [(len(text), None)]:
-        while lo < a:
-            hi = text.find(",", lo + _CHUNK, a) + 1 or a
-            part = text[lo:hi].translate(_BLANK).strip(" ,")
-            lo = hi
-            if not part:
-                continue
-            if "u" in part or "l" in part:
-                raise ValueError("a literal among the numbers")
-            values = orjson.loads(f"[{part}]")
-            parts.append(np.fromiter(values, float, len(values)))
-        lo = b
-    return np.concatenate(parts) if parts else np.empty(0)
+#: a list's leading brackets
+_OPEN = re.compile(r"(?:\[\s*)+")
 
 
-def _template(node):
-    """The skeleton of a full, rectangular numeric list shaped like node's
-    first elements, and that shape; (None, ()) when node's first leaf is
-    not a number."""
-    shape = []
-    while isinstance(node, list) and node:
-        shape.append(len(node))
-        node = node[0]
-    if node is not _NUMBER:
-        return None, ()
-    for n in reversed(shape):
-        node = [node] * n
-    return node, tuple(shape)
+def _array(text, lo, hi):
+    """The JSON list text[lo:hi] as one float array, or None where it is not
+    a full, rectangular list of numbers.  Its depth d is the count of its
+    leading brackets; it is read about _CHUNK characters at a time, each
+    chunk cut at a comma after d - 1 closing brackets (a top-level element's
+    end) and read by orjson with its brackets, so every number is read once
+    and no copy of the whole list is made.  Each chunk must hold numbers,
+    be d deep, rectangular and of the first chunk's inner shape.  Raises TypeError or
+    ValueError (orjson.JSONDecodeError among them) on a chunk that is not
+    numbers or that orjson refuses."""
+    depth = _OPEN.match(text, lo).group().count("[")
+    cut, parts, shape = re.compile(r"\]\s*" * (depth - 1) + ","), [], None
+    lo += 1
+    while lo < hi - 1:
+        end = cut.search(text, min(lo + _CHUNK, hi - 1), hi - 1)
+        end = end.end() - 1 if end else hi - 1
+        values = orjson.loads(f"[{text[lo:end]}]")
+        lo, count, inner = end + 1, len(values), []
+        for level in range(depth - 1, 0, -1):
+            widths = set(map(len, values))
+            if len(widths) != 1:
+                return None
+            inner.append(widths.pop())
+            count *= inner[-1]
+            values = itertools.chain.from_iterable(values)
+            values = list(values) if level > 1 else values
+        if not count or parts and inner != shape:  # no numbers, or no element between commas
+            return None
+        parts.append(np.fromiter(values, float, count))
+        shape = inner
+    return np.concatenate(parts).reshape(-1, *shape) if parts else None
 
 
-def _rebuild(node, values, pos):
-    """Put the numbers back into a skeleton from _load_json, in document
-    order from pos: a rectangular numeric list becomes one view of values,
-    found by list equality with its template; objects (tuples of pairs)
-    become dicts, the last of duplicate keys winning.  Returns (node, next
-    position)."""
-    if node is _NUMBER:
-        return values[pos], pos + 1
+def _rebuild(node, arrays):
+    """Put the arrays back into an outline from _load_json, in document
+    order in place of its nulls; objects (tuples of pairs) become dicts, the
+    last of duplicate keys winning.  A list of numbers is returned as it is."""
+    if node is None:
+        return next(arrays)
     if isinstance(node, tuple):
-        pairs = []
-        for key, value in node:
-            value, pos = _rebuild(value, values, pos)
-            pairs.append((key, value))
-        return dict(pairs), pos
-    if isinstance(node, list):
-        template, shape = _template(node)
-        if template is not None and node == template:
-            n = int(np.prod(shape))
-            return values[pos:pos + n].reshape(shape), pos + n
-        for i, value in enumerate(node):
-            node[i], pos = _rebuild(value, values, pos)
-    return node, pos
+        return {key: _rebuild(value, arrays) for key, value in node}
+    if isinstance(node, list) and not set(map(type, node)) <= {float}:
+        return [_rebuild(value, arrays) for value in node]
+    return node
 
 
 def _load_json(fh):
-    """json.load with the numbers in one float buffer, no Python frame per
-    number and no Python object kept per number: _numbers reads the numbers,
-    then one C scan checks the syntax and builds the skeleton,
-    type() turning each number token into the _NUMBER sentinel, and each
-    rectangular numeric list becomes a view of the buffer.  The numbers are
-    read first, so no piece of the text is copied while the skeleton is
-    held.  A text _numbers refuses is read whole by json.loads into plain
-    lists, each integer token as float() reads it plus 0.0: -0 is +0.0, as
-    JSON has it, and an integer past the float range is infinity."""
+    """json.load with each full, rectangular numeric list read by orjson into
+    one float array (_array), no Python object kept per number.  Each list
+    is replaced by null in an outline of the text: its strings, its keys,
+    its other values and one null per array, which one json.loads reads into
+    the structure (duplicate keys kept in order) for _rebuild to fill.  A
+    list _array does not take (ragged or empty, numbers mixed with pairs,
+    NaN, Infinity, a number beyond the float range) stays in the outline and
+    is read by json.loads into plain lists, each integer token as float()
+    reads it plus 0.0: -0 is +0.0, as JSON has it, and an integer past the
+    float range is infinity.  A text with a literal (true, false, null)
+    outside its strings is read whole that way; an outline json.loads
+    refuses is read whole by json.loads, which raises the text's own error."""
     text = fh.read()
+    loads = functools.partial(json.loads, parse_int=lambda token: float(token) + 0.0)
+    cuts = [0, *(i for m in re.finditer(_STRINGS, text) for i in m.span()), len(text)]
+    stretches = list(zip(cuts[::2], cuts[1::2], cuts[2::2] + [len(text)]))
+    # u and l are only found in true, false and null
+    if any(text.find(c, lo, hi) >= 0 for lo, hi, _ in stretches for c in "ul"):
+        return loads(text)
+    outline, arrays = [], []
+    for lo, hi, after in stretches:
+        first, last = text.find("[", lo, hi), text.rfind("]", lo, hi) + 1
+        try:
+            array = _array(text, first, last) if 0 <= first < last else None
+        except (TypeError, ValueError):  # not numbers, or orjson refuses them
+            array = None
+        if array is not None:
+            outline += [text[lo:first], "null"]
+            arrays.append(array)
+            lo = last
+        outline.append(text[lo:after])
     try:
-        values = _numbers(text)
-    except ValueError:
-        return json.loads(text, parse_int=lambda token: float(token) + 0.0)
-    skeleton = json.loads(text, parse_float=type, parse_int=type, parse_constant=type,
-                          object_pairs_hook=tuple)
-    del text
-    return _rebuild(skeleton, values, 0)[0]
+        outline = loads("".join(outline), object_pairs_hook=tuple)
+    except json.JSONDecodeError:
+        json.loads(text)  # raises the error at its place in the text
+        raise
+    return _rebuild(outline, iter(arrays))
 
 
 def load_parameters(path):

@@ -784,6 +784,9 @@ def test_in_process_calls_repeat_byte_for_byte(tmp_path, const_half, full_line):
     ["type", "--l", "1.5"],
     ["riccati", "--z", "0.3,0.8", "--lgrid", "0:1:0.5"],
 ]))
+@example('{"grid": [5e-324], "m": [10.70665632498279], "a": [[0.32924132458082295, '
+         '-0.7273098602436584]], "tail": "periodic"}',
+         ["transfer", "--zgrid", "0.5,0.5:1,1:2", "--lgrid", "0:2:0.5"])  # 4e323 periods
 def test_fuzzed_files_never_raise_through_main(tmp_path_factory, text, argv):
     # valid and mutated coefficient texts: an exit code, never a traceback
     path = tmp_path_factory.mktemp("fuzz") / "c.json"

@@ -796,8 +796,9 @@ def test_fuzzed_files_parse_as_plain_json_does(tmp_path_factory, text):
     path.write_text(text)
     try:
         want = _plain_load(text)
-    except json.JSONDecodeError:
-        with pytest.raises(ParseError, match="line .*, column"):
+    except json.JSONDecodeError as exc:
+        where = f"at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        with pytest.raises(ParseError, match=re.escape(where)):
             load_parameters(path)
         return
     except Exception as exc:
@@ -818,19 +819,29 @@ def test_fuzzed_files_parse_as_plain_json_does(tmp_path_factory, text):
 
 @settings(max_examples=150, deadline=None)
 @given(coefficient_texts(), st.integers(1, 80))
+@example('{"grid": [1, , 2], "m": [1, 1], "a": [0.5, 0.5]}', 1)  # a chunk of no element
 def test_numbers_read_in_chunks_of_any_size(text, chunk):
-    # the numbers come out the same however the text is cut for numpy
+    # the numbers, the lists read as arrays and a malformed text's error
+    # come out the same however the lists are cut into chunks for orjson
     from arvcanon import coefficients
 
-    try:
-        whole = coefficients._numbers(text)
-    except ValueError:
-        return
+    def read():
+        try:
+            return _load_json(io.StringIO(text))
+        except ValueError as exc:
+            return exc
+
+    whole = read()
     saved, coefficients._CHUNK = coefficients._CHUNK, chunk
     try:
-        assert coefficients._numbers(text).tobytes() == whole.tobytes()
+        cut = read()
     finally:
         coefficients._CHUNK = saved
+    if isinstance(whole, ValueError):
+        assert type(cut) is type(whole) and str(cut) == str(whole)
+        return
+    assert _document_numbers(cut).tobytes() == _document_numbers(whole).tobytes()
+    assert _array_shapes(cut) == _array_shapes(whole)
 
 
 def _float_tokens(rng, n):
@@ -881,10 +892,8 @@ def test_numbers_read_bit_for_bit_as_float_does(seed, indent):
     # the oracle is Python's float(), independent of the reader: every
     # finite token, in the nested lists of a coefficient-like file, reads
     # as float(token) does, an integer token as JSON reads it, through int
-    # (so -0 is +0.0), and orjson reads them all (_numbers raises on a
-    # stretch it refuses)
-    from arvcanon import coefficients
-
+    # (so -0 is +0.0), and orjson reads them all (a list it refuses comes
+    # back as a plain list, not an array)
     rng = np.random.default_rng(seed)
     tokens = _float_tokens(rng, 400)
     rng.shuffle(tokens)
@@ -893,7 +902,9 @@ def test_numbers_read_bit_for_bit_as_float_does(seed, indent):
     text = f'{{"grid": [{sep}{pairs}{sep}], "tail": "constant"}}'
     want = np.array([float(int(t)) if t.lstrip("-").isdigit() else float(t)
                      for t in tokens[: len(tokens) // 2 * 2]])
-    assert coefficients._numbers(text).tobytes() == want.tobytes()
+    grid = _load_json(io.StringIO(text))["grid"]
+    assert isinstance(grid, np.ndarray) and grid.shape == (want.size // 2, 2)
+    assert grid.tobytes() == want.tobytes()
 
 
 def _document_numbers(node):
@@ -912,11 +923,31 @@ def _document_numbers(node):
     return np.array(list(walk(node)), dtype=float)
 
 
+def _plain_numbers(node):
+    """The numbers of a loaded document outside its arrays: those json.loads
+    read."""
+    if isinstance(node, dict):
+        return [x for v in node.values() for x in _plain_numbers(v)]
+    if isinstance(node, list):
+        return [x for v in node for x in _plain_numbers(v)]
+    return [node] if isinstance(node, float) else []
+
+
+def _array_shapes(node):
+    """The shapes of a loaded document's arrays, in document order."""
+    if isinstance(node, np.ndarray):
+        return [node.shape]
+    if isinstance(node, (dict, list)):
+        return [s for v in (node.values() if isinstance(node, dict) else node)
+                for s in _array_shapes(v)]
+    return []
+
+
 @pytest.mark.parametrize("text, fallback", [
     ('[NaN, 0.5, -Infinity, Infinity]', True),
     ('{"m": [1e999, -1e999, 2.5e-3], "a": [0.25]}', True),
     ('[1.7976931348623159e308, 1.7976931348623157e308, -0]', True),
-    ('[-0, [-0, -0.0], -0e0, 0]', False),
+    ('[-0, [-0, -0.0], -0e0, 0]', True),
     ('[-0, [-0, -0.0], -0e0, 0, null]', True),
     (f'[{2**64}, {2**64 - 1}, {2**63}, -{2**63 + 1}, {2**70 + 12345}, {10**30 + 1}]', False),
     (f'[{2**64}, {2**64 - 1}, {2**63}, -{2**63 + 1}, {2**70 + 12345}, NaN]', True),
@@ -926,21 +957,17 @@ def _document_numbers(node):
     ('{"grid": [], "x": "1, 2, NaN", "m": [0.5]}', False),
 ])
 def test_numbers_equal_json_on_both_paths(text, fallback):
-    # literals, refused stretches (a number beyond the float range, an empty
-    # list between numbers) and the tokens json spells differently from a
-    # float (integer -0, integers past 2^64) load as json.loads reads them;
-    # the texts with a literal or a refused number are those _numbers
-    # raises on, which json.loads then reads whole
-    from arvcanon import coefficients
-
-    try:
-        coefficients._numbers(text)
-    except ValueError:
-        refused = True
-    else:
-        refused = False
+    # literals, lists orjson refuses (a number beyond the float range),
+    # lists that are not rectangular (an empty list between numbers,
+    # numbers mixed with pairs) and the tokens json spells differently from
+    # a float (integer -0, integers past 2^64) load as json.loads reads
+    # them; the texts with a literal, a refused or a ragged list are those
+    # of which json.loads reads some numbers (a literal: the whole text),
+    # the others are read into arrays by orjson
+    loaded = _load_json(io.StringIO(text))
+    refused = bool(_plain_numbers(loaded))
     assert refused == fallback
-    got = _document_numbers(_load_json(io.StringIO(text)))
+    got = _document_numbers(loaded)
     assert got.tobytes() == _document_numbers(json.loads(text)).tobytes()
 
 
@@ -977,16 +1004,15 @@ def _long_disk_text(m0, extra=""):
     ("true", "", (ParseError, "m: expected a real number")),
 ], ids=["400-digit integer", "null beside the arrays", "true in m"])
 def test_texts_the_numbers_refuse_load_through_json(tmp_path, m0, extra, want):
-    # _numbers raises on each text, which json.loads then reads whole: an
-    # integer past the float range reads as infinity, a null beside the
-    # arrays leaves them bit for bit as the orjson path reads them, and a
-    # boolean is not a number
+    # json.loads reads m of each text, not orjson (the whole text where it
+    # holds a literal): an integer past the float range reads as infinity,
+    # a null beside the arrays leaves them bit for bit as the orjson path
+    # reads them, and a boolean is not a number
     from arvcanon import coefficients
 
     text = _long_disk_text(m0, extra)
     assert len(text) > 4 * coefficients._CHUNK
-    with pytest.raises(ValueError):
-        coefficients._numbers(text)
+    assert isinstance(_load_json(io.StringIO(text))["m"], list)
     path = tmp_path / "p.json"
     path.write_text(text)
     if want is not None:
@@ -998,3 +1024,66 @@ def test_texts_the_numbers_refuse_load_through_json(tmp_path, m0, extra, want):
     plain = load_parameters(path)
     for name in ("grid", "m", "a"):
         assert getattr(got, name).tobytes() == getattr(plain, name).tobytes(), name
+
+
+def _as_lists(node):
+    """A loaded document with its arrays as lists, to compare with json.loads."""
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {k: _as_lists(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_as_lists(v) for v in node]
+    return node
+
+
+@pytest.mark.parametrize("text, shapes", [
+    ('{"m": 5, "x": [1], "m": [2]}', [(1,), (1,)]),
+    ('["x", [1, 2], [3, 4]]', []),
+    ('{"grid": [1, 2], "m": [1, 1], "a": [0.5, [0, 0.3]]}', [(2,), (2,)]),
+    ('[{}]', []),
+    ('{"x": [[]], "y": [ ], "z": [[1, 2], [3]], "w": [[1], [2]] }', [(2, 1)]),
+], ids=["duplicate keys around a list", "two lists in one stretch", "numbers mixed with pairs",
+        "an object in a list", "empty and ragged lists"])
+def test_lists_that_are_not_arrays_load_as_json_does(text, shapes):
+    # what is not a full, rectangular list of numbers comes back as the
+    # plain lists json.loads gives, the arrays in their places, the last of
+    # duplicate keys winning
+    got, want = _load_json(io.StringIO(text)), json.loads(text)
+    assert _as_lists(got) == want
+    assert _document_numbers(got).tobytes() == _document_numbers(want).tobytes()
+    assert _array_shapes(got) == shapes
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 1 << 14])
+def test_deep_lists_read_in_chunks_with_spaces_before_commas(monkeypatch, chunk):
+    # a general-gauge file's P and Q (depth 4), written with whitespace
+    # between a closing bracket and its comma, are cut only between
+    # matrices and read as arrays bit for bit
+    from arvcanon import coefficients
+
+    text = json.dumps(_random_general(np.random.default_rng(4), 9, TAIL_FINITE).to_dict())
+    spaced = text.replace("],", "] \n ,")
+    monkeypatch.setattr(coefficients, "_CHUNK", chunk)
+    got, want = _load_json(io.StringIO(spaced)), json.loads(text)
+    assert got["P"].shape == got["Q"].shape == (9, 2, 2, 2)
+    for key in ("grid", "n", "P", "Q"):
+        assert got[key].tobytes() == np.array(want[key], dtype=float).tobytes(), key
+
+
+@pytest.mark.parametrize("bad", [True, None, "1.5", 1 + 2j], ids=["True", "None", "string", "complex"])
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_number_check_rejects_non_numbers_at_any_depth(bad, depth):
+    # the one-pass type check passes only plain floats and ints; the walk
+    # it falls back to still finds a non-number at any depth
+    from arvcanon.coefficients import _require_numbers
+
+    def nest(x):
+        values = [0.5, x, 2]
+        for _ in range(depth - 1):
+            values = [[1.0, 2.0, 3.0], values]
+        return values
+
+    _require_numbers(nest(1.5), "x")
+    with pytest.raises(ParseError, match=f"^x: expected a real number, got {re.escape(repr(bad))}$"):
+        _require_numbers(nest(bad), "x")

@@ -103,10 +103,12 @@ class _Piecewise:
     array and sets ``density`` and ``generator_table``: (p, alpha, r, gamma)
     per stored interval, the generator (i z P - Q) j for
     P = [[p, -conj(alpha)], [-alpha, p]] and Q = [[i r, conj(gamma)],
-    [-gamma, i r]]; disk gauge is (1, a, 0, a).  ``piece_arrays`` is the
-    only code that folds a span into pieces, a constant tail's mass among
-    them: a span from any start length, a periodic one as the period
-    rotated to start at the span's phase."""
+    [-gamma, i r]]; disk gauge is (1, a, 0, a).  ``_cut`` is the only code
+    that cuts the grid, and ``piece_arrays`` the only code that folds a span
+    into pieces, a constant tail's mass among them: a span from any start
+    length, a periodic one as the period rotated to start at the span's
+    phase.  ``folded_sum`` integrates a rate over that stream, and
+    ``strip_head`` and ``mu`` are built on the two."""
 
     def __post_init__(self):
         g, key = _as_grid(self.grid), self._DENSITY
@@ -161,8 +163,9 @@ class _Piecewise:
 
     def _cut(self, lo, points):
         """Stored intervals from lo through the ascending points, all inside
-        [lo, L], cut at every point: (k, d, ends), ends[i] being the number
-        of pieces before points[i]."""
+        [lo, L], cut at every point: (k, pts, ends), piece i being interval
+        k[i] over [pts[i], pts[i + 1]] and ends[i] the number of pieces
+        before points[i]."""
         grid = self.grid
         parts = ([lo], grid[grid.searchsorted(lo, side="right"):grid.searchsorted(points[-1])],
                  points)
@@ -171,7 +174,7 @@ class _Piecewise:
         # every knot but the last: lo = L opens a span of no mass, which keeps
         # the last interval
         k = grid[:-1].searchsorted(pts[:-1], side="right")
-        return k, (pts[1:] - pts[:-1]) * self.density[k], pts.searchsorted(points)
+        return k, pts, pts.searchsorted(points)
 
     def piece_arrays(self, ls, l_from=0.0):
         """The folded piece stream of the spans from l_from to every length
@@ -201,27 +204,46 @@ class _Piecewise:
                 ls = np.minimum(ls, L)
             lo = min(l_from, L)
             heads = _sorted_unique([lo], ls)
-            return (*self._cut(lo, heads), heads.searchsorted(ls), q, t)
-        with np.errstate(over="ignore", invalid="ignore"):  # such a count raises below
-            (q0, r0), (q, h) = divmod(l_from, L), np.divmod(ls, L)
-        if not q.max() - q0 < 2.0 ** 63:  # an int64 count would wrap
-            raise DomainError(f"l = {ls[np.argmax(q)]} is 2^63 periods or more past {l_from}")
-        # one cut of the period at every head and r0: the heads from r0 to
-        # L, then the turn's heads from 0 to r0, on the pieces rotated to
-        # start at r0
-        points = _sorted_unique([r0], h, [L])
-        k, d, ends = self._cut(0.0, points)
-        at = points.searchsorted(h)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # such a count raises below
+                (q0, r0), (q, h) = divmod(l_from, L), np.divmod(ls, L)
+            if not q.max() - q0 < 2.0 ** 63:  # an int64 count would wrap
+                raise DomainError(f"l = {ls[np.argmax(q)]} is 2^63 periods or more past {l_from}")
+            # one cut of the period at every head and r0: the heads from r0 to
+            # L, then the turn's heads from 0 to r0, on the pieces rotated to
+            # start at r0
+            lo, heads, ls = 0.0, _sorted_unique([r0], h, [L]), h
+        k, pts, ends = self._cut(lo, heads)
+        d, at = np.diff(pts) * self.density[k], heads.searchsorted(ls)
+        if q is None:
+            return k, d, ends, at, q, t
         wrap = False
         if r0 > 0.0:
-            i, n = points.searchsorted(r0), k.size
+            i, n = heads.searchsorted(r0), k.size
             c = ends[i]
             turn = np.arange(c - n, c)  # pieces c to n - 1, then 0 to c - 1
             k, d = k[turn], d[turn]
             ends = np.concatenate((ends[i:] - c, ends[:i + 1] + (n - c)))
             wrap = at < i  # heads in [0, r0) lie past the rotated period's turn
-            at = (at - i) % points.size
+            at = (at - i) % heads.size
         return k, d, ends, at, (q - q0 - wrap).astype(np.int64), t
+
+    def folded_sum(self, rate, ls):
+        """The integral over [0, l] of a rate (one value per stored interval,
+        or one for all) against the density, for every length in ls: the
+        sum of rate[k] d over the folded piece stream of ``piece_arrays``,
+        each span's head pieces plus q periods plus the constant tail's
+        mass, in O(N) for any lengths.  Refuses what ``piece_arrays``
+        refuses."""
+        k, d, ends, at, q, t = self.piece_arrays(ls)
+        rate = np.broadcast_to(rate, self.density.shape)
+        cum = np.concatenate(([0.0], np.cumsum(rate[k] * d)))[ends]
+        out = cum[at]
+        if q is not None:
+            out += q * cum[-1]
+        if t is not None:
+            out += t * rate[-1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -263,21 +285,13 @@ class ArovParameters(_Piecewise):
         return np.concatenate(([0.0], np.cumsum(self.m * self.widths)))
 
     def mu(self, l):
-        """Cumulative measure mu(l) of a length, or an array of them,
-        tail-aware; continuous, nondecreasing, piecewise linear with
-        mu(0) = 0."""
-        l = np.asarray(l, dtype=float)
-        if np.any(l < 0.0):
-            raise DomainError(f"mu is defined for l >= 0, got {l}")
-        L, mk = self.length, self.mu_knots
-        if self.tail == TAIL_FINITE and not np.all(l <= L):
-            raise DomainError(f"l = {np.max(l)} beyond finite tail at {L}")
-        if self.tail == TAIL_PERIODIC:
-            q, r = np.divmod(l, L)
-            out = q * mk[-1] + np.interp(r, self.knots, mk)
-        else:
-            out = np.where(l > L, mk[-1] + self.m[-1] * (l - L), np.interp(l, self.knots, mk))
-        return float(out) if out.ndim == 0 else out
+        """Cumulative measure mu(l) of a length, or an array of them: the
+        density's ``folded_sum``, so tail-aware, continuous, nondecreasing and
+        piecewise linear with mu(0) = 0.  A negative, NaN or infinite length
+        raises DomainError, as do one past a finite tail and a periodic one
+        of 2^63 periods or more."""
+        out = self.folded_sum(1.0, l)
+        return float(out[0]) if np.ndim(l) == 0 else out.reshape(np.shape(l))
 
     def l_of_mu(self, mu):
         """Leftmost l with mu(l) == mu (inverse of the distribution function)."""
@@ -289,16 +303,14 @@ class ArovParameters(_Piecewise):
             idx = int(np.searchsorted(mk, mu, side="left"))
             if idx == 0:
                 return 0.0
-            a, b = mk[idx - 1], mk[idx]
-            if b == a:
-                return float(self.knots[idx - 1])
+            a, b = mk[idx - 1], mk[idx]  # a < mu <= b
             frac = (mu - a) / (b - a)
             return float(self.knots[idx - 1] + frac * self.widths[idx - 1])
         if self.tail == TAIL_FINITE or self.total_mass() <= mk[-1]:
             raise DomainError(f"mu = {mu} beyond total mass {mk[-1]}")
         if self.tail == TAIL_CONSTANT:
             return float(self.length + (mu - mk[-1]) / self.m[-1])
-        q, r = divmod(mu - mk[-1], mk[-1]) if mk[-1] > 0 else (0.0, 0.0)
+        q, r = divmod(mu - mk[-1], mk[-1])  # mk[-1] > 0: the total mass is infinite
         return float((q + 1) * self.length + self.l_of_mu(r))
 
     def total_mass(self):
@@ -315,8 +327,6 @@ class ArovParameters(_Piecewise):
         the stored piecewise-constant class.  It sums the folded piece stream
         of ``piece_arrays``: the head, q periods before it as a geometric sum
         in exp(-2 mu(L)), and the constant tail's mass, in O(N) for any l."""
-        if float(l) < 0.0:
-            raise DomainError("l must be nonnegative")
         k, d, ends, at, q, t = self.piece_arrays([l])
         mu = np.concatenate(([0.0], np.cumsum(d)))
         cum = np.concatenate(([0.0], np.cumsum(self.a[k] * -np.diff(np.exp(-2.0 * mu)))))
@@ -365,11 +375,15 @@ def reflect(p):
 
 def strip_head(p, l0):
     """Remove the leading [0, l0] of the system (coefficient stripping via
-    truncation of the parameters).  For periodic systems this rotates the
-    pattern, preserving the period."""
+    truncation of the parameters): the stored intervals as ``_cut`` cuts
+    them at l0, moved to start at 0.  A periodic system is rotated, [l0, L]
+    first and then [0, l0] moved to the end, so the period L is kept; a
+    moved sliver below the round-off of L is dropped.  Past L a constant
+    tail leaves its last interval and a periodic one is stripped at
+    l0 mod L."""
     l0 = float(l0)
-    if l0 < 0.0:
-        raise DomainError("l0 must be nonnegative")
+    if not 0.0 <= l0 < np.inf:
+        raise DomainError(f"l0 must be finite and nonnegative, got {l0}")
     if l0 == 0.0:
         return p
     L = p.length
@@ -381,26 +395,14 @@ def strip_head(p, l0):
         l0 = l0 % L
         if l0 == 0.0:
             return p
+    k, pts, (c, _) = p._cut(0.0, np.array([l0, L]))
+    grid = pts[c + 1:] - l0
     if p.tail == TAIL_PERIODIC:
-        # rotate: tail (l0, L] first, then the head (0, l0] moved to (L-l0, L]
-        j = int(np.searchsorted(p.grid, l0, side="left"))
-        tail_from = j + 1 if p.grid[j] == l0 else j
-        new_grid = np.concatenate(
-            (p.grid[tail_from:] - l0, L - l0 + p.grid[:j], [L])
-        )
-        new_m = np.concatenate((p.m[tail_from:], p.m[:j], p.m[j:j + 1]))
-        new_a = np.concatenate((p.a[tail_from:], p.a[:j], p.a[j:j + 1]))
-        keep = np.diff(new_grid, prepend=0.0) > 0.0  # a moved sliver below round-off
-        return ArovParameters(new_grid[keep], new_m[keep], new_a[keep], p.tail)
-    keep = p.grid > l0 + 1e-15 * max(1.0, L)
-    new_grid = p.grid[keep] - l0
-    new_m = p.m[keep]
-    new_a = p.a[keep]
-    if new_grid.size == 0:
-        new_grid = np.array([L - l0])
-        new_m = p.m[-1:]
-        new_a = p.a[-1:]
-    return ArovParameters(new_grid, new_m, new_a, p.tail)
+        grid, k = np.concatenate((grid, pts[1:c] + (L - l0), [L])), np.append(k[c:], k[:c])
+    else:
+        k = k[c:]
+    keep = np.diff(grid, prepend=0.0) > 0.0
+    return ArovParameters(grid[keep], p.m[k[keep]], p.a[k[keep]], p.tail)
 
 
 @dataclass(frozen=True)

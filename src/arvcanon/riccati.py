@@ -13,12 +13,13 @@ makes staying bounded a sharp test.  The flow is solved exactly, with no
 stepping: s(l) is the Moebius image of s(0) under the transfer matrix
 T(z, l), and the escape point is found on the same closed-form propagators
 (one kernel call for the products through each of the bracket's pieces,
-the whole periods of a periodic tail skipped on the period's binary powers,
-then one call for a table of every trial mass that a fixed-width bisection
-of the escaping piece tries, which its rounds push a row through).  The
-same repulsion grows round-off in s(0) like e^(2 mu), so this forward flow is
-for a given s0; the stripped Schur values themselves are pulled back from
-the tail (``weyl.stripped_grid``) and never escape.  The nontangential
+the whole periods of a periodic tail skipped on the period's powers
+P^(2^b), which one ``transfer_grid`` call gives, then one call for a table
+of every trial mass that a fixed-width bisection of the escaping piece
+tries, which its rounds push a row through).  The same repulsion grows
+round-off in s(0) like e^(2 mu), so this forward flow is for a given s0;
+the stripped Schur values themselves are pulled back from the tail
+(``weyl.stripped_grid``) and never escape.  The nontangential
 limit of a Schur function at +i*infinity, when it exists, determines the
 coefficient at the origin through a continuous bijection of the disk,
 implemented here as ``a_to_c``/``c_to_a`` together with Richardson
@@ -118,17 +119,12 @@ def _pushed(row, e):
     return np.stack((u * e11 + v * e21, u * e12 + v * e22), axis=-1)
 
 
-def _periods_inside(row, period, reps):
+def _periods_inside(row, powers, reps):
     """(count, row): the most whole periods, below reps, after which the
     row (u, v) is still inside the disk, and the row there, scaled.  Disks
     nest, so a row once outside stays outside: the count is read off the
-    row pushed through the period's 2x2 matrix squared again and again
-    (each square scaled to its largest entry: the row is projective),
-    largest power first."""
-    powers = [period]
-    while 2 ** len(powers) < reps:
-        square = powers[-1] @ powers[-1]
-        powers.append(square / np.abs(square).max())
+    row pushed through powers[b], the period's 2x2 matrix to the power 2^b
+    (any scale: the row is projective), largest power first."""
     count = 0
     for b in reversed(range(len(powers))):
         pushed = row @ powers[b]
@@ -145,8 +141,10 @@ def _escape(z, s, p, l_lo, l_hi):
     are its folded stream unrolled: q copies of the stream (the rotated
     period), the pieces through the head, the constant tail's mass.  Of
     more than one period, the whole periods the row stays inside are
-    skipped (``_periods_inside``), and when more than one is left the
-    escape lies in the next one, the only one unrolled.
+    skipped (``_periods_inside``) on the rotated period's powers P^(2^b)
+    below q, the spans of 2^b periods from l_lo in one ``transfer_grid``
+    call, and when more than one period is left the escape lies in the next
+    one, the only one unrolled.
 
     Round r of the bisection tries _TRIALS multiples of h_r = d / 65^r, d
     the piece's mass, from the bracket's left end, and keeps the first trial
@@ -161,8 +159,8 @@ def _escape(z, s, p, l_lo, l_hi):
     reps, n = 0 if q is None else int(q[0]), ends[at[0]]
     row, mu = (s, 1.0), p.mu(l_lo)
     if reps > 1:
-        period = prop.scaled_products(zs, gen, k, d, [k.size])[0].reshape(2, 2)
-        count, row = _periods_inside(row, period, reps)
+        spans = l_lo + p.length * 2.0 ** np.arange((reps - 1).bit_length())
+        count, row = _periods_inside(row, prop.transfer_grid(p, zs, spans, l_lo)[0][0], reps)
         mu, reps = mu + count * float(np.sum(d)), reps - count
         if reps > 1:
             reps, n, t = 1, 0, None

@@ -43,22 +43,15 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def exponential_type_integral(system, l):
-    """Closed-form exponential type: the sum over the pieces of [0, l] of
-    sqrt(det P) times their mass (det P = 1 - |a|^2 in disk gauge); exact
-    for the stored piecewise-constant coefficients under every tail.  It
-    sums the folded piece stream of ``transfer_grid``, head plus q periods
-    plus the constant tail's mass, in O(N) for any l."""
-    l = float(l)
-    if l < 0.0:
-        raise DomainError("l must be nonnegative")
+    """Closed-form exponential type: sqrt(det P) integrated against the
+    density over [0, l] (det P = 1 - |a|^2 in disk gauge), the system's
+    ``folded_sum``; exact for the stored piecewise-constant coefficients
+    under every tail, in O(N) for any l."""
     if not isinstance(system, (coeff.ArovParameters, coeff.GeneralCoefficients)):
         raise InputError(f"unsupported coefficient object {type(system).__name__}")
-    k, d, ends, at, q, t = system.piece_arrays([l])
     p, alpha = system.generator_table[:2]
     rate = np.sqrt(np.maximum(p ** 2 - np.abs(alpha) ** 2, 0.0))
-    cum = np.concatenate(([0.0], np.cumsum(rate[k] * d)))[ends]
-    return float(cum[at[0]] + (0.0 if q is None else q[0] * cum[-1])
-                 + (0.0 if t is None else t[0] * rate[-1]))
+    return float(system.folded_sum(rate, [l])[0])
 
 
 def exponential_type_numeric(system, l):

@@ -630,6 +630,19 @@ def reference_kernel():
             setattr(prop, name, f)
 
 
+def _reference_cut(system, lo, points):
+    """``_cut`` with the masses, from the knots sliced by a mask and the
+    points appended, each piece's interval counted off the knots below it:
+    (k, d, ends).  A span of no length is one piece of no mass."""
+    grid = system.grid
+    pts = np.unique(np.concatenate(([lo], grid[(grid > lo) & (grid < points[-1])], points)))
+    if pts.size == 1:
+        pts = np.append(pts, lo)
+    k = np.minimum(np.sum(grid[None, :] <= pts[:-1, None], axis=1), grid.size - 1)
+    ends = np.array([np.flatnonzero(pts == x)[0] for x in points])
+    return k, (pts[1:] - pts[:-1]) * system.density[k], ends
+
+
 def reference_piece_arrays(system, ls, l_from=0.0):
     """``piece_arrays`` with the periodic stream rotated by slicing and
     concatenation and the turn's heads moved by a masked add."""
@@ -646,12 +659,12 @@ def reference_piece_arrays(system, ls, l_from=0.0):
             ls = np.minimum(ls, L)
         lo = min(l_from, L)
         heads = coeff._sorted_unique([lo], ls)
-        return (*system._cut(lo, heads), heads.searchsorted(ls), q, t)
+        return (*_reference_cut(system, lo, heads), heads.searchsorted(ls), q, t)
     (q0, r0), (q, h) = divmod(l_from, L), np.divmod(ls, L)
     wrap = h < r0
     q = (q - q0 - wrap).astype(np.int64)
     points = coeff._sorted_unique([r0], h, [L])
-    k, d, ends = system._cut(0.0, points)
+    k, d, ends = _reference_cut(system, 0.0, points)
     at = points.searchsorted(h)
     if r0 > 0.0:
         i = points.searchsorted(r0)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -796,3 +797,123 @@ def test_fuzzed_files_never_raise_through_main(tmp_path_factory, text, argv):
         code = cli.main(argv + ["--input", str(path)])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# --- the CLI contract on whole tables and unreadable numbers -----------------------
+
+def _is_17g(token):
+    return token == format(float(token), ".17g")
+
+
+@pytest.mark.parametrize("argv, n_rows", [
+    (["transfer", "--zgrid", "0,0.5:1,1.5:60", "--lgrid", "0:2:0.01"], 60 * 201),
+    (["gauge", "--to", "arov", "--zgrid", "0.5,0.3:1.5,1:60", "--lgrid", "0:2:0.01"], 61 * 201),
+    (["disks", "--zgrid=-1,0.5:1,1.5:60", "--lgrid", "0:2:0.01"], 60 * 201),
+    (["schur", "--zgrid=-1,0.05:1,2:100"], 100),
+], ids=["transfer", "gauge", "disks", "schur"])
+def test_whole_tables_print_every_number_as_17g(tmp_path, const_half, full_line, argv, n_rows):
+    # grid columns converted once per distinct value, over many gathered
+    # blocks, and a table with no grid column: each number is the bytes of
+    # format(x, ".17g")
+    out = tmp_path / "t.csv"
+    path = full_line if argv[0] == "schur" else const_half
+    assert cli.main(argv + ["--input", path, "--output", str(out)]) == 0
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == n_rows
+    assert all(_is_17g(f) for row in rows for f in row.split(","))
+
+
+def test_recovered_parameters_print_every_number_as_17g_and_load_back(tmp_path, const_half):
+    # every array number of --params-out is the bytes of format(x, ".17g")
+    # or JSON's -0.0, NaN, Infinity, -Infinity, and the file is a
+    # coefficient file: type runs on it, and m = 1, a = 0.5 to 1e-9
+    params = tmp_path / "params.json"
+    assert cli.main(["gauge", "--input", const_half, "--to", "arov",
+                     "--zgrid", "0.5,0.3:1.5,1:60", "--lgrid", "0:2:0.01",
+                     "--output", str(tmp_path / "g.csv"), "--params-out", str(params)]) == 0
+    lines = [line.split(": ", 1) for line in params.read_text().splitlines()[1:-1]]
+    tokens = [t for key, value in lines
+              if key.strip().strip('"') in ("grid", "m", "a", "kappa", "mu")
+              for t in re.split(r"[][, ]+", value) if t]
+    assert len(tokens) == 1403
+    assert all(t in ("-0.0", "NaN", "Infinity", "-Infinity") or _is_17g(t) for t in tokens)
+    assert cli.main(["type", "--input", str(params), "--l", "1",
+                     "--output", str(tmp_path / "type.json")]) == 0
+    payload = json.loads(params.read_text())
+    assert max(abs(m - 1.0) for m in payload["m"]) <= 1e-9
+    assert max(abs(complex(*a) - 0.5) for a in payload["a"]) <= 1e-9
+
+
+_DIGITS = "1" * 400
+
+
+@pytest.mark.parametrize("text, code, error", [
+    ('{"grid": [1.0], "m": [NaN], "a": [0.5]}', 3, "CoefficientError"),
+    ('{"grid": [1.0], "m": [1e999], "a": [0.5]}', 3, "CoefficientError"),
+    (f'{{"grid": [1.0], "m": [{_DIGITS}], "a": [0.5]}}', 3, "CoefficientError"),
+    (f'{{"grid": [{_DIGITS}], "m": [1.0], "a": [0.5]}}', 3, "CoefficientError"),
+    (f'{{"grid": [1.0], "m": [1.0], "a": [[0.5, {_DIGITS}]]}}', 3, "CoefficientError"),
+    ('{"grid": [1.0], "m": [true], "a": [0.5]}', 2, "ParseError"),
+], ids=["NaN in m", "1e999 in m", "400 digits in m", "400 digits in grid",
+        "400 digits in an a pair", "true in m"])
+def test_numbers_no_float_holds_exit_with_one_json_line(tmp_path, capsys, text, code, error):
+    # read by json.loads, not orjson: a validation or parse error, one line
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert cli.main(["type", "--input", str(path), "--l", "1"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("text, sigma", [
+    ('{"grid": [1.0], "m": [1.0], "a": [0.5], "note": null}', 0.75 ** 0.5),
+    ('{"grid": [1.0], "m": [5.0], "a": [0.5], "m": [2.0]}', 3.0 ** 0.5),
+], ids=["null beside the arrays", "duplicate key"])
+def test_files_json_reads_run_as_json_reads_them(tmp_path, text, sigma):
+    # a null is read by json.loads and runs; of a duplicate key the last
+    # value wins, as in json.load (m = 2, not 5)
+    path, out = tmp_path / "p.json", tmp_path / "type.json"
+    path.write_text(text)
+    assert cli.main(["type", "--input", str(path), "--l", "1", "--output", str(out)]) == 0
+    assert abs(json.loads(out.read_text())["sigma_integral"] - sigma) <= 1e-12
+
+
+def test_a_missing_bracket_in_a_long_file_is_named_where_json_names_it(tmp_path, capsys):
+    # a 2,000-interval file with one "]" missing inside a: one JSON line
+    # naming the line and column json.load names
+    n = 2000
+    text = json.dumps({"grid": [0.01 * (k + 1) for k in range(n)], "m": [1.0] * n,
+                       "a": [[0.25, -0.125]] * n}, indent=1)
+    i = text.index("]", text.index('"a"') + 20 * n)
+    text = text[:i] + text[i + 1:]
+    with pytest.raises(json.JSONDecodeError) as plain:
+        json.loads(text)
+    path = tmp_path / "cut.json"
+    path.write_text(text)
+    assert cli.main(["type", "--input", str(path), "--l", "1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"line {plain.value.lineno}, column {plain.value.colno}:" in json.loads(err)["message"]
+
+
+def test_escape_row_lies_outside_the_disk(tmp_path, const_half):
+    out = tmp_path / "escape.csv"
+    assert cli.main(["riccati", "--input", const_half, "--z=0.3,0.5", "--s0=0.5,0.2",
+                     "--lgrid", "0:10:0.25", "--output", str(out)]) == 0
+    header, rows = _read_rows(out)
+    last = rows[-1]
+    assert last[header.index("status")] == "escaped"
+    assert abs(complex(float(last[header.index("s_re")]), float(last[header.index("s_im")]))) > 1.0
+
+
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_schur_on_a_full_line_file_is_certified_at_round_off(tmp_path, full_line, side):
+    from arvcanon.weyl import SCHUR_TOL
+
+    out = tmp_path / "schur.csv"
+    assert cli.main(["schur", "--input", full_line, "--side", side, "--zgrid=-1,0.05:1,2:40",
+                     "--output", str(out)]) == 0
+    header, rows = _read_rows(out)
+    assert len(rows) == 40
+    assert all(float(row[header.index("residual_radius")]) <= SCHUR_TOL for row in rows)

@@ -431,6 +431,33 @@ def test_strip_head_composes():
         assert np.allclose(transfer(z, q1, t), transfer(z, q2, t), atol=1e-11)
 
 
+def test_strip_head_keeps_the_intervals_just_past_l0():
+    # a cut 1e-7 before a knot of a system 1e10 long: the two intervals
+    # after it, one 1e-6 wide that carries mass 1, are the stored intervals
+    # as the piece stream cuts them, not dropped below a threshold of L
+    p = ArovParameters([5.0, 5.000001, 1e10], [1.0, 1e6, 1e-9], [0.3, 0.6j, 0.1], TAIL_CONSTANT)
+    l0 = 5.0 - 1e-7
+    q = strip_head(p, l0)
+    assert q.grid.tolist() == [5.0 - l0, 5.000001 - l0, 1e10 - l0]
+    assert q.m.tolist() == [1.0, 1e6, 1e-9]
+    assert q.a.tolist() == [0.3, 0.6j, 0.1]
+    assert q.tail == TAIL_CONSTANT
+    from arvcanon.propagate import transfer_between
+    z = 0.3 + 0.5j
+    assert np.abs(transfer(z, q, 1.0) - transfer_between(z, p, l0, l0 + 1.0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("tail", [TAIL_CONSTANT, TAIL_PERIODIC])
+def test_mu_refuses_the_lengths_a_span_refuses(tail):
+    p = ArovParameters([0.5, 1.0], [1.0, 0.5], [0.3, -0.2j], tail)
+    for l in (np.nan, np.inf, np.array([1.0, np.nan]), -1.0):
+        with pytest.raises(DomainError):
+            p.mu(l)
+    if tail == TAIL_PERIODIC:
+        with pytest.raises(DomainError, match="periods"):
+            p.mu(2.0 ** 64)
+
+
 # --- JSON round trips -------------------------------------------------------------
 
 def test_json_round_trip_arov(tmp_path):

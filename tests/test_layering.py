@@ -60,6 +60,15 @@ def test_only_coefficients_cuts_a_grid():
     assert len(SOURCES) > 5
 
 
+def test_only_piece_arrays_and_strip_head_call_the_cut():
+    callers = {fn.name for _, tree in _modules() for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_cut"}
+    assert callers == {"piece_arrays", "strip_head"}
+
+
 def _named(node):
     """Every name a node reads or binds, as a Name or as an Attribute."""
     return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}

@@ -644,8 +644,9 @@ def _reference_cut(system, lo, points):
 
 
 def reference_piece_arrays(system, ls, l_from=0.0):
-    """``piece_arrays`` with the periodic stream rotated by slicing and
-    concatenation and the turn's heads moved by a masked add."""
+    """``piece_arrays`` on its own cut (``_reference_cut``), with the
+    periodic stream rotated by slicing and concatenation and the turn's
+    heads moved by a masked add."""
     ls, l_from = np.asarray(ls, dtype=float).ravel(), float(l_from)
     first, last = ls.min(initial=np.inf), ls.max(initial=0.0)
     if not (0.0 <= l_from < np.inf and first >= l_from and last < np.inf):

@@ -45,6 +45,7 @@ import json
 import math
 import numbers
 import re
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,13 +375,14 @@ def reflect(p):
 
 
 def strip_head(p, l0):
-    """Remove the leading [0, l0] of the system (coefficient stripping via
-    truncation of the parameters): the stored intervals as ``_cut`` cuts
-    them at l0, moved to start at 0.  A periodic system is rotated, [l0, L]
-    first and then [0, l0] moved to the end, so the period L is kept; a
-    moved sliver below the round-off of L is dropped.  Past L a constant
-    tail leaves its last interval and a periodic one is stripped at
-    l0 mod L."""
+    """Remove the leading [0, l0] of the system, in either gauge
+    (coefficient stripping via truncation of the parameters): the stored
+    intervals as ``_cut`` cuts them at l0, moved to start at 0, every
+    per-interval field taken by the same index.  A periodic system is
+    rotated, [l0, L] first and then [0, l0] moved to the end, so the period
+    L is kept; a moved sliver below the round-off of L is dropped.  Past L
+    a constant tail leaves its last interval and a periodic one is stripped
+    at l0 mod L."""
     l0 = float(l0)
     if not 0.0 <= l0 < np.inf:
         raise DomainError(f"l0 must be finite and nonnegative, got {l0}")
@@ -391,7 +393,7 @@ def strip_head(p, l0):
         if p.tail == TAIL_FINITE:
             raise DomainError(f"cannot strip {l0} from a finite system of length {L}")
         if p.tail == TAIL_CONSTANT:
-            return constant_parameters(p.a[-1], p.m[-1], length=max(L, 1.0))
+            return _take(p, [max(L, 1.0)], [-1])
         l0 = l0 % L
         if l0 == 0.0:
             return p
@@ -402,7 +404,14 @@ def strip_head(p, l0):
     else:
         k = k[c:]
     keep = np.diff(grid, prepend=0.0) > 0.0
-    return ArovParameters(grid[keep], p.m[k[keep]], p.a[k[keep]], p.tail)
+    return _take(p, grid[keep], k[keep])
+
+
+def _take(p, grid, k):
+    """The system of p's gauge and tail on a new grid, interval i carrying
+    every per-interval field of p's stored interval k[i]."""
+    fields = (f.name for f in dataclasses.fields(p) if f.name not in ("grid", "tail"))
+    return dataclasses.replace(p, grid=grid, **{name: getattr(p, name)[k] for name in fields})
 
 
 @dataclass(frozen=True)

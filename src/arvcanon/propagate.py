@@ -37,7 +37,8 @@ built and scanned, a few more arrays of a number a cell.  ``_expm`` and
 after its last use, and ``_scan`` drops each step's products once they are
 copied in, with the same ufuncs on the same operands in the same order:
 the bits are those of a new array per intermediate, and a chunk peaks at
-about 0.78 MB (numpy 2.4).
+about 0.83 MB (numpy 2.4; 2 points of a full block, 0.78 MB for 4 points of
+1024 pieces).
 ``transfer_to_end`` is the kernel's suffix mode: T(z; l -> L) for every l
 of the head from one call over the reversed stream.  Every transfer
 function here is a thin wrapper around these: ``transfer_between`` is
@@ -68,8 +69,11 @@ GAUGE_PDB = "pdb"
 GAUGE_RAW = "raw"
 
 #: pieces per block of the ordered product: a constant, never a function of
-#: the number of spectral points (see ``scaled_products``).
-_BLOCK = 1024
+#: the number of spectral points (see ``scaled_products``).  Each block pays
+#: a fixed numpy cost per level and scan step, so a one-point call over a
+#: long head gains from wide blocks; at 4096 pieces its peak (1.09 MB) would
+#: pass 1 MiB.
+_BLOCK = 2048
 
 #: most nodes of a block that are prefix-scanned: larger blocks are first
 #: reduced by levels of pairwise products.

@@ -447,6 +447,31 @@ def test_strip_head_keeps_the_intervals_just_past_l0():
     assert np.abs(transfer(z, q, 1.0) - transfer_between(z, p, l0, l0 + 1.0)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("tail", [TAIL_FINITE, TAIL_CONSTANT, TAIL_PERIODIC])
+@pytest.mark.parametrize("gauge", ["schroedinger", "dirac"])
+def test_strip_head_in_the_general_gauge(gauge, tail):
+    # (n, P, Q) are cut by the index that cuts the grid, as (m, a) are: a
+    # stripped general-gauge system raised AttributeError on p.m
+    from arvcanon.propagate import transfer_between
+    if gauge == "schroedinger":
+        rng = np.random.default_rng(27)
+        p = schroedinger_coefficients(rng.normal(size=5), [0.3, 0.5, 1.1, 1.4, 2.0], tail)
+    else:
+        c = dirac_coefficients(2.0, 3)
+        p = GeneralCoefficients(c.grid, [1.0, 0.4, 2.5], c.P, c.Q, tail)
+    z = 0.3 + 0.6j
+    for l0 in (0.2, 0.5, 1.25, 2.0, 3.7):
+        if tail == TAIL_FINITE and l0 >= p.length:
+            continue
+        q = strip_head(p, l0)
+        assert type(q) is GeneralCoefficients and q.tail == tail
+        stop = p.length - l0 if tail == TAIL_FINITE else 2.6
+        for t in (0.15, 0.5 * stop, stop):
+            want = transfer_between(z, p, l0, l0 + t)
+            got = transfer(z, q, t)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (l0, t)
+
+
 @pytest.mark.parametrize("tail", [TAIL_CONSTANT, TAIL_PERIODIC])
 def test_mu_refuses_the_lengths_a_span_refuses(tail):
     p = ArovParameters([0.5, 1.0], [1.0, 0.5], [0.3, -0.2j], tail)

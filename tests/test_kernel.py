@@ -109,10 +109,12 @@ def test_kernel_across_blocks_and_chunks(monkeypatch):
     # pairwise product levels (powers of two and their neighbours), at 0,
     # repeated, and inside intervals; more spectral points than one chunk
     rng = np.random.default_rng(9)
-    system = _disk_system(rng, 1300, TAIL_CONSTANT)
+    b = prop._BLOCK
+    system = _disk_system(rng, b + 276, TAIL_CONSTANT)
     zs = np.linspace(-1.0 + 0.2j, 1.0 + 0.9j, 7)
     edges = [0, 0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 99, 100, 101, 127, 128, 129, 255, 256,
-             257, 300, 511, 512, 513, 1000, 1023, 1024, 1024, 1025, 1100, 1151, 1152, 1153, 1300]
+             257, 300, 511, 512, 513, 1000, 1023, 1024, 1025, b - 1, b, b, b + 1, b + 76,
+             b + 127, b + 128, b + 129, b + 276]
     ls = np.sort(np.concatenate((system.knots[edges],
                                  [0.5 * system.length, 1.1 * system.length],
                                  0.5 * (system.knots[508:514] + system.knots[509:515]))))
@@ -531,9 +533,10 @@ def test_kernel_reference_examples_reach_every_branch():
 def test_kernel_chunk_working_memory_is_below_the_reference_forms():
     # one chunk of _CELLS (z, piece) cells, its propagators and the products
     # read off them: scanned whole (64 points x 64 pieces) and through levels
-    # of pairwise products (4 x 1024).  The output stack is 64 bytes a cell;
-    # the reference forms peak at 4.6 to 4.8 such stacks (1,183 kB at 4,096
-    # cells), the kernel at 2.9 to 3.1
+    # of pairwise products (4 x 1024, and 2 x 2048, the widest chunk of a
+    # 2048-piece block).  The output stack is 64 bytes a cell; the reference
+    # forms peak at 4.6 to 5.0 such stacks (1,213 to 1,306 kB at 4,096
+    # cells), the kernel at 3.0 to 3.2
     import tracemalloc
 
     system = _disk_system(np.random.default_rng(12), prop._BLOCK, TAIL_CONSTANT)
@@ -550,7 +553,7 @@ def test_kernel_chunk_working_memory_is_below_the_reference_forms():
         tracemalloc.stop()
         return top
 
-    for nz in (64, 4):
+    for nz in (64, 4, 2):
         with reference_kernel():
             reference = peak(nz)
         got = peak(nz)

@@ -45,8 +45,7 @@ import json
 import math
 import numbers
 import re
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import orjson
@@ -410,8 +409,8 @@ def strip_head(p, l0):
 def _take(p, grid, k):
     """The system of p's gauge and tail on a new grid, interval i carrying
     every per-interval field of p's stored interval k[i]."""
-    fields = (f.name for f in dataclasses.fields(p) if f.name not in ("grid", "tail"))
-    return dataclasses.replace(p, grid=grid, **{name: getattr(p, name)[k] for name in fields})
+    names = (f.name for f in fields(p) if f.name not in ("grid", "tail"))
+    return replace(p, grid=grid, **{name: getattr(p, name)[k] for name in names})
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import numpy as np
 
 import arvcanon as av
 from arvcanon.riccati import ESCAPE_SLACK, a_to_c, boundary_limit, c_to_a
+from arvcanon.weyl import schur_grid
 
 print("=== stationarity of the true Schur value ===")
 p = av.constant_parameters(0.45)
@@ -53,7 +54,7 @@ for state in av.riccati_trajectory(z, s_wrong, p2, np.arange(0.0, 20.0, 2.0)):
 
 print("\n=== boundary coordinate from ray samples ===")
 p6 = av.constant_parameters(0.6)
-bl = boundary_limit(lambda w: av.schur_plus(w, p6).value)
+bl = boundary_limit(lambda w: schur_grid(w, p6)[0])
 print(f"samples along z = iy: {[f'{s:.6f}' for s in bl.samples]}")
 print(f"extrapolated limit  : {bl.estimate:.8f}  (c(0.6) = {a_to_c(0.6):.8f})")
 print(f"coefficient back    : {c_to_a(bl.estimate):.8f}")
@@ -62,5 +63,5 @@ print(f"spread {bl.spread:.1e}, converged: {bl.converged}")
 print("\nafter stripping past a coefficient jump the ray sees the new block:")
 p_jump = av.ArovParameters([1.0, 3.0], [1.0, 1.0], [0.2, 0.7])
 tail = av.strip_head(p_jump, 1.5)
-bl2 = boundary_limit(lambda w: av.schur_plus(w, tail).value)
+bl2 = boundary_limit(lambda w: schur_grid(w, tail)[0])
 print(f"limit = {bl2.estimate:.6f}, c(0.7) = {a_to_c(0.7):.6f}")

@@ -28,8 +28,7 @@ requested count through one node per level, so a block costs about one
 product per piece instead of a full prefix scan's log2(_BLOCK).  It knows no
 tails.  ``transfer_grid`` feeds it the folded stream of ``piece_arrays``
 from any start length l_from and closes constant and periodic tails in O(1)
-and O(log) products, the period powered on the binary digits of the count
-(the Riccati escape search takes its period powers from the same call).
+and O(log) products, the period powered on the binary digits of the count.
 The kernel's working set is set by one chunk of _CELLS (z, piece) cells:
 its propagator stack (64 bytes a cell, 256 kB) and, while the stack is
 built and scanned, a few more arrays of a number a cell.  ``_expm`` and

@@ -13,17 +13,17 @@ makes staying bounded a sharp test.  The flow is solved exactly, with no
 stepping: s(l) is the Moebius image of s(0) under the transfer matrix
 T(z, l), and the escape point is found on the same closed-form propagators
 (one kernel call for the products through each of the bracket's pieces,
-the whole periods of a periodic tail skipped on the period's powers
-P^(2^b), which one ``transfer_grid`` call gives, then one call for a table
-of every trial mass that a fixed-width bisection of the escaping piece
-tries, which its rounds push a row through).  The same repulsion grows
-round-off in s(0) like e^(2 mu), so this forward flow is for a given s0;
-the stripped Schur values themselves are pulled back from the tail
-(``weyl.stripped_grid``) and never escape.  The nontangential
-limit of a Schur function at +i*infinity, when it exists, determines the
-coefficient at the origin through a continuous bijection of the disk,
-implemented here as ``a_to_c``/``c_to_a`` together with Richardson
-extrapolation along a ray.
+the whole periods of a periodic tail skipped on the repeated squares of
+the period's product, then one call for a table of every trial mass that a
+fixed-width bisection of the escaping piece tries, which its rounds push a
+row through).  The same repulsion grows round-off in s(0) like e^(2 mu), so
+this forward flow is for a given s0, and a row (s0, 1) T(z, l) that decays
+below the float range (s0 = s+ exactly, past measure 354) is refused; the
+stripped Schur values themselves are pulled back from the tail
+(``weyl.stripped_grid``) and never escape.  The nontangential limit of a
+Schur function at +i*infinity, when it exists, determines the coefficient
+at the origin through a continuous bijection of the disk, ``a_to_c`` /
+``c_to_a``; ``boundary_limit`` extrapolates it from one evaluator call.
 """
 
 from dataclasses import dataclass
@@ -32,8 +32,8 @@ import numpy as np
 
 from . import coefficients as coeff
 from . import propagate as prop
-from .errors import (CoefficientError, DomainError, InconsistencyError,
-                     InputError, PreconditionError)
+from .errors import (CoefficientError, DegenerateActionError, DomainError,
+                     InconsistencyError, InputError, PreconditionError)
 
 STATUS_OK = "ok"
 STATUS_ESCAPED = "escaped"
@@ -119,12 +119,16 @@ def _pushed(row, e):
     return np.stack((u * e11 + v * e21, u * e12 + v * e22), axis=-1)
 
 
-def _periods_inside(row, powers, reps):
+def _periods_inside(row, period, reps):
     """(count, row): the most whole periods, below reps, after which the
     row (u, v) is still inside the disk, and the row there, scaled.  Disks
     nest, so a row once outside stays outside: the count is read off the
-    row pushed through powers[b], the period's 2x2 matrix to the power 2^b
-    (any scale: the row is projective), largest power first."""
+    row pushed through the period's repeated squares P^(2^b), largest
+    first, each scaled to its largest entry (the row is projective)."""
+    powers = [period]
+    for _ in range(1, (reps - 1).bit_length()):
+        square = powers[-1] @ powers[-1]
+        powers.append(square / np.abs(square).max())
     count = 0
     for b in reversed(range(len(powers))):
         pushed = row @ powers[b]
@@ -141,10 +145,9 @@ def _escape(z, s, p, l_lo, l_hi):
     are its folded stream unrolled: q copies of the stream (the rotated
     period), the pieces through the head, the constant tail's mass.  Of
     more than one period, the whole periods the row stays inside are
-    skipped (``_periods_inside``) on the rotated period's powers P^(2^b)
-    below q, the spans of 2^b periods from l_lo in one ``transfer_grid``
-    call, and when more than one period is left the escape lies in the next
-    one, the only one unrolled.
+    skipped (``_periods_inside``) on the powers of the rotated period, its
+    product from one kernel call over the stream, and when more than one
+    period is left the escape lies in the next one, the only one unrolled.
 
     Round r of the bisection tries _TRIALS multiples of h_r = d / 65^r, d
     the piece's mass, from the bracket's left end, and keeps the first trial
@@ -159,8 +162,8 @@ def _escape(z, s, p, l_lo, l_hi):
     reps, n = 0 if q is None else int(q[0]), ends[at[0]]
     row, mu = (s, 1.0), p.mu(l_lo)
     if reps > 1:
-        spans = l_lo + p.length * 2.0 ** np.arange((reps - 1).bit_length())
-        count, row = _periods_inside(row, prop.transfer_grid(p, zs, spans, l_lo)[0][0], reps)
+        period = prop.scaled_products(zs, gen, k, d, [k.size])[0][:, 0, 0].reshape(2, 2)
+        count, row = _periods_inside(row, period, reps)
         mu, reps = mu + count * float(np.sum(d)), reps - count
         if reps > 1:
             reps, n, t = 1, 0, None
@@ -208,6 +211,10 @@ def riccati_trajectory(z, s0, p, ls):
     m, _ = prop.transfer_grid(p, [z], ls)
     rows = s0 * m[0, :, 0] + m[0, :, 1]
     n = int(np.argmax(np.append(_outside(rows), True)))  # first escaped row
+    dead = np.abs(rows[:n]).max(axis=-1) < np.finfo(float).tiny
+    if dead.any():
+        raise DegenerateActionError(f"the row (s0, 1) T(z, l) decays below the float "
+                                    f"range at l = {ls[np.argmax(dead)]}")
     s = rows[:n, 0] / rows[:n, 1]
     states = [RiccatiState(complex(sk), float(l), z, float(mu), STATUS_OK)
               for sk, l, mu in zip(s, ls, p.mu(ls[:n]))]
@@ -251,9 +258,7 @@ def richardson_extrapolate(values, ratio):
     t = [complex(v) for v in values]
     if len(t) == 0:
         raise InputError("no samples to extrapolate")
-    if len(t) == 1:
-        return t[0], 0.0
-    last = t[-1]
+    prev = last = t[-1]  # one sample is its own estimate, of spread 0
     for m in range(1, len(values)):
         factor = ratio ** m - 1.0
         t = [t[k + 1] + (t[k + 1] - t[k]) / factor for k in range(len(t) - 1)]
@@ -272,33 +277,27 @@ class BoundaryLimit:
     converged: bool
 
 
+#: the ray points i y of ``boundary_limit`` (geometric in y), and the largest
+#: spread of its extrapolation that reads as converged
 DEFAULT_RAY_RADII = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
+SPREAD_TOL = 1e-2
 
 
-def boundary_limit(evaluator, delta=np.pi / 2.0, ys=DEFAULT_RAY_RADII,
-                   spread_tol=1e-2):
-    """Estimate the limit of a Schur evaluator along the ray arg z = delta.
-
-    Samples at |z| in ``ys`` (geometric), Richardson-extrapolates in 1/|z|,
-    and reports the spread of the extrapolation tableau.  converged=False is
-    the no-limit diagnostic; a limit need not exist for rough coefficients.
-    For canonical evaluators the estimate approximates the boundary
-    coordinate c of the leading coefficient, and c_to_a recovers a.
-    """
-    if not 0.0 < delta < np.pi:
-        raise DomainError(f"ray angle must lie in (0, pi), got {delta}")
-    ys = tuple(float(y) for y in ys)
-    if len(ys) < 2 or any(y2 <= y1 for y1, y2 in zip(ys, ys[1:])):
-        raise InputError("ys must be an increasing tuple of at least two radii")
-    ratio = ys[1] / ys[0]
-    if any(abs(y2 / y1 - ratio) > 1e-9 * ratio for y1, y2 in zip(ys, ys[1:])):
-        raise InputError("ys must be geometrically spaced for the extrapolation")
-    direction = np.exp(1j * delta)
-    samples = []
-    for y in ys:
-        value = evaluator(y * direction)
-        samples.append(complex(getattr(value, "value", value)))
-    estimate, spread = richardson_extrapolate(samples, ratio)
-    return BoundaryLimit(
-        estimate, spread, tuple(samples), ys, bool(spread <= spread_tol)
-    )
+def boundary_limit(evaluator):
+    """Estimate the limit of a Schur function at +i*infinity: one call of
+    the evaluator on the ray points 1j * DEFAULT_RAY_RADII, which returns
+    the Schur values there as an array of that shape (``lambda w:
+    weyl.schur_grid(w, p)[0]``; anything else is an InputError), then
+    Richardson extrapolation in 1/y.  A spread of the tableau above
+    SPREAD_TOL reads converged=False, the no-limit diagnostic: a limit need
+    not exist for rough coefficients.  For canonical evaluators the estimate
+    approximates the boundary coordinate c of the leading coefficient, and
+    c_to_a recovers a."""
+    ys = DEFAULT_RAY_RADII
+    samples = np.asarray(evaluator(1j * np.array(ys)))
+    if samples.shape != (len(ys),) or not np.isfinite(samples).all():
+        raise InputError(f"the evaluator must return {len(ys)} finite Schur values, "
+                         f"one per ray point, got {samples!r}")
+    samples = tuple(samples.astype(complex).tolist())
+    estimate, spread = richardson_extrapolate(samples, ys[1] / ys[0])
+    return BoundaryLimit(estimate, spread, samples, ys, bool(spread <= SPREAD_TOL))

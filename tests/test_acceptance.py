@@ -17,7 +17,7 @@ from arvcanon.riccati import a_to_c, boundary_limit, c_to_a, integrate_riccati
 from arvcanon.spectral import (exponential_type_integral,
                                exponential_type_numeric, harmonic_measure,
                                reflectionless_defect, type_report)
-from arvcanon.weyl import weyl_disk, weyl_disk_at
+from arvcanon.weyl import schur_grid, weyl_disk, weyl_disk_at
 
 from helpers import (blaschke_matrix, diameter_direct, doubling_oracle, gamma_metric,
                      random_contractive, random_parameters, random_su11,
@@ -177,7 +177,7 @@ def test_criterion_07_riccati_stripping_agreement():
 
 def test_criterion_08_boundary_asymptotics():
     p = constant_parameters(0.6)
-    bl = boundary_limit(lambda z: schur_plus(z, p).value)
+    bl = boundary_limit(lambda w: schur_grid(w, p)[0])
     err_limit = abs(bl.estimate - 1.0 / 3.0)
     rng = np.random.default_rng(108)
     worst_inv = 0.0

@@ -167,6 +167,20 @@ def test_riccati_trajectory_escape_status(tmp_path):
     assert len(rows) < 6  # stops emitting after the escape
 
 
+def test_riccati_row_that_underflows_exits_1(const_half, capsys):
+    # s0 = 0.5 is s+(i) exactly: its row through T(i, l) underflows to 0 by
+    # l = 400, which printed nan,nan,ok rows (and warned) with exit 0
+    argv = ["riccati", "--input", const_half, "--z", "i", "--s0", "0.5,0",
+            "--lgrid", "0:800:400"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    detail = json.loads(err)
+    assert detail["error"] == "DegenerateActionError" and "l = 400" in detail["message"]
+
+
 def test_riccati_auto_rows_are_the_stripped_values(tmp_path):
     # mu = 40 per unit length: flowing s+ forwards, round-off put the l = 0.5
     # row 4e-7 off and printed a false escape at l = 1

@@ -1,4 +1,5 @@
-"""Every demo runs to completion: exit status 0 and no traceback on stderr."""
+"""Every demo runs to completion: exit status 0 and no traceback on stderr,
+with a RuntimeWarning raised as an error."""
 
 import os
 import subprocess
@@ -18,7 +19,8 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -11,7 +11,7 @@ import pytest
 
 from arvcanon import (ArovParameters, CoefficientError, DomainError, GeneralCoefficients,
                       InconsistencyError, InputError, ParseError, PreconditionError,
-                      TAIL_CONSTANT, TAIL_FINITE, TransferFamily, boundary_limit,
+                      TAIL_CONSTANT, TAIL_FINITE, TransferFamily,
                       constant_parameters, dirac_coefficients, harmonic_measure,
                       load_parameters, parameters_from_dict, recover_parameters, reflect,
                       reflectionless_ladder, riccati_fixed_point, riccati_trajectory,
@@ -76,8 +76,6 @@ REFUSALS = {  # name: (call, error class, message pattern)
     "trajectory_general": (lambda: riccati_trajectory(1j, 0.0, dirac_coefficients(), [0.5]),
                            InputError, "disk-gauge"),
     "richardson_no_samples": (lambda: richardson_extrapolate([], 2.0), InputError, "no samples"),
-    "boundary_limit_one_radius": (lambda: boundary_limit(lambda z: 0j, ys=(10.0,)),
-                                  InputError, "at least two"),
     # spectral
     "type_integral_unsupported": (lambda: exponential_type_integral(object(), 1.0),
                                   InputError, "unsupported"),

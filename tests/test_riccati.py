@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arvcanon import (ArovParameters, DomainError, InputError, PreconditionError,
-                      TAIL_CONSTANT, TAIL_PERIODIC, constant_parameters, integrate_riccati,
-                      riccati_fixed_point, riccati_trajectory, schur_plus, strip_head)
-from arvcanon.riccati import (ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK, a_to_c,
-                              boundary_limit, c_to_a, richardson_extrapolate)
+from arvcanon import (ArovParameters, DegenerateActionError, DomainError, InputError,
+                      PreconditionError, TAIL_CONSTANT, TAIL_PERIODIC, constant_parameters,
+                      integrate_riccati, riccati_fixed_point, riccati_trajectory, schur_plus,
+                      strip_head)
+from arvcanon.riccati import (DEFAULT_RAY_RADII, ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK,
+                              a_to_c, boundary_limit, c_to_a, richardson_extrapolate)
+from arvcanon.weyl import schur_grid
 from arvcanon import propagate as prop
 from arvcanon.propagate import transfer
 
@@ -225,6 +227,35 @@ def test_escape_over_a_periodic_tail_unrolls_one_period(monkeypatch):
         assert max(pieces) <= p.n_intervals + 1
         assert abs(state.mu - first.mu) <= 1e-12
         assert abs(state.s - first.s) <= 1e-12
+    # from l = 0.3, inside the period, 0.01 off the Schur value: the flow
+    # stays in the disk for whole periods, which are skipped on the powers of
+    # the period rotated to start at 0.3, its 3 pieces
+    p = ArovParameters([0.4, 1.0], [1.0, 0.6], [0.3, -0.2j], TAIL_PERIODIC)
+    z = 0.3 + 0.5j
+    s0 = schur_plus(z, p).value + 0.01
+    for l in (100.0, 1e4):
+        pieces.clear()
+        state = riccati_trajectory(z, s0, p, [0.3, l])[-1]
+        assert state.status == STATUS_ESCAPED
+        assert state.l > 3.0 * p.length
+        assert max(pieces) <= p.n_intervals + 1
+        mu, s = escape_oracle(z, s0, p, l)
+        assert abs(state.mu - mu) <= 1e-9
+        assert abs(state.s - s) <= 1e-9
+
+
+def test_trajectory_refuses_a_row_that_underflows():
+    # s0 = 0.5 is s+(i) of the constant system a = 0.5 exactly: the row
+    # (s0, 1) T(i, l) cancels in its first entry and decays in its second
+    # against T, below the smallest normal float past measure about 354 (a
+    # subnormal at 360, 0 at 400), where s would read nan
+    p = constant_parameters(0.5)
+    assert riccati_fixed_point(1j, 0.5) == 0.5
+    assert integrate_riccati(1j, 0.5, p, 300.0).status == STATUS_OK
+    with pytest.raises(DegenerateActionError, match="at l = 360"):
+        integrate_riccati(1j, 0.5, p, 360.0)
+    with pytest.raises(DegenerateActionError, match="at l = 400"):
+        riccati_trajectory(1j, 0.5, p, [0.0, 400.0, 800.0])
 
 
 def test_trajectory_rejects_descending_lengths():
@@ -309,8 +340,34 @@ def test_richardson_exact_on_polynomial_decay():
     assert spread < 1e-9
 
 
+def test_boundary_limit_calls_its_evaluator_once_on_the_axis():
+    calls = []
+
+    def evaluator(w):
+        calls.append(w)
+        return np.zeros(w.shape)
+
+    bl = boundary_limit(evaluator)
+    assert len(calls) == 1
+    assert calls[0].dtype == complex
+    assert np.array_equal(calls[0], 1j * np.array(DEFAULT_RAY_RADII))
+    assert bl.ys == DEFAULT_RAY_RADII
+    assert bl.samples == (0j,) * len(DEFAULT_RAY_RADII)
+
+
+@pytest.mark.parametrize("evaluator", [
+    lambda w: schur_plus(w, constant_parameters(0.6)).value,  # the first point's value
+    lambda w: 0.0,
+    lambda w: np.zeros(w.size - 1),
+    lambda w: np.where(w.imag > 1e3, np.nan, 0.0),
+], ids=["schur_plus", "scalar", "short", "nan"])
+def test_boundary_limit_rejects_what_is_not_one_value_per_ray_point(evaluator):
+    with pytest.raises(InputError, match="one per ray point"):
+        boundary_limit(evaluator)
+
+
 def test_boundary_limit_of_zero_function():
-    bl = boundary_limit(lambda z: 0.0)
+    bl = boundary_limit(lambda w: np.zeros(w.shape))
     assert bl.estimate == 0.0
     assert bl.spread == 0.0
     assert bl.converged
@@ -318,7 +375,7 @@ def test_boundary_limit_of_zero_function():
 
 def test_boundary_limit_recovers_c_for_constant_system():
     p = constant_parameters(0.6)
-    bl = boundary_limit(lambda z: schur_plus(z, p).value)
+    bl = boundary_limit(lambda w: schur_grid(w, p)[0])
     assert abs(bl.estimate - 1.0 / 3.0) < 1e-3
     assert bl.converged
     assert abs(c_to_a(bl.estimate) - 0.6) < 1e-3
@@ -329,18 +386,21 @@ def test_boundary_limit_after_stripping_sees_second_block():
     from arvcanon import ArovParameters, strip_head
     p = ArovParameters([1.0, 3.0], [1.0, 1.0], [0.2, 0.7])
     stripped = strip_head(p, 1.5)
-    bl = boundary_limit(lambda z: schur_plus(z, stripped).value)
+    bl = boundary_limit(lambda w: schur_grid(w, stripped)[0])
     assert bl.converged
     assert abs(bl.estimate - a_to_c(0.7)) < 1e-3
 
 
 def test_boundary_limit_flags_non_cauchy_samples():
-    bl = boundary_limit(lambda z: 0.5 * np.exp(2j * np.log(abs(z))), spread_tol=1e-3)
+    bl = boundary_limit(lambda w: 0.5 * np.exp(2j * np.log(abs(w))))
     assert not bl.converged
 
 
-def test_boundary_limit_rejects_bad_ray():
-    with pytest.raises(DomainError):
-        boundary_limit(lambda z: 0.0, delta=0.0)
-    with pytest.raises(InputError):
-        boundary_limit(lambda z: 0.0, ys=(100.0, 200.0, 300.0))
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 0.95), st.floats(0.0, 1.0), st.floats(0.2, 3.0))
+def test_property_boundary_limit_of_a_constant_system_is_c(radius, turn, m):
+    a = radius * np.exp(2j * np.pi * turn)
+    p = ArovParameters([1.0], [m], [a], TAIL_CONSTANT)
+    bl = boundary_limit(lambda w: schur_grid(w, p)[0])
+    assert abs(bl.estimate - a_to_c(a)) <= 1e-12
+    assert bl.converged

@@ -12,14 +12,12 @@ finitely much measure, which is what certifies a wrong initial guess and
 makes staying bounded a sharp test.  The flow is solved exactly, with no
 stepping: s(l) is the Moebius image of s(0) under the transfer matrix
 T(z, l), and the escape point is found on the same closed-form propagators
-(one kernel call for the products through each of the bracket's pieces,
-the whole periods of a periodic tail skipped on the repeated squares of
-the period's product, then one call for a table of every trial mass that a
-fixed-width bisection of the escaping piece tries, which its rounds push a
-row through).  The same repulsion grows round-off in s(0) like e^(2 mu), so
-this forward flow is for a given s0, and a row (s0, 1) T(z, l) that decays
-below the float range (s0 = s+ exactly, past measure 354) is refused; the
-stripped Schur values themselves are pulled back from the tail
+(whole periods skipped on the period's repeated squares, the products
+through a bracket's pieces, then the escaping piece's mass halved to its
+float spacing, through which a bisection pushes a row in complex scalars).
+The same repulsion grows round-off in s(0) like e^(2 mu), so this forward
+flow is for a given s0, and a row whose s has lost its digits is refused;
+the stripped Schur values themselves are pulled back from the tail
 (``weyl.stripped_grid``) and never escape.  The nontangential limit of a
 Schur function at +i*infinity, when it exists, determines the coefficient
 at the origin through a continuous bijection of the disk, ``a_to_c`` /
@@ -41,10 +39,9 @@ STATUS_ESCAPED = "escaped"
 #: |s| beyond 1 + ESCAPE_SLACK flags an escaped trajectory.
 ESCAPE_SLACK = 1e-6
 
-#: trial masses of one round of the escape search, in units of the round's
-#: width: round r tries j d / 65^r for j = 1..64 within a piece of mass d,
-#: so each round narrows the bracket 65-fold
-_TRIALS = np.arange(1, 65)
+#: the largest first-order round-off bound of s = u / v on a trajectory's row
+#: (u, v) = (s0, 1) T(z, l); past it, s cannot be told within the escape slack
+ROW_TOL = 1e-6
 
 
 def disk_root(qa, qb, qc):
@@ -112,13 +109,6 @@ def _outside(row):
     return np.abs(row[..., 0]) > (1.0 + ESCAPE_SLACK) * np.abs(row[..., 1])
 
 
-def _pushed(row, e):
-    """Projective rows (u, v) M of the row (u, v) through a (4, 1, n) entry
-    stack."""
-    (u, v), (e11, e12, e21, e22) = row, e[:, 0]
-    return np.stack((u * e11 + v * e21, u * e12 + v * e22), axis=-1)
-
-
 def _periods_inside(row, period, reps):
     """(count, row): the most whole periods, below reps, after which the
     row (u, v) is still inside the disk, and the row there, scaled.  Disks
@@ -137,30 +127,29 @@ def _periods_inside(row, period, reps):
     return count, row
 
 
-def _escape(z, s, p, l_lo, l_hi):
-    """Escape point of the flow from s at l_lo, known to lie in (l_lo, l_hi]:
-    the first piece whose end is outside the disk (the last one at the
-    latest), read off the products through every piece of the bracket, then
-    bisected on that piece's closed-form propagators.  The bracket's pieces
-    are its folded stream unrolled: q copies of the stream (the rotated
-    period), the pieces through the head, the constant tail's mass.  Of
-    more than one period, the whole periods the row stays inside are
-    skipped (``_periods_inside``) on the powers of the rotated period, its
-    product from one kernel call over the stream, and when more than one
-    period is left the escape lies in the next one, the only one unrolled.
+def _escape(z, s, p, l_lo, l_hi, mu):
+    """Escape point of the flow from s at l_lo, of measure mu, known to lie
+    in (l_lo, l_hi]: the first piece whose end is outside the disk (the last
+    one at the latest), then bisected on that piece's closed-form
+    propagators.  The bracket's pieces are its folded stream unrolled: q
+    copies of the stream (the rotated period), the pieces through the head,
+    the constant tail's mass.  Of more than one period, the whole periods
+    the row stays inside are skipped (``_periods_inside``) on the powers of
+    the rotated period, its product from one kernel call over the stream,
+    and when more than one period is left the escape lies in the next one,
+    the only one unrolled.  Of more than one piece, one kernel call gives
+    the products through each; a bracket of one piece needs none.
 
-    Round r of the bisection tries _TRIALS multiples of h_r = d / 65^r, d
-    the piece's mass, from the bracket's left end, and keeps the first trial
-    outside the disk (or the bracket's right end when none is) as the right
-    end of the next bracket, h_r wide.  The widths are fixed in advance, so
-    one call gives the propagators of every trial mass of every round, down
-    to the float spacing of d, and each round pushes the row at its left end
-    through its 64 of them (exp(G(a + b)) = exp(G a) exp(G b)).  The escape
-    state is the last bracket's right end."""
+    One call gives the propagators of the piece's mass d halved down to its
+    float spacing, d, d/2, ..., d/2^b.  The first bracket is the piece, its
+    right end the row at its left end pushed through d; step j pushes the
+    left end's row through d/2^j, in complex scalars, to the midpoint, the
+    new right end when outside the disk and the new left end (rescaled: the
+    row is projective) otherwise.  The escape state is the last right end."""
     zs, gen = np.array([z]), p.generator_table
     k, d, ends, at, q, t = p.piece_arrays([l_hi], l_lo)
     reps, n = 0 if q is None else int(q[0]), ends[at[0]]
-    row, mu = (s, 1.0), p.mu(l_lo)
+    row = (s, 1.0)
     if reps > 1:
         period = prop.scaled_products(zs, gen, k, d, [k.size])[0][:, 0, 0].reshape(2, 2)
         count, row = _periods_inside(row, period, reps)
@@ -171,24 +160,27 @@ def _escape(z, s, p, l_lo, l_hi):
     if t is not None:
         k, d = np.append(k, p.n_intervals - 1), np.append(d, t[0])
     k, d = k[d > 0.0], d[d > 0.0]
-    ends = _pushed(row, prop.scaled_products(zs, gen, k, d, np.arange(1, k.size + 1))[0])
-    i = int(np.argmax(np.append(_outside(ends[:-1]), True)))
-    lo_row, hi_row = ends[i - 1] if i else row, ends[i]
-    rounds = max(1, int(np.ceil(np.log(d[i] / np.spacing(d[i])) / np.log(65.0))))
-    widths = d[i] / 65.0 ** np.arange(1, rounds + 1)
-    table, _ = prop._propagators(zs, gen, k[i:i + 1], np.outer(widths, _TRIALS).ravel())
-    table = table.reshape(4, 1, rounds, _TRIALS.size)
-    lo = 0.0
-    for r, h in enumerate(widths.tolist()):
-        rows = _pushed(lo_row, table[:, :, r])
-        j = int(np.argmax(np.append(_outside(rows), True)))  # first outside
-        if j:
-            lo_row, lo = rows[j - 1], lo + j * h
-        if j < _TRIALS.size:
-            hi_row = rows[j]
-    u, v = hi_row
-    mu = mu + float(np.sum(d[:i])) + lo + h
-    return RiccatiState(complex(u / v), p.l_of_mu(mu), z, mu, STATUS_ESCAPED)
+    i = 0
+    if k.size > 1:
+        products = prop.scaled_products(zs, gen, k, d, np.arange(1, k.size + 1))[0]
+        ends = np.asarray(row) @ products[:, 0].T.reshape(-1, 2, 2)
+        i = int(np.argmax(np.append(_outside(ends[:-1]), True)))
+        if i:
+            row, mu = ends[i - 1], mu + float(np.sum(d[:i]))
+    b = int(np.ceil(np.log2(d[i] / np.spacing(d[i]))))
+    widths = np.ldexp(d[i], -np.arange(b + 1))
+    e11, e12, e21, e22 = prop._propagators(zs, gen, k[i:i + 1], widths)[0][:, 0].tolist()
+    u, v, lo = complex(row[0]), complex(row[1]), 0.0
+    for j, w in enumerate(widths.tolist()):
+        x, y = u * e11[j] + v * e21[j], u * e12[j] + v * e22[j]
+        mid = x / y if y else complex(np.inf)
+        if not j or abs(mid) > 1.0 + ESCAPE_SLACK:  # the piece's end is the first right end
+            hi = mid
+        else:
+            r = max(abs(x), abs(y))
+            u, v, lo = x / r, y / r, lo + w
+    mu = mu + lo + w
+    return RiccatiState(hi, p.l_of_mu(mu), z, mu, STATUS_ESCAPED)
 
 
 def riccati_trajectory(z, s0, p, ls):
@@ -199,6 +191,7 @@ def riccati_trajectory(z, s0, p, ls):
     image of s0 under it (projective, so the log-scale is never needed).
     Disks nest along l, so the first length with |s| > 1 + ESCAPE_SLACK
     brackets the escape; the escaped state holds the escape point itself.
+    A row before it whose s has a round-off bound past ROW_TOL is refused.
     """
     z, s0 = complex(z), complex(s0)
     if abs(s0) > 1.0 + coeff.COEFF_TOL:
@@ -211,15 +204,22 @@ def riccati_trajectory(z, s0, p, ls):
     m, _ = prop.transfer_grid(p, [z], ls)
     rows = s0 * m[0, :, 0] + m[0, :, 1]
     n = int(np.argmax(np.append(_outside(rows), True)))  # first escaped row
-    dead = np.abs(rows[:n]).max(axis=-1) < np.finfo(float).tiny
-    if dead.any():
-        raise DegenerateActionError(f"the row (s0, 1) T(z, l) decays below the float "
-                                    f"range at l = {ls[np.argmax(dead)]}")
-    s = rows[:n, 0] / rows[:n, 1]
+    # u and v carry round-off of about eps (|s0||T1j| + |T2j|) of the scaled
+    # T, and s = u / v to first order that of u, and |s| times that of v, over |v|
+    (u, v), (wu, wv) = rows[:n].T, (abs(s0) * np.abs(m[0, :n, 0]) + np.abs(m[0, :n, 1])).T
+    with np.errstate(all="ignore"):
+        s = u / v
+        err = np.finfo(float).eps * (wu + np.abs(s) * wv) / np.abs(v)
+    j = int(np.argmax(np.append(~(err <= ROW_TOL), True)))  # infinite or NaN if underflowed
+    if j < n:
+        raise DegenerateActionError(f"the row (s0, 1) T(z, l) leaves s = u / v a round-off "
+                                    f"bound of {err[j]:.3g}, past {ROW_TOL}, at l = {ls[j]}")
+    mus = p.mu(ls[:n])
     states = [RiccatiState(complex(sk), float(l), z, float(mu), STATUS_OK)
-              for sk, l, mu in zip(s, ls, p.mu(ls[:n]))]
+              for sk, l, mu in zip(s, ls, mus)]
     if n < ls.size:
-        states.append(_escape(z, s[-1] if n else s0, p, ls[n - 1] if n else 0.0, ls[n]))
+        states.append(_escape(z, s[-1] if n else s0, p, ls[n - 1] if n else 0.0, ls[n],
+                              float(mus[-1]) if n else 0.0))
     return states
 
 

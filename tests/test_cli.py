@@ -181,6 +181,18 @@ def test_riccati_row_that_underflows_exits_1(const_half, capsys):
     assert detail["error"] == "DegenerateActionError" and "l = 400" in detail["message"]
 
 
+def test_riccati_row_without_a_correct_digit_exits_1(const_half, capsys):
+    # from the same s0 the row at l = 20 cancels to s = 0 exactly and read
+    # "ok"; the first row whose s has no digit left within ROW_TOL is l = 15
+    argv = ["riccati", "--input", const_half, "--z", "i", "--s0", "0.5,0",
+            "--lgrid", "0:40:5"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    detail = json.loads(err)
+    assert detail["error"] == "DegenerateActionError" and "l = 15" in detail["message"]
+
+
 def test_riccati_auto_rows_are_the_stripped_values(tmp_path):
     # mu = 40 per unit length: flowing s+ forwards, round-off put the l = 0.5
     # row 4e-7 off and printed a false escape at l = 1

@@ -1,6 +1,6 @@
 """The package's layering, read off its source: the propagation kernel's
 private names stay inside ``propagate`` (``_propagators`` apart, which
-gives the Riccati escape search its table of trial propagators), only
+gives the Riccati escape bisection its table of halved masses), only
 ``coefficients`` cuts a grid, and every public function or class is run by
 the library or a demo (identities only tests use live in ``helpers``)."""
 

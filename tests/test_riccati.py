@@ -6,8 +6,9 @@ from arvcanon import (ArovParameters, DegenerateActionError, DomainError, InputE
                       PreconditionError, TAIL_CONSTANT, TAIL_PERIODIC, constant_parameters,
                       integrate_riccati, riccati_fixed_point, riccati_trajectory, schur_plus,
                       strip_head)
-from arvcanon.riccati import (DEFAULT_RAY_RADII, ESCAPE_SLACK, STATUS_ESCAPED, STATUS_OK,
-                              a_to_c, boundary_limit, c_to_a, richardson_extrapolate)
+from arvcanon.riccati import (DEFAULT_RAY_RADII, ESCAPE_SLACK, ROW_TOL, STATUS_ESCAPED,
+                              STATUS_OK, a_to_c, boundary_limit, c_to_a,
+                              richardson_extrapolate)
 from arvcanon.weyl import schur_grid
 from arvcanon import propagate as prop
 from arvcanon.propagate import transfer
@@ -164,20 +165,63 @@ def test_property_escape_point_matches_expm_oracle(seed, tail, im_z, radius, tur
     assert abs(state.l - p.l_of_mu(mu)) <= 1e-9
 
 
-def test_escaped_trajectory_takes_four_propagator_calls(monkeypatch):
-    # the trajectory's kernel call and its constant tail, the bracket's
-    # products, and one table for every round of the escape bisection
-    calls, propagators = [], prop._propagators
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([TAIL_CONSTANT, TAIL_PERIODIC]),
+       st.floats(0.2, 1.5), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_property_escape_state_lies_outside_at_the_oracle(seed, tail, im_z, radius, turn):
+    # the bisection keeps the right end of its last bracket, whose s as it
+    # reads lies outside |s| = 1 + ESCAPE_SLACK, at the oracle's escape point
+    # to round-off (the oracle's scipy expm products put its point a few
+    # 1e-15 either side)
+    rng = np.random.default_rng(seed)
+    p = random_parameters(rng, n_max=6, tail=tail)
+    z = complex(rng.uniform(-1.0, 1.0), im_z)
+    s0 = np.sqrt(radius) * np.exp(2j * np.pi * turn)
+    assume(abs(s0 - schur_plus(z, p).value) >= 0.1)
+    l = p.l_of_mu(8.0)
+    state = integrate_riccati(z, s0, p, l)
+    assert state.status == STATUS_ESCAPED
+    assert abs(state.s) > 1.0 + ESCAPE_SLACK
+    mu, _ = escape_oracle(z, s0, p, l)
+    assert abs(state.mu - mu) <= 1e-12
+
+
+def _counted(monkeypatch, name):
+    """Arguments of every call of the propagate function name, as made."""
+    calls, f = [], getattr(prop, name)
 
     def counted(*args):
         calls.append(args)
-        return propagators(*args)
+        return f(*args)
 
-    monkeypatch.setattr(prop, "_propagators", counted)
+    monkeypatch.setattr(prop, name, counted)
+    return calls
+
+
+def test_escaped_trajectory_takes_three_propagator_calls(monkeypatch):
+    # the trajectory's kernel call and its constant tail, and one table for
+    # the whole escape bisection
+    calls = _counted(monkeypatch, "_propagators")
     states = riccati_trajectory(0.3 + 0.5j, 0.5 + 0.2j, constant_parameters(0.5),
                                 np.arange(0.0, 10.0, 0.25))
     assert states[-1].status == STATUS_ESCAPED
-    assert len(calls) <= 4
+    assert len(calls) <= 3
+
+
+def test_one_piece_escape_takes_one_halving_table(monkeypatch):
+    # the escape lies in the constant tail, between l = 1.5 and 1.75: the
+    # bracket is one piece, whose halvings d, d/2, ..., d/2^b down to the
+    # float spacing of d make the one table, and no kernel call is made for it
+    tables, products = (_counted(monkeypatch, name)
+                        for name in ("_propagators", "scaled_products"))
+    states = riccati_trajectory(0.3 + 0.5j, 0.5 + 0.2j, constant_parameters(0.5),
+                                np.arange(0.0, 10.0, 0.25))
+    assert states[-1].status == STATUS_ESCAPED and 1.5 < states[-1].l <= 1.75
+    assert len(products) == 1  # the trajectory's
+    masses = tables[-1][3]
+    assert masses.size <= 54
+    assert np.array_equal(masses, 0.25 * 0.5 ** np.arange(masses.size))
+    assert masses[-1] <= np.spacing(0.25)
 
 
 @pytest.mark.parametrize("seed", [71, 72, 73])
@@ -248,14 +292,38 @@ def test_trajectory_refuses_a_row_that_underflows():
     # s0 = 0.5 is s+(i) of the constant system a = 0.5 exactly: the row
     # (s0, 1) T(i, l) cancels in its first entry and decays in its second
     # against T, below the smallest normal float past measure about 354 (a
-    # subnormal at 360, 0 at 400), where s would read nan
+    # subnormal at 360, 0 at 400), where s would read nan.  Its s has lost
+    # every digit long before: at l = 300 the first entry is exactly 0
     p = constant_parameters(0.5)
     assert riccati_fixed_point(1j, 0.5) == 0.5
-    assert integrate_riccati(1j, 0.5, p, 300.0).status == STATUS_OK
+    with pytest.raises(DegenerateActionError, match="at l = 300"):
+        integrate_riccati(1j, 0.5, p, 300.0)
     with pytest.raises(DegenerateActionError, match="at l = 360"):
         integrate_riccati(1j, 0.5, p, 360.0)
     with pytest.raises(DegenerateActionError, match="at l = 400"):
         riccati_trajectory(1j, 0.5, p, [0.0, 400.0, 800.0])
+
+
+def test_trajectory_refuses_rows_without_a_correct_digit():
+    # from s+(i) = 0.5 of a = 0.5 the exact flow stays at 0.5, and the
+    # computed one leaves it like e^(2 mu) eps: 1e-8 off at l = 10, 0.52 at
+    # l = 17, and 0 from l = 20 on, where the row's first entry cancels
+    # exactly.  Every row read "ok" is within ROW_TOL of 0.5; a grid that
+    # reaches l = 15 is refused there
+    p = constant_parameters(0.5)
+    ls = [0.0, 5.0, 10.0, 15.0, 17.0, 18.0, 20.0, 30.0, 100.0, 350.0]
+    for k in range(1, len(ls) + 1):
+        if ls[k - 1] <= 10.0:
+            states = riccati_trajectory(1j, 0.5, p, ls[:k])
+            assert [state.status for state in states] == [STATUS_OK] * k
+            assert all(abs(state.s - 0.5) <= ROW_TOL for state in states)
+        else:
+            with pytest.raises(DegenerateActionError, match="at l = 15.0"):
+                riccati_trajectory(1j, 0.5, p, ls[:k])
+    # the rows through l = 10 keep their values, the Moebius images of s0
+    m = prop.transfer_grid(p, [1j], ls[:3])[0][0]
+    assert [state.s for state in states] == list((0.5 * m[:, 0, 0] + m[:, 1, 0])
+                                                 / (0.5 * m[:, 0, 1] + m[:, 1, 1]))
 
 
 def test_trajectory_rejects_descending_lengths():

@@ -12,9 +12,10 @@ a few hundred numbers by one % operation a block, any other through
 ``decimals``' numpy converter, with each leading grid column's distinct
 values converted once and gathered into every row.  The argument parser is
 built on the first ``main`` call and reused by every later one in the
-process (not at import).  Exit codes: 0 ok, 1 any other library error, an
-output that cannot be opened, or a standard output closed by its reader
-(silently), 2 parse, 3 validation.  Grids are computed by the vectorised
+process (not at import).  Exit codes: 0 ok, 1 any other library error, a
+computation that runs out of memory, an output that cannot be opened, or a
+standard output closed by its reader (silently), 2 parse (a grid too large
+to allocate among them), 3 validation.  Grids are computed by the vectorised
 propagation kernel in one thread, ``schur`` certifies every value at
 round-off (a disk below ``weyl.SCHUR_TOL``, or closed by the tail), and
 ``riccati`` either pulls the tail's value back to every row (``--s0 auto``:
@@ -79,7 +80,7 @@ def parse_zgrid(specstr):
             y1, y2, n = float(parts[1]), float(parts[2]), int(parts[3])
             if len(parts) == 5 and parts[4] == "log" and 0 < y1 < y2 < np.inf and n >= 2:
                 return 1j * np.geomspace(y1, y2, n)
-        except (IndexError, OverflowError, ValueError):
+        except (IndexError, MemoryError, OverflowError, ValueError):
             pass
         raise ParseError(f"bad imaginary-axis grid spec {specstr!r}")
     if len(parts) == 1:
@@ -90,7 +91,7 @@ def parse_zgrid(specstr):
             n = int(parts[2])
             if n >= 1:
                 return np.linspace(z1, z2, n)
-        except (OverflowError, ValueError):  # not an integer, or too large to index
+        except (MemoryError, OverflowError, ValueError):  # not an integer, or too many
             pass
         raise ParseError(f"bad grid count in {specstr!r}: not from 1 to what numpy can index")
     raise ParseError(f"bad spectral grid spec {specstr!r}")
@@ -110,7 +111,7 @@ def parse_lgrid(specstr, signed=False):
         if step > 0 and stop >= start:
             try:
                 return start + step * np.arange(int(np.floor((stop - start) / step + 1e-9)) + 1)
-            except (OverflowError, ValueError):
+            except (MemoryError, OverflowError, ValueError):
                 raise ParseError(f"grid {specstr!r} is too large to index")
     raise ParseError(f"bad grid spec {specstr!r}")
 
@@ -516,7 +517,9 @@ def run(ns):
         # the reader closed stdout: the final flush goes to devnull, silently
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_COMPUTE
-    except OSError as exc:  # an output that cannot be opened or written
+    except (MemoryError, OSError) as exc:
+        # a computation too large for memory, or an output that cannot be
+        # opened or written
         _emit_error(exc)
         return EXIT_COMPUTE
 

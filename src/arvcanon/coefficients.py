@@ -27,31 +27,39 @@ General-gauge variant: ``{"grid": [...], "n": [...], "P": [...], "Q": [...],
 and Q a number x stands for [x, 0].  Full-line systems are ``{"left": {...},
 "right": {...}}``, the left half stored mirrored (l in the file is -l).
 
-``load_parameters`` parses a file with no Python frame per number and no
-Python object kept past its chunk of text: orjson reads each full,
-rectangular numeric list, correctly rounded, about 16 kB at a time with its
-brackets, and numpy copies the numbers into one array per list.  One
-json.loads of an outline, the text with each such list replaced by null,
-gives the structure around them.  Any other list (ragged or empty, numbers
-mixed with pairs, NaN, Infinity, a number beyond the float range) is read
-by json.loads into plain lists, and so is a whole file that holds a literal
-(true, false, null).  The numbers are bit for bit those of ``json.loads``,
-except that an integer beyond the float range reads as infinity.
+``load_parameters`` reads a file of at most ``_CHUNK`` bytes (16 kB) with
+one orjson.loads into plain lists; one orjson refuses, or whose data do not
+build, is read again the long way, which gives its error.  The long way
+parses a file with no Python frame per number and no Python object kept
+past its chunk of text: orjson reads each full, rectangular numeric list,
+correctly rounded, about 16 kB at a time with its brackets, and numpy
+copies the numbers into one array per list.  One json.loads of an outline,
+the text with each such list replaced by null, gives the structure around
+them.  Any other list (ragged or empty, numbers mixed with pairs) is read
+whole into plain lists, by orjson where it holds only lists and float
+tokens and by json.loads where it holds an integer, NaN, Infinity or a
+number beyond the float range; a whole file that holds a literal (true,
+false, null) is read by json.loads.  Both ways the numbers are bit for bit
+those of ``json.loads``, except that an integer beyond the float range
+reads as infinity, and of duplicate keys the last wins.
 """
 
+import contextlib
 import functools
+import io
 import itertools
 import json
 import math
 import numbers
+import os
 import re
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import orjson
 
-from .errors import (CoefficientError, DomainError, InputError, ParseError,
-                     _raise_first)
+from .errors import (ArvcanonError, CoefficientError, DomainError, InputError,
+                     ParseError, _raise_first)
 from .mat2 import J, _h, herm_eigs, norm2
 
 TAIL_CONSTANT = "constant"
@@ -483,18 +491,35 @@ def schroedinger_coefficients(q, grid, tail=TAIL_FINITE):
 # JSON input/output
 
 
+def _leaf_types(values):
+    """The types of the entries of a list, nested to any depth, that are not
+    lists: one set of types per depth, each depth flattened in C."""
+    kinds = set()
+    while values:
+        types = set(map(type, values))
+        kinds |= types - {list}
+        if list not in types:
+            break
+        if len(types) > 1:
+            values = filter(list.__instancecheck__, values)
+        values = list(itertools.chain.from_iterable(values))
+    return kinds
+
+
 def _require_numbers(values, key):
     """ParseError for a string, boolean or null where a number belongs, all
     of which numpy would read as one ("1.5" as 1.5, true as 1, null as nan),
     and for a complex number, whose imaginary part a float read drops.  A
-    real array, the form every rectangular numeric list of a file is read
-    into, passes without a look at its entries, and a list of plain floats
-    and ints (not bools) with one look at their types, in C."""
+    real array, the form every rectangular numeric list of a long file is
+    read into, passes without a look at its entries, and a list of plain
+    floats and ints (not bools) nested to any depth with one look at their
+    types per depth, in C (_leaf_types); only a list that fails that look
+    is walked entry by entry, for the first wrong one."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind not in "iuf":
             raise ParseError(f"{key}: expected real numbers, got an array of {values.dtype}")
     elif isinstance(values, (list, tuple)):
-        if not set(map(type, values)) <= {float, int}:
+        if not _leaf_types(values) <= {float, int}:
             for v in values:
                 _require_numbers(v, key)
     elif isinstance(values, (bool, np.bool_)) or not isinstance(values, numbers.Real):
@@ -511,18 +536,44 @@ def _parse_real_list(values, key):
         raise CoefficientError(f"{key} has non-finite entries ({exc})")
 
 
+def _flat_array(values, dims):
+    """A list of entries of plain floats and ints (not bools) nested as dims
+    as one float array, read flat (numpy reads a nested list about twice as
+    slowly); None for any other list."""
+    try:
+        for width in dims:
+            if set(map(len, values)) != {width}:
+                return None
+            values = list(itertools.chain.from_iterable(values))
+        if set(map(type, values)) <= {float, int}:
+            return np.array(values, float).reshape(-1, *dims)
+    except (TypeError, OverflowError):  # a number where a list belongs, an int past the floats
+        pass
+    return None
+
+
 def _parse_entries(values, key, shape):
     """A list of complex entries of the given shape, () for a or (2, 2) for
     P and Q, each number of an entry real or an [re, im] pair.  Uniform
     pairs are one float view, bit for bit (x + 1j * y would turn -0.0 and
-    infinite parts); numbers mixed with pairs are made pairs first."""
-    _require_numbers(values, key)
-
+    infinite parts); numbers mixed with pairs are made pairs first.  A list
+    of plain floats and ints, the form files hold, is read flat
+    (_flat_array); any other value is checked and read by numpy, which
+    names what is wrong."""
     def pairs(v, depth):
-        if depth:
+        if depth > 1:
             return [pairs(e, depth - 1) for e in v]
-        return v if isinstance(v, (list, tuple, np.ndarray)) else (v, 0.0)
+        return [e if isinstance(e, (list, tuple, np.ndarray)) else (e, 0.0) for e in v]
 
+    dims = shape + (2,)
+    if isinstance(values, list):
+        arr = _flat_array(values, dims)
+        if arr is None:  # real entries, or numbers mixed with pairs
+            with contextlib.suppress(TypeError):  # a number where a list belongs
+                arr = _flat_array(pairs(values, len(dims)), dims)
+        if arr is not None:
+            return arr.view(complex)[..., 0]
+    _require_numbers(values, key)
     try:
         arr = np.asarray(values, dtype=float)
         if arr.ndim and arr.shape[1:] == shape:  # real entries
@@ -530,9 +581,9 @@ def _parse_entries(values, key, shape):
     except (ValueError, OverflowError):  # ragged (numbers mixed with pairs) or too large
         arr = None
     try:
-        if arr is None or arr.shape[1:] != shape + (2,):
-            arr = np.asarray(pairs(values, len(shape) + 1), dtype=float)
-        if arr.shape[1:] != shape + (2,):
+        if arr is None or arr.shape[1:] != dims:
+            arr = np.asarray(pairs(values, len(dims)), dtype=float)
+        if arr.shape[1:] != dims:
             raise ValueError(f"got shape {arr.shape}")
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{key}: expected a list of {'2x2 matrices of ' if shape else ''}"
@@ -606,15 +657,26 @@ def _array(text, lo, hi):
     return np.concatenate(parts).reshape(-1, *shape) if parts else None
 
 
+def _float_lists(text, lo, hi):
+    """The JSON list text[lo:hi] as orjson reads it where it holds only
+    lists and float tokens, which it reads as json.loads does; else None."""
+    try:
+        values = orjson.loads(text[lo:hi])
+    except orjson.JSONDecodeError:
+        return None
+    return values if _leaf_types(values) <= {float} else None
+
+
 def _rebuild(node, arrays):
-    """Put the arrays back into an outline from _load_json, in document
-    order in place of its nulls; objects (tuples of pairs) become dicts, the
-    last of duplicate keys winning.  A list of numbers is returned as it is."""
+    """Put the arrays (and the lists _float_lists read) back into an outline
+    from _load_json, in document order in place of its nulls; objects
+    (tuples of pairs) become dicts, the last of duplicate keys winning.  A
+    list that holds neither is returned as it is."""
     if node is None:
         return next(arrays)
     if isinstance(node, tuple):
         return {key: _rebuild(value, arrays) for key, value in node}
-    if isinstance(node, list) and not set(map(type, node)) <= {float}:
+    if isinstance(node, list) and _leaf_types(node) & {tuple, type(None)}:
         return [_rebuild(value, arrays) for value in node]
     return node
 
@@ -625,9 +687,11 @@ def _load_json(fh):
     is replaced by null in an outline of the text: its strings, its keys,
     its other values and one null per array, which one json.loads reads into
     the structure (duplicate keys kept in order) for _rebuild to fill.  A
-    list _array does not take (ragged or empty, numbers mixed with pairs,
-    NaN, Infinity, a number beyond the float range) stays in the outline and
-    is read by json.loads into plain lists, each integer token as float()
+    list _array does not take (ragged or empty, numbers mixed with pairs) is
+    read whole by orjson into plain lists where it holds only lists and
+    float tokens (_float_lists), and otherwise (an integer token, NaN,
+    Infinity, a number beyond the float range) stays in the outline and is
+    read by json.loads into plain lists, each integer token as float()
     reads it plus 0.0: -0 is +0.0, as JSON has it, and an integer past the
     float range is infinity.  A text with a literal (true, false, null)
     outside its strings is read whole that way; an outline json.loads
@@ -642,10 +706,14 @@ def _load_json(fh):
     outline, arrays = [], []
     for lo, hi, after in stretches:
         first, last = text.find("[", lo, hi), text.rfind("]", lo, hi) + 1
-        try:
-            array = _array(text, first, last) if 0 <= first < last else None
-        except (TypeError, ValueError):  # not numbers, or orjson refuses them
-            array = None
+        array = None
+        if 0 <= first < last:
+            try:
+                array = _array(text, first, last)
+            except (TypeError, ValueError):  # not numbers, or orjson refuses them
+                pass
+            if array is None:
+                array = _float_lists(text, first, last)
         if array is not None:
             outline += [text[lo:first], "null"]
             arrays.append(array)
@@ -661,9 +729,21 @@ def _load_json(fh):
 
 def load_parameters(path):
     """Parse a coefficient file.  Returns ArovParameters, GeneralCoefficients
-    or, for full-line files, a (left, right) tuple."""
+    or, for full-line files, a (left, right) tuple.  A file of at most
+    _CHUNK bytes, and so at most _CHUNK characters, the bound the long way
+    puts on one chunk's Python objects, is read by one orjson.loads into
+    plain lists.  The long way (_load_json) reads any other file (a pipe
+    among them), one orjson refuses (NaN, Infinity, a number beyond the
+    float range, malformed JSON, a lone surrogate, a byte order mark) and
+    one whose data do not build, and gives its data or its error: both ways
+    give the same arrays bit for bit, and the same error."""
     try:
         with open(path, encoding="utf-8") as fh:
+            if 0 < os.fstat(fh.fileno()).st_size <= _CHUNK:
+                text = fh.read()
+                with contextlib.suppress(ValueError, RecursionError, ArvcanonError):
+                    return _from_data(orjson.loads(text))
+                fh = io.StringIO(text)  # read again the long way, for its error
             data = _load_json(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
@@ -671,6 +751,11 @@ def load_parameters(path):
         raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    return _from_data(data)
+
+
+def _from_data(data):
+    """The system, or (left, right) pair, of a parsed coefficient file."""
     if isinstance(data, dict) and ("left" in data or "right" in data):
         for key in ("left", "right"):
             if key not in data:

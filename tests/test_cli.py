@@ -481,13 +481,36 @@ def test_output_that_cannot_be_opened_exits_1(tmp_path, const_half, full_line, c
     (["transfer", "--zgrid", "0,1:1,1:99999999999999999999999", "--lgrid", "1"], "ParseError"),
     (["transfer", "--zgrid", "i", "--lgrid", "0:1e308:1e-308"], "ParseError"),
     (["reflectionless", "--xgrid=-1e308:1e308:1e-300"], "ParseError"),
-    (["bp", "--e", "0.8,1.6", "--arc", "0.4:2.0", "--xstep", "1e-300"], "InputError")])
+    (["bp", "--e", "0.8,1.6", "--arc", "0.4:2.0", "--xstep", "1e-300"], "InputError"),
+    # sizes numpy can index but not allocate: each asks for more than the
+    # 47-bit address space, so the allocation fails at once and touches nothing
+    (["transfer", "--zgrid", "i", "--lgrid", "0:1e15:1"], "ParseError"),
+    (["schur", "--zgrid", "0,1:1,1:1000000000000000"], "ParseError"),
+    (["transfer", "--zgrid", "iy:1:2:1000000000000000:log", "--lgrid", "1"], "ParseError"),
+    (["reflectionless", "--xgrid=0:1e15:1"], "ParseError")])
 def test_grids_too_large_to_index_are_errors(const_half, full_line, capsys, argv, error):
-    # numpy's size check or int() of an infinite count ended in a traceback;
-    # numpy refuses each of these sizes before it allocates anything
-    path = const_half if argv[0] == "transfer" else full_line
+    # numpy's size check, int() of an infinite count or a failed allocation
+    # ended in a traceback; numpy refuses each of these sizes before it
+    # allocates anything
+    path = full_line if argv[0] in ("reflectionless", "bp") else const_half
     assert cli.main(argv + ["--input", path]) == (2 if error == "ParseError" else 3)
-    assert json.loads(capsys.readouterr().err)["error"] == error
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == error
+
+
+def test_memory_error_of_a_computation_exits_1(const_half, capsys, monkeypatch):
+    # a MemoryError raised past the parse is one JSON line and exit 1, not a
+    # traceback; raised here by the file read, without allocating anything
+    def exhausted(path):
+        raise MemoryError("cannot allocate the coefficient arrays")
+
+    monkeypatch.setattr(cli.coeff, "load_parameters", exhausted)
+    assert cli.main(["transfer", "--input", const_half, "--zgrid", "i", "--lgrid", "1"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "MemoryError",
+                               "message": "cannot allocate the coefficient arrays"}
 
 
 def test_log_imaginary_axis_zgrid(tmp_path, const_half):

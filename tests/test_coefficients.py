@@ -869,6 +869,102 @@ def test_fuzzed_files_parse_as_plain_json_does(tmp_path_factory, text):
                 assert mine.tobytes() == theirs.tobytes(), name
 
 
+def _load_or_error(path):
+    try:
+        return load_parameters(path)
+    except Exception as exc:
+        return exc
+
+
+def _assert_same_load(got, want):
+    """The same exception type and message, or the same systems with
+    bit-identical arrays."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    want, got = (want, got) if isinstance(want, tuple) else ((want,), (got,))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and g.tail == w.tail
+        for name in ("grid", "m", "a", "n", "P", "Q"):
+            if hasattr(w, name):
+                mine, theirs = getattr(g, name), getattr(w, name)
+                assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, name
+                assert mine.tobytes() == theirs.tobytes(), name
+
+
+@settings(max_examples=400, deadline=None)
+@given(coefficient_texts())
+@example('{"grid": [1], "m": [1], "a": [0.5], "tail": 3}')
+@example('{"grid": [1], "m": [2], "a": [0.5], "m": [1], "tail": "finite"}')
+@example('{"grid": [1, 2], "m": [-0, 1], "a": [-0, [-0, 0.5]]}')
+def test_short_files_load_as_the_outline_path_does(tmp_path_factory, text):
+    # a file of one chunk is read by one orjson.loads; the outline path,
+    # forced by a chunk bound of 0, gives the same arrays bit for bit or the
+    # same error
+    from arvcanon import coefficients
+
+    path = tmp_path_factory.mktemp("short") / "c.json"
+    path.write_text(text)
+    assert 0 < path.stat().st_size <= coefficients._CHUNK
+    short = _load_or_error(path)
+    saved, coefficients._CHUNK = coefficients._CHUNK, 0
+    try:
+        outline = _load_or_error(path)
+    finally:
+        coefficients._CHUNK = saved
+    _assert_same_load(short, outline)
+
+
+@pytest.mark.parametrize("text, want", [
+    ('{"grid": [1], "m": [1], "a": [0.5], "tail": 3}',
+     (CoefficientError, "^unknown tail policy 3.0$")),
+    ('{"grid": [1], "m": [2], "a": [0.5], "m": [1], "tail": "finite", "tail": "constant"}',
+     ([1.0], [0.5], "constant")),
+    ('{"grid": [1], "m": [1], "a": [-0], "m": [-0]}', ([0.0], [0.0], "constant")),
+], ids=["integer tail", "duplicate keys", "integer -0"])
+def test_a_short_file_reads_numbers_and_keys_as_the_outline_path(tmp_path, monkeypatch,
+                                                                 text, want):
+    # integers outside arrays are floats (3.0, not 3), the last of duplicate
+    # keys wins and the integer -0 is +0.0, read by orjson alone: the
+    # outline path is never called for a file that loads
+    from arvcanon import coefficients
+
+    calls = []
+    monkeypatch.setattr(coefficients, "_load_json",
+                        lambda fh, read=coefficients._load_json: calls.append(1) or read(fh))
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    if isinstance(want[0], type):
+        with pytest.raises(want[0], match=want[1]):
+            load_parameters(path)
+        assert calls == [1]
+        return
+    m, a, tail = want
+    p = load_parameters(path)
+    assert calls == []
+    assert p.m.tobytes() == np.array(m).tobytes() and p.tail == tail
+    assert p.a.tobytes() == np.array(a, complex).tobytes()
+
+
+@pytest.mark.parametrize("extra, outline_calls", [
+    ("", 0), (" " * (1 << 14), 1), ("\n\n", 0)])
+def test_only_a_file_of_one_chunk_is_read_by_one_orjson_call(tmp_path, monkeypatch, extra,
+                                                           outline_calls):
+    # the path is chosen from the file's size: past _CHUNK bytes the outline
+    # path reads it, in chunks
+    from arvcanon import coefficients
+
+    calls = []
+    monkeypatch.setattr(coefficients, "_load_json",
+                        lambda fh, read=coefficients._load_json: calls.append(1) or read(fh))
+    path = tmp_path / "p.json"
+    path.write_text('{"grid": [1.0, 2.0], "m": [1.0, 0.5], "a": [[0.25, -0.5], 0.5]}' + extra)
+    p = load_parameters(path)
+    assert len(calls) == outline_calls
+    assert p.a.tobytes() == np.array([0.25 - 0.5j, 0.5]).tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(coefficient_texts(), st.integers(1, 80))
 @example('{"grid": [1, , 2], "m": [1, 1], "a": [0.5, 0.5]}', 1)  # a chunk of no element
@@ -1076,6 +1172,26 @@ def test_texts_the_numbers_refuse_load_through_json(tmp_path, m0, extra, want):
     plain = load_parameters(path)
     for name in ("grid", "m", "a"):
         assert getattr(got, name).tobytes() == getattr(plain, name).tobytes(), name
+
+
+@pytest.mark.parametrize("token, value", [("0.125", 0.125), ("-0", 0.0), ("-0.0", -0.0)])
+def test_a_long_list_of_numbers_mixed_with_pairs_loads_as_its_pairs(tmp_path, token, value):
+    # a 2,000-interval a whose first entry is a number: the plain list
+    # json.loads gives (an integer token read by it, the rest by orjson),
+    # and the same system as the file with that entry written as a pair
+    text = _long_disk_text("0.5")
+    i = text.index('"a": [') + len('"a": [')
+    j = text.index("]", i) + 1
+    mixed, pairs = text[:i] + token + text[j:], text[:i] + f"[{value!r}, 0.0]" + text[j:]
+    got, want = _load_json(io.StringIO(mixed))["a"], json.loads(mixed)["a"]
+    assert type(got) is list and got == want
+    assert _document_numbers(got).tobytes() == _document_numbers(want).tobytes()
+    paths = tmp_path / "mixed.json", tmp_path / "pairs.json"
+    for path, body in zip(paths, (mixed, pairs)):
+        path.write_text(body)
+    got, want = (load_parameters(path) for path in paths)
+    for name in ("grid", "m", "a"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def _as_lists(node):

@@ -29,19 +29,20 @@ and Q a number x stands for [x, 0].  Full-line systems are ``{"left": {...},
 
 ``load_parameters`` reads a file of at most ``_CHUNK`` bytes (16 kB) with
 one orjson.loads into plain lists; one orjson refuses, or whose data do not
-build, is read again the long way, which gives its error.  The long way
-parses a file with no Python frame per number and no Python object kept
-past its chunk of text: orjson reads each full, rectangular numeric list,
-correctly rounded, about 16 kB at a time with its brackets, and numpy
-copies the numbers into one array per list.  One json.loads of an outline,
-the text with each such list replaced by null, gives the structure around
-them.  Any other list (ragged or empty, numbers mixed with pairs) is read
-whole into plain lists, by orjson where it holds only lists and float
-tokens and by json.loads where it holds an integer, NaN, Infinity or a
-number beyond the float range; a whole file that holds a literal (true,
-false, null) is read by json.loads.  Both ways the numbers are bit for bit
-those of ``json.loads``, except that an integer beyond the float range
-reads as infinity, and of duplicate keys the last wins.
+build, is read again the long way, which gives its data or its error.  The
+long way parses a file with no Python frame per number and no Python
+object kept past its chunk of text: orjson reads each full, rectangular
+numeric list, correctly rounded, about 16 kB at a time with its brackets,
+and numpy copies the numbers into one array per list.  One json.loads of
+an outline, the text with each such list replaced by null, gives the
+structure around them.  Any other list (ragged or empty, numbers mixed
+with pairs) is read whole into plain lists, by orjson where it reads
+every number in it as a float and by json.loads where it holds an integer
+that fits in 64 bits, NaN, Infinity or a number beyond the float range; a
+whole file that holds a literal (true, false, null) is read by json.loads.
+Both ways the numbers are bit for bit those of ``json.loads``, except that
+an integer beyond the float range reads as infinity, and of duplicate keys
+the last wins.
 """
 
 import contextlib
@@ -659,7 +660,9 @@ def _array(text, lo, hi):
 
 def _float_lists(text, lo, hi):
     """The JSON list text[lo:hi] as orjson reads it where it holds only
-    lists and float tokens, which it reads as json.loads does; else None."""
+    lists and numbers orjson reads as floats (a float token, or an integer
+    that does not fit in 64 bits), which it reads as json.loads does; else
+    None."""
     try:
         values = orjson.loads(text[lo:hi])
     except orjson.JSONDecodeError:
@@ -688,14 +691,15 @@ def _load_json(fh):
     its other values and one null per array, which one json.loads reads into
     the structure (duplicate keys kept in order) for _rebuild to fill.  A
     list _array does not take (ragged or empty, numbers mixed with pairs) is
-    read whole by orjson into plain lists where it holds only lists and
-    float tokens (_float_lists), and otherwise (an integer token, NaN,
-    Infinity, a number beyond the float range) stays in the outline and is
-    read by json.loads into plain lists, each integer token as float()
-    reads it plus 0.0: -0 is +0.0, as JSON has it, and an integer past the
-    float range is infinity.  A text with a literal (true, false, null)
-    outside its strings is read whole that way; an outline json.loads
-    refuses is read whole by json.loads, which raises the text's own error."""
+    read whole by orjson into plain lists where orjson reads every number in
+    it as a float (_float_lists).  Otherwise (an integer that fits in 64
+    bits, NaN, Infinity, a number beyond the float range) it stays in the
+    outline and is read by json.loads into plain lists, each integer token
+    as float() reads it plus 0.0: -0 is +0.0, as JSON has it, and an
+    integer past the float range is infinity.  A text with a literal (true,
+    false, null) outside its strings is read whole that way; an outline
+    json.loads refuses is read whole by json.loads, which raises the text's
+    own error."""
     text = fh.read()
     loads = functools.partial(json.loads, parse_int=lambda token: float(token) + 0.0)
     cuts = [0, *(i for m in re.finditer(_STRINGS, text) for i in m.span()), len(text)]
@@ -706,14 +710,12 @@ def _load_json(fh):
     outline, arrays = [], []
     for lo, hi, after in stretches:
         first, last = text.find("[", lo, hi), text.rfind("]", lo, hi) + 1
-        array = None
-        if 0 <= first < last:
-            try:
-                array = _array(text, first, last)
-            except (TypeError, ValueError):  # not numbers, or orjson refuses them
-                pass
-            if array is None:
-                array = _float_lists(text, first, last)
+        try:
+            array = _array(text, first, last) if 0 <= first < last else None
+        except (TypeError, ValueError):  # not numbers, or orjson refuses them
+            array = None
+        if array is None and 0 <= first < last:  # ragged or empty, or not numbers
+            array = _float_lists(text, first, last)
         if array is not None:
             outline += [text[lo:first], "null"]
             arrays.append(array)
@@ -743,7 +745,7 @@ def load_parameters(path):
                 text = fh.read()
                 with contextlib.suppress(ValueError, RecursionError, ArvcanonError):
                     return _from_data(orjson.loads(text))
-                fh = io.StringIO(text)  # read again the long way, for its error
+                fh = io.StringIO(text)  # the long way gives its data or its error
             data = _load_json(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")

@@ -947,19 +947,24 @@ def test_a_short_file_reads_numbers_and_keys_as_the_outline_path(tmp_path, monke
     assert p.a.tobytes() == np.array(a, complex).tobytes()
 
 
-@pytest.mark.parametrize("extra, outline_calls", [
-    ("", 0), (" " * (1 << 14), 1), ("\n\n", 0)])
-def test_only_a_file_of_one_chunk_is_read_by_one_orjson_call(tmp_path, monkeypatch, extra,
+@pytest.mark.parametrize("note, pad, outline_calls", [
+    ("", None, 0), ("", 0, 0), ("", 1, 1), (', "note": [NaN]', None, 1)],
+    ids=["short", "one chunk", "one byte past", "NaN beside the arrays"])
+def test_only_a_file_of_one_chunk_is_read_by_one_orjson_call(tmp_path, monkeypatch, note, pad,
                                                            outline_calls):
-    # the path is chosen from the file's size: past _CHUNK bytes the outline
-    # path reads it, in chunks
+    # the path is chosen from the file's size: a file of _CHUNK bytes is
+    # read by orjson alone, one byte more by the outline path, in chunks,
+    # and so is a short file orjson refuses
     from arvcanon import coefficients
 
     calls = []
     monkeypatch.setattr(coefficients, "_load_json",
                         lambda fh, read=coefficients._load_json: calls.append(1) or read(fh))
+    text = '{"grid": [1.0, 2.0], "m": [1.0, 0.5], "a": [[0.25, -0.5], 0.5]' + note + "}"
+    if pad is not None:
+        text += " " * (coefficients._CHUNK + pad - len(text))
     path = tmp_path / "p.json"
-    path.write_text('{"grid": [1.0, 2.0], "m": [1.0, 0.5], "a": [[0.25, -0.5], 0.5]}' + extra)
+    path.write_text(text)
     p = load_parameters(path)
     assert len(calls) == outline_calls
     assert p.a.tobytes() == np.array([0.25 - 0.5j, 0.5]).tobytes()
